@@ -22,7 +22,7 @@ from .core import (
     DEFAULT_TOL,
     Op,
     Tolerances,
-    nullspace,
+    nullspace_and_spectrum,
     op_rank,
     partial_trace,
     proportional_rank_one,
@@ -64,6 +64,9 @@ class ExtremalityCertificate:
     nullity: int
     pinned: tuple  # positions whose coefficient is fixed across solutions
     verdict: Verdict
+    # (smallest singular value kept, largest dropped), each over s_max;
+    # the rank decision is rank_rel_tol between the two.
+    rank_margin: tuple
     witness_pair: tuple = None  # (c_plus, c_minus) when NON_UNIQUE
     system: LinearSystem = field(default=None, repr=False)
 
@@ -74,6 +77,7 @@ class ExtremalityCertificate:
             "nullity": self.nullity,
             "pinned": [[list(a), list(x)] for a, x in self.pinned],
             "verdict": self.verdict.value,
+            "rank_margin": list(self.rank_margin),
         }
         if self.witness_pair is not None:
             doc["witness_pair"] = [list(map(float, c)) for c in self.witness_pair]
@@ -208,14 +212,17 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     system = build_constraint_system(p, mode)
     if system.residual_of(system.reference) > 1e-7:
         raise ValueError("reference coefficients do not satisfy the system")
-    basis = nullspace(system.matrix, tol.rank_rel_tol)
+    basis, s = nullspace_and_spectrum(system.matrix, tol.rank_rel_tol)
     nullity = basis.shape[0]
     rank = len(system.columns) - nullity
+    margin = (float(s[rank - 1] / s[0]) if rank else 0.0,
+              float(s[rank] / s[0]) if rank < s.size else 0.0)
 
     if nullity == 0:
         pinned = system.columns
         return ExtremalityCertificate(mode, rank, nullity, pinned,
-                                      Verdict.UNIQUE_EXTREME, None, system)
+                                      Verdict.UNIQUE_EXTREME, margin,
+                                      None, system)
 
     pinned = tuple(
         pos for j, pos in enumerate(system.columns)
@@ -228,7 +235,7 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     eps = t_max / 2
     witness = (ref + eps * v, ref - eps * v)
     return ExtremalityCertificate(mode, rank, nullity, pinned,
-                                  Verdict.NON_UNIQUE, witness, system)
+                                  Verdict.NON_UNIQUE, margin, witness, system)
 
 
 def inflexibility_structural_check(p: PureAssemblage,

@@ -178,6 +178,7 @@ def cmd_extremality(args) -> int:
             json.dump(cert.to_json(), fh, sort_keys=True, indent=2)
     details = {"verdict": cert.verdict.value, "rank": cert.rank,
                "nullity": cert.nullity,
+               "rank_margin": list(cert.rank_margin),
                "pinned": [[list(a), list(x)] for a, x in cert.pinned]}
     return _emit(Report("extremality", PASS, details, _tol_dict(tol)), args)
 

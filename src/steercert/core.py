@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
-import scipy.optimize
 
 
 class NnlsDidNotConverge(RuntimeError):
@@ -208,20 +207,36 @@ def real_vectorize_matrix(m: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag])
 
 
+def nullspace_and_spectrum(m: np.ndarray,
+                           tol: float = DEFAULT_TOL.rank_rel_tol):
+    """Kernel basis and singular values of a real matrix.
+
+    Returns ``(basis, s)``: ``basis`` is as for :func:`nullspace`, ``s``
+    holds the singular values in descending order (empty when every entry
+    is zero).  All-zero rows are dropped first; a system that still has
+    more rows than columns is replaced by the ``R`` of its QR
+    factorization, which has the same singular values and the same right
+    null space, so the SVD never sees more rows than columns.
+    """
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    cols = m.shape[1]
+    m = m[np.any(m != 0.0, axis=1)]
+    if m.shape[0] == 0:
+        return np.eye(cols), np.zeros(0)
+    if m.shape[0] > cols:
+        m = np.linalg.qr(m, mode="r")
+    _, s, vt = np.linalg.svd(m, full_matrices=True)  # whole kernel if wide
+    num_rank = int(np.count_nonzero(s > tol * s[0]))
+    return vt[num_rank:], s
+
+
 def nullspace(m: np.ndarray, tol: float = DEFAULT_TOL.rank_rel_tol) -> np.ndarray:
     """Orthonormal basis of the kernel of a real matrix, rows = basis vectors.
 
-    Singular values at or below ``tol * s_max`` count as zero.
+    Singular values at or below ``tol * s_max`` count as zero; a matrix
+    with no non-zero entry has the whole space as its kernel.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.size == 0:
-        return np.eye(m.shape[1])
-    _, s, vt = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(m.shape[1])
-    num_rank = int(np.count_nonzero(s > tol * smax))
-    return vt[num_rank:]
+    return nullspace_and_spectrum(m, tol)[0]
 
 
 def nnls(m: np.ndarray, b: np.ndarray):
@@ -230,6 +245,8 @@ def nnls(m: np.ndarray, b: np.ndarray):
     Returns ``(x, residual_norm)``; raises :class:`NnlsDidNotConverge` if
     the solver hits its iteration cap.
     """
+    import scipy.optimize  # deferred: it dominates the package import time
+
     m = np.asarray(m, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     try:

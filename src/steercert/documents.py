@@ -15,8 +15,9 @@ import json
 from dataclasses import dataclass
 from math import prod
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from .core import Ket, Op
 from .channels import ChoiOp, KrausChannel, Povm, State, choi_of_kraus
@@ -135,6 +136,12 @@ SCHEMA = {
 }
 
 
+# Built once: jsonschema.validate would re-check SCHEMA itself on every call.
+_ENVELOPE_VALIDATOR = Draft202012Validator(SCHEMA)
+_PAYLOAD_VALIDATORS = {kind: Draft202012Validator(schema)
+                       for kind, schema in SCHEMA["$defs"].items()}
+
+
 @dataclass(frozen=True)
 class Document:
     kind: str
@@ -151,12 +158,11 @@ def _complex_in(pair, path):
 
 
 def _matrix_in(rows, path) -> np.ndarray:
-    mat = [[_complex_in(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
-           for i, row in enumerate(rows)]
-    arr = np.array(mat, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if not rows or any(len(row) != len(rows) for row in rows):
         raise DocumentError("matrix must be square", path)
-    return arr
+    return np.array([[_complex_in(v, f"{path}[{i}][{j}]")
+                      for j, v in enumerate(row)]
+                     for i, row in enumerate(rows)], dtype=complex)
 
 
 def _matrix_out(arr) -> list:
@@ -190,9 +196,15 @@ def _povm_in(obj, path) -> Povm:
     dim = obj["dim"]
     effects = []
     for x, row in enumerate(obj["effects"]):
-        effects.append(tuple(
-            Op((dim,), _matrix_in(m, f"{path}.effects[{x}][{a}]"))
-            for a, m in enumerate(row)))
+        ops = []
+        for a, m in enumerate(row):
+            effect_path = f"{path}.effects[{x}][{a}]"
+            mat = _matrix_in(m, effect_path)
+            try:
+                ops.append(Op((dim,), mat))
+            except ValueError as exc:
+                raise DocumentError(str(exc), effect_path)
+        effects.append(tuple(ops))
     try:
         return Povm(dim, tuple(effects))
     except ValueError as exc:
@@ -236,6 +248,9 @@ def _channel_out(c: ChoiOp) -> dict:
 
 def _assemblage_in(obj, path, as_channel: bool):
     scen = _scenario_in(obj["scenario"], f"{path}.scenario")
+    if as_channel and len(scen.trusted_dims) != 2:
+        raise DocumentError("a channel assemblage has trusted dims [out, in]",
+                            f"{path}.scenario.trusted_dims")
     key = "choi" if as_channel else "member"
     d = scen.trusted_dim
     members = {pos: np.zeros((d, d), dtype=complex) for pos in scen.positions()}
@@ -289,6 +304,13 @@ _PARSERS = {
 }
 
 
+def _validate(validator, instance):
+    error = best_match(validator.iter_errors(instance))
+    if error is not None:
+        loc = "$." + ".".join(str(p) for p in error.absolute_path)
+        raise DocumentError(error.message, loc)
+
+
 def parse(data) -> Document:
     """Parse and validate document bytes (or str, or an already-loaded dict)."""
     if isinstance(data, (bytes, str)):
@@ -298,14 +320,16 @@ def parse(data) -> Document:
             raise DocumentError(f"invalid JSON at byte offset {exc.pos}: {exc.msg}")
     else:
         raw = data
+    _validate(_ENVELOPE_VALIDATOR, raw)
+    kind = raw["kind"]
+    _validate(_PAYLOAD_VALIDATORS[kind], raw["payload"])
     try:
-        jsonschema.validate(raw, SCHEMA)
-        kind = raw["kind"]
-        jsonschema.validate(raw["payload"], SCHEMA["$defs"][kind])
-    except jsonschema.ValidationError as exc:
-        loc = "$." + ".".join(str(p) for p in exc.absolute_path)
-        raise DocumentError(exc.message, loc)
-    payload = _PARSERS[kind](raw["payload"])
+        payload = _PARSERS[kind](raw["payload"])
+    except DocumentError:
+        raise
+    except ValueError as exc:
+        # A domain check the parser does not locate more precisely.
+        raise DocumentError(str(exc), "$.payload")
     return Document(kind=kind, version=raw["version"], payload=payload, raw=raw)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from steercert import gallery
-from steercert.core import DEFAULT_TOL, Ket
+from steercert.core import DEFAULT_TOL, Ket, Tolerances
 from steercert.assemblages import (
     PureAssemblage,
     Scenario,
@@ -103,6 +103,18 @@ def test_certificate_json(bell_pure):
     assert doc["verdict"] == "NON_UNIQUE"
     assert len(doc["witness_pair"]) == 2
     assert len(doc["columns"]) == len(doc["witness_pair"][0])
+
+
+@pytest.mark.parametrize("mode", list(ConstraintMode))
+def test_rank_margin_straddles_threshold(bell_pure, mode):
+    cert = decomposition_analysis(bell_pure, mode)
+    kept, dropped = cert.rank_margin
+    assert kept > DEFAULT_TOL.rank_rel_tol >= dropped >= 0.0
+    assert cert.to_json()["rank_margin"] == [kept, dropped]
+    # a threshold above the smallest kept value drops it from the rank
+    tighter = decomposition_analysis(bell_pure, mode,
+                                     Tolerances(rank_rel_tol=2 * kept))
+    assert tighter.rank < cert.rank
 
 
 def test_witness_exposes_reference(bell_pure, rng):

@@ -1,8 +1,13 @@
 import importlib.resources as resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import steercert
 from steercert import cli, documents, gallery
 from steercert.channel_assemblages import to_choi_assemblage
 
@@ -152,3 +157,49 @@ def test_custom_tolerance_is_reported(capsys):
                             data_path("example1_channel_assemblage.json"))
     assert code == 0
     assert report["tolerances"]["abs_tol"] == pytest.approx(1e-6)
+
+
+def _malformed_document(defect: str) -> dict:
+    if defect == "ragged-member":
+        raw = documents.serialize(
+            to_choi_assemblage(gallery.bell_cnot_assemblage()))
+        raw["payload"]["members"][0]["member"][1].pop()
+        return raw
+    rho, povms, channel, scen = gallery.bell_cnot_realization()
+    raw = documents.serialize(documents.Realization(scen, rho, povms, channel))
+    raw["payload"]["povms"][0]["dim"] = 3
+    return raw
+
+
+@pytest.mark.parametrize("command", ["verify", "extremality", "lhs"])
+@pytest.mark.parametrize("defect, path", [
+    ("ragged-member", "$.payload.members[0].member"),
+    ("povm-dim", "$.payload.povms[0].effects[0][0]"),
+])
+def test_malformed_payload_is_input_error(capsys, tmp_path, command, defect,
+                                          path):
+    doc_path = tmp_path / f"{defect}.json"
+    doc_path.write_text(json.dumps(_malformed_document(defect)))
+    code, report = run_json(capsys, command, str(doc_path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"].startswith(path + ": ")
+
+
+def test_extremality_reports_rank_margin(capsys):
+    code, report = run_json(capsys, "extremality", "--mode", "asym",
+                            data_path("example1.json"))
+    kept, dropped = report["details"]["rank_margin"]
+    assert code == 0
+    assert kept > report["tolerances"]["rank_rel_tol"] >= dropped
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(steercert.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, steercert.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from steercert.core import (
+    DEFAULT_TOL,
     Ket,
     NnlsDidNotConverge,
     Op,
@@ -14,6 +15,7 @@ from steercert.core import (
     kron_all,
     nnls,
     nullspace,
+    nullspace_and_spectrum,
     op_rank,
     partial_trace,
     principal_eigenvector,
@@ -147,6 +149,33 @@ def test_nullspace_contract(rng):
 
 def test_nullspace_of_zero_matrix():
     np.testing.assert_allclose(nullspace(np.zeros((3, 4))), np.eye(4))
+
+
+@pytest.mark.parametrize("rows, cols, rank", [(40, 12, 7),   # tall
+                                               (5, 12, 4),    # wide
+                                               (10, 10, 6)])  # square
+def test_nullspace_and_spectrum_known_rank(rng, rows, cols, rank):
+    m = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+    m = np.insert(m, [0, 2, 2, rows], 0.0, axis=0)  # all-zero rows mixed in
+    basis, s = nullspace_and_spectrum(m)
+    assert basis.shape == (cols - rank, cols)
+    np.testing.assert_allclose(basis @ basis.T, np.eye(cols - rank), atol=1e-12)
+    np.testing.assert_allclose(m @ basis.T, 0, atol=1e-10)
+    assert np.all(np.diff(s) <= 0)
+    assert s[rank - 1] / s[0] > DEFAULT_TOL.rank_rel_tol >= s[rank] / s[0]
+    # same kernel projector and kept spectrum as a full SVD of the input
+    _, s_ref, vt = np.linalg.svd(m, full_matrices=True)
+    np.testing.assert_allclose(basis.T @ basis, vt[rank:].T @ vt[rank:],
+                               atol=1e-10)
+    np.testing.assert_allclose(s[:rank], s_ref[:rank], rtol=1e-10)
+    np.testing.assert_array_equal(nullspace(m), basis)
+
+
+def test_nullspace_and_spectrum_of_zero_rows_only():
+    for m in (np.zeros((3, 4)), np.zeros((0, 4))):
+        basis, s = nullspace_and_spectrum(m)
+        np.testing.assert_array_equal(basis, np.eye(4))
+        assert s.size == 0
 
 
 def test_nnls_contract(rng):

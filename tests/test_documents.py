@@ -113,3 +113,23 @@ def test_dumps_is_deterministic():
     l = gallery.bell_cnot_assemblage()
     assert documents.dumps(l) == documents.dumps(l)
     assert json.loads(documents.dumps(l))["version"] == 1
+
+
+def test_domain_errors_become_document_errors():
+    ragged_kraus = {"kind": "channel", "version": 1,
+                    "payload": {"in_dim": 2, "out_dim": 2,
+                                "kraus": [[[[1, 0], [0, 0]], [[0, 0]]]]}}
+    with pytest.raises(DocumentError) as err:
+        parse(ragged_kraus)
+    assert err.value.path == "$.payload"
+    rho, povms, channel, scen = gallery.bell_cnot_realization()
+    raw = serialize(Realization(scen, rho, povms, channel))
+    raw["payload"]["povms"][1]["dim"] = 3
+    with pytest.raises(DocumentError) as err:
+        parse(raw)
+    assert err.value.path == "$.payload.povms[1].effects[0][0]"
+    raw = serialize(gallery.bell_cnot_assemblage())
+    raw["payload"]["scenario"]["trusted_dims"] = [2, 1, 2]
+    with pytest.raises(DocumentError) as err:
+        parse(raw)
+    assert err.value.path == "$.payload.scenario.trusted_dims"
