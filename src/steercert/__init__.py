@@ -6,6 +6,9 @@ Modules:
 - ``core``: dense linear-algebra primitives (operators, partial trace,
   rank/kernel helpers, NNLS).
 - ``channels``: states, POVMs, and channels via Choi matrices.
+- ``constraints``: the full no-signaling and relaxed A|BC constraint
+  families, defined once; evaluated by the verifiers and vectorized by
+  the certificate builder.
 - ``assemblages``: state assemblages, no-signaling checks, LHS models.
 - ``channel_assemblages``: channel assemblages and the relaxed
   constraint family.

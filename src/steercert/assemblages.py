@@ -27,9 +27,9 @@ from .core import (
     op_rank,
     partial_trace,
     principal_eigenvector,
-    proportional_rank_one,
 )
-from .channels import Povm, State
+from .channels import State
+from .constraints import ConstraintMode, NsReport, evaluate, family
 
 
 @dataclass(frozen=True)
@@ -102,22 +102,6 @@ class Assemblage:
 
     def member(self, a, x) -> Op:
         return self.members[(tuple(a), tuple(x))]
-
-
-@dataclass(frozen=True)
-class NsViolation:
-    constraint: str
-    magnitude: float
-
-
-@dataclass(frozen=True)
-class NsReport:
-    violations: tuple
-    max_violation: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -237,93 +221,14 @@ def verify_hermitian_realization(h: HermitianRealization, s: Assemblage,
     return dev <= tol
 
 
-def _marginal_sum(s: Assemblage, inside, a_in, x_in, x_out) -> np.ndarray:
-    """Sum of members over outcomes of parties outside ``inside``.
-
-    ``x_out`` fixes the settings of the outside parties.
-    """
-    scen = s.scenario
-    outside = [i for i in range(scen.n_parties) if i not in inside]
-    x = [0] * scen.n_parties
-    for i, xi in zip(inside, x_in):
-        x[i] = xi
-    for i, xi in zip(outside, x_out):
-        x[i] = xi
-    total = np.zeros((scen.trusted_dim, scen.trusted_dim), dtype=complex)
-    for a_out in itertools.product(*(range(scen.outcomes[i]) for i in outside)):
-        a = [0] * scen.n_parties
-        for i, ai in zip(inside, a_in):
-            a[i] = ai
-        for i, ai in zip(outside, a_out):
-            a[i] = ai
-        total += s.members[(tuple(a), tuple(x))].data
-    return total
-
-
 def verify_ns(s: Assemblage, tol: float = DEFAULT_TOL.abs_tol) -> NsReport:
-    """Check every no-signaling constraint of the assemblage.
+    """Check every constraint of the full no-signaling family.
 
-    For every proper nonempty subset of parties and fixed outcomes and
-    settings inside it, the summed member over the remaining parties must
-    not depend on the remaining parties' settings.  The total over all
-    outcomes must be setting independent with unit trace.  Violation
-    magnitudes are max-abs entry differences.
+    Violation magnitudes are max-abs entry differences, and the deviation
+    from one for the trace of each total; see :mod:`.constraints`.
     """
-    scen = s.scenario
-    n = scen.n_parties
-    violations = []
-
-    def record(name, magnitude):
-        if magnitude > tol:
-            violations.append(NsViolation(name, float(magnitude)))
-
-    for size in range(1, n):
-        for inside in itertools.combinations(range(n), size):
-            outside = [i for i in range(n) if i not in inside]
-            outs = list(itertools.product(*(range(scen.settings[i]) for i in outside)))
-            for a_in in itertools.product(*(range(scen.outcomes[i]) for i in inside)):
-                for x_in in itertools.product(*(range(scen.settings[i]) for i in inside)):
-                    base = _marginal_sum(s, inside, a_in, x_in, outs[0])
-                    for x_out in outs[1:]:
-                        other = _marginal_sum(s, inside, a_in, x_in, x_out)
-                        record(
-                            f"marginal I={inside} a={a_in} x={x_in}: "
-                            f"settings {outs[0]} vs {x_out}",
-                            np.max(np.abs(other - base)),
-                        )
-
-    setting_list = list(scen.setting_vectors())
-    totals = {}
-    for x in setting_list:
-        total = np.zeros((scen.trusted_dim, scen.trusted_dim), dtype=complex)
-        for a in scen.outcome_vectors():
-            total += s.members[(a, x)].data
-        totals[x] = total
-        record(f"total trace at x={x}", abs(np.trace(total).real - 1))
-    base = totals[setting_list[0]]
-    for x in setting_list[1:]:
-        record(f"total at x={setting_list[0]} vs x={x}",
-               np.max(np.abs(totals[x] - base)))
-
-    max_v = max((v.magnitude for v in violations), default=0.0)
-    return NsReport(tuple(violations), max_v)
-
-
-def marginal(s: Assemblage, inside, a_in, x_in,
-             tol: float = DEFAULT_TOL.abs_tol) -> Op:
-    """The well-defined subset marginal of a no-signaling assemblage.
-
-    Computed at the lexicographically smallest settings of the remaining
-    parties; raises if the assemblage signals above ``tol``.
-    """
-    report = verify_ns(s, tol)
-    if not report.ok:
-        raise ValueError(f"assemblage violates no-signaling by {report.max_violation}")
-    scen = s.scenario
-    inside = sorted(inside)
-    outside = [i for i in range(scen.n_parties) if i not in inside]
-    x_out = tuple(0 for _ in outside)
-    return Op(scen.trusted_dims, _marginal_sum(s, inside, tuple(a_in), tuple(x_in), x_out))
+    members = {pos: op.data for pos, op in s.members.items()}
+    return evaluate(family(s.scenario, ConstraintMode.FULL_NS), members, tol)
 
 
 def lhs_assemblage(model: LhsModel, scenario: Scenario) -> Assemblage:

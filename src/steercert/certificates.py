@@ -12,28 +12,19 @@ feasible decompositions averaging to the reference.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    Op,
     Tolerances,
     nullspace_and_spectrum,
     op_rank,
-    partial_trace,
     proportional_rank_one,
-    real_vectorize_matrix,
 )
-from .assemblages import Assemblage, PureAssemblage, Scenario
-
-
-class ConstraintMode(enum.Enum):
-    FULL_NS = "full"
-    ASYM_NS = "asym"
+from .assemblages import PureAssemblage
+from .constraints import ConstraintMode, family, vectorize
 
 
 @dataclass(frozen=True)
@@ -85,118 +76,19 @@ class ExtremalityCertificate:
         return doc
 
 
-def _unit_members(p: PureAssemblage):
-    """Unit-trace rank-one matrices at the non-zero positions, sorted."""
-    positions = sorted(p.members)
-    units = {}
-    for pos in positions:
-        _, ket = p.members[pos]
-        units[pos] = np.outer(ket.data, ket.data.conj())
-    return positions, units
-
-
 def build_constraint_system(p: PureAssemblage, mode: ConstraintMode) -> LinearSystem:
-    """Vectorized real constraint rows of the chosen mode.
+    """The mode's constraint family, vectorized over the support pattern.
 
     Unknowns are the coefficients multiplying fixed unit-trace rank-one
     operators at the non-zero positions; the reference coefficients (the
     member traces) satisfy the system by construction.
     """
-    scen = p.scenario
-    if mode is ConstraintMode.ASYM_NS and scen.n_parties != 2:
-        raise ValueError("the relaxed mode requires exactly two parties")
-    positions, units = _unit_members(p)
-    col_of = {pos: j for j, pos in enumerate(positions)}
-    ncols = len(positions)
-    d = scen.trusted_dim
-
-    rows, rhs = [], []
-
-    def operator_rows(terms, target=None, traced=False):
-        """Append real rows for ``sum coef * unit_pos = target`` (or 0)."""
-        if traced:
-            side = scen.trusted_dims[1]
-        else:
-            side = d
-        block = np.zeros((2 * side * side, ncols))
-        for pos, coef in terms:
-            if pos not in col_of:
-                continue
-            unit = units[pos]
-            if traced:
-                unit = partial_trace(Op(scen.trusted_dims, unit), keep=[1]).data
-            block[:, col_of[pos]] += coef * real_vectorize_matrix(unit)
-        target_vec = (real_vectorize_matrix(target) if target is not None
-                      else np.zeros(2 * side * side))
-        rows.append(block)
-        rhs.append(target_vec)
-
-    if mode is ConstraintMode.FULL_NS:
-        n = scen.n_parties
-        for size in range(1, n):
-            for inside in itertools.combinations(range(n), size):
-                outside = [i for i in range(n) if i not in inside]
-                outs = list(itertools.product(
-                    *(range(scen.settings[i]) for i in outside)))
-                for a_in in itertools.product(
-                        *(range(scen.outcomes[i]) for i in inside)):
-                    for x_in in itertools.product(
-                            *(range(scen.settings[i]) for i in inside)):
-                        def sum_terms(x_out, sign):
-                            terms = []
-                            for a_out in itertools.product(
-                                    *(range(scen.outcomes[i]) for i in outside)):
-                                a = [0] * n
-                                x = [0] * n
-                                for i, v in zip(inside, a_in):
-                                    a[i] = v
-                                for i, v in zip(inside, x_in):
-                                    x[i] = v
-                                for i, v in zip(outside, a_out):
-                                    a[i] = v
-                                for i, v in zip(outside, x_out):
-                                    x[i] = v
-                                terms.append(((tuple(a), tuple(x)), sign))
-                            return terms
-                        for x_out in outs[1:]:
-                            operator_rows(sum_terms(outs[0], 1.0)
-                                          + sum_terms(x_out, -1.0))
-        for x in scen.setting_vectors():
-            row = np.zeros((1, ncols))
-            for a in scen.outcome_vectors():
-                if (a, x) in col_of:
-                    row[0, col_of[(a, x)]] = 1.0
-            rows.append(row)
-            rhs.append(np.array([1.0]))
-    else:
-        (m1, m2), (k1, k2) = scen.settings, scen.outcomes
-        for b in range(k2):
-            for y in range(m2):
-                for x in range(1, m1):
-                    terms = [(((a, b), (0, y)), 1.0) for a in range(k1)]
-                    terms += [(((a, b), (x, y)), -1.0) for a in range(k1)]
-                    operator_rows(terms)
-        for a in range(k1):
-            for x in range(m1):
-                for y in range(1, m2):
-                    terms = [(((a, b), (x, 0)), 1.0) for b in range(k2)]
-                    terms += [(((a, b), (x, y)), -1.0) for b in range(k2)]
-                    operator_rows(terms, traced=True)
-        all_pos = [(a, b) for a in range(k1) for b in range(k2)]
-        for x, y in itertools.product(range(m1), range(m2)):
-            if (x, y) == (0, 0):
-                continue
-            terms = [((ab, (0, 0)), 1.0) for ab in all_pos]
-            terms += [((ab, (x, y)), -1.0) for ab in all_pos]
-            operator_rows(terms)
-        d_in = scen.trusted_dims[1]
-        operator_rows([((ab, (0, 0)), 1.0) for ab in all_pos],
-                      target=np.eye(d_in) / d_in, traced=True)
-
-    matrix = np.vstack(rows)
-    rhs_vec = np.concatenate(rhs)
+    positions = tuple(sorted(p.members))
+    kets = [p.members[pos][1].data for pos in positions]
+    units = np.stack([np.outer(k, k.conj()) for k in kets])
+    matrix, rhs = vectorize(family(p.scenario, mode), positions, units)
     reference = np.array([p.members[pos][0] for pos in positions])
-    return LinearSystem(matrix, rhs_vec, tuple(positions), reference)
+    return LinearSystem(matrix, rhs, positions, reference)
 
 
 def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
@@ -274,34 +166,3 @@ def inflexibility_structural_check(p: PureAssemblage,
             if all(distinct_nonzero(s) for s in (set_a0, set_a1, set_b0)):
                 return (y1, y2)
     return None
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Linear functional exposing a pure-member reference assemblage.
-
-    Evaluates a candidate assemblage by overlapping each member with the
-    normalized reference member (zero where the reference vanishes).
-    """
-
-    reference: PureAssemblage
-
-    def normalized_member(self, a, x):
-        entry = self.reference.members.get((tuple(a), tuple(x)))
-        if entry is None:
-            return None
-        _, ket = entry
-        return np.outer(ket.data, ket.data.conj())
-
-
-def witness_eval(w: Witness, s: Assemblage) -> float:
-    """Value of the exposing functional on ``s``."""
-    if s.scenario.trusted_dims != w.reference.scenario.trusted_dims:
-        raise ValueError("dimension mismatch between witness and assemblage")
-    total = 0.0
-    for a, x in s.scenario.positions():
-        rho = w.normalized_member(a, x)
-        if rho is None:
-            continue
-        total += float(np.trace(rho @ s.members[(a, x)].data).real)
-    return total

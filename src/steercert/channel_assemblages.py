@@ -10,22 +10,28 @@ the maximally mixed input.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
 from .core import DEFAULT_TOL, Op, identity, is_psd, kron, partial_trace
 from .channels import (
     ChoiOp,
-    Povm,
     State,
     apply_channel_on_subsystems,
     maximally_entangled,
     verify_cptp,
 )
-from .assemblages import Assemblage, NsReport, NsViolation, Scenario, verify_ns
+from .assemblages import Assemblage, Scenario
+from .constraints import (
+    ConstraintMode,
+    Family,
+    NsReport,
+    evaluate,
+    family,
+    magnitudes,
+    output_trace_condition,
+)
 
 
 @dataclass(frozen=True)
@@ -116,19 +122,21 @@ def to_choi_assemblage(l: ChannelAssemblage) -> Assemblage:
     return Assemblage(l.scenario, members)
 
 
+def _choi_members(l: ChannelAssemblage) -> dict:
+    return {pos: c.op.data for pos, c in l.members.items()}
+
+
 def verify_ns_channel(l: ChannelAssemblage,
                       tol: float = DEFAULT_TOL.abs_tol) -> NsChannelReport:
     """No-signaling verification plus the channel trace condition.
 
-    Passes iff the Choi matrices form a no-signaling state assemblage and
+    Passes iff the Choi matrices satisfy the full no-signaling family and
     the total's partial trace over the output factor is ``1/d_in``.
     """
-    report = verify_ns(to_choi_assemblage(l), tol)
-    x0 = next(iter(l.scenario.setting_vectors()))
-    total = sum(l.members[(a, x0)].op.data for a in l.scenario.outcome_vectors())
-    reduced = partial_trace(Op(l.scenario.trusted_dims, total), keep=[1])
-    dev = float(np.max(np.abs(reduced.data - np.eye(l.d_in) / l.d_in)))
-    return NsChannelReport(report, dev, tol)
+    members = _choi_members(l)
+    report = evaluate(family(l.scenario, ConstraintMode.FULL_NS), members, tol)
+    condition = Family(l.scenario, (output_trace_condition(l.scenario),))
+    return NsChannelReport(report, float(magnitudes(condition, members)[0]), tol)
 
 
 def local_channel_assemblage(tables, maps, scenario: Scenario) -> ChannelAssemblage:
@@ -155,86 +163,13 @@ def local_channel_assemblage(tables, maps, scenario: Scenario) -> ChannelAssembl
     return ChannelAssemblage(scenario, members)
 
 
-def channel_totals(l: ChannelAssemblage,
-                   tol: float = DEFAULT_TOL.abs_tol) -> ChoiOp:
-    """The common total channel, anchored at the smallest settings.
-
-    Raises if the totals depend on the settings above ``tol``.
-    """
-    setting_list = list(l.scenario.setting_vectors())
-    totals = []
-    for x in setting_list:
-        totals.append(sum(l.members[(a, x)].op.data
-                          for a in l.scenario.outcome_vectors()))
-    for x, t in zip(setting_list[1:], totals[1:]):
-        dev = float(np.max(np.abs(t - totals[0])))
-        if dev > tol:
-            raise ValueError(f"total at settings {x} deviates by {dev}")
-    d_out, d_in = l.scenario.trusted_dims
-    return ChoiOp((d_in,), (d_out,), Op((d_out, d_in), totals[0]))
-
-
-@dataclass(frozen=True)
-class AsymNsReport:
-    """Verification report for the relaxed two-party constraint family."""
-
-    violations: tuple
-    max_violation: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def verify_asym_ns(l: ChannelAssemblage,
-                   tol: float = DEFAULT_TOL.abs_tol) -> AsymNsReport:
-    """Relaxed no-signaling for two untrusted parties (A vs BC split).
+                   tol: float = DEFAULT_TOL.abs_tol) -> NsReport:
+    """Check every constraint of the relaxed A|BC family (two parties).
 
     On the Choi matrices: (i) the sum over A's outcomes must not depend on
     A's setting; (ii) the output-traced sum over B's outcomes must not
     depend on B's setting; (iii) the total must be setting independent
     with output partial trace ``1/d_in``.
     """
-    if l.scenario.n_parties != 2:
-        raise ValueError("asymmetric verification is defined for two parties")
-    scen = l.scenario
-    (m1, m2), (k1, k2) = scen.settings, scen.outcomes
-    d_out, d_in = scen.trusted_dims
-    violations = []
-
-    def record(name, magnitude):
-        if magnitude > tol:
-            violations.append(NsViolation(name, float(magnitude)))
-
-    for b in range(k2):
-        for y in range(m2):
-            sums = [sum(l.members[((a, b), (x, y))].op.data for a in range(k1))
-                    for x in range(m1)]
-            for x in range(1, m1):
-                record(f"sum over a at b={b} y={y}: x=0 vs x={x}",
-                       np.max(np.abs(sums[x] - sums[0])))
-
-    for a in range(k1):
-        for x in range(m1):
-            sums = []
-            for y in range(m2):
-                total = sum(l.members[((a, b), (x, y))].op.data for b in range(k2))
-                sums.append(partial_trace(Op((d_out, d_in), total), keep=[1]).data)
-            for y in range(1, m2):
-                record(f"traced sum over b at a={a} x={x}: y=0 vs y={y}",
-                       np.max(np.abs(sums[y] - sums[0])))
-
-    totals = {}
-    for x, y in itertools.product(range(m1), range(m2)):
-        totals[(x, y)] = sum(l.members[((a, b), (x, y))].op.data
-                             for a in range(k1) for b in range(k2))
-    base = totals[(0, 0)]
-    for key, t in totals.items():
-        if key != (0, 0):
-            record(f"total at (0,0) vs {key}", np.max(np.abs(t - base)))
-    reduced = partial_trace(Op((d_out, d_in), base), keep=[1])
-    record("output trace of total vs maximally mixed input",
-           np.max(np.abs(reduced.data - np.eye(d_in) / d_in)))
-
-    max_v = max((v.magnitude for v in violations), default=0.0)
-    return AsymNsReport(tuple(violations), max_v)
+    return evaluate(family(l.scenario, ConstraintMode.ASYM_NS), _choi_members(l), tol)

@@ -50,14 +50,10 @@ class Report:
                 "details": self.details, "tolerances": self.tolerances}
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(abs_tol=args.abs_tol, rank_rel_tol=args.rank_tol,
-                      nnls_residual_tol=args.nnls_tol)
-
-
-def _tol_dict(tol: Tolerances) -> dict:
-    return {"abs_tol": tol.abs_tol, "rank_rel_tol": tol.rank_rel_tol,
-            "nnls_residual_tol": tol.nnls_residual_tol}
+def _tol_dict(args) -> dict:
+    """The tolerance flags as given, echoed in every report."""
+    return {"abs_tol": args.abs_tol, "rank_rel_tol": args.rank_tol,
+            "nnls_residual_tol": args.nnls_tol}
 
 
 def _load(path: str) -> Document:
@@ -77,7 +73,7 @@ def _emit(report: Report, args) -> int:
 
 def _input_error(command, message, args) -> int:
     return _emit(Report(command, INPUT_ERROR, {"error": message},
-                        _tol_dict(_tolerances(args))), args)
+                        _tol_dict(args)), args)
 
 
 def _violation_details(violations) -> list:
@@ -86,43 +82,41 @@ def _violation_details(violations) -> list:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerances(args)
     try:
         doc = _load(args.document)
-    except (OSError, DocumentError) as exc:
+        report, details = _verify(doc, args.mode, args.tol.abs_tol)
+    except (OSError, DocumentError, ValueError) as exc:
         return _input_error("verify", str(exc), args)
-    mode = args.mode
-    details = {}
+    return _emit(Report("verify", PASS if report.ok else FAIL, details,
+                        _tol_dict(args)), args)
+
+
+def _verify(doc: Document, mode: str, abs_tol: float):
+    """The verification report of ``doc`` and its details; ``ValueError``
+    if the mode does not apply to the document."""
     if doc.kind == "assemblage" and mode in ("auto", "ns"):
-        report = verify_ns(doc.payload, tol.abs_tol)
-        status = PASS if report.ok else FAIL
-        details = {"mode": "ns", "max_violation": report.max_violation,
-                   "violations": _violation_details(report.violations)}
-    elif doc.kind == "channel" and mode in ("auto", "cptp"):
-        report = verify_cptp(doc.payload, tol.abs_tol)
-        status = PASS if report.ok else FAIL
-        details = {"mode": "cptp", "cp": report.cp, "tp": report.tp,
-                   "min_eigenvalue": report.min_eigenvalue,
-                   "tp_deviation": report.tp_deviation}
-    elif doc.kind == "channel_assemblage" and mode in ("auto", "ns"):
-        report = verify_ns_channel(doc.payload, tol.abs_tol)
-        status = PASS if report.ok else FAIL
-        details = {
+        report = verify_ns(doc.payload, abs_tol)
+        return report, {"mode": "ns", "max_violation": report.max_violation,
+                        "violations": _violation_details(report.violations)}
+    if doc.kind == "channel" and mode in ("auto", "cptp"):
+        report = verify_cptp(doc.payload, abs_tol)
+        return report, {"mode": "cptp", "cp": report.cp, "tp": report.tp,
+                        "min_eigenvalue": report.min_eigenvalue,
+                        "tp_deviation": report.tp_deviation}
+    if doc.kind == "channel_assemblage" and mode in ("auto", "ns"):
+        report = verify_ns_channel(doc.payload, abs_tol)
+        ns = report.assemblage_report
+        return report, {
             "mode": "ns-channel",
             "trace_condition_deviation": report.trace_condition_deviation,
-            "max_violation": report.assemblage_report.max_violation,
-            "violations": _violation_details(report.assemblage_report.violations),
+            "max_violation": ns.max_violation,
+            "violations": _violation_details(ns.violations),
         }
-    elif doc.kind == "channel_assemblage" and mode == "asym-ns":
-        report = verify_asym_ns(doc.payload, tol.abs_tol)
-        status = PASS if report.ok else FAIL
-        details = {"mode": "asym-ns", "max_violation": report.max_violation,
-                   "violations": _violation_details(report.violations)}
-    else:
-        return _input_error(
-            "verify", f"mode '{mode}' is not applicable to kind '{doc.kind}'",
-            args)
-    return _emit(Report("verify", status, details, _tol_dict(tol)), args)
+    if doc.kind == "channel_assemblage" and mode == "asym-ns":
+        report = verify_asym_ns(doc.payload, abs_tol)
+        return report, {"mode": "asym-ns", "max_violation": report.max_violation,
+                        "violations": _violation_details(report.violations)}
+    raise ValueError(f"mode '{mode}' is not applicable to kind '{doc.kind}'")
 
 
 def cmd_choi(args) -> int:
@@ -162,7 +156,7 @@ def _assemblage_from_realization_doc(real: Realization):
 
 
 def cmd_extremality(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     try:
         doc = _load(args.document)
         pure = _pure_from_document(doc, tol)
@@ -180,11 +174,11 @@ def cmd_extremality(args) -> int:
                "nullity": cert.nullity,
                "rank_margin": list(cert.rank_margin),
                "pinned": [[list(a), list(x)] for a, x in cert.pinned]}
-    return _emit(Report("extremality", PASS, details, _tol_dict(tol)), args)
+    return _emit(Report("extremality", PASS, details, _tol_dict(args)), args)
 
 
 def cmd_lhs(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     try:
         doc = _load(args.document)
         pure = _pure_from_document(doc, tol)
@@ -194,7 +188,7 @@ def cmd_lhs(args) -> int:
         verdict = pure_lhs_decide(pure, tol)
     except NnlsDidNotConverge as exc:
         return _emit(Report("lhs", INCONCLUSIVE, {"error": str(exc)},
-                            _tol_dict(tol)), args)
+                            _tol_dict(args)), args)
     if isinstance(verdict, LhsModel):
         details = {"lhs": True, "hidden_variables": len(verdict.weights),
                    "weights": [float(w) for w in verdict.weights]}
@@ -202,11 +196,11 @@ def cmd_lhs(args) -> int:
         details = {"lhs": False, "reason": verdict.reason}
         if verdict.residual is not None:
             details["residual"] = verdict.residual
-    return _emit(Report("lhs", PASS, details, _tol_dict(tol)), args)
+    return _emit(Report("lhs", PASS, details, _tol_dict(args)), args)
 
 
 def cmd_security_cert(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     try:
         doc = _load(args.document)
     except (OSError, DocumentError) as exc:
@@ -225,7 +219,7 @@ def cmd_security_cert(args) -> int:
         return _input_error("security-cert", str(exc), args)
     status = PASS if (pin.certified and key_ok) else FAIL
     details = {"pinning": pin.to_json(), "perfect_key": key_ok}
-    return _emit(Report("security-cert", status, details, _tol_dict(tol)), args)
+    return _emit(Report("security-cert", status, details, _tol_dict(args)), args)
 
 
 def _reproduce_example1(tol: Tolerances) -> dict:
@@ -296,12 +290,12 @@ _REPRODUCERS = {
 
 
 def cmd_reproduce(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     details = _REPRODUCERS[args.target](tol)
     ok = details.pop("ok")
     details["target"] = args.target
     return _emit(Report("reproduce", PASS if ok else FAIL, details,
-                        _tol_dict(tol)), args)
+                        _tol_dict(args)), args)
 
 
 def cmd_schema(args) -> int:
@@ -357,6 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        args.tol = Tolerances(abs_tol=args.abs_tol, rank_rel_tol=args.rank_tol,
+                              nnls_residual_tol=args.nnls_tol)
+    except ValueError as exc:
+        return _input_error(args.command, str(exc), args)
     return args.fn(args)
 
 

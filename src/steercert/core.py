@@ -118,10 +118,6 @@ def kron_all(ops) -> Op:
     return out
 
 
-def ket_kron(a: Ket, b: Ket) -> Ket:
-    return Ket(a.dims + b.dims, np.kron(a.data, b.data))
-
-
 def partial_trace(a: Op, keep) -> Op:
     """Trace out all subsystems not in ``keep``; kept order is preserved.
 
@@ -194,17 +190,6 @@ def proportional_rank_one(a: Op, b: Op, tol: float = DEFAULT_TOL.abs_tol,
     u = principal_eigenvector(a)
     v = principal_eigenvector(b)
     return bool(abs(np.vdot(u, v)) > 1 - tol)
-
-
-def real_vectorize(a: Op) -> np.ndarray:
-    """Row-major real parts followed by row-major imaginary parts."""
-    flat = a.data.reshape(-1)
-    return np.concatenate([flat.real, flat.imag])
-
-
-def real_vectorize_matrix(m: np.ndarray) -> np.ndarray:
-    flat = np.asarray(m, dtype=complex).reshape(-1)
-    return np.concatenate([flat.real, flat.imag])
 
 
 def nullspace_and_spectrum(m: np.ndarray,

@@ -122,6 +122,10 @@ def eavesdropper_pinning(p: PureAssemblage, x_key: int, y_key: int,
     scen = p.scenario
     if scen.n_parties != 2:
         raise ValueError("pinning certificate requires two untrusted parties")
+    for name, key, m in (("x_key", x_key, scen.settings[0]),
+                         ("y_key", y_key, scen.settings[1])):
+        if not 0 <= key < m:
+            raise ValueError(f"{name} {key} is not a setting: expected 0 <= {name} < {m}")
     cert = decomposition_analysis(p, ConstraintMode.ASYM_NS, tol)
     pinned_set = set(cert.pinned)
     pinned, free = [], []

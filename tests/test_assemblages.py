@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steercert.core import Ket, Op, ket_kron
+from steercert.core import Ket, Op
 from steercert.channels import (
     Povm,
     State,
@@ -21,7 +21,6 @@ from steercert.assemblages import (
     canonicalize_pure,
     deterministic_strategies,
     lhs_assemblage,
-    marginal,
     pure_lhs_decide,
     verify_hermitian_realization,
     verify_ns,
@@ -104,26 +103,6 @@ def test_verify_ns_detects_signaling():
     report = verify_ns(Assemblage(scen, members))
     assert not report.ok
     assert report.max_violation == pytest.approx(0.2)
-
-
-def test_marginal_of_ns_assemblage(rng):
-    scen = Scenario((2, 2), (2, 2), (2,))
-    s = random_realized_assemblage(rng, scen)
-    m = marginal(s, inside=[0], a_in=(0,), x_in=(1,))
-    direct = sum(s.member((0, b), (1, 0)).data for b in range(2))
-    np.testing.assert_allclose(m.data, direct, atol=1e-12)
-
-
-def test_marginal_raises_on_signaling():
-    scen = Scenario((2,), (2,), (2,))
-    members = {
-        ((0,), (0,)): Op((2,), np.diag([0.5, 0.0])),
-        ((1,), (0,)): Op((2,), np.diag([0.0, 0.5])),
-        ((0,), (1,)): Op((2,), np.diag([0.7, 0.0])),
-        ((1,), (1,)): Op((2,), np.diag([0.0, 0.3])),
-    }
-    with pytest.raises(ValueError):
-        marginal(Assemblage(scen, members), inside=[], a_in=(), x_in=())
 
 
 def test_deterministic_strategy_count():

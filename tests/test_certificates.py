@@ -7,17 +7,14 @@ from steercert.assemblages import (
     PureAssemblage,
     Scenario,
     canonicalize_pure,
-    verify_ns,
 )
 from steercert.channel_assemblages import to_choi_assemblage
 from steercert.certificates import (
     ConstraintMode,
     Verdict,
-    Witness,
     build_constraint_system,
     decomposition_analysis,
     inflexibility_structural_check,
-    witness_eval,
 )
 
 
@@ -115,17 +112,3 @@ def test_rank_margin_straddles_threshold(bell_pure, mode):
     tighter = decomposition_analysis(bell_pure, mode,
                                      Tolerances(rank_rel_tol=2 * kept))
     assert tighter.rank < cert.rank
-
-
-def test_witness_exposes_reference(bell_pure, rng):
-    # the exposing functional scores the reference strictly above random
-    # quantum assemblages of the same scenario
-    from test_assemblages import random_realized_assemblage
-
-    w = Witness(bell_pure)
-    reference_value = witness_eval(w, bell_pure.to_assemblage())
-    scen = Scenario((2, 2), (2, 2), (2, 2))
-    for _ in range(100):
-        s = random_realized_assemblage(rng, scen)
-        assert verify_ns(s).ok
-        assert witness_eval(w, s) < reference_value - 1e-6

@@ -3,11 +3,10 @@ import pytest
 
 from steercert import gallery
 from steercert.core import Op
-from steercert.channels import ChoiOp, choi_of_kraus, random_kraus_channel, verify_cptp
+from steercert.channels import ChoiOp, choi_of_kraus, random_kraus_channel
 from steercert.assemblages import Scenario
 from steercert.channel_assemblages import (
     ChannelAssemblage,
-    channel_totals,
     local_channel_assemblage,
     to_choi_assemblage,
     verify_asym_ns,
@@ -35,25 +34,17 @@ def test_full_ns_implies_relaxed_ns():
         assert verify_asym_ns(l).ok
 
 
-def test_channel_totals():
-    l = gallery.bell_cnot_assemblage()
-    total = channel_totals(l)
-    assert verify_cptp(total).ok
-    # the total equals the CNOT-induced channel on the trusted qubit
-    rebuilt = sum(l.members[(a, (0, 0))].op.data
-                  for a in l.scenario.outcome_vectors())
-    np.testing.assert_allclose(total.op.data, rebuilt, atol=1e-12)
-
-
-def test_channel_totals_raises_on_setting_dependence():
+def test_verify_ns_channel_reports_setting_dependent_totals():
     l = gallery.bell_cnot_assemblage()
     members = dict(l.members)
     pos = ((0, 0), (1, 0))
     bumped = members[pos].op.data * 1.1
     members[pos] = ChoiOp((2,), (2,), Op((2, 2), bumped))
-    broken = ChannelAssemblage(l.scenario, members)
-    with pytest.raises(ValueError):
-        channel_totals(broken)
+    report = verify_ns_channel(ChannelAssemblage(l.scenario, members))
+    assert not report.ok
+    names = [v.constraint for v in report.assemblage_report.violations]
+    assert "total at x=(0, 0) vs x=(1, 0)" in names
+    assert "total trace at x=(1, 0)" in names
 
 
 def test_local_channel_assemblage_is_ns(rng):

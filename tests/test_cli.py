@@ -5,11 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import steercert
 from steercert import cli, documents, gallery
-from steercert.channel_assemblages import to_choi_assemblage
+from steercert.core import Op
+from steercert.channels import ChoiOp, choi_of_unitary
+from steercert.assemblages import Assemblage, Scenario
+from steercert.channel_assemblages import (
+    ChannelAssemblage,
+    local_channel_assemblage,
+    to_choi_assemblage,
+)
 
 
 def data_path(name: str) -> str:
@@ -203,3 +211,64 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_verify_reports_setting_dependent_totals(capsys, tmp_path):
+    l = gallery.bell_cnot_assemblage()
+    members = dict(l.members)
+    pos = ((0, 0), (1, 0))
+    members[pos] = ChoiOp((2,), (2,), Op((2, 2), members[pos].op.data * 1.1))
+    path = tmp_path / "totals.json"
+    path.write_text(documents.dumps(ChannelAssemblage(l.scenario, members)))
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 1 and report["status"] == "FAIL"
+    names = [v["constraint"] for v in report["details"]["violations"]]
+    assert "total trace at x=(1, 0)" in names
+    assert "total at x=(0, 0) vs x=(1, 0)" in names
+
+
+def test_verify_relaxed_mode_rejects_three_parties(capsys, tmp_path):
+    scen = Scenario((2, 1, 1), (2, 1, 1), (2, 2))
+    identity = choi_of_unitary(np.eye(2))
+    tables = ((np.array([[0.5, 0.5], [1.0, 0.0]]), np.ones((1, 1)), np.ones((1, 1))),)
+    path = tmp_path / "three.json"
+    path.write_text(documents.dumps(
+        local_channel_assemblage(tables, (identity,), scen)))
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 0 and report["status"] == "PASS"
+    code, report = run_json(capsys, "verify", "--mode", "asym-ns", str(path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert "two parties" in report["details"]["error"]
+
+
+@pytest.mark.parametrize("flag", ["--x-key", "--y-key"])
+@pytest.mark.parametrize("value", ["-1", "2"])
+def test_security_cert_rejects_unknown_key_setting(capsys, flag, value):
+    code, report = run_json(capsys, "security-cert", flag, value,
+                            data_path("example1_channel_assemblage.json"))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert flag[2:].replace("-", "_") in report["details"]["error"]
+
+
+@pytest.mark.parametrize("flag, key", [("--abs-tol", "abs_tol"),
+                                       ("--rank-tol", "rank_rel_tol"),
+                                       ("--nnls-tol", "nnls_residual_tol")])
+@pytest.mark.parametrize("value", ["0", "-1e-9"])
+def test_non_positive_tolerance_is_input_error(capsys, flag, key, value):
+    code, report = run_json(capsys, f"{flag}={value}", "verify",
+                            data_path("example1_channel_assemblage.json"))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["command"] == "verify"
+    assert report["tolerances"][key] == float(value)
+    assert key in report["details"]["error"]
+
+
+def test_relaxed_extremality_needs_channel_dims(capsys, tmp_path):
+    choi = to_choi_assemblage(gallery.bell_cnot_assemblage())
+    flat = Assemblage(Scenario((2, 2), (2, 2), (4,)),
+                      {pos: Op((4,), op.data) for pos, op in choi.members.items()})
+    path = tmp_path / "flat.json"
+    path.write_text(documents.dumps(flat))
+    code, report = run_json(capsys, "extremality", "--mode", "asym", str(path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert "(d_out, d_in)" in report["details"]["error"]

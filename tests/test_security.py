@@ -68,6 +68,12 @@ def test_pinning_declines_free_setting(bell_pure):
     assert len(cert.free_positions) == 4
 
 
+@pytest.mark.parametrize("x_key, y_key", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+def test_pinning_rejects_keys_outside_the_settings(bell_pure, x_key, y_key):
+    with pytest.raises(ValueError, match="is not a setting"):
+        eavesdropper_pinning(bell_pure, x_key, y_key)
+
+
 def test_pinning_json_roundtrip(bell_pure):
     doc = eavesdropper_pinning(bell_pure, 0, 0).to_json()
     assert doc["certified"] is True
