@@ -85,42 +85,21 @@ class Assemblage:
     members: dict = field(repr=False)  # (a, x) -> Op
 
     def __post_init__(self):
+        # The trace of each per-setting total is a constraint of the
+        # no-signaling family (checked by ``verify_ns`` against ``abs_tol``),
+        # not a condition on constructing the object.
         mem = {}
-        for x in self.scenario.setting_vectors():
-            total = 0.0
-            for a in self.scenario.outcome_vectors():
-                op = self.members[(a, x)]
-                if op.dims != self.scenario.trusted_dims:
-                    op = Op(self.scenario.trusted_dims, op.data)
-                if not is_psd(op, 1e-8):
-                    raise ValueError(f"member {a}|{x} is not PSD")
-                total += op.trace().real
-                mem[(a, x)] = op
-            if abs(total - 1) > 1e-8:
-                raise ValueError(f"member traces at settings {x} sum to {total}, not 1")
+        for a, x in self.scenario.positions():
+            op = self.members[(a, x)]
+            if op.dims != self.scenario.trusted_dims:
+                op = Op(self.scenario.trusted_dims, op.data)
+            if not is_psd(op, 1e-8):
+                raise ValueError(f"member {a}|{x} is not PSD")
+            mem[(a, x)] = op
         object.__setattr__(self, "members", mem)
 
     def member(self, a, x) -> Op:
         return self.members[(tuple(a), tuple(x))]
-
-
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Per party, a deterministic map from setting to outcome."""
-
-    responses: tuple  # responses[i][x_i] = a_i
-
-    def select(self, x) -> tuple:
-        return tuple(self.responses[i][xi] for i, xi in enumerate(x))
-
-
-def deterministic_strategies(scenario: Scenario):
-    """All global deterministic strategies of the scenario."""
-    per_party = []
-    for m, k in zip(scenario.settings, scenario.outcomes):
-        per_party.append([tuple(f) for f in itertools.product(range(k), repeat=m)])
-    for combo in itertools.product(*per_party):
-        yield DeterministicStrategy(tuple(combo))
 
 
 @dataclass(frozen=True)
@@ -273,58 +252,115 @@ class NoLhs:
     residual: float = None
 
 
+def consistent_strategies(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The deterministic strategies that may carry weight in an LHS model.
+
+    A strategy is kept when every position it selects is non-zero and its
+    ket overlaps the ket selected at x=(0,...,0), the *anchor*, by more
+    than ``1 - abs_tol``.  One overlap matrix (anchors x non-zero
+    positions) gives each anchor its allowed positions; an anchor with a
+    setting vector that allows none is dropped.  The others are completed
+    one party at a time, all partial strategies at once: a response of
+    party i is kept at x_i only if, for every setting vector, the later
+    parties can still complete it, which for the last party is exact.
+
+    Row j holds strategy j's responses, party after party:
+    f_0(0), ..., f_0(m_0 - 1), f_1(0), ....  Rows are in the order of
+    ``itertools.product`` over the per-party response tables.
+    """
+    scen = p.scenario
+    n = scen.n_parties
+    shape = scen.outcomes + scen.settings
+    positions = sorted(p.members)
+    anchors = [j for j, (_, x) in enumerate(positions) if not any(x)]
+    if not anchors:
+        return np.zeros((0, sum(scen.settings)), dtype=int)
+    kets = np.array([p.members[pos][1].data for pos in positions])
+    flat = np.ravel_multi_index(tuple(np.array([a + x for a, x in positions]).T), shape)
+    allowed = np.zeros((len(anchors), prod(shape)), dtype=bool)
+    allowed[:, flat] = np.abs(kets[anchors].conj() @ kets.T) > 1 - tol.abs_tol
+    allowed = allowed.reshape((len(anchors),) + shape)
+    origin = (0,) * n
+    allowed[(slice(None),) * (n + 1) + origin] = False
+    for j, anchor in enumerate(anchors):
+        allowed[(j,) + positions[anchor][0] + origin] = True
+    alive = allowed.reshape(len(anchors), prod(scen.outcomes), -1).any(axis=1).all(axis=1)
+    # axes: (partial strategy, assigned settings, a_i, x_i, a_{i+1}, x_{i+1}, ...)
+    interleaved = [0] + [1 + axis for i in range(n) for axis in (i, n + i)]
+    allowed = allowed[alive].transpose(interleaved)[:, None]
+    strategies = np.zeros((len(allowed), 0), dtype=int)
+    for m in scen.settings:
+        reach = allowed.any(axis=tuple(range(4, allowed.ndim, 2)))
+        ok = reach.all(axis=(1,) + tuple(range(4, reach.ndim)))  # (partial, a_i, x_i)
+        # The kept responses of a partial strategy are the product of its
+        # per-setting outcome lists.  Child ``rank`` of each is decoded in
+        # mixed radix, last setting fastest, so children come in
+        # lexicographic order.
+        sizes = ok.sum(axis=1)
+        counts = sizes.prod(axis=1)
+        parent = np.repeat(np.arange(len(counts)), counts)
+        rank = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        outcomes = np.argsort(~ok, axis=1, kind="stable")  # allowed ones first
+        f = np.empty((len(parent), m), dtype=int)
+        for x in reversed(range(m)):
+            size = sizes[parent, x]
+            f[:, x] = outcomes[parent, rank % size, x]
+            rank //= size
+        if allowed.ndim > 4:
+            nxt = np.moveaxis(allowed, 1, 3)[parent[:, None], f, np.arange(m)]
+            allowed = nxt.reshape((len(parent), m * nxt.shape[2]) + nxt.shape[3:])
+        strategies = np.hstack([strategies[parent], f])
+    return strategies[np.lexsort(strategies.T[::-1])]
+
+
 def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
     """Exact LHS decision for pure-member assemblages.
 
-    Enumerates global deterministic strategies.  A strategy that selects a
+    Works over global deterministic strategies.  A strategy that selects a
     zero position must carry weight zero (a vanishing PSD sum forces every
     term to vanish), as must a strategy whose selected kets are not all
     pairwise proportional (its hidden state would have to be proportional
-    to two non-proportional pure states).  The surviving strategies feed a
-    nonnegative weight system over the non-zero positions; feasibility of
-    that system is equivalent to the existence of an LHS model, and any
-    feasible weight vector is returned as one.
+    to two non-proportional pure states).  Only the other strategies are
+    enumerated (:func:`consistent_strategies`); they feed a nonnegative
+    weight system over the non-zero positions.  Feasibility of that system
+    is equivalent to the existence of an LHS model, and any feasible
+    weight vector is returned as one.
     """
     scen = p.scenario
-    setting_list = list(scen.setting_vectors())
-    consistent = []
-    for strat in deterministic_strategies(scen):
-        selected = [(strat.select(x), x) for x in setting_list]
-        entries = [p.members.get(pos) for pos in selected]
-        if any(e is None for e in entries):
-            continue
-        kets = [e[1] for e in entries]
-        ref = kets[0]
-        if all(abs(np.vdot(ref.data, k.data)) > 1 - tol.abs_tol for k in kets[1:]):
-            consistent.append((strat, ref, selected))
-    if not consistent:
+    strategies = consistent_strategies(p, tol)
+    if not len(strategies):
         return NoLhs("no deterministic strategy selects pairwise proportional "
                      "pure states on its support")
 
     positions = sorted(p.members)
-    row_of = {pos: r for r, pos in enumerate(positions)}
-    a_mat = np.zeros((len(positions), len(consistent)))
+    rows = np.full(scen.outcomes + scen.settings, -1)
+    rows[tuple(np.array([a + x for a, x in positions]).T)] = np.arange(len(positions))
+    settings = np.indices(scen.settings).reshape(scen.n_parties, -1)
+    offsets = np.cumsum((0,) + scen.settings[:-1])
+    outcomes = tuple(strategies[:, o + xs] for o, xs in zip(offsets, settings))
+    selected = rows[outcomes + tuple(settings)]  # (strategies, setting vectors)
+    a_mat = np.zeros((len(positions), len(strategies)))
+    a_mat[selected, np.arange(len(strategies))[:, None]] = 1.0
     b = np.array([p.members[pos][0] for pos in positions])
-    for j, (_, _, selected) in enumerate(consistent):
-        for pos in selected:
-            a_mat[row_of[pos], j] = 1.0
     x, residual = nnls(a_mat, b)
     if residual >= tol.nnls_residual_tol:
         return NoLhs("nonnegative weight system over deterministic strategies "
                      "is infeasible", residual=residual)
 
+    origin = (0,) * scen.n_parties
     weights, states, tables = [], [], []
-    for w, (strat, ket, _) in zip(x, consistent):
+    for w, strategy in zip(x, strategies):
         if w <= 0:
             continue
         weights.append(w)
+        responses = np.split(strategy, offsets[1:])
+        ket = p.members[(tuple(int(f[0]) for f in responses), origin)][1]
         states.append(State(Op(scen.trusted_dims,
                                np.outer(ket.data, ket.data.conj()))))
         tabs = []
-        for i in range(scen.n_parties):
+        for i, f in enumerate(responses):
             table = np.zeros((scen.settings[i], scen.outcomes[i]))
-            for xi in range(scen.settings[i]):
-                table[xi, strat.responses[i][xi]] = 1.0
+            table[np.arange(scen.settings[i]), f] = 1.0
             tabs.append(table)
         tables.append(tuple(tabs))
     total = sum(weights)

@@ -17,10 +17,8 @@ from .core import (
     DEFAULT_TOL,
     Ket,
     Op,
-    identity,
     is_hermitian,
     is_psd,
-    kron,
     partial_trace,
 )
 

@@ -20,7 +20,6 @@ from .channels import verify_cptp
 from .assemblages import (
     LhsModel,
     canonicalize_pure,
-    lhs_assemblage,
     pure_lhs_decide,
     verify_ns,
 )

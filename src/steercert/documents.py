@@ -19,7 +19,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from .core import Ket, Op
+from .core import Op
 from .channels import ChoiOp, KrausChannel, Povm, State, choi_of_kraus
 from .assemblages import Assemblage, Scenario
 from .channel_assemblages import ChannelAssemblage

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Ket, Op, identity, kron
+from .core import Ket, Op
 from .channels import ChoiOp, Povm, State, choi_of_unitary, projective_povm, pure_state
 from .assemblages import Scenario
 from .channel_assemblages import ChannelAssemblage, chanasm_from_realization

@@ -21,7 +21,6 @@ from .channel_assemblages import ChannelAssemblage
 from .certificates import (
     ConstraintMode,
     ExtremalityCertificate,
-    Verdict,
     decomposition_analysis,
 )
 

@@ -19,7 +19,6 @@ from steercert.assemblages import (
     Scenario,
     assemblage_from_realization,
     canonicalize_pure,
-    deterministic_strategies,
     lhs_assemblage,
     pure_lhs_decide,
     verify_hermitian_realization,
@@ -66,12 +65,19 @@ def test_scenario_validation():
     assert len(list(scen.positions())) == 6 * 4
 
 
-def test_assemblage_validation():
+def test_assemblage_rejects_non_psd_and_leaves_totals_to_verify_ns():
     scen = Scenario((1,), (2,), (2,))
-    bad = {((0,), (0,)): Op((2,), np.diag([0.9, 0.0])),
-           ((1,), (0,)): Op((2,), np.diag([0.0, 0.3]))}
-    with pytest.raises(ValueError):
-        Assemblage(scen, bad)
+    not_psd = {((0,), (0,)): Op((2,), np.diag([1.1, -0.1])),
+               ((1,), (0,)): Op((2,), np.zeros((2, 2)))}
+    with pytest.raises(ValueError, match="not PSD"):
+        Assemblage(scen, not_psd)
+    # a total of trace 1.2 is a no-signaling violation, measured against
+    # the caller's tolerance, not a construction error
+    unnormalized = {((0,), (0,)): Op((2,), np.diag([0.9, 0.0])),
+                    ((1,), (0,)): Op((2,), np.diag([0.0, 0.3]))}
+    report = verify_ns(Assemblage(scen, unnormalized))
+    assert [v.constraint for v in report.violations] == ["total trace at x=(0,)"]
+    assert report.max_violation == pytest.approx(0.2)
 
 
 def test_singlet_assemblage_members_and_ns():
@@ -103,13 +109,6 @@ def test_verify_ns_detects_signaling():
     report = verify_ns(Assemblage(scen, members))
     assert not report.ok
     assert report.max_violation == pytest.approx(0.2)
-
-
-def test_deterministic_strategy_count():
-    scen = Scenario((2, 2), (2, 2), (2,))
-    strategies = list(deterministic_strategies(scen))
-    assert len(strategies) == 16
-    assert strategies[0].select((0, 1)) in {(a, b) for a in range(2) for b in range(2)}
 
 
 def test_hermitian_realization_roundtrip():

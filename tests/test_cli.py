@@ -272,3 +272,38 @@ def test_relaxed_extremality_needs_channel_dims(capsys, tmp_path):
     code, report = run_json(capsys, "extremality", "--mode", "asym", str(path))
     assert code == 3 and report["status"] == "INPUT_ERROR"
     assert "(d_out, d_in)" in report["details"]["error"]
+
+
+def _total_trace_off_document(tmp_path) -> str:
+    """The Bell-CNOT Choi assemblage with one member at settings (1, 0)
+    scaled so that the total there has trace 1 + 1e-7."""
+    raw = documents.serialize(to_choi_assemblage(gallery.bell_cnot_assemblage()))
+    for entry in raw["payload"]["members"]:
+        if (tuple(entry["a"]), tuple(entry["x"])) == ((0, 0), (1, 0)):
+            trace = sum(entry["member"][i][i][0] for i in range(len(entry["member"])))
+            factor = 1 + 1e-7 / trace
+            entry["member"] = [[[factor * v[0], factor * v[1]] for v in row]
+                               for row in entry["member"]]
+    path = tmp_path / "trace-off.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_total_trace_is_checked_against_abs_tol(capsys, tmp_path):
+    path = _total_trace_off_document(tmp_path)
+    code, report = run_json(capsys, "verify", path)
+    assert code == 1 and report["status"] == "FAIL"
+    names = [v["constraint"] for v in report["details"]["violations"]]
+    assert "total trace at x=(1, 0)" in names
+    code, report = run_json(capsys, "--abs-tol", "1e-5", "verify", path)
+    assert code == 0 and report["status"] == "PASS"
+
+
+@pytest.mark.parametrize("command", ["extremality", "lhs"])
+def test_total_trace_off_document_is_not_a_crash(capsys, tmp_path, command):
+    path = _total_trace_off_document(tmp_path)
+    code = cli.main(["--output", "json", command, path])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 3)
+    assert json.loads(out)["command"] == command
+    assert "Traceback" not in err

@@ -1,0 +1,284 @@
+"""The exact LHS decision against the brute-force strategy walk.
+
+``pure_lhs_decide`` enumerates only the deterministic strategies that can
+carry weight (:func:`consistent_strategies`).  The walk over every
+strategy that it replaced is kept here as the reference: on a seeded grid
+of scenarios both must give the same strategies in the same order, and
+therefore bitwise the same ``LhsModel`` or ``NoLhs``.
+"""
+
+import itertools
+from dataclasses import dataclass
+from math import prod
+
+import numpy as np
+import pytest
+
+from steercert.core import DEFAULT_TOL, Ket, Op, Tolerances, nnls
+from steercert.channels import State, pure_state
+from steercert.assemblages import (
+    LhsModel,
+    NoLhs,
+    PureAssemblage,
+    Scenario,
+    canonicalize_pure,
+    consistent_strategies,
+    lhs_assemblage,
+    pure_lhs_decide,
+)
+
+
+@dataclass(frozen=True)
+class DeterministicStrategy:
+    """Per party, a deterministic map from setting to outcome."""
+
+    responses: tuple  # responses[i][x_i] = a_i
+
+    def select(self, x) -> tuple:
+        return tuple(self.responses[i][xi] for i, xi in enumerate(x))
+
+
+def deterministic_strategies(scenario: Scenario):
+    """All global deterministic strategies of the scenario."""
+    per_party = []
+    for m, k in zip(scenario.settings, scenario.outcomes):
+        per_party.append([tuple(f) for f in itertools.product(range(k), repeat=m)])
+    for combo in itertools.product(*per_party):
+        yield DeterministicStrategy(tuple(combo))
+
+
+def brute_force_decide(p: PureAssemblage, tol=DEFAULT_TOL):
+    """Walk every deterministic strategy; return the consistent ones (as
+    flat response lists) and the verdict."""
+    scen = p.scenario
+    setting_list = list(scen.setting_vectors())
+    consistent = []
+    for strat in deterministic_strategies(scen):
+        selected = [(strat.select(x), x) for x in setting_list]
+        entries = [p.members.get(pos) for pos in selected]
+        if any(e is None for e in entries):
+            continue
+        kets = [e[1] for e in entries]
+        ref = kets[0]
+        if all(abs(np.vdot(ref.data, k.data)) > 1 - tol.abs_tol for k in kets[1:]):
+            consistent.append((strat, ref, selected))
+    flat = [[a for f in strat.responses for a in f] for strat, _, _ in consistent]
+    if not consistent:
+        return flat, NoLhs("no deterministic strategy selects pairwise proportional "
+                           "pure states on its support")
+
+    positions = sorted(p.members)
+    row_of = {pos: r for r, pos in enumerate(positions)}
+    a_mat = np.zeros((len(positions), len(consistent)))
+    b = np.array([p.members[pos][0] for pos in positions])
+    for j, (_, _, selected) in enumerate(consistent):
+        for pos in selected:
+            a_mat[row_of[pos], j] = 1.0
+    x, residual = nnls(a_mat, b)
+    if residual >= tol.nnls_residual_tol:
+        return flat, NoLhs("nonnegative weight system over deterministic strategies "
+                           "is infeasible", residual=residual)
+
+    weights, states, tables = [], [], []
+    for w, (strat, ket, _) in zip(x, consistent):
+        if w <= 0:
+            continue
+        weights.append(w)
+        states.append(State(Op(scen.trusted_dims,
+                               np.outer(ket.data, ket.data.conj()))))
+        tabs = []
+        for i in range(scen.n_parties):
+            table = np.zeros((scen.settings[i], scen.outcomes[i]))
+            for xi in range(scen.settings[i]):
+                table[xi, strat.responses[i][xi]] = 1.0
+            tabs.append(table)
+        tables.append(tuple(tabs))
+    total = sum(weights)
+    weights = [w / total for w in weights]
+    return flat, LhsModel(tuple(weights), tuple(states), tuple(tables))
+
+
+def haar_ket(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def haar_unitary(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def realized_pure(rng, scen: Scenario, psi) -> PureAssemblage:
+    """Measure each party of ``psi`` (on k^n * d) in Haar-random bases and
+    keep each conditional trusted ket as (weight, unit ket)."""
+    n, d = scen.n_parties, scen.trusted_dim
+    bases = [[haar_unitary(rng, k) for _ in range(m)]
+             for m, k in zip(scen.settings, scen.outcomes)]
+    tensor = psi.reshape(scen.outcomes + (d,))
+    members = {}
+    for x in scen.setting_vectors():
+        t = tensor
+        for i in range(n):
+            t = np.moveaxis(np.tensordot(t, bases[i][x[i]].conj(), axes=([i], [0])), -1, i)
+        for a in scen.outcome_vectors():
+            v = t[a]
+            weight = float(np.vdot(v, v).real)
+            members[(a, x)] = (weight, Ket(scen.trusted_dims, v / np.sqrt(weight)))
+    return PureAssemblage(scen, members)
+
+
+def hidden_variable_model(rng, scen: Scenario, h: int) -> LhsModel:
+    """``h`` deterministic hidden variables with Haar-random trusted states.
+
+    At every party and setting the hidden variables give distinct outcomes,
+    so no position mixes two of them and every member stays pure.
+    """
+    picks = [[rng.permutation(k)[:h] for _ in range(m)]
+             for m, k in zip(scen.settings, scen.outcomes)]
+    tables = []
+    for lam in range(h):
+        tabs = []
+        for i, (m, k) in enumerate(zip(scen.settings, scen.outcomes)):
+            table = np.zeros((m, k))
+            table[np.arange(m), [picks[i][x][lam] for x in range(m)]] = 1.0
+            tabs.append(table)
+        tables.append(tuple(tabs))
+    states = tuple(pure_state(Ket(scen.trusted_dims, haar_ket(rng, scen.trusted_dim)))
+                   for _ in range(h))
+    return LhsModel(tuple(rng.dirichlet(np.ones(h))), states, tuple(tables))
+
+
+def build(form, rng, settings, outcomes, d) -> PureAssemblage:
+    scen = Scenario(settings, outcomes, (d,))
+    if form == "entangled":
+        return realized_pure(rng, scen, haar_ket(rng, prod(outcomes) * d))
+    if form in ("product", "zeroed"):
+        psi = haar_ket(rng, d)
+        for k in reversed(outcomes):
+            psi = np.kron(haar_ket(rng, k), psi)
+        p = realized_pure(rng, scen, psi)
+        if form == "product":
+            return p
+        # drop some anchors (positions at x=(0,...,0)) and a few others
+        positions = sorted(p.members)
+        anchors = [pos for pos in positions if not any(pos[1])]
+        dropped = {anchors[j] for j in rng.choice(len(anchors), len(anchors) // 2,
+                                                  replace=False)}
+        dropped |= {positions[j] for j in rng.choice(len(positions), 2, replace=False)}
+        members = {pos: e for pos, e in p.members.items() if pos not in dropped}
+        return PureAssemblage(scen, members)
+    assert form == "mixture"
+    model = hidden_variable_model(rng, scen, min(min(outcomes), 3))
+    return canonicalize_pure(lhs_assemblage(model, scen))
+
+
+def pr_box_like(n: int) -> PureAssemblage:
+    """n parties, two settings and two outcomes each, a trivial trusted
+    system: outcomes whose parity is the AND of the settings, uniformly.
+    No-signaling, and outside the local polytope."""
+    scen = Scenario((2,) * n, (2,) * n, (1,))
+    one = Ket((1,), np.array([1.0]))
+    members = {(a, x): (2.0 ** (1 - n), one) for a, x in scen.positions()
+               if sum(a) % 2 == int(all(x))}
+    return PureAssemblage(scen, members)
+
+
+def assert_same_verdict(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, NoLhs):
+        assert got == want
+        return
+    assert got.weights == want.weights
+    assert len(got.states) == len(want.states) == len(got.tables) == len(want.tables)
+    for g, w in zip(got.states, want.states):
+        assert np.array_equal(g.op.data, w.op.data)
+    for g_tabs, w_tabs in zip(got.tables, want.tables):
+        assert all(np.array_equal(g, w) for g, w in zip(g_tabs, w_tabs, strict=True))
+
+
+# (settings, outcomes, d): the uniform (n, m, k, d) scenarios with
+# (k^m)^n <= 2e4, then two with settings and outcomes varying by party
+GRID = [((m,) * n, (k,) * n, d) for n, m, k, d in
+        [(1, 3, 3, 2), (2, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 2), (2, 3, 3, 2),
+         (3, 2, 2, 2), (3, 3, 2, 2), (3, 2, 3, 2), (4, 2, 2, 2), (2, 2, 2, 3)]]
+GRID += [((2, 3), (3, 2), 2), ((1, 2, 3), (3, 2, 2), 2)]
+FORMS = ["entangled", "product", "mixture", "zeroed"]
+
+
+def test_deterministic_strategy_count():
+    scen = Scenario((2, 2), (2, 2), (2,))
+    strategies = list(deterministic_strategies(scen))
+    assert len(strategies) == 16
+    assert strategies[0].select((0, 1)) in {(a, b) for a in range(2) for b in range(2)}
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("settings,outcomes,d", GRID, ids=[
+    f"m{''.join(map(str, s))}-k{''.join(map(str, o))}-d{d}" for s, o, d in GRID])
+def test_matches_brute_force(settings, outcomes, d, form):
+    rng = np.random.default_rng([*settings, *outcomes, d, FORMS.index(form)])
+    p = build(form, rng, settings, outcomes, d)
+    want_strategies, want = brute_force_decide(p)
+    assert consistent_strategies(p).tolist() == want_strategies
+    got = pure_lhs_decide(p)
+    assert_same_verdict(got, want)
+    if form == "entangled":
+        assert isinstance(got, NoLhs) and got.residual is None
+    elif form in ("product", "mixture"):
+        assert isinstance(got, LhsModel)
+    else:
+        assert any(not any(x) for _, x in p.members)
+        assert len(p.members) < len(list(p.scenario.positions()))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pr_box_like_matches_brute_force(n):
+    p = pr_box_like(n)
+    want_strategies, want = brute_force_decide(p)
+    assert consistent_strategies(p).tolist() == want_strategies
+    got = pure_lhs_decide(p)
+    assert_same_verdict(got, want)
+    assert isinstance(got, NoLhs)
+
+
+def test_overlap_threshold_follows_abs_tol():
+    # one ket of a product assemblage is turned by 1e-3 rad, so its overlap
+    # with every anchor is 1 - 5e-7: not proportional at abs_tol 1e-9,
+    # proportional at 1e-5
+    p = build("product", np.random.default_rng(7), (2, 2), (2, 2), 2)
+    pos = ((1, 0), (1, 1))
+    weight, ket = p.members[pos]
+    other = np.array([-ket.data[1].conj(), ket.data[0].conj()])
+    turned = np.cos(1e-3) * ket.data + np.sin(1e-3) * other
+    p = PureAssemblage(p.scenario, {**p.members, pos: (weight, Ket((2,), turned))})
+    counts = []
+    for tol in (DEFAULT_TOL, Tolerances(abs_tol=1e-5)):
+        want_strategies, want = brute_force_decide(p, tol)
+        assert consistent_strategies(p, tol).tolist() == want_strategies
+        assert_same_verdict(pure_lhs_decide(p, tol), want)
+        counts.append(len(want_strategies))
+    assert counts == [12, 16]
+
+
+def test_entangled_beyond_brute_force_has_no_lhs_model():
+    # (k^m)^n = 16.7 M strategies: out of reach of the walk
+    rng = np.random.default_rng(344)
+    p = build("entangled", rng, (4,) * 3, (4,) * 3, 2)
+    assert len(consistent_strategies(p)) == 0
+    verdict = pure_lhs_decide(p)
+    assert isinstance(verdict, NoLhs)
+    assert verdict.residual is None
+
+
+def test_hidden_variable_model_beyond_brute_force_is_recovered():
+    rng = np.random.default_rng(3442)
+    scen = Scenario((4,) * 3, (4,) * 3, (2,))
+    s = lhs_assemblage(hidden_variable_model(rng, scen, 3), scen)
+    verdict = pure_lhs_decide(canonicalize_pure(s))
+    assert isinstance(verdict, LhsModel)
+    assert len(verdict.weights) == 3
+    rebuilt = lhs_assemblage(verdict, scen)
+    for pos in scen.positions():
+        np.testing.assert_allclose(rebuilt.members[pos].data, s.members[pos].data,
+                                   atol=1e-9)
