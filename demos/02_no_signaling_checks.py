@@ -11,7 +11,7 @@ tying the total to a trace-preserving channel.
 import numpy as np
 
 from steercert import gallery
-from steercert.core import Ket, Op
+from steercert.core import Ket
 from steercert.channels import projective_povm, pure_state
 from steercert.assemblages import Assemblage, Scenario, assemblage_from_realization, verify_ns
 from steercert.channel_assemblages import verify_asym_ns, verify_ns_channel
@@ -29,10 +29,11 @@ print("steered qubit assemblage no-signaling:", report.ok)
 print("member for outcome 0, setting Z:")
 print(np.round(steered.member((0,), (0,)).data.real, 3))
 
-# Tampering with one member is detected and named.
-members = dict(steered.members)
-members[((0,), (1,))] = Op((2,), members[((0,), (1,))].data * 1.4)
-members[((1,), (1,))] = Op((2,), members[((1,), (1,))].data * 0.6)
+# Tampering with one member is detected and named.  The members are one
+# (positions, D, D) array; scen.index(a, x) is the place of member a|x.
+members = steered.members.copy()
+members[scen.index((0,), (1,))] *= 1.4
+members[scen.index((1,), (1,))] *= 0.6
 bad = verify_ns(Assemblage(scen, members))
 print("\nafter tampering:", bad.ok)
 for v in bad.violations[:2]:

@@ -15,19 +15,7 @@ from math import prod
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    Ket,
-    Op,
-    Tolerances,
-    identity,
-    is_psd,
-    kron_all,
-    nnls,
-    op_rank,
-    partial_trace,
-    principal_eigenvector,
-)
+from .core import DEFAULT_TOL, Ket, Op, Tolerances, nnls, psd_deviation
 from .channels import State
 from .constraints import ConstraintMode, NsReport, evaluate, family
 
@@ -76,30 +64,45 @@ class Scenario:
             for a in self.outcome_vectors():
                 yield a, x
 
+    def index(self, a, x) -> int:
+        """Place of position ``(a, x)`` in :meth:`positions` order."""
+        digits, sizes = tuple(x) + tuple(a), self.settings + self.outcomes
+        if len(digits) != len(sizes) or not all(0 <= v < s for v, s in zip(digits, sizes)):
+            raise ValueError(f"position {(tuple(a), tuple(x))} outside the scenario")
+        return int(np.ravel_multi_index(digits, sizes))
+
+
+def member_array(scenario: Scenario, members) -> np.ndarray:
+    """``members`` as a read-only complex ``(positions, D, D)`` array.
+
+    Checks shape and finiteness only: positivity and the per-setting trace
+    sums are constraints that the verifiers measure against ``abs_tol``.
+    """
+    arr = np.asarray(members, dtype=complex)
+    d = scenario.trusted_dim
+    shape = (prod(scenario.settings) * prod(scenario.outcomes), d, d)
+    if arr.shape != shape:
+        raise ValueError(f"members have shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite entry in members")
+    arr = arr.view()
+    arr.flags.writeable = False
+    return arr
+
 
 @dataclass(frozen=True)
 class Assemblage:
-    """Members indexed by (outcome vector, setting vector)."""
+    """Members as one complex ``(positions, D, D)`` array, in
+    ``scenario.positions()`` order."""
 
     scenario: Scenario
-    members: dict = field(repr=False)  # (a, x) -> Op
+    members: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # The trace of each per-setting total is a constraint of the
-        # no-signaling family (checked by ``verify_ns`` against ``abs_tol``),
-        # not a condition on constructing the object.
-        mem = {}
-        for a, x in self.scenario.positions():
-            op = self.members[(a, x)]
-            if op.dims != self.scenario.trusted_dims:
-                op = Op(self.scenario.trusted_dims, op.data)
-            if not is_psd(op, 1e-8):
-                raise ValueError(f"member {a}|{x} is not PSD")
-            mem[(a, x)] = op
-        object.__setattr__(self, "members", mem)
+        object.__setattr__(self, "members", member_array(self.scenario, self.members))
 
     def member(self, a, x) -> Op:
-        return self.members[(tuple(a), tuple(x))]
+        return Op(self.scenario.trusted_dims, self.members[self.scenario.index(a, x)])
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,8 @@ class PureAssemblage:
         return Op(self.scenario.trusted_dims, weight * np.outer(ket.data, ket.data.conj()))
 
     def to_assemblage(self) -> Assemblage:
-        members = {pos: self.member_op(*pos) for pos in self.scenario.positions()}
-        return Assemblage(self.scenario, members)
+        return Assemblage(self.scenario, [self.member_op(*pos).data
+                                          for pos in self.scenario.positions()])
 
 
 @dataclass(frozen=True)
@@ -165,83 +168,98 @@ class HermitianRealization:
             raise ValueError("realization operator must be Hermitian")
 
 
-def _members_from_operator(w: Op, povms, scenario: Scenario) -> dict:
+def measured_members(w: Op, povms, scenario: Scenario) -> np.ndarray:
+    """``Tr_untrusted[(E_{a_1|x_1} (x) ... (x) E_{a_n|x_n} (x) 1) w]`` at every
+    position, as a ``(positions, D, D)`` array.
+
+    One party at a time, its effects (stacked over ``(x_i, a_i)``) are
+    contracted against its row and column index of ``w``.
+    """
     n = scenario.n_parties
-    trusted = identity(scenario.trusted_dims)
-    members = {}
-    for a, x in scenario.positions():
-        effect = kron_all([povms[i].effects[x[i]][a[i]] for i in range(n)] + [trusted])
-        big = Op(w.dims, effect.data @ w.data)
-        members[(a, x)] = partial_trace(big, keep=range(n, len(w.dims)))
-    return members
+    t = w.data[None]  # (effects so far, rest, rest)
+    for i, (povm, m, k) in enumerate(zip(povms, scenario.settings, scenario.outcomes)):
+        if povm.settings < m or povm.outcomes < k:
+            raise ValueError(f"POVM of party {i} is too small for the scenario")
+        effects = np.array([[e.data for e in row[:k]] for row in povm.effects[:m]])
+        rest = t.shape[-1] // povm.dim
+        t = t.reshape(len(t), povm.dim, rest, povm.dim, rest)
+        # sum_{r,c} E[c, r] t[:, r, :, c, :]: the partial trace of (E (x) 1) t
+        t = np.tensordot(t, effects, axes=([1, 3], [3, 2]))
+        t = np.moveaxis(t, (3, 4), (1, 2)).reshape(-1, rest, rest)
+    d = t.shape[-1]
+    t = t.reshape([v for mk in zip(scenario.settings, scenario.outcomes) for v in mk] + [d, d])
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n, 2 * n + 1]
+    return t.transpose(order).reshape(-1, d, d)
 
 
 def assemblage_from_realization(rho: State, povms, scenario: Scenario) -> Assemblage:
     """Measure the untrusted parties of ``rho`` and collect the conditional
     trusted-system operators."""
-    n = scenario.n_parties
     expected = tuple(p.dim for p in povms) + scenario.trusted_dims
     if rho.dims != expected:
         raise ValueError(f"state dims {rho.dims} do not match scenario dims {expected}")
-    for i, p in enumerate(povms):
-        if p.settings < scenario.settings[i] or p.outcomes < scenario.outcomes[i]:
-            raise ValueError(f"POVM of party {i} is too small for the scenario")
-    return Assemblage(scenario, _members_from_operator(rho.op, povms, scenario))
+    return Assemblage(scenario, measured_members(rho.op, povms, scenario))
 
 
 def verify_hermitian_realization(h: HermitianRealization, s: Assemblage,
                                  tol: float = DEFAULT_TOL.abs_tol) -> bool:
     """Whether measuring ``h`` reproduces every member of ``s``."""
-    members = _members_from_operator(h.w, h.povms, s.scenario)
-    dev = max(
-        float(np.max(np.abs(members[pos].data - s.members[pos].data)))
-        for pos in s.scenario.positions()
-    )
-    return dev <= tol
+    members = measured_members(h.w, h.povms, s.scenario)
+    return float(np.max(np.abs(members - s.members))) <= tol
 
 
 def verify_ns(s: Assemblage, tol: float = DEFAULT_TOL.abs_tol) -> NsReport:
-    """Check every constraint of the full no-signaling family.
+    """Check that every member is PSD and every constraint of the full
+    no-signaling family holds; see :func:`.constraints.evaluate` for how
+    each violation is measured."""
+    return evaluate(family(s.scenario, ConstraintMode.FULL_NS), s.members, tol)
 
-    Violation magnitudes are max-abs entry differences, and the deviation
-    from one for the trace of each total; see :mod:`.constraints`.
+
+def mixture_members(tables, ops, scenario: Scenario) -> np.ndarray:
+    """``sum_j prod_i p_j(a_i|x_i) ops[j]`` at every position, as a
+    ``(positions, D, D)`` array.
+
+    ``tables[j][i]`` is the (settings x outcomes) response table of party
+    ``i`` under hidden variable ``j``.
     """
-    members = {pos: op.data for pos, op in s.members.items()}
-    return evaluate(family(s.scenario, ConstraintMode.FULL_NS), members, tol)
+    probs = np.ones((len(ops), 1, 1))  # (j, setting vector, outcome vector)
+    for i, (m, k) in enumerate(zip(scenario.settings, scenario.outcomes)):
+        table = np.array([np.asarray(tabs[i], dtype=float)[:m, :k] for tabs in tables])
+        probs = probs[:, :, None, :, None] * table[:, None, :, None, :]
+        probs = probs.reshape(len(ops), probs.shape[1] * m, -1)
+    return np.tensordot(probs.reshape(len(ops), -1), np.array(ops), axes=(0, 0))
 
 
 def lhs_assemblage(model: LhsModel, scenario: Scenario) -> Assemblage:
     """Assemble the members generated by a local hidden state model."""
-    d = scenario.trusted_dim
-    members = {pos: np.zeros((d, d), dtype=complex) for pos in scenario.positions()}
-    for q, sigma, tabs in zip(model.weights, model.states, model.tables):
-        for a, x in scenario.positions():
-            p = 1.0
-            for i in range(scenario.n_parties):
-                p *= float(np.asarray(tabs[i])[x[i], a[i]])
-            if p:
-                members[(a, x)] += q * p * sigma.op.data
-    return Assemblage(scenario,
-                      {pos: Op(scenario.trusted_dims, m) for pos, m in members.items()})
+    ops = [q * sigma.op.data for q, sigma in zip(model.weights, model.states)]
+    return Assemblage(scenario, mixture_members(model.tables, ops, scenario))
 
 
 def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssemblage:
     """Split each member into (trace weight, principal unit ket) or zero.
 
-    Raises if any member has rank two or more, naming the position.
+    Raises if any member is not PSD within ``abs_tol`` (as :func:`verify_ns`
+    measures it) or has rank two or more, naming the position.
     """
-    members = {}
-    for pos in s.scenario.positions():
-        op = s.members[pos]
-        weight = op.trace().real
-        if weight < tol.abs_tol:
-            continue
-        r = op_rank(op, tol.rank_rel_tol)
-        if r > 1:
-            raise ValueError(f"member {pos[0]}|{pos[1]} has rank {r} > 1")
-        ket = principal_eigenvector(op)
-        members[pos] = (weight, Ket(s.scenario.trusted_dims, ket))
-    return PureAssemblage(s.scenario, members)
+    positions = list(s.scenario.positions())
+    not_psd = np.flatnonzero(psd_deviation(s.members) > tol.abs_tol)
+    if len(not_psd):
+        a, x = positions[not_psd[0]]
+        raise ValueError(f"member {a}|{x} is not PSD")
+    weights = np.trace(s.members, axis1=1, axis2=2).real
+    kept = np.flatnonzero(weights >= tol.abs_tol)
+    stack = s.members[kept]
+    sv = np.linalg.svd(stack, compute_uv=False)
+    ranks = np.count_nonzero(sv > tol.rank_rel_tol * sv[:, :1], axis=1)
+    if np.any(ranks > 1):
+        j = int(np.argmax(ranks > 1))
+        a, x = positions[kept[j]]
+        raise ValueError(f"member {a}|{x} has rank {ranks[j]} > 1")
+    vecs = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2)[1][:, :, -1]
+    kets = Ket.rows_of(s.scenario.trusted_dims, vecs)
+    return PureAssemblage(s.scenario, {positions[j]: (float(weights[j]), ket)
+                                       for j, ket in zip(kept, kets)})
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,6 @@ class LinearSystem:
     columns: tuple  # position (a, x) of each column
     reference: np.ndarray  # coefficient vector of the input assemblage
 
-    def column_index(self, a, x) -> int:
-        return self.columns.index((tuple(a), tuple(x)))
-
     def residual_of(self, c) -> float:
         return float(np.max(np.abs(self.matrix @ np.asarray(c) - self.rhs)))
 

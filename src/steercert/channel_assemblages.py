@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Op, identity, is_psd, kron, partial_trace
+from .core import DEFAULT_TOL, Op, kron
 from .channels import (
     ChoiOp,
     State,
@@ -22,7 +22,13 @@ from .channels import (
     maximally_entangled,
     verify_cptp,
 )
-from .assemblages import Assemblage, Scenario
+from .assemblages import (
+    Assemblage,
+    Scenario,
+    measured_members,
+    member_array,
+    mixture_members,
+)
 from .constraints import (
     ConstraintMode,
     Family,
@@ -36,20 +42,16 @@ from .constraints import (
 
 @dataclass(frozen=True)
 class ChannelAssemblage:
-    """CP maps (as Choi matrices) indexed by (outcome vector, setting vector)."""
+    """CP maps as Choi matrices on ``(d_out, d_in)``, held as one complex
+    ``(positions, D, D)`` array in ``scenario.positions()`` order."""
 
     scenario: Scenario  # trusted_dims = (d_out, d_in)
-    members: dict = field(repr=False)  # (a, x) -> ChoiOp
+    members: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if len(self.scenario.trusted_dims) != 2:
             raise ValueError("scenario trusted_dims must be (d_out, d_in)")
-        for pos in self.scenario.positions():
-            c = self.members[pos]
-            if c.op.dims != self.scenario.trusted_dims:
-                raise ValueError(f"member {pos} has wrong Choi dims")
-            if not is_psd(c.op, 1e-8):
-                raise ValueError(f"member {pos} is not completely positive")
+        object.__setattr__(self, "members", member_array(self.scenario, self.members))
 
     @property
     def d_in(self) -> int:
@@ -60,7 +62,8 @@ class ChannelAssemblage:
         return self.scenario.trusted_dims[0]
 
     def member(self, a, x) -> ChoiOp:
-        return self.members[(tuple(a), tuple(x))]
+        return ChoiOp((self.d_in,), (self.d_out,), Op(
+            self.scenario.trusted_dims, self.members[self.scenario.index(a, x)]))
 
 
 @dataclass(frozen=True)
@@ -99,44 +102,28 @@ def chanasm_from_realization(rho_untrusted: State, povms, channel: ChoiOp,
     # Channel acts on the untrusted parties and the first trusted factor;
     # the second half of the entangled pair is a spectator and lands last.
     rho = apply_channel_on_subsystems(channel, joint, targets=list(range(n + 1)))
-    state = State(Op(untrusted_dims + (d_out, d_in), rho.data))
-
-    trusted = identity((d_out, d_in))
-    members = {}
-    for a, x in scenario.positions():
-        effect = povms[0].effects[x[0]][a[0]]
-        acc = effect
-        for i in range(1, n):
-            acc = kron(acc, povms[i].effects[x[i]][a[i]])
-        acc = kron(acc, trusted)
-        big = Op(state.op.dims, acc.data @ state.op.data)
-        reduced = partial_trace(big, keep=range(n, n + 2))
-        herm = Op((d_out, d_in), (reduced.data + reduced.data.conj().T) / 2)
-        members[(a, x)] = ChoiOp((d_in,), (d_out,), herm)
-    return ChannelAssemblage(scenario, members)
+    members = measured_members(Op(untrusted_dims + (d_out, d_in), rho.data),
+                               povms, scenario)
+    return ChannelAssemblage(scenario, (members + members.conj().transpose(0, 2, 1)) / 2)
 
 
 def to_choi_assemblage(l: ChannelAssemblage) -> Assemblage:
-    """Reinterpret the Choi matrices as a state assemblage on out (x) in."""
-    members = {pos: l.members[pos].op for pos in l.scenario.positions()}
-    return Assemblage(l.scenario, members)
-
-
-def _choi_members(l: ChannelAssemblage) -> dict:
-    return {pos: c.op.data for pos, c in l.members.items()}
+    """Reinterpret the Choi matrices as a state assemblage on out (x) in;
+    the two share one members array."""
+    return Assemblage(l.scenario, l.members)
 
 
 def verify_ns_channel(l: ChannelAssemblage,
                       tol: float = DEFAULT_TOL.abs_tol) -> NsChannelReport:
     """No-signaling verification plus the channel trace condition.
 
-    Passes iff the Choi matrices satisfy the full no-signaling family and
-    the total's partial trace over the output factor is ``1/d_in``.
+    Passes iff the Choi matrices are PSD, satisfy the full no-signaling
+    family, and the total's partial trace over the output factor is
+    ``1/d_in``.
     """
-    members = _choi_members(l)
-    report = evaluate(family(l.scenario, ConstraintMode.FULL_NS), members, tol)
+    report = evaluate(family(l.scenario, ConstraintMode.FULL_NS), l.members, tol)
     condition = Family(l.scenario, (output_trace_condition(l.scenario),))
-    return NsChannelReport(report, float(magnitudes(condition, members)[0]), tol)
+    return NsChannelReport(report, float(magnitudes(condition, l.members)[0]), tol)
 
 
 def local_channel_assemblage(tables, maps, scenario: Scenario) -> ChannelAssemblage:
@@ -150,26 +137,18 @@ def local_channel_assemblage(tables, maps, scenario: Scenario) -> ChannelAssembl
     total_choi = ChoiOp((d_in,), (d_out,), Op((d_out, d_in), total))
     if not verify_cptp(total_choi, 1e-8).ok:
         raise ValueError("sum of the CP maps must be a channel")
-    members = {}
-    for a, x in scenario.positions():
-        acc = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
-        for tabs, c in zip(tables, maps):
-            p = 1.0
-            for i in range(scenario.n_parties):
-                p *= float(np.asarray(tabs[i])[x[i], a[i]])
-            if p:
-                acc += p * c.op.data
-        members[(a, x)] = ChoiOp((d_in,), (d_out,), Op((d_out, d_in), acc))
-    return ChannelAssemblage(scenario, members)
+    return ChannelAssemblage(scenario, mixture_members(
+        tables, [c.op.data for c in maps], scenario))
 
 
 def verify_asym_ns(l: ChannelAssemblage,
                    tol: float = DEFAULT_TOL.abs_tol) -> NsReport:
-    """Check every constraint of the relaxed A|BC family (two parties).
+    """Check positivity and every constraint of the relaxed A|BC family
+    (two parties).
 
     On the Choi matrices: (i) the sum over A's outcomes must not depend on
     A's setting; (ii) the output-traced sum over B's outcomes must not
     depend on B's setting; (iii) the total must be setting independent
     with output partial trace ``1/d_in``.
     """
-    return evaluate(family(l.scenario, ConstraintMode.ASYM_NS), _choi_members(l), tol)
+    return evaluate(family(l.scenario, ConstraintMode.ASYM_NS), l.members, tol)

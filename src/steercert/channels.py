@@ -293,10 +293,3 @@ def random_kraus_channel(rng: np.random.Generator, in_dim: int, out_dim: int,
     ops = [iso[k * out_dim:(k + 1) * out_dim, :] for k in range(n_kraus)]
     return KrausChannel(in_dim, out_dim, tuple(ops))
 
-
-def random_density(rng: np.random.Generator, dims) -> State:
-    dims = tuple(dims)
-    d = prod(dims)
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = g @ g.conj().T
-    return State(Op(dims, m / np.trace(m)))

@@ -14,8 +14,9 @@ to equal a target: zero, a matrix, or ``1`` for a trace.
   outcomes does not depend on B's setting; the total is setting independent
   and output-traces to the maximally mixed input.
 
-Two consumers read a family.  :func:`evaluate` measures each constraint on
-a set of members and reports the violations (the verifiers);
+Two consumers read a family.  :func:`evaluate` measures each constraint,
+and the positivity of each member, on a ``(positions, D, D)`` members array
+and reports the violations (the verifiers);
 :func:`vectorize` turns it into the real linear system over coefficients of
 fixed unit members (the extremality certificate).
 """
@@ -28,6 +29,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import psd_deviation
 
 
 class ConstraintMode(enum.Enum):
@@ -201,15 +204,15 @@ def _reduce(stack: np.ndarray, reduction: Reduction, dims) -> np.ndarray:
     return stack
 
 
-def magnitudes(fam: Family, members) -> np.ndarray:
-    """Deviation of each constraint on ``members`` (position -> matrix).
+def magnitudes(fam: Family, members: np.ndarray) -> np.ndarray:
+    """Deviation of each constraint on ``members``, a ``(positions, D, D)``
+    array in ``scenario.positions()`` order.
 
     Max-abs complex entry of the reduced sum minus the target, and
     ``|Re tr - 1|`` for a trace constraint.
     """
     scen = fam.scenario
-    stack = np.stack([np.asarray(members[pos], dtype=complex)
-                      for pos in scen.positions()])
+    stack = np.asarray(members, dtype=complex)
     rows, cols, signs = fam.terms
     out = np.empty(len(fam.constraints))
     for reduction in {c.reduction for c in fam.constraints}:
@@ -228,12 +231,15 @@ def magnitudes(fam: Family, members) -> np.ndarray:
     return out
 
 
-def evaluate(fam: Family, members, tol: float) -> NsReport:
-    """Violations above ``tol``, in family order."""
-    violations = tuple(NsViolation(c.name, float(v))
-                       for c, v in zip(fam.constraints, magnitudes(fam, members))
-                       if v > tol)
-    return NsReport(violations, max((v.magnitude for v in violations), default=0.0))
+def evaluate(fam: Family, members: np.ndarray, tol: float) -> NsReport:
+    """Violations above ``tol``: each member that is not PSD (by
+    :func:`.core.psd_deviation`), then the family's constraints in order."""
+    psd = zip(fam.scenario.positions(), psd_deviation(members))
+    violations = [NsViolation(f"member {a}|{x} PSD", float(v)) for (a, x), v in psd if v > tol]
+    violations += [NsViolation(c.name, float(v))
+                   for c, v in zip(fam.constraints, magnitudes(fam, members)) if v > tol]
+    return NsReport(tuple(violations),
+                    max((v.magnitude for v in violations), default=0.0))
 
 
 def _real_rows(reduced: np.ndarray) -> np.ndarray:

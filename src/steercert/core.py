@@ -42,9 +42,16 @@ DEFAULT_TOL = Tolerances()
 
 def _as_finite_complex(data, shape_kind: str) -> np.ndarray:
     arr = np.asarray(data, dtype=complex)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite entry in %s" % shape_kind)
     return arr
+
+
+def _as_dims(dims) -> tuple:
+    dims = tuple(map(int, dims))
+    if not dims or min(dims) < 1:
+        raise ValueError("dims must be a nonempty list of positive integers")
+    return dims
 
 
 @dataclass(frozen=True)
@@ -55,9 +62,7 @@ class Op:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("dims must be a nonempty list of positive integers")
+        dims = _as_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         arr = _as_finite_complex(self.data, "operator")
         side = prod(dims)
@@ -83,14 +88,24 @@ class Ket:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("dims must be a nonempty list of positive integers")
+        dims = _as_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         arr = _as_finite_complex(self.data, "ket").reshape(-1)
         if arr.shape != (prod(dims),):
             raise ValueError(f"vector length {arr.size} does not match dims {dims}")
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def rows_of(cls, dims, rows) -> list:
+        """A ket for each row of a ``(count, prod(dims))`` array, checked
+        once as a whole instead of row by row."""
+        dims, rows = _as_dims(dims), _as_finite_complex(rows, "ket")
+        if rows.shape[1:] != (prod(dims),):
+            raise ValueError(f"rows of shape {rows.shape} do not match dims {dims}")
+        kets = [object.__new__(cls) for _ in rows]
+        for ket, row in zip(kets, rows):
+            ket.__dict__.update(dims=dims, data=row)  # as __post_init__ leaves them
+        return kets
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
@@ -108,14 +123,6 @@ def identity(dims) -> Op:
 def kron(a: Op, b: Op) -> Op:
     """Tensor product; dims concatenate, big-endian index convention."""
     return Op(a.dims + b.dims, np.kron(a.data, b.data))
-
-
-def kron_all(ops) -> Op:
-    ops = list(ops)
-    out = ops[0]
-    for op in ops[1:]:
-        out = kron(out, op)
-    return out
 
 
 def partial_trace(a: Op, keep) -> Op:
@@ -147,12 +154,18 @@ def is_hermitian(a: Op, tol: float = DEFAULT_TOL.abs_tol) -> bool:
     return bool(np.max(np.abs(a.data - a.data.conj().T)) <= tol)
 
 
+def psd_deviation(stack: np.ndarray) -> np.ndarray:
+    """How far each matrix of a ``(count, D, D)`` stack is from PSD: the
+    larger of its max-abs Hermiticity deviation and ``-lambda_min`` of its
+    Hermitian part."""
+    adjoint = stack.conj().transpose(0, 2, 1)
+    hermiticity = np.abs(stack - adjoint).reshape(len(stack), -1).max(axis=1)
+    return np.maximum(hermiticity, -np.linalg.eigvalsh((stack + adjoint) / 2)[:, 0])
+
+
 def is_psd(a: Op, tol: float = DEFAULT_TOL.abs_tol) -> bool:
     """Hermitian within ``tol`` with minimal eigenvalue >= -tol."""
-    if not is_hermitian(a, tol):
-        return False
-    evals = np.linalg.eigvalsh((a.data + a.data.conj().T) / 2)
-    return bool(evals[0] >= -tol)
+    return bool(psd_deviation(a.data[None])[0] <= tol)
 
 
 def op_rank(a: Op, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> int:

@@ -11,6 +11,7 @@ positions are zero members.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from math import prod
@@ -151,10 +152,13 @@ class Document:
 
 
 def _complex_in(pair, path):
-    re, im = pair
-    if not (np.isfinite(re) and np.isfinite(im)):
+    try:
+        value = complex(*pair)
+    except OverflowError:  # an integer beyond the float range
+        raise DocumentError("entry out of range", path)
+    if not cmath.isfinite(value):
         raise DocumentError("non-finite entry", path)
-    return complex(re, im)
+    return value
 
 
 def _matrix_in(rows, path) -> np.ndarray:
@@ -253,26 +257,22 @@ def _assemblage_in(obj, path, as_channel: bool):
                             f"{path}.scenario.trusted_dims")
     key = "choi" if as_channel else "member"
     d = scen.trusted_dim
-    members = {pos: np.zeros((d, d), dtype=complex) for pos in scen.positions()}
+    members = np.zeros((prod(scen.settings) * prod(scen.outcomes), d, d), dtype=complex)
     for i, entry in enumerate(obj["members"]):
-        pos = (tuple(entry["a"]), tuple(entry["x"]))
-        if pos not in members:
-            raise DocumentError(f"position {pos} outside the scenario",
-                                f"{path}.members[{i}]")
+        try:
+            index = scen.index(entry["a"], entry["x"])
+        except ValueError as exc:
+            raise DocumentError(str(exc), f"{path}.members[{i}]")
         mat = entry.get(key, entry.get("member"))
         if mat is None:
             raise DocumentError(f"missing '{key}' matrix", f"{path}.members[{i}]")
-        members[pos] = _matrix_in(mat, f"{path}.members[{i}].{key}")
-    try:
-        if as_channel:
-            d_out, d_in = scen.trusted_dims
-            return ChannelAssemblage(scen, {
-                pos: ChoiOp((d_in,), (d_out,), Op(scen.trusted_dims, m))
-                for pos, m in members.items()})
-        return Assemblage(scen, {pos: Op(scen.trusted_dims, m)
-                                 for pos, m in members.items()})
-    except ValueError as exc:
-        raise DocumentError(str(exc), path)
+        mat_path = f"{path}.members[{i}].{key}"
+        mat = _matrix_in(mat, mat_path)
+        if mat.shape != (d, d):
+            raise DocumentError(f"matrix shape {mat.shape} does not match dims "
+                                f"{scen.trusted_dims}", mat_path)
+        members[index] = mat
+    return (ChannelAssemblage if as_channel else Assemblage)(scen, members)
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,13 @@ class Realization:
 
 def _realization_in(obj, path) -> Realization:
     scen = _scenario_in(obj["scenario"], f"{path}.scenario")
-    state = _state_in(obj["state"], f"{path}.state")
+    try:
+        state = _state_in(obj["state"], f"{path}.state")
+    except (KeyError, TypeError) as exc:
+        # The payload schema leaves the state unchecked, as checking a large
+        # matrix node by node is slow; the state schema locates the fault.
+        _validate(_PAYLOAD_VALIDATORS["state"], obj["state"], ("payload", "state"))
+        raise DocumentError(f"malformed state ({exc})", f"{path}.state")
     povms = tuple(_povm_in(p, f"{path}.povms[{i}]")
                   for i, p in enumerate(obj["povms"]))
     channel = (_channel_in(obj["channel"], f"{path}.channel")
@@ -304,10 +310,10 @@ _PARSERS = {
 }
 
 
-def _validate(validator, instance):
+def _validate(validator, instance, prefix=()):
     error = best_match(validator.iter_errors(instance))
     if error is not None:
-        loc = "$." + ".".join(str(p) for p in error.absolute_path)
+        loc = "$." + ".".join(str(p) for p in (*prefix, *error.absolute_path))
         raise DocumentError(error.message, loc)
 
 
@@ -342,26 +348,18 @@ def serialize(obj) -> dict:
         payload, kind = _povm_out(obj), "povm"
     elif isinstance(obj, ChoiOp):
         payload, kind = _channel_out(obj), "channel"
-    elif isinstance(obj, Assemblage):
+    elif isinstance(obj, (Assemblage, ChannelAssemblage)):
+        key = "choi" if isinstance(obj, ChannelAssemblage) else "member"
         payload = {
             "scenario": _scenario_out(obj.scenario),
             "members": [
-                {"a": list(a), "x": list(x), "member": _matrix_out(m.data)}
-                for (a, x), m in sorted(obj.members.items())
-                if np.max(np.abs(m.data)) > 0
+                {"a": list(a), "x": list(x), key: _matrix_out(m)}
+                for (a, x), m in sorted(zip(obj.scenario.positions(), obj.members),
+                                        key=lambda item: item[0])
+                if np.max(np.abs(m)) > 0
             ],
         }
-        kind = "assemblage"
-    elif isinstance(obj, ChannelAssemblage):
-        payload = {
-            "scenario": _scenario_out(obj.scenario),
-            "members": [
-                {"a": list(a), "x": list(x), "choi": _matrix_out(c.op.data)}
-                for (a, x), c in sorted(obj.members.items())
-                if np.max(np.abs(c.op.data)) > 0
-            ],
-        }
-        kind = "channel_assemblage"
+        kind = "channel_assemblage" if key == "choi" else "assemblage"
     elif isinstance(obj, Realization):
         payload = {
             "scenario": _scenario_out(obj.scenario),

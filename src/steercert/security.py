@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DEFAULT_TOL, Tolerances
-from .channels import Povm, State, apply_choi
+from .channels import Povm, State
 from .assemblages import PureAssemblage
 from .channel_assemblages import ChannelAssemblage
 from .certificates import (
@@ -55,18 +55,12 @@ def correlations(l: ChannelAssemblage, rho: State, charlie: Povm) -> Correlation
     if charlie.dim != d_out:
         raise ValueError("trusted measurement dimension mismatch")
     (m1, m2), (k1, k2) = scen.settings, scen.outcomes
-    mz, kz = charlie.settings, charlie.outcomes
-    table = np.zeros((m1, m2, mz, k1, k2, kz))
-    for x in range(m1):
-        for y in range(m2):
-            for a in range(k1):
-                for b in range(k2):
-                    out = apply_choi(l.members[((a, b), (x, y))], rho.op)
-                    for z in range(mz):
-                        for c in range(kz):
-                            eff = charlie.effects[z][c]
-                            table[x, y, z, a, b, c] = float(
-                                np.trace(eff.data @ out.data).real)
+    # choi[x, y, a, b, o, i, o', i'] = J_{ab|xy}[(o, i), (o', i')]
+    choi = l.members.reshape(m1, m2, k1, k2, d_out, d_in, d_out, d_in)
+    effects = np.array([[e.data for e in row] for row in charlie.effects])
+    # p(a, b, c | x, y, z) = Tr[E_{c|z} L_{ab|xy}(rho)], where
+    # L(rho) = d_in Tr_in[(1 (x) rho^T) J]
+    table = d_in * np.einsum("zcqo,xyabomqn,mn->xyzabc", effects, choi, rho.op.data).real
     return CorrelationTable(table)
 
 

@@ -1,5 +1,10 @@
+from math import prod
+
 import numpy as np
 import pytest
+
+from steercert.core import Op, kron
+from steercert.channels import State
 
 # One line per release criterion, echoed after the test summary so the
 # verdicts stay visible even though pytest captures per-test stdout.
@@ -16,3 +21,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def random_density(rng: np.random.Generator, dims) -> State:
+    dims = tuple(dims)
+    d = prod(dims)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    return State(Op(dims, m / np.trace(m)))
+
+
+def kron_all(ops) -> Op:
+    ops = list(ops)
+    out = ops[0]
+    for op in ops[1:]:
+        out = kron(out, op)
+    return out

@@ -16,7 +16,6 @@ from steercert.channels import (
     apply_choi,
     choi_from_map,
     choi_of_kraus,
-    random_density,
     random_kraus_channel,
     verify_cptp,
 )
@@ -60,10 +59,10 @@ def test_criterion_1_example_reproduction():
     """Realization produces the frozen Bell-type Choi member table."""
     l = gallery.bell_cnot_assemblage()
     expected = gallery.bell_cnot_expected_members()
-    dev = max(float(np.max(np.abs(l.members[pos].op.data - mat)))
+    dev = max(float(np.max(np.abs(l.member(*pos).op.data - mat)))
               for pos, mat in expected.items())
     phi = gallery.KET_PHI
-    member = l.members[((0, 0), (0, 0))].op.data
+    member = l.member((0, 0), (0, 0)).op.data
     dev00 = float(np.max(np.abs(member - 0.5 * np.outer(phi, phi.conj()))))
     ok = dev < MATRIX_TOL and dev00 < MATRIX_TOL
     report(1, ok, f"max member deviation {dev:.2e}")
@@ -131,7 +130,7 @@ def test_criterion_5_tilted_reproduction_and_extremality():
     l = gallery.tilted_cnot_assemblage()
     expected = gallery.tilted_cnot_expected_kets()
     dev = max(
-        float(np.max(np.abs(l.members[pos].op.data - np.outer(k, k.conj()))))
+        float(np.max(np.abs(l.member(*pos).op.data - np.outer(k, k.conj()))))
         for pos, k in expected.items())
     pure = canonicalize_pure(to_choi_assemblage(l), TOL)
     cert = decomposition_analysis(pure, ConstraintMode.ASYM_NS, TOL)
@@ -213,8 +212,8 @@ def test_criterion_7_lhs_decision():
     if isinstance(local_verdict, LhsModel):
         rebuilt = lhs_assemblage(local_verdict, scen)
         roundtrip_dev = max(
-            float(np.max(np.abs(rebuilt.members[pos].data
-                                - local.members[pos].data)))
+            float(np.max(np.abs(rebuilt.member(*pos).data
+                                - local.member(*pos).data)))
             for pos in scen.positions())
 
     ok = (isinstance(steering_verdict, NoLhs)

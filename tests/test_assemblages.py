@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_density
 
 from steercert.core import Ket, Op
 from steercert.channels import (
@@ -7,7 +8,6 @@ from steercert.channels import (
     State,
     projective_povm,
     pure_state,
-    random_density,
     random_kraus_channel,
 )
 from steercert.assemblages import (
@@ -65,17 +65,19 @@ def test_scenario_validation():
     assert len(list(scen.positions())) == 6 * 4
 
 
-def test_assemblage_rejects_non_psd_and_leaves_totals_to_verify_ns():
+def test_verify_ns_reports_non_psd_members_and_totals():
     scen = Scenario((1,), (2,), (2,))
-    not_psd = {((0,), (0,)): Op((2,), np.diag([1.1, -0.1])),
-               ((1,), (0,)): Op((2,), np.zeros((2, 2)))}
-    with pytest.raises(ValueError, match="not PSD"):
-        Assemblage(scen, not_psd)
-    # a total of trace 1.2 is a no-signaling violation, measured against
-    # the caller's tolerance, not a construction error
-    unnormalized = {((0,), (0,)): Op((2,), np.diag([0.9, 0.0])),
-                    ((1,), (0,)): Op((2,), np.diag([0.0, 0.3]))}
-    report = verify_ns(Assemblage(scen, unnormalized))
+    # positivity and the trace of a total are measured against the
+    # caller's tolerance, not checked when the assemblage is built
+    not_psd = Assemblage(scen, [np.diag([1.1, -0.1]), np.zeros((2, 2))])
+    report = verify_ns(not_psd)
+    assert [v.constraint for v in report.violations] == ["member (0,)|(0,) PSD"]
+    assert report.max_violation == pytest.approx(0.1)
+    assert verify_ns(not_psd, tol=0.2).ok
+    with pytest.raises(ValueError, match=r"member \(0,\)\|\(0,\) is not PSD"):
+        canonicalize_pure(not_psd)
+    unnormalized = Assemblage(scen, [np.diag([0.9, 0.0]), np.diag([0.0, 0.3])])
+    report = verify_ns(unnormalized)
     assert [v.constraint for v in report.violations] == ["total trace at x=(0,)"]
     assert report.max_violation == pytest.approx(0.2)
 
@@ -106,7 +108,7 @@ def test_verify_ns_detects_signaling():
         ((0,), (1,)): Op((2,), np.diag([0.7, 0.0])),
         ((1,), (1,)): Op((2,), np.diag([0.0, 0.3])),
     }
-    report = verify_ns(Assemblage(scen, members))
+    report = verify_ns(Assemblage(scen, [members[pos].data for pos in scen.positions()]))
     assert not report.ok
     assert report.max_violation == pytest.approx(0.2)
 
@@ -135,8 +137,8 @@ def test_lhs_assemblage_and_decision_roundtrip():
     assert isinstance(verdict, LhsModel)
     rebuilt = lhs_assemblage(verdict, scen)
     for pos in scen.positions():
-        np.testing.assert_allclose(rebuilt.members[pos].data,
-                                   s.members[pos].data, atol=1e-9)
+        np.testing.assert_allclose(rebuilt.member(*pos).data,
+                                   s.member(*pos).data, atol=1e-9)
 
 
 def test_singlet_has_no_lhs_model():
@@ -158,7 +160,7 @@ def test_pr_box_like_assemblage_has_no_lhs_model():
                 for b in range(2):
                     hit = (a ^ b) == (x & y)
                     members[((a, b), (x, y))] = half if hit else zero
-    s = Assemblage(scen, members)
+    s = Assemblage(scen, [members[pos].data for pos in scen.positions()])
     assert verify_ns(s).ok
     verdict = pure_lhs_decide(canonicalize_pure(s))
     assert isinstance(verdict, NoLhs)
@@ -167,7 +169,7 @@ def test_pr_box_like_assemblage_has_no_lhs_model():
 
 def test_canonicalize_pure_names_high_rank_position():
     scen = Scenario((1,), (1,), (2,))
-    s = Assemblage(scen, {((0,), (0,)): Op((2,), np.eye(2) / 2)})
+    s = Assemblage(scen, [np.eye(2) / 2])
     with pytest.raises(ValueError, match=r"\(0,\)\|\(0,\)"):
         canonicalize_pure(s)
 

@@ -18,7 +18,7 @@ def test_bell_cnot_members_match_frozen_table():
     l = gallery.bell_cnot_assemblage()
     expected = gallery.bell_cnot_expected_members()
     for pos, mat in expected.items():
-        np.testing.assert_allclose(l.members[pos].op.data, mat, atol=1e-12)
+        np.testing.assert_allclose(l.member(*pos).op.data, mat, atol=1e-12)
 
 
 def test_bell_cnot_is_no_signaling():
@@ -36,10 +36,8 @@ def test_full_ns_implies_relaxed_ns():
 
 def test_verify_ns_channel_reports_setting_dependent_totals():
     l = gallery.bell_cnot_assemblage()
-    members = dict(l.members)
-    pos = ((0, 0), (1, 0))
-    bumped = members[pos].op.data * 1.1
-    members[pos] = ChoiOp((2,), (2,), Op((2, 2), bumped))
+    members = l.members.copy()
+    members[l.scenario.index((0, 0), (1, 0))] *= 1.1
     report = verify_ns_channel(ChannelAssemblage(l.scenario, members))
     assert not report.ok
     names = [v.constraint for v in report.assemblage_report.violations]
@@ -72,12 +70,11 @@ def test_local_channel_assemblage_needs_cptp_total(rng):
 
 def test_verify_asym_ns_detects_first_party_signaling():
     l = gallery.bell_cnot_assemblage()
-    members = dict(l.members)
+    members = l.members.copy()
     # rescale two non-proportional members at x=1 so the sum over A's
     # outcomes at b=0 starts to depend on A's setting
-    p0, p1 = ((0, 0), (1, 0)), ((1, 1), (1, 0))
-    members[p0] = ChoiOp((2,), (2,), Op((2, 2), members[p0].op.data * 1.5))
-    members[p1] = ChoiOp((2,), (2,), Op((2, 2), members[p1].op.data * 0.5))
+    members[l.scenario.index((0, 0), (1, 0))] *= 1.5
+    members[l.scenario.index((1, 1), (1, 0))] *= 0.5
     broken = ChannelAssemblage(l.scenario, members)
     report = verify_asym_ns(broken)
     assert not report.ok
@@ -88,5 +85,5 @@ def test_to_choi_assemblage_shares_matrices():
     l = gallery.bell_cnot_assemblage()
     s = to_choi_assemblage(l)
     pos = ((1, 1), (1, 1))
-    np.testing.assert_allclose(s.members[pos].data, l.members[pos].op.data)
+    np.testing.assert_allclose(s.member(*pos).data, l.member(*pos).op.data)
     assert s.scenario == l.scenario

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_density
 
 from steercert.core import Ket, Op, identity, kron
 from steercert.channels import (
@@ -16,7 +17,6 @@ from steercert.channels import (
     maximally_entangled,
     projective_povm,
     pure_state,
-    random_density,
     random_kraus_channel,
     verify_cptp,
 )

@@ -215,9 +215,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_verify_reports_setting_dependent_totals(capsys, tmp_path):
     l = gallery.bell_cnot_assemblage()
-    members = dict(l.members)
-    pos = ((0, 0), (1, 0))
-    members[pos] = ChoiOp((2,), (2,), Op((2, 2), members[pos].op.data * 1.1))
+    members = l.members.copy()
+    members[l.scenario.index((0, 0), (1, 0))] *= 1.1
     path = tmp_path / "totals.json"
     path.write_text(documents.dumps(ChannelAssemblage(l.scenario, members)))
     code, report = run_json(capsys, "verify", str(path))
@@ -265,8 +264,7 @@ def test_non_positive_tolerance_is_input_error(capsys, flag, key, value):
 
 def test_relaxed_extremality_needs_channel_dims(capsys, tmp_path):
     choi = to_choi_assemblage(gallery.bell_cnot_assemblage())
-    flat = Assemblage(Scenario((2, 2), (2, 2), (4,)),
-                      {pos: Op((4,), op.data) for pos, op in choi.members.items()})
+    flat = Assemblage(Scenario((2, 2), (2, 2), (4,)), choi.members)
     path = tmp_path / "flat.json"
     path.write_text(documents.dumps(flat))
     code, report = run_json(capsys, "extremality", "--mode", "asym", str(path))
@@ -307,3 +305,64 @@ def test_total_trace_off_document_is_not_a_crash(capsys, tmp_path, command):
     assert code in (0, 1, 3)
     assert json.loads(out)["command"] == command
     assert "Traceback" not in err
+
+
+def _negative_diagonal_document(tmp_path, kind: str, value: float) -> str:
+    """The Bell-CNOT Choi members with ``value`` on a zero diagonal entry
+    of the member (0, 0)|(0, 0), as an ``assemblage`` or a
+    ``channel_assemblage`` document."""
+    l = gallery.bell_cnot_assemblage()
+    raw = documents.serialize(l if kind == "channel_assemblage" else to_choi_assemblage(l))
+    key = "choi" if kind == "channel_assemblage" else "member"
+    for entry in raw["payload"]["members"]:
+        if (tuple(entry["a"]), tuple(entry["x"])) == ((0, 0), (0, 0)):
+            entry[key][1][1] = [value, 0.0]
+    path = tmp_path / f"{kind}-negative.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["assemblage", "channel_assemblage"])
+def test_verify_reports_a_member_that_is_not_psd(capsys, tmp_path, kind):
+    path = _negative_diagonal_document(tmp_path, kind, -1e-7)
+    code, report = run_json(capsys, "verify", path)
+    assert code == 1 and report["status"] == "FAIL"
+    magnitudes = {v["constraint"]: v["magnitude"] for v in report["details"]["violations"]}
+    assert magnitudes["member (0, 0)|(0, 0) PSD"] == pytest.approx(1e-7)
+    code, report = run_json(capsys, "--abs-tol", "1e-5", "verify", path)
+    assert code == 0 and report["status"] == "PASS"
+
+
+@pytest.mark.parametrize("command", ["extremality", "lhs", "security-cert"])
+def test_member_that_is_not_psd_is_input_error(capsys, tmp_path, command):
+    path = _negative_diagonal_document(tmp_path, "channel_assemblage", -0.1)
+    code, report = run_json(capsys, command, path)
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert "member (0, 0)|(0, 0) is not PSD" in report["details"]["error"]
+
+
+def _realization_document(defect: str) -> dict:
+    rho, povms, channel, scen = gallery.bell_cnot_realization()
+    raw = documents.serialize(documents.Realization(scen, rho, povms, channel))
+    if defect == "state-without-matrix":
+        del raw["payload"]["state"]["matrix"]
+    elif defect == "oversized-entry":  # an integer beyond the float range
+        raw["payload"]["state"]["matrix"][0][0] = [10 ** 400, 0]
+    elif defect == "povm-with-one-setting":
+        raw["payload"]["povms"][0]["effects"].pop()
+    return raw
+
+
+@pytest.mark.parametrize("command", ["verify", "extremality", "lhs"])
+@pytest.mark.parametrize("defect, error", [
+    ("state-without-matrix", "$.payload.state: 'matrix' is a required property"),
+    ("oversized-entry", "$.payload.state.matrix[0][0]: entry out of range"),
+    ("povm-with-one-setting", "POVM of party 0 is too small for the scenario"),
+])
+def test_malformed_realization_is_input_error(capsys, tmp_path, command, defect, error):
+    path = tmp_path / f"{defect}.json"
+    path.write_text(json.dumps(_realization_document(defect)))
+    code, report = run_json(capsys, command, str(path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    if command != "verify" or defect != "povm-with-one-setting":
+        assert report["details"]["error"] == error

@@ -53,12 +53,12 @@ def relabel_mutant(s: Assemblage) -> Assemblage:
     """Cyclically shift party 1's outcome wherever party 0's setting is 1:
     totals per setting are unchanged, but the marginals signal."""
     k = s.scenario.outcomes[1]
-    members = {}
-    for (a, x), op in s.members.items():
+    members = []
+    for a, x in s.scenario.positions():
         src = list(a)
         if x[0] == 1:
             src[1] = (a[1] + 1) % k
-        members[(a, x)] = s.members[(tuple(src), x)]
+        members.append(s.member(src, x).data)
     return Assemblage(s.scenario, members)
 
 
@@ -107,7 +107,7 @@ def test_vectorized_rows_evaluate_like_the_verifier(mode):
     coefs = np.linspace(0.3, 1.1, len(columns))
     matrix, rhs = vectorize(fam, columns, units)
     residual = np.abs(matrix @ coefs - rhs)
-    expected = magnitudes(fam, dict(zip(columns, coefs[:, None, None] * units)))
+    expected = magnitudes(fam, coefs[:, None, None] * units)
     r = 0
     for c, want in zip(fam.constraints, expected):
         height = _block_height(c, pure.scenario.trusted_dims)

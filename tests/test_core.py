@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import kron_all
 
 from steercert.core import (
     DEFAULT_TOL,
@@ -11,7 +12,6 @@ from steercert.core import (
     is_hermitian,
     is_psd,
     kron,
-    kron_all,
     nnls,
     nullspace,
     nullspace_and_spectrum,

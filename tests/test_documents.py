@@ -49,7 +49,7 @@ def test_zero_members_are_implicit():
     listed = {(tuple(m["a"]), tuple(m["x"])) for m in raw["payload"]["members"]}
     assert ((0, 1), (0, 0)) not in listed and ((1, 0), (0, 0)) not in listed
     parsed = parse(raw).payload
-    zero = parsed.members[((0, 1), (0, 0))].op.data
+    zero = parsed.member((0, 1), (0, 0)).op.data
     np.testing.assert_allclose(zero, 0)
 
 

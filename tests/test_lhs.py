@@ -280,5 +280,5 @@ def test_hidden_variable_model_beyond_brute_force_is_recovered():
     assert len(verdict.weights) == 3
     rebuilt = lhs_assemblage(verdict, scen)
     for pos in scen.positions():
-        np.testing.assert_allclose(rebuilt.members[pos].data, s.members[pos].data,
+        np.testing.assert_allclose(rebuilt.member(*pos).data, s.member(*pos).data,
                                    atol=1e-9)
