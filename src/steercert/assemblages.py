@@ -15,7 +15,8 @@ from math import prod
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Ket, Op, Tolerances, nnls, psd_deviation
+from .core import (DEFAULT_TOL, Ket, Op, Tolerances, _as_finite_complex, nnls,
+                   psd_deviation)
 from .channels import State
 from .constraints import ConstraintMode, NsReport, evaluate, family
 
@@ -78,13 +79,11 @@ def member_array(scenario: Scenario, members) -> np.ndarray:
     Checks shape and finiteness only: positivity and the per-setting trace
     sums are constraints that the verifiers measure against ``abs_tol``.
     """
-    arr = np.asarray(members, dtype=complex)
+    arr = _as_finite_complex(members, "members")
     d = scenario.trusted_dim
     shape = (prod(scenario.settings) * prod(scenario.outcomes), d, d)
     if arr.shape != shape:
         raise ValueError(f"members have shape {arr.shape}, expected {shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite entry in members")
     arr = arr.view()
     arr.flags.writeable = False
     return arr
@@ -257,9 +256,9 @@ def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssem
         a, x = positions[kept[j]]
         raise ValueError(f"member {a}|{x} has rank {ranks[j]} > 1")
     vecs = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2)[1][:, :, -1]
-    kets = Ket.rows_of(s.scenario.trusted_dims, vecs)
-    return PureAssemblage(s.scenario, {positions[j]: (float(weights[j]), ket)
-                                       for j, ket in zip(kept, kets)})
+    return PureAssemblage(s.scenario, {
+        positions[j]: (float(weights[j]), Ket(s.scenario.trusted_dims, v))
+        for j, v in zip(kept, vecs)})
 
 
 @dataclass(frozen=True)

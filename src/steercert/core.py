@@ -42,7 +42,7 @@ DEFAULT_TOL = Tolerances()
 
 def _as_finite_complex(data, shape_kind: str) -> np.ndarray:
     arr = np.asarray(data, dtype=complex)
-    if not np.isfinite(arr).all():
+    if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite entry in %s" % shape_kind)
     return arr
 
@@ -95,29 +95,12 @@ class Ket:
             raise ValueError(f"vector length {arr.size} does not match dims {dims}")
         object.__setattr__(self, "data", arr)
 
-    @classmethod
-    def rows_of(cls, dims, rows) -> list:
-        """A ket for each row of a ``(count, prod(dims))`` array, checked
-        once as a whole instead of row by row."""
-        dims, rows = _as_dims(dims), _as_finite_complex(rows, "ket")
-        if rows.shape[1:] != (prod(dims),):
-            raise ValueError(f"rows of shape {rows.shape} do not match dims {dims}")
-        kets = [object.__new__(cls) for _ in rows]
-        for ket, row in zip(kets, rows):
-            ket.__dict__.update(dims=dims, data=row)  # as __post_init__ leaves them
-        return kets
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
     def outer(self) -> Op:
         """Rank-one operator |v><v|."""
         return Op(self.dims, np.outer(self.data, self.data.conj()))
-
-
-def identity(dims) -> Op:
-    dims = tuple(dims)
-    return Op(dims, np.eye(prod(dims), dtype=complex))
 
 
 def kron(a: Op, b: Op) -> Op:

@@ -153,7 +153,11 @@ class Document:
 
 def _complex_in(pair, path):
     try:
-        value = complex(*pair)
+        re, im = pair
+    except ValueError:
+        raise DocumentError("entry is not a [re, im] pair", path)
+    try:
+        value = complex(re, im)  # a string raises TypeError, left to the schema
     except OverflowError:  # an integer beyond the float range
         raise DocumentError("entry out of range", path)
     if not cmath.isfinite(value):

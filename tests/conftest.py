@@ -31,6 +31,11 @@ def random_density(rng: np.random.Generator, dims) -> State:
     return State(Op(dims, m / np.trace(m)))
 
 
+def identity(dims) -> Op:
+    dims = tuple(dims)
+    return Op(dims, np.eye(prod(dims), dtype=complex))
+
+
 def kron_all(ops) -> Op:
     ops = list(ops)
     out = ops[0]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import identity, random_density
 
-from steercert.core import Ket, Op, identity, kron
+from steercert.core import Ket, Op, kron
 from steercert.channels import (
     ChoiOp,
     KrausChannel,

@@ -350,7 +350,12 @@ def _realization_document(defect: str) -> dict:
         raw["payload"]["state"]["matrix"][0][0] = [10 ** 400, 0]
     elif defect == "povm-with-one-setting":
         raw["payload"]["povms"][0]["effects"].pop()
+    elif defect in _MALFORMED_ENTRIES:
+        raw["payload"]["state"]["matrix"][0][0] = _MALFORMED_ENTRIES[defect]
     return raw
+
+
+_MALFORMED_ENTRIES = {"one-number-entry": [0.5], "empty-entry": [], "string-entry": "0.5"}
 
 
 @pytest.mark.parametrize("command", ["verify", "extremality", "lhs"])
@@ -358,6 +363,8 @@ def _realization_document(defect: str) -> dict:
     ("state-without-matrix", "$.payload.state: 'matrix' is a required property"),
     ("oversized-entry", "$.payload.state.matrix[0][0]: entry out of range"),
     ("povm-with-one-setting", "POVM of party 0 is too small for the scenario"),
+    *((defect, "$.payload.state.matrix[0][0]: entry is not a [re, im] pair")
+      for defect in _MALFORMED_ENTRIES),
 ])
 def test_malformed_realization_is_input_error(capsys, tmp_path, command, defect, error):
     path = tmp_path / f"{defect}.json"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import kron_all
+from conftest import identity, kron_all
 
 from steercert.core import (
     DEFAULT_TOL,
@@ -8,7 +8,6 @@ from steercert.core import (
     NnlsDidNotConverge,
     Op,
     Tolerances,
-    identity,
     is_hermitian,
     is_psd,
     kron,
