@@ -15,8 +15,7 @@ from math import prod
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, Ket, Op, Tolerances, _as_finite_complex, nnls,
-                   psd_deviation)
+from .core import DEFAULT_TOL, Op, Tolerances, _as_finite_complex, nnls, psd_deviation
 from .channels import State
 from .constraints import ConstraintMode, NsReport, evaluate, family
 
@@ -73,20 +72,24 @@ class Scenario:
         return int(np.ravel_multi_index(digits, sizes))
 
 
+def _read_only(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """A read-only view of ``arr``, after checking that it has ``shape``."""
+    if arr.shape != shape:
+        raise ValueError(f"{what} have shape {arr.shape}, expected {shape}")
+    arr = arr.view()
+    arr.flags.writeable = False
+    return arr
+
+
 def member_array(scenario: Scenario, members) -> np.ndarray:
     """``members`` as a read-only complex ``(positions, D, D)`` array.
 
     Checks shape and finiteness only: positivity and the per-setting trace
     sums are constraints that the verifiers measure against ``abs_tol``.
     """
-    arr = _as_finite_complex(members, "members")
     d = scenario.trusted_dim
     shape = (prod(scenario.settings) * prod(scenario.outcomes), d, d)
-    if arr.shape != shape:
-        raise ValueError(f"members have shape {arr.shape}, expected {shape}")
-    arr = arr.view()
-    arr.flags.writeable = False
-    return arr
+    return _read_only(_as_finite_complex(members, "members"), shape, "members")
 
 
 @dataclass(frozen=True)
@@ -134,24 +137,30 @@ class LhsModel:
 class PureAssemblage:
     """Assemblage whose members are zero or weighted rank-one projectors.
 
-    ``members`` maps each non-zero position to ``(weight, Ket)`` with a
-    unit-norm ket; positions absent from the dict are exactly zero.
+    ``support`` lists the non-zero positions in sorted ``(a, x)`` order.
+    The member at ``support[j]`` is ``weights[j] |k_j><k_j|``, where
+    ``k_j = kets[j]`` is a unit row of the complex ``(len(support), D)``
+    array ``kets``; every other position is exactly zero.  Both arrays are
+    read-only, and the constructor checks only their shapes and finiteness.
     """
 
     scenario: Scenario
-    members: dict = field(repr=False)
+    support: tuple
+    weights: np.ndarray = field(repr=False)
+    kets: np.ndarray = field(repr=False)
 
-    def member_op(self, a, x) -> Op:
-        entry = self.members.get((tuple(a), tuple(x)))
-        if entry is None:
-            d = self.scenario.trusted_dim
-            return Op(self.scenario.trusted_dims, np.zeros((d, d), dtype=complex))
-        weight, ket = entry
-        return Op(self.scenario.trusted_dims, weight * np.outer(ket.data, ket.data.conj()))
+    def __post_init__(self):
+        n, d = len(self.support), self.scenario.trusted_dim
+        weights = _as_finite_complex(self.weights, "weights").real
+        kets = _as_finite_complex(self.kets, "kets")
+        object.__setattr__(self, "support", tuple(self.support))
+        object.__setattr__(self, "weights", _read_only(weights, (n,), "weights"))
+        object.__setattr__(self, "kets", _read_only(kets, (n, d), "kets"))
 
-    def to_assemblage(self) -> Assemblage:
-        return Assemblage(self.scenario, [self.member_op(*pos).data
-                                          for pos in self.scenario.positions()])
+    def proportional(self, rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Entry ``[i, j]``: whether ``kets[rows[i]]`` and ``kets[j]`` are
+        proportional, that is ``|<k_i|k_j>| > 1 - abs_tol``."""
+        return np.abs(self.kets[rows].conj() @ self.kets.T) > 1 - tol.abs_tol
 
 
 @dataclass(frozen=True)
@@ -256,9 +265,9 @@ def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssem
         a, x = positions[kept[j]]
         raise ValueError(f"member {a}|{x} has rank {ranks[j]} > 1")
     vecs = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2)[1][:, :, -1]
-    return PureAssemblage(s.scenario, {
-        positions[j]: (float(weights[j]), Ket(s.scenario.trusted_dims, v))
-        for j, v in zip(kept, vecs)})
+    order = sorted(range(len(kept)), key=lambda j: positions[kept[j]])
+    return PureAssemblage(s.scenario, tuple(positions[kept[j]] for j in order),
+                          weights[kept[order]], vecs[order])
 
 
 @dataclass(frozen=True)
@@ -267,6 +276,11 @@ class NoLhs:
 
     reason: str
     residual: float = None
+
+
+def _digits(p: PureAssemblage) -> tuple:
+    """Index arrays ``(a_0, ..., a_{n-1}, x_0, ..., x_{n-1})`` of the support."""
+    return tuple(np.array([a + x for a, x in p.support]).T)
 
 
 def consistent_strategies(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -288,19 +302,17 @@ def consistent_strategies(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL) -> n
     scen = p.scenario
     n = scen.n_parties
     shape = scen.outcomes + scen.settings
-    positions = sorted(p.members)
-    anchors = [j for j, (_, x) in enumerate(positions) if not any(x)]
+    anchors = [j for j, (_, x) in enumerate(p.support) if not any(x)]
     if not anchors:
         return np.zeros((0, sum(scen.settings)), dtype=int)
-    kets = np.array([p.members[pos][1].data for pos in positions])
-    flat = np.ravel_multi_index(tuple(np.array([a + x for a, x in positions]).T), shape)
+    flat = np.ravel_multi_index(_digits(p), shape)
     allowed = np.zeros((len(anchors), prod(shape)), dtype=bool)
-    allowed[:, flat] = np.abs(kets[anchors].conj() @ kets.T) > 1 - tol.abs_tol
+    allowed[:, flat] = p.proportional(anchors, tol)
     allowed = allowed.reshape((len(anchors),) + shape)
     origin = (0,) * n
     allowed[(slice(None),) * (n + 1) + origin] = False
     for j, anchor in enumerate(anchors):
-        allowed[(j,) + positions[anchor][0] + origin] = True
+        allowed[(j,) + p.support[anchor][0] + origin] = True
     alive = allowed.reshape(len(anchors), prod(scen.outcomes), -1).any(axis=1).all(axis=1)
     # axes: (partial strategy, assigned settings, a_i, x_i, a_{i+1}, x_{i+1}, ...)
     interleaved = [0] + [1 + axis for i in range(n) for axis in (i, n + i)]
@@ -349,17 +361,15 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
         return NoLhs("no deterministic strategy selects pairwise proportional "
                      "pure states on its support")
 
-    positions = sorted(p.members)
     rows = np.full(scen.outcomes + scen.settings, -1)
-    rows[tuple(np.array([a + x for a, x in positions]).T)] = np.arange(len(positions))
+    rows[_digits(p)] = np.arange(len(p.support))
     settings = np.indices(scen.settings).reshape(scen.n_parties, -1)
     offsets = np.cumsum((0,) + scen.settings[:-1])
     outcomes = tuple(strategies[:, o + xs] for o, xs in zip(offsets, settings))
     selected = rows[outcomes + tuple(settings)]  # (strategies, setting vectors)
-    a_mat = np.zeros((len(positions), len(strategies)))
+    a_mat = np.zeros((len(p.support), len(strategies)))
     a_mat[selected, np.arange(len(strategies))[:, None]] = 1.0
-    b = np.array([p.members[pos][0] for pos in positions])
-    x, residual = nnls(a_mat, b)
+    x, residual = nnls(a_mat, p.weights)
     if residual >= tol.nnls_residual_tol:
         return NoLhs("nonnegative weight system over deterministic strategies "
                      "is infeasible", residual=residual)
@@ -371,9 +381,8 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
             continue
         weights.append(w)
         responses = np.split(strategy, offsets[1:])
-        ket = p.members[(tuple(int(f[0]) for f in responses), origin)][1]
-        states.append(State(Op(scen.trusted_dims,
-                               np.outer(ket.data, ket.data.conj()))))
+        ket = p.kets[rows[tuple(int(f[0]) for f in responses) + origin]]
+        states.append(State(Op(scen.trusted_dims, np.outer(ket, ket.conj()))))
         tabs = []
         for i, f in enumerate(responses):
             table = np.zeros((scen.settings[i], scen.outcomes[i]))

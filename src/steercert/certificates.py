@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    Tolerances,
-    nullspace_and_spectrum,
-    op_rank,
-    proportional_rank_one,
-)
+from .core import DEFAULT_TOL, Tolerances, nullspace_and_spectrum
 from .assemblages import PureAssemblage
 from .constraints import ConstraintMode, family, vectorize
 
@@ -80,12 +74,9 @@ def build_constraint_system(p: PureAssemblage, mode: ConstraintMode) -> LinearSy
     operators at the non-zero positions; the reference coefficients (the
     member traces) satisfy the system by construction.
     """
-    positions = tuple(sorted(p.members))
-    kets = [p.members[pos][1].data for pos in positions]
-    units = np.stack([np.outer(k, k.conj()) for k in kets])
-    matrix, rhs = vectorize(family(p.scenario, mode), positions, units)
-    reference = np.array([p.members[pos][0] for pos in positions])
-    return LinearSystem(matrix, rhs, positions, reference)
+    units = p.kets[:, :, None] * p.kets[:, None, :].conj()
+    matrix, rhs = vectorize(family(p.scenario, mode), p.support, units)
+    return LinearSystem(matrix, rhs, p.support, p.weights)
 
 
 def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
@@ -99,7 +90,7 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     the reference is strictly positive at every variable position.
     """
     system = build_constraint_system(p, mode)
-    if system.residual_of(system.reference) > 1e-7:
+    if system.residual_of(system.reference) > tol.nnls_residual_tol:
         raise ValueError("reference coefficients do not satisfy the system")
     basis, s = nullspace_and_spectrum(system.matrix, tol.rank_rel_tol)
     nullity = basis.shape[0]
@@ -134,32 +125,27 @@ def inflexibility_structural_check(p: PureAssemblage,
     Searches for settings ``(y1, y2)`` such that the three member sets
     obtained by fixing the first party's outcome (0 then 1) at setting
     ``y1``, and the second party's outcome 0 at setting ``y2``, each
-    consist of nonzero, pairwise non-proportional rank-one operators.
-    Returns the first such pair, or ``None``.
+    consist of nonzero members with pairwise non-proportional kets (as
+    :meth:`.PureAssemblage.proportional` decides).  Returns the first such
+    pair, or ``None``.
     """
     scen = p.scenario
     if scen.settings != (2, 2) or scen.outcomes != (2, 2):
         raise ValueError("structural check requires two parties with two "
                          "dichotomic settings each")
 
-    def distinct_nonzero(ops):
-        if any(op_rank(op, tol.rank_rel_tol) != 1 for op in ops):
-            return False
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if proportional_rank_one(ops[i], ops[j], tol.abs_tol,
-                                         tol.rank_rel_tol):
-                    return False
-        return True
+    row = {pos: j for j, pos in enumerate(p.support)}
+    proportional = p.proportional(slice(None), tol)
+
+    def distinct_nonzero(positions):
+        rows = [row.get(pos) for pos in positions]
+        return None not in rows and not np.triu(proportional[np.ix_(rows, rows)], 1).any()
 
     for y1 in range(2):
         for y2 in range(2):
-            set_a0 = [p.member_op((0, a2), (y1, x2))
-                      for a2 in range(2) for x2 in range(2)]
-            set_a1 = [p.member_op((1, a2), (y1, x2))
-                      for a2 in range(2) for x2 in range(2)]
-            set_b0 = [p.member_op((a1, 0), (x1, y2))
-                      for a1 in range(2) for x1 in range(2)]
+            set_a0 = [((0, a2), (y1, x2)) for a2 in range(2) for x2 in range(2)]
+            set_a1 = [((1, a2), (y1, x2)) for a2 in range(2) for x2 in range(2)]
+            set_b0 = [((a1, 0), (x1, y2)) for a1 in range(2) for x1 in range(2)]
             if all(distinct_nonzero(s) for s in (set_a0, set_a1, set_b0)):
                 return (y1, y2)
     return None

@@ -229,7 +229,7 @@ def _reproduce_example1(tol: Tolerances) -> dict:
     ns = verify_ns_channel(l, tol.abs_tol)
     return {"max_matrix_deviation": dev,
             "ns_pass": ns.ok,
-            "ok": dev < 1e-9 and ns.ok}
+            "ok": dev < tol.abs_tol and ns.ok}
 
 
 def _reproduce_asym(tol: Tolerances) -> dict:
@@ -249,8 +249,8 @@ def _reproduce_asym(tol: Tolerances) -> dict:
             "split_feasible_deviation": split_dev,
             "split_average_deviation": avg_dev,
             "key_setting_pinned": key_cols_pinned,
-            "ok": (cert.verdict is Verdict.NON_UNIQUE and split_dev < 1e-9
-                   and avg_dev < 1e-9 and key_cols_pinned)}
+            "ok": (cert.verdict is Verdict.NON_UNIQUE and split_dev < tol.abs_tol
+                   and avg_dev < tol.abs_tol and key_cols_pinned)}
 
 
 def _reproduce_appendix(tol: Tolerances) -> dict:
@@ -266,8 +266,8 @@ def _reproduce_appendix(tol: Tolerances) -> dict:
         [np.linalg.norm(expected[pos]) ** 2 for pos in cert.system.columns])
     return {"max_matrix_deviation": dev, "verdict": cert.verdict.value,
             "coefficients": [float(c) for c in coeffs],
-            "ok": (dev < 1e-9 and cert.verdict is Verdict.UNIQUE_EXTREME
-                   and float(np.max(np.abs(coeffs - 1))) < 1e-9)}
+            "ok": (dev < tol.abs_tol and cert.verdict is Verdict.UNIQUE_EXTREME
+                   and float(np.max(np.abs(coeffs - 1))) < tol.abs_tol)}
 
 
 def _reproduce_key(tol: Tolerances) -> dict:
@@ -275,7 +275,7 @@ def _reproduce_key(tol: Tolerances) -> dict:
     table = correlations(l, gallery.key_input_state(), gallery.key_measurement())
     p000 = table.prob(0, 0, 0, 0, 0, 0)
     p111 = table.prob(1, 1, 1, 0, 0, 0)
-    ok = abs(p000 - 0.5) < 1e-9 and abs(p111 - 0.5) < 1e-9 \
+    ok = abs(p000 - 0.5) < tol.abs_tol and abs(p111 - 0.5) < tol.abs_tol \
         and perfect_key_check(table, 0, 0, tol.abs_tol)
     return {"p000": p000, "p111": p111, "ok": ok}
 
@@ -289,8 +289,10 @@ _REPRODUCERS = {
 
 
 def cmd_reproduce(args) -> int:
-    tol = args.tol
-    details = _REPRODUCERS[args.target](tol)
+    try:
+        details = _REPRODUCERS[args.target](args.tol)
+    except ValueError as exc:  # e.g. --abs-tol below the rounding of a member
+        return _input_error("reproduce", str(exc), args)
     ok = details.pop("ok")
     details["target"] = args.target
     return _emit(Report("reproduce", PASS if ok else FAIL, details,

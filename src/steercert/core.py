@@ -24,7 +24,9 @@ class Tolerances:
     """Numerical tolerance budget used across all verification routines.
 
     ``rank_rel_tol`` is relative: it multiplies the largest singular value
-    of whatever matrix is being ranked.
+    of whatever matrix is being ranked.  ``nnls_residual_tol`` bounds two
+    residuals: that of the LHS weight system, and that of the reference
+    coefficients in an extremality certificate's system.
     """
 
     abs_tol: float = 1e-9
@@ -149,43 +151,6 @@ def psd_deviation(stack: np.ndarray) -> np.ndarray:
 def is_psd(a: Op, tol: float = DEFAULT_TOL.abs_tol) -> bool:
     """Hermitian within ``tol`` with minimal eigenvalue >= -tol."""
     return bool(psd_deviation(a.data[None])[0] <= tol)
-
-
-def op_rank(a: Op, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> int:
-    """Numerical rank: singular values above ``rank_rel_tol * s_max``."""
-    s = np.linalg.svd(a.data, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_rel_tol * s[0]))
-
-
-def principal_eigenvector(a: Op) -> np.ndarray:
-    """Unit eigenvector of the largest eigenvalue of a Hermitian operator."""
-    _, vecs = np.linalg.eigh((a.data + a.data.conj().T) / 2)
-    return vecs[:, -1]
-
-
-def proportional_rank_one(a: Op, b: Op, tol: float = DEFAULT_TOL.abs_tol,
-                          rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> bool:
-    """Whether ``a = lam * b`` for some ``lam > 0``; two zeros count as equal.
-
-    Intended for PSD rank-one operators: proportionality is tested through
-    the overlap of normalized principal eigenvectors, which is phase
-    invariant.  Raises on inputs of rank two or more.
-    """
-    ra, rb = op_rank(a, rank_rel_tol), op_rank(b, rank_rel_tol)
-    if ra > 1 or rb > 1:
-        raise ValueError("proportional_rank_one expects operators of rank <= 1")
-    if ra == 0 and rb == 0:
-        return True
-    if ra == 0 or rb == 0:
-        return False
-    ta, tb = a.trace().real, b.trace().real
-    if ta <= 0 or tb <= 0:
-        return False
-    u = principal_eigenvector(a)
-    v = principal_eigenvector(b)
-    return bool(abs(np.vdot(u, v)) > 1 - tol)
 
 
 def nullspace_and_spectrum(m: np.ndarray,

@@ -296,11 +296,19 @@ def _realization_in(obj, path) -> Realization:
         # matrix node by node is slow; the state schema locates the fault.
         _validate(_PAYLOAD_VALIDATORS["state"], obj["state"], ("payload", "state"))
         raise DocumentError(f"malformed state ({exc})", f"{path}.state")
-    povms = tuple(_povm_in(p, f"{path}.povms[{i}]")
-                  for i, p in enumerate(obj["povms"]))
+    if len(obj["povms"]) != scen.n_parties:
+        raise DocumentError(f"expected one POVM per party ({scen.n_parties}), "
+                            f"got {len(obj['povms'])}", f"{path}.povms")
+    povms = []
+    for i, (p, m, k) in enumerate(zip(obj["povms"], scen.settings, scen.outcomes)):
+        povm = _povm_in(p, f"{path}.povms[{i}]")
+        if povm.settings < m or povm.outcomes < k:
+            raise DocumentError(f"POVM of party {i} is too small for the scenario",
+                                f"{path}.povms[{i}]")
+        povms.append(povm)
     channel = (_channel_in(obj["channel"], f"{path}.channel")
                if "channel" in obj else None)
-    return Realization(scen, state, povms, channel)
+    return Realization(scen, state, tuple(povms), channel)
 
 
 _PARSERS = {

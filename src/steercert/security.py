@@ -125,7 +125,7 @@ def eavesdropper_pinning(p: PureAssemblage, x_key: int, y_key: int,
     for a in range(scen.outcomes[0]):
         for b in range(scen.outcomes[1]):
             pos = ((a, b), (x_key, y_key))
-            if pos not in p.members or pos in pinned_set:
+            if pos not in p.support or pos in pinned_set:
                 pinned.append((a, b))  # zero positions are trivially pinned
             else:
                 free.append((a, b))

@@ -5,6 +5,7 @@ import pytest
 
 from steercert.core import Op, kron
 from steercert.channels import State
+from steercert.assemblages import PureAssemblage
 
 # One line per release criterion, echoed after the test summary so the
 # verdicts stay visible even though pytest captures per-test stdout.
@@ -42,3 +43,18 @@ def kron_all(ops) -> Op:
     for op in ops[1:]:
         out = kron(out, op)
     return out
+
+
+def pure_assemblage(scenario, members: dict):
+    """A ``PureAssemblage`` from ``{(a, x): (weight, unit ket)}``; positions
+    left out are zero."""
+    support = tuple(sorted(members))
+    d = scenario.trusted_dim
+    return PureAssemblage(scenario, support,
+                          np.array([members[pos][0] for pos in support]),
+                          np.array([members[pos][1] for pos in support]).reshape(-1, d))
+
+
+def pure_members(p) -> dict:
+    """``{(a, x): (weight, unit ket)}`` over the support of ``p``."""
+    return {pos: (weight, ket) for pos, weight, ket in zip(p.support, p.weights, p.kets)}

@@ -15,7 +15,6 @@ from steercert.assemblages import (
     HermitianRealization,
     LhsModel,
     NoLhs,
-    PureAssemblage,
     Scenario,
     assemblage_from_realization,
     canonicalize_pure,
@@ -173,10 +172,3 @@ def test_canonicalize_pure_names_high_rank_position():
     with pytest.raises(ValueError, match=r"\(0,\)\|\(0,\)"):
         canonicalize_pure(s)
 
-
-def test_pure_assemblage_member_op():
-    scen = Scenario((1,), (2,), (2,))
-    p = PureAssemblage(scen, {((0,), (0,)): (1.0, Ket((2,), KET0))})
-    np.testing.assert_allclose(p.member_op((0,), (0,)).data, np.diag([1.0, 0.0]))
-    np.testing.assert_allclose(p.member_op((1,), (0,)).data, np.zeros((2, 2)))
-    assert verify_ns(p.to_assemblage()).ok

@@ -1,13 +1,13 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
+from conftest import pure_assemblage, pure_members
 
 from steercert import gallery
-from steercert.core import DEFAULT_TOL, Ket, Tolerances
-from steercert.assemblages import (
-    PureAssemblage,
-    Scenario,
-    canonicalize_pure,
-)
+from steercert.core import DEFAULT_TOL, Tolerances
+from steercert.assemblages import Scenario, canonicalize_pure
 from steercert.channel_assemblages import to_choi_assemblage
 from steercert.certificates import (
     ConstraintMode,
@@ -82,14 +82,13 @@ def test_structural_check(bell_pure, tilted_pure):
 def test_structural_check_scenario_guard():
     scen = Scenario((3, 2), (2, 2), (2, 2))
     with pytest.raises(ValueError):
-        inflexibility_structural_check(PureAssemblage(scen, {}))
+        inflexibility_structural_check(pure_assemblage(scen, {}))
 
 
 def test_relaxed_mode_needs_two_parties(bell_pure):
     scen = Scenario((2,), (2,), (2,))
-    p = PureAssemblage(scen, {
-        ((a,), (x,)): (0.5, Ket((2,), np.eye(2)[a]))
-        for a in range(2) for x in range(2)})
+    p = pure_assemblage(scen, {((a,), (x,)): (0.5, np.eye(2)[a])
+                               for a in range(2) for x in range(2)})
     with pytest.raises(ValueError):
         decomposition_analysis(p, ConstraintMode.ASYM_NS)
 
@@ -112,3 +111,87 @@ def test_rank_margin_straddles_threshold(bell_pure, mode):
     tighter = decomposition_analysis(bell_pure, mode,
                                      Tolerances(rank_rel_tol=2 * kept))
     assert tighter.rank < cert.rank
+
+
+def reference_structural_check(scen, members: dict, tol=DEFAULT_TOL):
+    """The structural check as written over member operators: every member
+    of a set has numerical rank one, and no two of them have principal
+    eigenvectors overlapping by more than ``1 - abs_tol``."""
+    d = scen.trusted_dim
+
+    def op(a, x):
+        if (a, x) not in members:
+            return np.zeros((d, d), dtype=complex)
+        weight, ket = members[(a, x)]
+        return weight * np.outer(ket, ket.conj())
+
+    def rank(m):
+        s = np.linalg.svd(m, compute_uv=False)
+        return 0 if s[0] == 0.0 else int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+
+    def proportional(m1, m2):
+        if np.trace(m1).real <= 0 or np.trace(m2).real <= 0:
+            return False
+        u, v = (np.linalg.eigh((m + m.conj().T) / 2)[1][:, -1] for m in (m1, m2))
+        return abs(np.vdot(u, v)) > 1 - tol.abs_tol
+
+    def distinct_nonzero(ops):
+        return (all(rank(m) == 1 for m in ops)
+                and not any(proportional(m1, m2)
+                            for m1, m2 in itertools.combinations(ops, 2)))
+
+    for y1 in range(2):
+        for y2 in range(2):
+            sets = ([op((0, a2), (y1, x2)) for a2 in range(2) for x2 in range(2)],
+                    [op((1, a2), (y1, x2)) for a2 in range(2) for x2 in range(2)],
+                    [op((a1, 0), (x1, y2)) for a1 in range(2) for x1 in range(2)])
+            if all(distinct_nonzero(s) for s in sets):
+                return (y1, y2)
+    return None
+
+
+def random_pure_members(rng, scen, kets: int, zero_share: float) -> dict:
+    """Members drawn from a pool of ``kets`` unit kets, each under a random
+    phase (so repeats are proportional, not equal); a ``zero_share`` of the
+    positions is left out."""
+    d = scen.trusted_dim
+    pool = rng.normal(size=(kets, d)) + 1j * rng.normal(size=(kets, d))
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+    return {pos: (rng.uniform(0.1, 1.0),
+                  np.exp(2j * np.pi * rng.uniform()) * pool[rng.integers(kets)])
+            for pos in scen.positions() if rng.uniform() >= zero_share}
+
+
+def test_structural_check_matches_operator_reference():
+    scen = Scenario((2, 2), (2, 2), (2,))
+    answers = collections.Counter()
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        members = random_pure_members(rng, scen, int(rng.integers(2, 33)),
+                                      rng.choice([0.0, 0.02, 0.1]))
+        want = reference_structural_check(scen, members)
+        assert inflexibility_structural_check(pure_assemblage(scen, members)) == want
+        answers[want] += 1
+    # every outcome of the check is reached
+    assert set(answers) == {None, (0, 0), (0, 1), (1, 0), (1, 1)}, answers
+
+
+def test_structural_check_rejects_product_assemblage():
+    # one trusted ket everywhere: every set is pairwise proportional
+    scen = Scenario((2, 2), (2, 2), (2,))
+    ket = np.array([0.6, 0.8j])
+    members = {pos: (0.25, ket) for pos in scen.positions()}
+    assert reference_structural_check(scen, members) is None
+    assert inflexibility_structural_check(pure_assemblage(scen, members)) is None
+
+
+def test_reference_check_follows_nnls_residual_tol(bell_pure):
+    # one weight off by 1e-9 leaves a residual of about 1e-9 in the system
+    members = pure_members(bell_pure)
+    pos = bell_pure.support[0]
+    weight, ket = members[pos]
+    off = pure_assemblage(bell_pure.scenario, {**members, pos: (weight + 1e-9, ket)})
+    assert decomposition_analysis(off, ConstraintMode.FULL_NS).nullity == 0
+    with pytest.raises(ValueError, match="reference coefficients"):
+        decomposition_analysis(off, ConstraintMode.FULL_NS,
+                               Tolerances(nnls_residual_tol=1e-12))

@@ -11,7 +11,7 @@ import pytest
 import steercert
 from steercert import cli, documents, gallery
 from steercert.core import Op
-from steercert.channels import ChoiOp, choi_of_unitary
+from steercert.channels import ChoiOp, State, choi_of_unitary
 from steercert.assemblages import Assemblage, Scenario
 from steercert.channel_assemblages import (
     ChannelAssemblage,
@@ -350,6 +350,10 @@ def _realization_document(defect: str) -> dict:
         raw["payload"]["state"]["matrix"][0][0] = [10 ** 400, 0]
     elif defect == "povm-with-one-setting":
         raw["payload"]["povms"][0]["effects"].pop()
+    elif defect == "povm-missing":
+        raw["payload"]["povms"].pop()
+    elif defect == "povm-extra":
+        raw["payload"]["povms"].append(raw["payload"]["povms"][0])
     elif defect in _MALFORMED_ENTRIES:
         raw["payload"]["state"]["matrix"][0][0] = _MALFORMED_ENTRIES[defect]
     return raw
@@ -362,7 +366,10 @@ _MALFORMED_ENTRIES = {"one-number-entry": [0.5], "empty-entry": [], "string-entr
 @pytest.mark.parametrize("defect, error", [
     ("state-without-matrix", "$.payload.state: 'matrix' is a required property"),
     ("oversized-entry", "$.payload.state.matrix[0][0]: entry out of range"),
-    ("povm-with-one-setting", "POVM of party 0 is too small for the scenario"),
+    ("povm-with-one-setting",
+     "$.payload.povms[0]: POVM of party 0 is too small for the scenario"),
+    ("povm-missing", "$.payload.povms: expected one POVM per party (2), got 1"),
+    ("povm-extra", "$.payload.povms: expected one POVM per party (2), got 3"),
     *((defect, "$.payload.state.matrix[0][0]: entry is not a [re, im] pair")
       for defect in _MALFORMED_ENTRIES),
 ])
@@ -371,5 +378,38 @@ def test_malformed_realization_is_input_error(capsys, tmp_path, command, defect,
     path.write_text(json.dumps(_realization_document(defect)))
     code, report = run_json(capsys, command, str(path))
     assert code == 3 and report["status"] == "INPUT_ERROR"
-    if command != "verify" or defect != "povm-with-one-setting":
-        assert report["details"]["error"] == error
+    assert report["details"]["error"] == error
+
+
+def _perturbed_key_state():
+    return State(Op((2,), np.diag([1 - 1e-6, 1e-6]).astype(complex)))
+
+
+# Per reproduce target, a gallery function and a replacement that moves
+# what the target compares by about 1e-6.
+_PERTURBED_GALLERY = {
+    "example1": ("bell_cnot_expected_members", lambda f: lambda: {
+        pos: m * (1 + 1e-6) for pos, m in f().items()}),
+    "asym-nonextremal": ("nonextremal_split_coefficients", lambda f: lambda: tuple(
+        {pos: c * (1 + 1e-6) for pos, c in table.items()} for table in f())),
+    "appendix": ("tilted_cnot_expected_kets", lambda f: lambda: {
+        pos: k * (1 + 1e-6) for pos, k in f().items()}),
+    "key": ("key_input_state", lambda f: _perturbed_key_state),
+}
+
+
+@pytest.mark.parametrize("target", sorted(_PERTURBED_GALLERY))
+def test_reproduce_thresholds_follow_abs_tol(capsys, monkeypatch, target):
+    name, replace = _PERTURBED_GALLERY[target]
+    monkeypatch.setattr(gallery, name, replace(getattr(gallery, name)))
+    code, report = run_json(capsys, "reproduce", target)
+    assert code == 1 and report["status"] == "FAIL"
+    code, report = run_json(capsys, "--abs-tol", "1e-5", "reproduce", target)
+    assert code == 0 and report["status"] == "PASS"
+
+
+def test_reproduce_below_rounding_is_input_error(capsys):
+    # at abs_tol 1e-18 the rounding of a rank-one member reads as not PSD
+    code, report = run_json(capsys, "--abs-tol", "1e-18", "reproduce", "appendix")
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert "is not PSD" in report["details"]["error"]

@@ -103,7 +103,9 @@ def test_vectorized_rows_evaluate_like_the_verifier(mode):
     pure = canonicalize_pure(to_choi_assemblage(gallery.bell_cnot_assemblage()))
     fam = family(pure.scenario, mode)
     columns = tuple(pure.scenario.positions())
-    units = np.stack([pure.member_op(*pos).data for pos in columns])
+    units = np.zeros((len(columns),) + pure.kets.shape[1:] * 2, dtype=complex)
+    for pos, ket in zip(pure.support, pure.kets):
+        units[pure.scenario.index(*pos)] = np.outer(ket, ket.conj())
     coefs = np.linspace(0.3, 1.1, len(columns))
     matrix, rhs = vectorize(fam, columns, units)
     residual = np.abs(matrix @ coefs - rhs)

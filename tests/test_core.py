@@ -14,10 +14,7 @@ from steercert.core import (
     nnls,
     nullspace,
     nullspace_and_spectrum,
-    op_rank,
     partial_trace,
-    principal_eigenvector,
-    proportional_rank_one,
 )
 
 
@@ -94,34 +91,6 @@ def test_hermitian_and_psd_checks():
     assert not is_hermitian(Op((2,), [[1, 1], [2, 1]]))
     assert is_psd(Op((2,), np.diag([1.0, 0.0])))
     assert not is_psd(Op((2,), np.diag([1.0, -1e-3])))
-
-
-def test_op_rank_is_unitary_invariant(rng):
-    proj = np.diag([1.0, 1.0, 0.0, 0.0])
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, _ = np.linalg.qr(g)
-    rotated = Op((4,), q @ proj @ q.conj().T)
-    assert op_rank(rotated) == 2
-    assert op_rank(Op((2,), np.zeros((2, 2)))) == 0
-    # relative threshold: a uniformly tiny matrix still has full rank
-    assert op_rank(Op((2,), 1e-14 * np.eye(2))) == 2
-
-
-def test_principal_eigenvector():
-    v = principal_eigenvector(Op((2,), np.diag([1.0, 3.0])))
-    assert abs(v[1]) == pytest.approx(1.0)
-
-
-def test_proportional_rank_one():
-    u = Ket((2,), [1, 0]).outer()
-    w = Ket((2,), [1, 1]).outer()
-    zero = Op((2,), np.zeros((2, 2)))
-    assert proportional_rank_one(u, Op((2,), 3 * u.data))
-    assert not proportional_rank_one(u, w)
-    assert proportional_rank_one(zero, zero)
-    assert not proportional_rank_one(u, zero)
-    with pytest.raises(ValueError):
-        proportional_rank_one(identity((2,)), u)
 
 
 def test_nullspace_contract(rng):

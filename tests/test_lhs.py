@@ -13,6 +13,7 @@ from math import prod
 
 import numpy as np
 import pytest
+from conftest import pure_assemblage, pure_members
 
 from steercert.core import DEFAULT_TOL, Ket, Op, Tolerances, nnls
 from steercert.channels import State, pure_state
@@ -51,26 +52,27 @@ def brute_force_decide(p: PureAssemblage, tol=DEFAULT_TOL):
     """Walk every deterministic strategy; return the consistent ones (as
     flat response lists) and the verdict."""
     scen = p.scenario
+    members = pure_members(p)
     setting_list = list(scen.setting_vectors())
     consistent = []
     for strat in deterministic_strategies(scen):
         selected = [(strat.select(x), x) for x in setting_list]
-        entries = [p.members.get(pos) for pos in selected]
+        entries = [members.get(pos) for pos in selected]
         if any(e is None for e in entries):
             continue
         kets = [e[1] for e in entries]
         ref = kets[0]
-        if all(abs(np.vdot(ref.data, k.data)) > 1 - tol.abs_tol for k in kets[1:]):
+        if all(abs(np.vdot(ref, k)) > 1 - tol.abs_tol for k in kets[1:]):
             consistent.append((strat, ref, selected))
     flat = [[a for f in strat.responses for a in f] for strat, _, _ in consistent]
     if not consistent:
         return flat, NoLhs("no deterministic strategy selects pairwise proportional "
                            "pure states on its support")
 
-    positions = sorted(p.members)
+    positions = sorted(members)
     row_of = {pos: r for r, pos in enumerate(positions)}
     a_mat = np.zeros((len(positions), len(consistent)))
-    b = np.array([p.members[pos][0] for pos in positions])
+    b = np.array([members[pos][0] for pos in positions])
     for j, (_, _, selected) in enumerate(consistent):
         for pos in selected:
             a_mat[row_of[pos], j] = 1.0
@@ -84,8 +86,7 @@ def brute_force_decide(p: PureAssemblage, tol=DEFAULT_TOL):
         if w <= 0:
             continue
         weights.append(w)
-        states.append(State(Op(scen.trusted_dims,
-                               np.outer(ket.data, ket.data.conj()))))
+        states.append(State(Op(scen.trusted_dims, np.outer(ket, ket.conj()))))
         tabs = []
         for i in range(scen.n_parties):
             table = np.zeros((scen.settings[i], scen.outcomes[i]))
@@ -124,8 +125,8 @@ def realized_pure(rng, scen: Scenario, psi) -> PureAssemblage:
         for a in scen.outcome_vectors():
             v = t[a]
             weight = float(np.vdot(v, v).real)
-            members[(a, x)] = (weight, Ket(scen.trusted_dims, v / np.sqrt(weight)))
-    return PureAssemblage(scen, members)
+            members[(a, x)] = (weight, v / np.sqrt(weight))
+    return pure_assemblage(scen, members)
 
 
 def hidden_variable_model(rng, scen: Scenario, h: int) -> LhsModel:
@@ -161,13 +162,13 @@ def build(form, rng, settings, outcomes, d) -> PureAssemblage:
         if form == "product":
             return p
         # drop some anchors (positions at x=(0,...,0)) and a few others
-        positions = sorted(p.members)
+        positions = p.support
         anchors = [pos for pos in positions if not any(pos[1])]
         dropped = {anchors[j] for j in rng.choice(len(anchors), len(anchors) // 2,
                                                   replace=False)}
         dropped |= {positions[j] for j in rng.choice(len(positions), 2, replace=False)}
-        members = {pos: e for pos, e in p.members.items() if pos not in dropped}
-        return PureAssemblage(scen, members)
+        members = {pos: e for pos, e in pure_members(p).items() if pos not in dropped}
+        return pure_assemblage(scen, members)
     assert form == "mixture"
     model = hidden_variable_model(rng, scen, min(min(outcomes), 3))
     return canonicalize_pure(lhs_assemblage(model, scen))
@@ -178,10 +179,9 @@ def pr_box_like(n: int) -> PureAssemblage:
     system: outcomes whose parity is the AND of the settings, uniformly.
     No-signaling, and outside the local polytope."""
     scen = Scenario((2,) * n, (2,) * n, (1,))
-    one = Ket((1,), np.array([1.0]))
-    members = {(a, x): (2.0 ** (1 - n), one) for a, x in scen.positions()
+    members = {(a, x): (2.0 ** (1 - n), np.array([1.0])) for a, x in scen.positions()
                if sum(a) % 2 == int(all(x))}
-    return PureAssemblage(scen, members)
+    return pure_assemblage(scen, members)
 
 
 def assert_same_verdict(got, want):
@@ -228,8 +228,8 @@ def test_matches_brute_force(settings, outcomes, d, form):
     elif form in ("product", "mixture"):
         assert isinstance(got, LhsModel)
     else:
-        assert any(not any(x) for _, x in p.members)
-        assert len(p.members) < len(list(p.scenario.positions()))
+        assert any(not any(x) for _, x in p.support)
+        assert len(p.support) < len(list(p.scenario.positions()))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -248,10 +248,10 @@ def test_overlap_threshold_follows_abs_tol():
     # proportional at 1e-5
     p = build("product", np.random.default_rng(7), (2, 2), (2, 2), 2)
     pos = ((1, 0), (1, 1))
-    weight, ket = p.members[pos]
-    other = np.array([-ket.data[1].conj(), ket.data[0].conj()])
-    turned = np.cos(1e-3) * ket.data + np.sin(1e-3) * other
-    p = PureAssemblage(p.scenario, {**p.members, pos: (weight, Ket((2,), turned))})
+    weight, ket = pure_members(p)[pos]
+    other = np.array([-ket[1].conj(), ket[0].conj()])
+    turned = np.cos(1e-3) * ket + np.sin(1e-3) * other
+    p = pure_assemblage(p.scenario, {**pure_members(p), pos: (weight, turned)})
     counts = []
     for tol in (DEFAULT_TOL, Tolerances(abs_tol=1e-5)):
         want_strategies, want = brute_force_decide(p, tol)
