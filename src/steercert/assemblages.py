@@ -69,7 +69,10 @@ class Scenario:
         digits, sizes = tuple(x) + tuple(a), self.settings + self.outcomes
         if len(digits) != len(sizes) or not all(0 <= v < s for v, s in zip(digits, sizes)):
             raise ValueError(f"position {(tuple(a), tuple(x))} outside the scenario")
-        return int(np.ravel_multi_index(digits, sizes))
+        index = 0
+        for v, s in zip(digits, sizes):  # row-major, as np.ravel_multi_index
+            index = index * s + v
+        return int(index)
 
 
 def _read_only(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:

@@ -7,18 +7,23 @@ One envelope for every payload kind::
 Complex scalars serialize as two-element ``[re, im]`` arrays, matrices as
 row-major nested arrays, dims as integer arrays.  Missing assemblage
 positions are zero members.
+
+``SCHEMA`` is the one definition of a valid document.  ``parse`` checks a
+document with ``_conforms``, a walk of ``SCHEMA`` that reads each matrix in
+bulk; only when that check says no does it import jsonschema, which either
+names the fault and its JSON path or accepts what the walk leaves to it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .core import Op
 from .channels import ChoiOp, KrausChannel, Povm, State, choi_of_kraus
@@ -137,10 +142,61 @@ SCHEMA = {
 }
 
 
-# Built once: jsonschema.validate would re-check SCHEMA itself on every call.
-_ENVELOPE_VALIDATOR = Draft202012Validator(SCHEMA)
-_PAYLOAD_VALIDATORS = {kind: Draft202012Validator(schema)
-                       for kind, schema in SCHEMA["$defs"].items()}
+def _is_matrix(rows) -> bool:
+    """Whether ``rows`` conforms to ``_MATRIX``: nested lists of ``[re, im]``
+    pairs of ints or floats (``bool`` is neither)."""
+    if type(rows) is not list or not set(map(type, rows)) <= {list}:
+        return False
+    entries = list(chain.from_iterable(rows))
+    return (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
+            and set(map(type, chain.from_iterable(entries))) <= {int, float})
+
+
+_TYPES = {"object": {dict}, "array": {list}, "integer": {int}, "number": {int, float}}
+
+
+def _items(v, s) -> bool:
+    if type(v) is not list:
+        return True
+    if s.get("type") == "integer" and s.keys() <= {"type", "minimum"}:
+        # A vector of integers: their types in one set, then the least of them.
+        return set(map(type, v)) <= {int} and (
+            not v or "minimum" not in s or min(v) >= s["minimum"])
+    return all(_conforms(item, s) for item in v)
+
+
+# One check per keyword SCHEMA uses; each reads (instance, keyword value).
+# Keywords that constrain one JSON type pass any other type, as in JSON Schema.
+_KEYWORDS = {
+    "$schema": lambda v, s: True,  # annotations, no constraint on the instance
+    "$defs": lambda v, s: True,
+    "type": lambda v, s: type(s) is str and type(v) in _TYPES.get(s, ()),
+    "required": lambda v, s: type(v) is not dict or all(key in v for key in s),
+    "properties": lambda v, s: type(v) is not dict or all(
+        _conforms(v[key], sub) for key, sub in s.items() if key in v),
+    "items": _items,
+    "minItems": lambda v, s: type(v) is not list or len(v) >= s,
+    "maxItems": lambda v, s: type(v) is not list or len(v) <= s,
+    "minimum": lambda v, s: type(v) not in _TYPES["number"] or v >= s,
+    "enum": lambda v, s: any(type(v) is type(e) and v == e for e in s),
+    "const": lambda v, s: type(v) is type(s) and v == s,
+}
+
+
+def _conforms(instance, schema) -> bool:
+    """A fast, conservative check of ``instance`` against a node of ``SCHEMA``.
+
+    True means jsonschema accepts the instance too.  False means it may not:
+    a keyword this check does not implement, an integer written as ``1.0``,
+    or a real fault; ``parse`` then asks jsonschema.
+    """
+    if schema is _MATRIX:
+        return _is_matrix(instance)
+    for key, value in schema.items():
+        check = _KEYWORDS.get(key)
+        if check is None or not check(instance, value):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -166,6 +222,16 @@ def _complex_in(pair, path):
 
 
 def _matrix_in(rows, path) -> np.ndarray:
+    try:
+        pairs = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    # np.array would also read strings and booleans: _is_matrix rules them out.
+    if (pairs is not None and pairs.ndim == 3 and pairs.shape[0] == pairs.shape[1]
+            and pairs.shape[2] == 2 and np.isfinite(pairs).all() and _is_matrix(rows)):
+        return pairs.view(complex)[..., 0]
+    # Entry by entry, to name the first fault (or to read what the bulk
+    # path leaves out, such as ``true`` in a state matrix).
     if not rows or any(len(row) != len(rows) for row in rows):
         raise DocumentError("matrix must be square", path)
     return np.array([[_complex_in(v, f"{path}[{i}][{j}]")
@@ -261,7 +327,12 @@ def _assemblage_in(obj, path, as_channel: bool):
                             f"{path}.scenario.trusted_dims")
     key = "choi" if as_channel else "member"
     d = scen.trusted_dim
-    members = np.zeros((prod(scen.settings) * prod(scen.outcomes), d, d), dtype=complex)
+    n = prod(scen.settings) * prod(scen.outcomes)
+    try:
+        members = np.zeros((n, d, d), dtype=complex)
+    except (MemoryError, ValueError):  # ValueError: the size overflows
+        raise DocumentError(f"the scenario's {n} members of {d}x{d} cannot be "
+                            "allocated", f"{path}.scenario")
     for i, entry in enumerate(obj["members"]):
         try:
             index = scen.index(entry["a"], entry["x"])
@@ -292,9 +363,9 @@ def _realization_in(obj, path) -> Realization:
     try:
         state = _state_in(obj["state"], f"{path}.state")
     except (KeyError, TypeError) as exc:
-        # The payload schema leaves the state unchecked, as checking a large
-        # matrix node by node is slow; the state schema locates the fault.
-        _validate(_PAYLOAD_VALIDATORS["state"], obj["state"], ("payload", "state"))
+        # SCHEMA leaves a realization's state unchecked; the state schema
+        # locates the fault.
+        _validate(obj["state"], "state", f"{path}.state")
         raise DocumentError(f"malformed state ({exc})", f"{path}.state")
     if len(obj["povms"]) != scen.n_parties:
         raise DocumentError(f"expected one POVM per party ({scen.n_parties}), "
@@ -322,11 +393,21 @@ _PARSERS = {
 }
 
 
-def _validate(validator, instance, prefix=()):
-    error = best_match(validator.iter_errors(instance))
+@functools.cache
+def _validator(kind):
+    """The jsonschema validator of ``SCHEMA`` (kind None) or of ``$defs[kind]``,
+    built on first use: jsonschema is imported only to explain a rejection."""
+    from jsonschema import Draft202012Validator
+    return Draft202012Validator(SCHEMA if kind is None else SCHEMA["$defs"][kind])
+
+
+def _validate(instance, kind=None, path="$"):
+    """Raise jsonschema's best-matching error, if any, at its JSON path."""
+    from jsonschema.exceptions import best_match
+    error = best_match(_validator(kind).iter_errors(instance))
     if error is not None:
-        loc = "$." + ".".join(str(p) for p in (*prefix, *error.absolute_path))
-        raise DocumentError(error.message, loc)
+        raise DocumentError(error.message, path + "".join(
+            f"[{p}]" if isinstance(p, int) else f".{p}" for p in error.absolute_path))
 
 
 def parse(data) -> Document:
@@ -338,9 +419,11 @@ def parse(data) -> Document:
             raise DocumentError(f"invalid JSON at byte offset {exc.pos}: {exc.msg}")
     else:
         raw = data
-    _validate(_ENVELOPE_VALIDATOR, raw)
+    if not _conforms(raw, SCHEMA):
+        _validate(raw)
     kind = raw["kind"]
-    _validate(_PAYLOAD_VALIDATORS[kind], raw["payload"])
+    if not _conforms(raw["payload"], SCHEMA["$defs"][kind]):
+        _validate(raw["payload"], kind, "$.payload")
     try:
         payload = _PARSERS[kind](raw["payload"])
     except DocumentError:

@@ -1,11 +1,16 @@
+import copy
+import importlib.resources as resources
+import json
 from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from steercert.core import Op, kron
-from steercert.channels import State
-from steercert.assemblages import PureAssemblage
+from steercert import documents
+from steercert.core import Ket, Op, kron
+from steercert.channels import State, projective_povm, pure_state
+from steercert.assemblages import PureAssemblage, Scenario, assemblage_from_realization
 
 # One line per release criterion, echoed after the test summary so the
 # verdicts stay visible even though pytest captures per-test stdout.
@@ -58,3 +63,97 @@ def pure_assemblage(scenario, members: dict):
 def pure_members(p) -> dict:
     """``{(a, x): (weight, unit ket)}`` over the support of ``p``."""
     return {pos: (weight, ket) for pos, weight, ket in zip(p.support, p.weights, p.kets)}
+
+
+# --- mutated documents ------------------------------------------------------
+# The bundled fixtures and a small generated assemblage, with keys dropped,
+# rows made ragged, wrong values written in, pairs widened, a negative
+# diagonal entry, or a member moved outside the scenario.
+
+def _generated_assemblage() -> dict:
+    scen = Scenario((2, 2), (2, 2), (2,))
+    ket = np.zeros(8, dtype=complex)
+    ket[[0, 7]] = 1 / np.sqrt(2)  # GHZ
+    plus = np.array([1, 1]) / np.sqrt(2)
+    minus = np.array([1, -1]) / np.sqrt(2)
+    povm = projective_povm([[np.array([1, 0]), np.array([0, 1])], [plus, minus]])
+    s = assemblage_from_realization(pure_state(Ket((2, 2, 2), ket)), (povm, povm), scen)
+    return documents.serialize(s)
+
+
+def _fixtures() -> list:
+    data = resources.files("steercert").joinpath("data")
+    names = ("appendix.json", "example1.json", "example1_channel_assemblage.json")
+    return [json.loads(data.joinpath(name).read_text()) for name in names]
+
+
+BASES = _fixtures() + [_generated_assemblage()]
+
+
+def _nodes(node):
+    yield node
+    children = node.values() if isinstance(node, dict) else node \
+        if isinstance(node, list) else ()
+    for child in children:
+        yield from _nodes(child)
+
+
+def _walk(draw, doc):
+    """A node reached by descending from the root while a coin says so,
+    so that the structure near the root is picked as often as the leaves."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        parent = node
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        node = node[key]
+    return parent, key, node
+
+
+def _pairs(doc):
+    """Complex entries ``[re, im]`` and two-party index vectors."""
+    return [node for node in _nodes(doc) if isinstance(node, list) and len(node) == 2
+            and all(isinstance(v, (int, float)) for v in node)]
+
+
+def _square_matrices(doc):
+    return [node for node in _nodes(doc) if isinstance(node, list) and node
+            and all(isinstance(row, list) and len(row) == len(node) for row in node)
+            and all(_pairs(row) == row for row in node)]
+
+
+def _entries(doc):
+    return [node for node in _nodes(doc) if isinstance(node, dict) and "a" in node]
+
+
+@st.composite
+def mutated(draw, wrong):
+    """A copy of one of ``BASES`` after one to three mutations; ``wrong`` is a
+    strategy for the values written where another belongs."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "ragged", "replace", "entry", "widen",
+                                     "diagonal", "outside"]))
+        parent, key, node = _walk(draw, doc)
+        if kind == "drop" and isinstance(node, dict) and node:
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif kind == "ragged" and isinstance(node, list) and node:
+            node.pop()
+        elif kind == "replace" and parent is not None:
+            parent[key] = copy.deepcopy(draw(wrong))
+        elif kind == "entry" and _pairs(doc):
+            draw(st.sampled_from(_pairs(doc)))[draw(st.integers(0, 1))] = \
+                copy.deepcopy(draw(wrong))
+        elif kind == "widen" and _pairs(doc):  # a three-element "pair"
+            draw(st.sampled_from(_pairs(doc))).append(0)
+        elif kind == "diagonal" and _square_matrices(doc):
+            matrix = draw(st.sampled_from(_square_matrices(doc)))
+            i = draw(st.integers(0, len(matrix) - 1))
+            matrix[i][i] = [draw(st.sampled_from([-1e-7, -0.1, -1.0])), 0.0]
+        elif kind == "outside" and _entries(doc):
+            entry = draw(st.sampled_from(_entries(doc)))
+            axis = draw(st.sampled_from(["a", "x"]))
+            if isinstance(entry.get(axis), list):
+                entry[axis] = entry[axis] + [0] if draw(st.booleans()) else \
+                    [v + 2 if isinstance(v, int) else v for v in entry[axis]]
+    return doc

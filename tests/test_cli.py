@@ -1,14 +1,9 @@
 import importlib.resources as resources
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import steercert
 from steercert import cli, documents, gallery
 from steercert.core import Op
 from steercert.channels import ChoiOp, State, choi_of_unitary
@@ -168,10 +163,18 @@ def test_custom_tolerance_is_reported(capsys):
 
 
 def _malformed_document(defect: str) -> dict:
-    if defect == "ragged-member":
+    if defect == "povm-entry":
+        return {"kind": "povm", "version": 1,
+                "payload": {"dim": 2, "effects": [[[[1, 0]]]]}}
+    if defect in ("ragged-member", "string-index", "no-kind"):
         raw = documents.serialize(
             to_choi_assemblage(gallery.bell_cnot_assemblage()))
-        raw["payload"]["members"][0]["member"][1].pop()
+        if defect == "ragged-member":
+            raw["payload"]["members"][0]["member"][1].pop()
+        elif defect == "string-index":
+            raw["payload"]["members"][0]["a"][0] = "0"
+        else:
+            del raw["kind"]
         return raw
     rho, povms, channel, scen = gallery.bell_cnot_realization()
     raw = documents.serialize(documents.Realization(scen, rho, povms, channel))
@@ -183,6 +186,9 @@ def _malformed_document(defect: str) -> dict:
 @pytest.mark.parametrize("defect, path", [
     ("ragged-member", "$.payload.members[0].member"),
     ("povm-dim", "$.payload.povms[0].effects[0][0]"),
+    ("povm-entry", "$.payload.effects[0][0][0][1]"),
+    ("string-index", "$.payload.members[0].a[0]"),
+    ("no-kind", "$"),
 ])
 def test_malformed_payload_is_input_error(capsys, tmp_path, command, defect,
                                           path):
@@ -201,16 +207,19 @@ def test_extremality_reports_rank_margin(capsys):
     assert kept > report["tolerances"]["rank_rel_tol"] >= dropped
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    src = str(Path(steercert.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = ("import sys, steercert.cli; "
-             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+@pytest.mark.parametrize("scenario", [
+    {"settings": [1000000, 1000000], "outcomes": [2, 2], "trusted_dims": [2]},
+    {"settings": [2, 2], "outcomes": [2, 2], "trusted_dims": [10000000]},
+])
+def test_oversized_scenario_is_input_error(capsys, tmp_path, scenario):
+    # Either member array is larger than a 64-bit address space holds, so
+    # asking for it allocates nothing whatever the overcommit setting.
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps({"kind": "assemblage", "version": 1,
+                                "payload": {"scenario": scenario, "members": []}}))
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"].startswith("$.payload.scenario: ")
 
 
 def test_verify_reports_setting_dependent_totals(capsys, tmp_path):

@@ -1,0 +1,148 @@
+"""The fast document check agrees with jsonschema where it accepts.
+
+``documents.parse`` accepts a document when ``_conforms`` says it matches
+``SCHEMA`` and asks jsonschema only otherwise, so ``_conforms`` must never
+accept what jsonschema rejects.  Hypothesis mutates the bundled fixtures
+and a generated assemblage (``conftest.mutated``); the values it writes in
+include integer-valued floats, booleans, numeric strings and three-element
+pairs.  ``_matrix_in`` reads a matrix in bulk; it must give
+the same array, byte for byte, or the same error as the entry-by-entry
+reader it replaced, which is kept here as the reference.
+"""
+
+import cmath
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from jsonschema import Draft202012Validator
+
+from conftest import BASES, mutated
+from steercert import documents, gallery
+from steercert.channel_assemblages import to_choi_assemblage
+from steercert.documents import SCHEMA, DocumentError, Realization, _conforms, _matrix_in
+
+ENVELOPE = Draft202012Validator(SCHEMA)
+PAYLOADS = {kind: Draft202012Validator(schema) for kind, schema in SCHEMA["$defs"].items()}
+VALUES = st.sampled_from([float("nan"), float("inf"), True, False, None, "x", "1", "0.5",
+                          -1, 0, 1, 2, 2 ** 70, 10 ** 400, 0.0, 1.0, 2.0, 1.5, -0.0,
+                          [], {}, [[1, 0]], [1, 0, 0], [0.5, 0.5, 0.5]])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated(VALUES))
+def test_fast_check_accepts_only_what_jsonschema_accepts(doc):
+    if _conforms(doc, SCHEMA):
+        assert ENVELOPE.is_valid(doc)
+        kind = doc["kind"]
+        if _conforms(doc["payload"], SCHEMA["$defs"][kind]):
+            assert PAYLOADS[kind].is_valid(doc["payload"])
+
+
+def _gallery_documents() -> list:
+    rho, povms, channel, scen = gallery.bell_cnot_realization()
+    tilted = gallery.tilted_cnot_realization()
+    objects = [rho, *povms, channel, Realization(scen, rho, povms, channel),
+               Realization(tilted[3], *tilted[:3]), gallery.bell_cnot_assemblage(),
+               to_choi_assemblage(gallery.bell_cnot_assemblage()),
+               gallery.tilted_cnot_assemblage(), gallery.key_input_state(),
+               gallery.key_measurement(), gallery.computational_hadamard_povm()]
+    return [documents.serialize(obj) for obj in objects]
+
+
+@pytest.mark.parametrize("doc", BASES + _gallery_documents(), ids=lambda doc: doc["kind"])
+def test_fast_check_accepts_fixtures_and_gallery_objects(doc):
+    assert _conforms(doc, SCHEMA)
+    assert _conforms(doc["payload"], SCHEMA["$defs"][doc["kind"]])
+
+
+@pytest.mark.parametrize("instance, schema", [
+    (2, {"type": "integer", "multipleOf": 2}),  # a keyword the check lacks
+    (2, {"type": ["integer", "null"]}),
+    (1.0, {"type": "integer"}),  # jsonschema reads 1.0 as an integer
+    (True, {"type": "integer"}),
+    (True, {"type": "number"}),
+    (True, SCHEMA["properties"]["version"]),
+    ([1, True], documents._DIMS),
+    ([[[1, 0], [0, True]]], documents._MATRIX),
+])
+def test_fast_check_rejects_what_it_does_not_decide(instance, schema):
+    assert not _conforms(instance, schema)
+
+
+def test_integer_valued_floats_fall_back_to_jsonschema():
+    raw = documents.serialize(to_choi_assemblage(gallery.bell_cnot_assemblage()))
+    expected = documents.parse(raw).payload.members
+    raw["version"] = 1.0
+    raw["payload"]["scenario"]["settings"] = [2.0, 2]
+    for entry in raw["payload"]["members"]:
+        entry["a"] = [float(v) for v in entry["a"]]
+    assert np.array_equal(documents.parse(raw).payload.members, expected)
+
+
+def _reference_complex_in(pair, path):
+    try:
+        re, im = pair
+    except ValueError:
+        raise DocumentError("entry is not a [re, im] pair", path)
+    try:
+        value = complex(re, im)
+    except OverflowError:
+        raise DocumentError("entry out of range", path)
+    if not cmath.isfinite(value):
+        raise DocumentError("non-finite entry", path)
+    return value
+
+
+def _reference_matrix_in(rows, path) -> np.ndarray:
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise DocumentError("matrix must be square", path)
+    return np.array([[_reference_complex_in(v, f"{path}[{i}][{j}]")
+                      for j, v in enumerate(row)]
+                     for i, row in enumerate(rows)], dtype=complex)
+
+
+def _outcome(reader, rows):
+    try:
+        arr = reader(rows, "$.m")
+    except Exception as exc:  # the reference raises TypeError on a string entry
+        return type(exc).__name__, str(exc)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+NUMBERS = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(allow_nan=False,
+                                                              allow_infinity=False))
+BAD_ENTRIES = st.sampled_from([float("nan"), float("inf"), -float("inf"), True, False,
+                               None, "1", "0.5", 10 ** 400, -10 ** 400])
+BAD_PAIRS = st.sampled_from([[], [1.0], [1.0, 0.0, 0.0], 0.5, "ab", None, [[1, 0], [0, 1]]])
+
+
+@st.composite
+def matrices(draw):
+    """A square matrix of finite ``[re, im]`` pairs with up to two faults:
+    a wrong entry, a wrong pair, a short row, or a missing row."""
+    r = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.lists(NUMBERS, min_size=2, max_size=2),
+                                  min_size=r, max_size=r), min_size=r, max_size=r))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1)) if rows else None
+        fault = draw(st.sampled_from(["entry", "pair", "row", "rows"]))
+        if i is None or not rows[i]:
+            continue
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        if fault == "entry" and isinstance(rows[i][j], list) and len(rows[i][j]) == 2:
+            rows[i][j][draw(st.integers(0, 1))] = draw(BAD_ENTRIES)
+        elif fault == "pair":
+            rows[i][j] = draw(BAD_PAIRS)
+        elif fault == "row":
+            rows[i].pop()
+        elif fault == "rows":
+            rows.pop(i)
+    return rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rows=matrices())
+def test_bulk_matrix_reader_matches_entry_by_entry(rows):
+    assert _outcome(_matrix_in, rows) == _outcome(_reference_matrix_in, rows)

@@ -1,11 +1,19 @@
-"""Every name a module of the package imports is used in that module.
+"""What the package imports.
 
-No linter ships with the toolchain, so this scans the syntax trees
-directly: an imported name counts as used when it appears as a plain
-name anywhere in the module (attribute access starts from one).
+Every name a module of the package imports is used in that module.  No
+linter ships with the toolchain, so this scans the syntax trees directly:
+an imported name counts as used when it appears as a plain name anywhere
+in the module (attribute access starts from one).
+
+The CLI and the parsing of valid documents leave scipy and jsonschema
+unloaded; jsonschema loads only to explain a rejected document.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +45,33 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+PROBE = """
+import importlib.resources as resources, json, sys
+import steercert.cli
+from steercert import documents
+data = resources.files("steercert").joinpath("data")
+for name in ("appendix.json", "example1.json", "example1_channel_assemblage.json"):
+    documents.parse(data.joinpath(name).read_bytes())
+loaded = sorted({m.split(".")[0] for m in sys.modules} & {"jsonschema", "scipy"})
+raw = json.loads(data.joinpath("example1.json").read_text())
+del raw["payload"]["state"]["matrix"]
+try:
+    documents.parse(raw)
+except documents.DocumentError as exc:
+    print(json.dumps({"loaded": loaded, "error": str(exc),
+                      "jsonschema": "jsonschema" in sys.modules}))
+"""
+
+
+def test_parsing_valid_documents_leaves_jsonschema_and_scipy_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(steercert.__file__).resolve().parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == {
+        "loaded": [], "jsonschema": True,
+        "error": "$.payload.state: 'matrix' is a required property"}
