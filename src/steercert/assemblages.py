@@ -251,7 +251,8 @@ def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssem
     """Split each member into (trace weight, principal unit ket) or zero.
 
     Raises if any member is not PSD within ``abs_tol`` (as :func:`verify_ns`
-    measures it) or has rank two or more, naming the position.
+    measures it) or has rank two or more, naming the position, or if no
+    member has trace at least ``abs_tol``.
     """
     positions = list(s.scenario.positions())
     not_psd = np.flatnonzero(psd_deviation(s.members) > tol.abs_tol)
@@ -260,6 +261,8 @@ def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssem
         raise ValueError(f"member {a}|{x} is not PSD")
     weights = np.trace(s.members, axis1=1, axis2=2).real
     kept = np.flatnonzero(weights >= tol.abs_tol)
+    if not len(kept):
+        raise ValueError("no member has trace above abs_tol")
     stack = s.members[kept]
     sv = np.linalg.svd(stack, compute_uv=False)
     ranks = np.count_nonzero(sv > tol.rank_rel_tol * sv[:, :1], axis=1)

@@ -13,25 +13,36 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
 from .core import DEFAULT_TOL, Tolerances, nullspace_and_spectrum
 from .assemblages import PureAssemblage
-from .constraints import ConstraintMode, family, vectorize
+from .constraints import ConstraintMode, Family, family, magnitudes, vectorize
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Real system ``A c = b`` over coefficients at non-zero positions."""
+    """The reduced real system ``A c = b`` over coefficients at non-zero
+    positions, with the family and unit members it was built from."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     columns: tuple  # position (a, x) of each column
     reference: np.ndarray  # coefficient vector of the input assemblage
+    family: Family = field(repr=False)
+    units: np.ndarray = field(repr=False)  # unit member at each column
 
     def residual_of(self, c) -> float:
-        return float(np.max(np.abs(self.matrix @ np.asarray(c) - self.rhs)))
+        """The family's largest deviation (:func:`.constraints.magnitudes`)
+        on ``sum_j c_j units[j]``; not a residual of the reduced rows."""
+        scen = self.family.scenario
+        members = np.zeros((prod(scen.settings) * prod(scen.outcomes),)
+                           + self.units.shape[1:], dtype=complex)
+        members[[scen.index(a, x) for a, x in self.columns]] = (
+            np.asarray(c)[:, None, None] * self.units)
+        return float(magnitudes(self.family, members).max())
 
 
 class Verdict(enum.Enum):
@@ -72,11 +83,13 @@ def build_constraint_system(p: PureAssemblage, mode: ConstraintMode) -> LinearSy
 
     Unknowns are the coefficients multiplying fixed unit-trace rank-one
     operators at the non-zero positions; the reference coefficients (the
-    member traces) satisfy the system by construction.
+    member traces) satisfy the system by construction.  ``matrix`` is the
+    reduced system that :func:`decomposition_analysis` ranks.
     """
+    fam = family(p.scenario, mode)
     units = p.kets[:, :, None] * p.kets[:, None, :].conj()
-    matrix, rhs = vectorize(family(p.scenario, mode), p.support, units)
-    return LinearSystem(matrix, rhs, p.support, p.weights)
+    matrix, rhs = vectorize(fam, p.support, units)
+    return LinearSystem(matrix, rhs, p.support, p.weights, fam, units)
 
 
 def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,

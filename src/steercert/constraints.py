@@ -17,8 +17,22 @@ to equal a target: zero, a matrix, or ``1`` for a trace.
 Two consumers read a family.  :func:`evaluate` measures each constraint,
 and the positivity of each member, on a ``(positions, D, D)`` members array
 and reports the violations (the verifiers);
-:func:`vectorize` turns it into the real linear system over coefficients of
-fixed unit members (the extremality certificate).
+:func:`vectorize` turns it into a real linear system over coefficients of
+fixed Hermitian unit members (the extremality certificate).
+
+That system is reduced.  A row of a zero-target constraint is one of the
+constraint's coefficients times one real coordinate of each unit, so the
+system's row space depends only on the row space of the coefficient block
+of each reduction.  :attr:`Family.certificate_rows` holds an orthonormal
+basis of that row space, computed once per scenario; its rank is the
+number of positions minus the no-signaling dimension (Collins–Gisin
+counting for the full family).  Each basis row is written once per
+Hermitian coordinate of the reduced units: ``D**2`` coordinates, the real
+upper triangle and the imaginary strict upper triangle, or the real trace.
+Constraints with a target (trace one, output trace ``1/d_in``) keep their
+own rows.  The system has ``rank(C_block) * coordinates`` rows plus the
+targeted rows, with the same solutions as the family written out
+constraint by constraint.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -75,6 +90,39 @@ class Family:
         for arr in arrays:
             arr.flags.writeable = False  # shared through the family cache
         return arrays
+
+    @functools.cached_property
+    def certificate_rows(self):
+        """The coefficient rows of the certificate system, as blocks
+        ``(reduction, rows, targets)`` over all positions.
+
+        Per reduction, the zero-target constraints give an orthonormal basis
+        of the row space of their coefficient matrix, ranked with numpy's
+        default ``matrix_rank`` threshold (the coefficients are exact
+        integers), with ``targets`` ``None``; the constraints with a target
+        give their own coefficient rows and their targets.
+        """
+        rows, positions, signs = self.terms
+        coef = np.zeros((len(self.constraints), prod(self.scenario.settings)
+                         * prod(self.scenario.outcomes)))
+        np.add.at(coef, (rows, positions), signs)
+        blocks = []
+        for reduction in dict.fromkeys(c.reduction for c in self.constraints):
+            zero = [i for i, c in enumerate(self.constraints)
+                    if c.reduction is reduction and c.target is None]
+            targeted = [i for i, c in enumerate(self.constraints)
+                        if c.reduction is reduction and c.target is not None]
+            if zero:
+                _, s, vt = np.linalg.svd(coef[zero], full_matrices=False)
+                rank = np.count_nonzero(s > s[0] * max(len(zero), coef.shape[1])
+                                        * np.finfo(float).eps)
+                blocks.append((reduction, vt[:rank], None))
+            if targeted:
+                blocks.append((reduction, coef[targeted],
+                               tuple(self.constraints[i].target for i in targeted)))
+        for _, arr, _ in blocks:
+            arr.flags.writeable = False  # shared through the family cache
+        return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -242,47 +290,38 @@ def evaluate(fam: Family, members: np.ndarray, tol: float) -> NsReport:
                     max((v.magnitude for v in violations), default=0.0))
 
 
-def _real_rows(reduced: np.ndarray) -> np.ndarray:
-    """Real coordinates of each reduced member, one column per member:
-    row-major real parts then imaginary parts, or the real trace."""
+def _coordinates(reduced: np.ndarray) -> np.ndarray:
+    """Real coordinates of each Hermitian reduced member, one column per
+    member: the real upper triangle then the imaginary strict upper
+    triangle (``D**2`` in all), or the real trace."""
     if reduced.ndim == 1:
         return reduced[None, :]
-    flat = reduced.reshape(reduced.shape[0], -1)
-    return np.concatenate([flat.real, flat.imag], axis=1).T
+    d = reduced.shape[-1]
+    upper, strict = np.triu_indices(d), np.triu_indices(d, 1)
+    return np.concatenate([reduced[:, upper[0], upper[1]].real,
+                           reduced[:, strict[0], strict[1]].imag], axis=1).T
 
 
 def vectorize(fam: Family, columns, units: np.ndarray):
-    """The real system ``A c = b`` for ``sum_j c_j units[j]`` in the family.
+    """The reduced real system ``A c = b`` for ``sum_j c_j units[j]`` in the
+    family, for Hermitian ``units``.
 
     ``columns`` lists the position of each unit; terms at other positions
-    are zero.  Returns ``(A, b)``: each constraint contributes one real row
-    per real coordinate of its reduced sum, in family order.
+    are zero.  Returns ``(A, b)``: each block of
+    :attr:`Family.certificate_rows`, restricted to the columns, gives one
+    real row per coefficient row and coordinate of the reduced units; rows
+    that are zero with a zero target are left out.
     """
     scen = fam.scenario
-    index = {pos: j for j, pos in enumerate(columns)}
-    column_of = np.array([index.get(pos, -1) for pos in scen.positions()])
-    rows, positions, signs = fam.terms
-    cols = column_of[positions]
-    kept = cols >= 0
-    coef = np.zeros((len(fam.constraints), len(columns)))
-    np.add.at(coef, (rows[kept], cols[kept]), signs[kept])
-    vectors = {red: _real_rows(_reduce(units, red, scen.trusted_dims))
-               for red in {c.reduction for c in fam.constraints}}
-    runs = [(red, [i for i, _ in group]) for red, group in itertools.groupby(
-        enumerate(fam.constraints), key=lambda ic: ic[1].reduction)]
-    height = sum(vectors[red].shape[0] * len(idx) for red, idx in runs)
-    matrix = np.empty((height, len(columns)))
-    rhs = np.zeros(height)
-    r = 0
-    for red, idx in runs:
-        vec = vectors[red]
-        h = vec.shape[0]
-        block = matrix[r:r + h * len(idx)].reshape(len(idx), h, len(columns))
-        np.multiply(coef[idx[0]:idx[-1] + 1, None, :], vec[None, :, :], out=block)
-        for k, i in enumerate(idx):
-            target = fam.constraints[i].target
-            if target is not None:
-                rhs[r + k * h:r + (k + 1) * h] = _real_rows(
-                    np.asarray(target)[None]).reshape(-1)
-        r += h * len(idx)
-    return matrix, rhs
+    at = [scen.index(a, x) for a, x in columns]
+    matrices, targets = [], []
+    for reduction, coef, block_targets in fam.certificate_rows:
+        vec = _coordinates(_reduce(units, reduction, scen.trusted_dims))
+        matrices.append((coef[:, None, at] * vec[None]).reshape(-1, len(columns)))
+        if block_targets is None:
+            targets.append(np.zeros(len(coef) * len(vec)))
+        else:
+            targets += [_coordinates(np.asarray(t)[None])[:, 0] for t in block_targets]
+    matrix, rhs = np.concatenate(matrices), np.concatenate(targets)
+    kept = matrix.any(axis=1) | (rhs != 0)
+    return matrix[kept], rhs[kept]

@@ -162,7 +162,9 @@ def nullspace_and_spectrum(m: np.ndarray,
     is zero).  All-zero rows are dropped first; a system that still has
     more rows than columns is replaced by the ``R`` of its QR
     factorization, which has the same singular values and the same right
-    null space, so the SVD never sees more rows than columns.
+    null space, so the SVD never sees more rows than columns.  A square
+    system is ranked from its singular values alone, and its right
+    singular vectors are computed only when the kernel is not empty.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     cols = m.shape[1]
@@ -171,6 +173,10 @@ def nullspace_and_spectrum(m: np.ndarray,
         return np.eye(cols), np.zeros(0)
     if m.shape[0] > cols:
         m = np.linalg.qr(m, mode="r")
+    if m.shape[0] == cols:
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[-1] > tol * s[0]:
+            return np.zeros((0, cols)), s
     _, s, vt = np.linalg.svd(m, full_matrices=True)  # whole kernel if wide
     num_rank = int(np.count_nonzero(s > tol * s[0]))
     return vt[num_rank:], s

@@ -360,13 +360,11 @@ class Realization:
 
 def _realization_in(obj, path) -> Realization:
     scen = _scenario_in(obj["scenario"], f"{path}.scenario")
-    try:
-        state = _state_in(obj["state"], f"{path}.state")
-    except (KeyError, TypeError) as exc:
-        # SCHEMA leaves a realization's state unchecked; the state schema
-        # locates the fault.
+    # SCHEMA checks a realization's state only as an object: check it as a
+    # state document's payload is checked.
+    if not _conforms(obj["state"], SCHEMA["$defs"]["state"]):
         _validate(obj["state"], "state", f"{path}.state")
-        raise DocumentError(f"malformed state ({exc})", f"{path}.state")
+    state = _state_in(obj["state"], f"{path}.state")
     if len(obj["povms"]) != scen.n_parties:
         raise DocumentError(f"expected one POVM per party ({scen.n_parties}), "
                             f"got {len(obj['povms'])}", f"{path}.povms")

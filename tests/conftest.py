@@ -50,6 +50,29 @@ def kron_all(ops) -> Op:
     return out
 
 
+def haar_unitary(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def pure_realization(rng, n, m, k, d, entangled=True):
+    """Projective measurements in Haar-random bases on a pure state."""
+    if entangled:
+        psi = haar_unitary(rng, k ** n * d)[:, 0]
+    else:
+        psi = haar_unitary(rng, d)[:, 0]
+        for _ in range(n):
+            psi = np.kron(haar_unitary(rng, k)[:, 0], psi)
+    povms = tuple(
+        projective_povm([[u[:, a] for a in range(k)]
+                         for u in (haar_unitary(rng, k) for _ in range(m))])
+        for _ in range(n))
+    scen = Scenario((m,) * n, (k,) * n, (d,))
+    return assemblage_from_realization(pure_state(Ket((k,) * n + (d,), psi)),
+                                       povms, scen)
+
+
 def pure_assemblage(scenario, members: dict):
     """A ``PureAssemblage`` from ``{(a, x): (weight, unit ket)}``; positions
     left out are zero."""

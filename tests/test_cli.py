@@ -350,6 +350,33 @@ def test_member_that_is_not_psd_is_input_error(capsys, tmp_path, command):
     assert "member (0, 0)|(0, 0) is not PSD" in report["details"]["error"]
 
 
+def _empty_document(tmp_path, kind: str) -> str:
+    """A Bell-CNOT scenario document of ``kind`` with no member."""
+    raw = documents.serialize(gallery.bell_cnot_assemblage())
+    raw["kind"] = kind
+    raw["payload"]["members"] = []
+    path = tmp_path / f"{kind}-empty.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, kind", [("extremality", "assemblage"),
+                                           ("lhs", "assemblage"),
+                                           ("security-cert", "channel_assemblage")])
+def test_empty_support_is_input_error(capsys, tmp_path, command, kind):
+    code, report = run_json(capsys, command, _empty_document(tmp_path, kind))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"] == "no member has trace above abs_tol"
+
+
+@pytest.mark.parametrize("kind", ["assemblage", "channel_assemblage"])
+def test_verify_reports_the_total_trace_of_an_empty_document(capsys, tmp_path, kind):
+    code, report = run_json(capsys, "verify", _empty_document(tmp_path, kind))
+    assert code == 1 and report["status"] == "FAIL"
+    names = [v["constraint"] for v in report["details"]["violations"]]
+    assert "total trace at x=(0, 0)" in names
+
+
 def _realization_document(defect: str) -> dict:
     rho, povms, channel, scen = gallery.bell_cnot_realization()
     raw = documents.serialize(documents.Realization(scen, rho, povms, channel))
@@ -364,11 +391,17 @@ def _realization_document(defect: str) -> dict:
     elif defect == "povm-extra":
         raw["payload"]["povms"].append(raw["payload"]["povms"][0])
     elif defect in _MALFORMED_ENTRIES:
-        raw["payload"]["state"]["matrix"][0][0] = _MALFORMED_ENTRIES[defect]
+        raw["payload"]["state"]["matrix"][0][0] = _MALFORMED_ENTRIES[defect][0]
     return raw
 
 
-_MALFORMED_ENTRIES = {"one-number-entry": [0.5], "empty-entry": [], "string-entry": "0.5"}
+# Each entry with the error a state document gives for it, after the path
+# of the entry.
+_MALFORMED_ENTRIES = {"one-number-entry": ([0.5], ": [0.5] is too short"),
+                      "empty-entry": ([], ": [] is too short"),
+                      "string-entry": ("0.5", ": '0.5' is not of type 'array'"),
+                      "boolean-entry": ([False, False],
+                                        "[1]: False is not of type 'number'")}
 
 
 @pytest.mark.parametrize("command", ["verify", "extremality", "lhs"])
@@ -379,8 +412,8 @@ _MALFORMED_ENTRIES = {"one-number-entry": [0.5], "empty-entry": [], "string-entr
      "$.payload.povms[0]: POVM of party 0 is too small for the scenario"),
     ("povm-missing", "$.payload.povms: expected one POVM per party (2), got 1"),
     ("povm-extra", "$.payload.povms: expected one POVM per party (2), got 3"),
-    *((defect, "$.payload.state.matrix[0][0]: entry is not a [re, im] pair")
-      for defect in _MALFORMED_ENTRIES),
+    *((defect, f"$.payload.state.matrix[0][0]{error}")
+      for defect, (_, error) in _MALFORMED_ENTRIES.items()),
 ])
 def test_malformed_realization_is_input_error(capsys, tmp_path, command, defect, error):
     path = tmp_path / f"{defect}.json"

@@ -131,6 +131,14 @@ def test_nullspace_and_spectrum_known_rank(rng, rows, cols, rank):
     np.testing.assert_array_equal(nullspace(m), basis)
 
 
+@pytest.mark.parametrize("rows, cols", [(40, 12), (12, 12)])
+def test_nullspace_and_spectrum_full_column_rank(rng, rows, cols):
+    m = rng.normal(size=(rows, cols))
+    basis, s = nullspace_and_spectrum(m)
+    assert basis.shape == (0, cols)
+    np.testing.assert_allclose(s, np.linalg.svd(m)[1], rtol=1e-12)
+
+
 def test_nullspace_and_spectrum_of_zero_rows_only():
     for m in (np.zeros((3, 4)), np.zeros((0, 4))):
         basis, s = nullspace_and_spectrum(m)

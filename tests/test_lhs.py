@@ -13,7 +13,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from conftest import pure_assemblage, pure_members
+from conftest import haar_unitary, pure_assemblage, pure_members
 
 from steercert.core import DEFAULT_TOL, Ket, Op, Tolerances, nnls
 from steercert.channels import State, pure_state
@@ -102,12 +102,6 @@ def brute_force_decide(p: PureAssemblage, tol=DEFAULT_TOL):
 def haar_ket(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
-
-
-def haar_unitary(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def realized_pure(rng, scen: Scenario, psi) -> PureAssemblage:

@@ -1,0 +1,152 @@
+"""The reduced certificate system against the system written out constraint
+by constraint.
+
+``reference_vectorize`` is the builder the reduced one replaced: every
+constraint of the family gives one row per real coordinate of its reduced
+sum (real parts, then imaginary parts, of every entry).  The reduced system
+keeps only a basis of each zero-target coefficient block's row space, and
+only the ``D**2`` Hermitian coordinates, so the two systems have the same
+kernel but not the same rows; they are compared through their kernels.
+"""
+
+from math import prod
+
+import numpy as np
+import pytest
+from conftest import pure_assemblage, pure_realization
+
+from steercert import gallery
+from steercert.core import DEFAULT_TOL, nullspace_and_spectrum
+from steercert.assemblages import Scenario, canonicalize_pure
+from steercert.channel_assemblages import to_choi_assemblage
+from steercert.certificates import build_constraint_system
+from steercert.constraints import (
+    ConstraintMode,
+    Reduction,
+    _reduce,
+    family,
+    full_ns,
+    magnitudes,
+)
+
+
+def _real_rows(reduced: np.ndarray) -> np.ndarray:
+    if reduced.ndim == 1:
+        return reduced[None, :]
+    flat = reduced.reshape(reduced.shape[0], -1)
+    return np.concatenate([flat.real, flat.imag], axis=1).T
+
+
+def reference_vectorize(fam, columns, units):
+    scen = fam.scenario
+    index = {pos: j for j, pos in enumerate(columns)}
+    rows, rhs = [], []
+    for c in fam.constraints:
+        coef = np.zeros(len(columns))
+        for pos, sign in c.terms:
+            if pos in index:
+                coef[index[pos]] += sign
+        vec = _real_rows(_reduce(units, c.reduction, scen.trusted_dims))
+        rows.append(coef[None, :] * vec)
+        target = np.zeros(len(vec)) if c.target is None else \
+            _real_rows(np.asarray(c.target)[None]).reshape(-1)
+        rhs.append(target)
+    return np.concatenate(rows), np.concatenate(rhs)
+
+
+def _bench_case(shape, entangled):
+    seed = sum(shape) + 10 * entangled
+    return canonicalize_pure(pure_realization(np.random.default_rng(seed), *shape,
+                                              entangled))
+
+
+def _fixture(name):
+    assemblage = {"bell": gallery.bell_cnot_assemblage,
+                  "tilted": gallery.tilted_cnot_assemblage}[name]()
+    return canonicalize_pure(to_choi_assemblage(assemblage))
+
+
+def _random_pure(scen, zero_share):
+    """Random complex kets on ``scen``; a ``zero_share`` of the positions
+    are zero."""
+    rng = np.random.default_rng(5)
+    d = scen.trusted_dim
+    members = {}
+    for pos in scen.positions():
+        if rng.uniform() >= zero_share:
+            ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+            members[pos] = (rng.uniform(0.1, 1.0), ket / np.linalg.norm(ket))
+    return pure_assemblage(scen, members)
+
+
+BENCH_SHAPES = [(3, 2, 2, 2), (3, 3, 2, 2), (3, 2, 3, 2), (3, 2, 2, 3), (4, 2, 2, 2)]
+CASES = (
+    [(f"{''.join(map(str, s))}-{form}", lambda s=s, e=e: _bench_case(s, e),
+      ConstraintMode.FULL_NS)
+     for s in BENCH_SHAPES for form, e in (("entangled", True), ("product", False))]
+    + [("3332-entangled", lambda: _bench_case((3, 3, 3, 2), True), ConstraintMode.FULL_NS)]
+    + [(f"{name}-{mode.value}", lambda name=name: _fixture(name), mode)
+       for name in ("bell", "tilted") for mode in ConstraintMode]
+    # settings and outcomes varying by party, a third of the positions zero
+    + [(f"partial-{mode.value}",
+        lambda: _random_pure(Scenario((2, 3), (3, 2), (2, 2)), 1 / 3), mode)
+       for mode in ConstraintMode]
+    # fewer rows than columns: the kernel depends on the imaginary coordinates
+    + [("one-party", lambda: _random_pure(Scenario((2,), (4,), (2,)), 0.0),
+        ConstraintMode.FULL_NS)]
+)
+
+
+def _units(pure):
+    return pure.kets[:, :, None] * pure.kets[:, None, :].conj()
+
+
+def _pinned(basis, columns):
+    return {pos for j, pos in enumerate(columns)
+            if np.all(np.abs(basis[:, j]) < DEFAULT_TOL.abs_tol)}
+
+
+@pytest.mark.parametrize("name, make, mode", CASES, ids=[c[0] for c in CASES])
+def test_reduced_system_has_the_reference_kernel(name, make, mode):
+    pure = make()
+    system = build_constraint_system(pure, mode)
+    matrix, _ = reference_vectorize(family(pure.scenario, mode), pure.support,
+                                    _units(pure))
+    assert system.matrix.any(axis=1).all()
+    assert system.matrix.shape[0] < matrix.shape[0]
+    basis, _ = nullspace_and_spectrum(system.matrix)
+    want, _ = nullspace_and_spectrum(matrix)
+    assert basis.shape == want.shape
+    assert _pinned(basis, pure.support) == _pinned(want, pure.support)
+    np.testing.assert_allclose(basis.T @ basis, want.T @ want, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, make, mode", CASES, ids=[c[0] for c in CASES])
+def test_residual_is_the_family_deviation(name, make, mode):
+    pure = make()
+    system = build_constraint_system(pure, mode)
+    fam, units = family(pure.scenario, mode), _units(pure)
+    rng = np.random.default_rng(7)
+    for c in (system.reference, *rng.uniform(0.0, 2.0, size=(5, len(pure.support)))):
+        members = np.zeros((len(list(pure.scenario.positions())),) + units.shape[1:],
+                           dtype=complex)
+        for value, pos, unit in zip(c, pure.support, units):
+            members[pure.scenario.index(*pos)] = value * unit
+        assert system.residual_of(c) == max(magnitudes(fam, members))
+
+
+@pytest.mark.parametrize("settings, outcomes, rank", [
+    ((2,), (3,), 1), ((2, 2), (2, 2), 7), ((2, 3), (3, 2), 16), ((3, 2, 2), (2, 3, 2), 84),
+    ((3, 3, 3), (2, 2, 2), 152), ((2, 2, 2, 2), (2, 2, 2, 2), 175),
+    ((3, 3, 3), (3, 3, 3), 386),
+])
+def test_zero_target_rank_is_the_collins_gisin_count(settings, outcomes, rank):
+    # the no-signaling members span prod(m_i (k_i - 1) + 1) dimensions
+    # (Collins-Gisin parametrization), so the zero-target coefficients of
+    # the full family have rank positions - that
+    scen = Scenario(settings, outcomes, (2,))
+    [rows] = [rows for reduction, rows, targets in full_ns(scen).certificate_rows
+              if reduction is Reduction.NONE and targets is None]
+    ns_dim = prod(m * (k - 1) + 1 for m, k in zip(settings, outcomes))
+    assert len(rows) == prod(settings) * prod(outcomes) - ns_dim == rank
+    np.testing.assert_allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-12)
