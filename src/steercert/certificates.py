@@ -17,7 +17,7 @@ from math import prod
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, nullspace_and_spectrum
+from .core import DEFAULT_TOL, Tolerances, nullspace, nullspace_and_spectrum
 from .assemblages import PureAssemblage
 from .constraints import ConstraintMode, Family, family, magnitudes, vectorize
 
@@ -44,6 +44,30 @@ class LinearSystem:
             np.asarray(c)[:, None, None] * self.units)
         return float(magnitudes(self.family, members).max())
 
+    def kernel(self, rel_tol: float) -> np.ndarray:
+        """Orthonormal columns ``K`` spanning the kernel of ``B_S``: the
+        zero-target coefficient rows with no reduction, restricted to the
+        columns.
+
+        Every unit has trace one, so for each row of ``B`` the rows of the
+        system at the diagonal coordinates sum to that row of ``B_S``: every
+        solution of ``A c = 0`` has ``B_S c = 0``, and the system's kernel
+        is ``K`` times the kernel of ``A K``.  ``K`` is made of the vectors
+        of :attr:`.Family.certificate_kernel` that vanish off the columns,
+        with their rows taken in column order.  Off a full support, those
+        are found by ranking the kernel's rows there relative to their
+        largest singular value, as the system is ranked, so that ``K``
+        loses no kernel vector.
+        """
+        fam = self.family
+        full = fam.certificate_kernel.T
+        at = [fam.scenario.index(a, x) for a, x in self.columns]
+        off = np.ones(len(full), dtype=bool)
+        off[at] = False
+        if not off.any():
+            return full[at]
+        return full[at] @ nullspace(full[off], rel_tol).T
+
 
 class Verdict(enum.Enum):
     UNIQUE_EXTREME = "UNIQUE_EXTREME"
@@ -57,8 +81,9 @@ class ExtremalityCertificate:
     nullity: int
     pinned: tuple  # positions whose coefficient is fixed across solutions
     verdict: Verdict
-    # (smallest singular value kept, largest dropped), each over s_max;
-    # the rank decision is rank_rel_tol between the two.
+    # (smallest singular value kept, largest dropped) of the ranked matrix
+    # A K, each over its s_max; the rank decision is rank_rel_tol between
+    # the two.
     rank_margin: tuple
     witness_pair: tuple = None  # (c_plus, c_minus) when NON_UNIQUE
     system: LinearSystem = field(default=None, repr=False)
@@ -105,11 +130,14 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     system = build_constraint_system(p, mode)
     if system.residual_of(system.reference) > tol.nnls_residual_tol:
         raise ValueError("reference coefficients do not satisfy the system")
-    basis, s = nullspace_and_spectrum(system.matrix, tol.rank_rel_tol)
+    k = system.kernel(tol.rank_rel_tol)
+    projected, s = nullspace_and_spectrum(system.matrix @ k, tol.rank_rel_tol)
+    basis = projected @ k.T
     nullity = basis.shape[0]
     rank = len(system.columns) - nullity
-    margin = (float(s[rank - 1] / s[0]) if rank else 0.0,
-              float(s[rank] / s[0]) if rank < s.size else 0.0)
+    kept = k.shape[1] - nullity  # the rank of A K; s is its spectrum
+    margin = (float(s[kept - 1] / s[0]) if kept else 0.0,
+              float(s[kept] / s[0]) if kept < s.size else 0.0)
 
     if nullity == 0:
         pinned = system.columns
@@ -117,10 +145,8 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
                                       Verdict.UNIQUE_EXTREME, margin,
                                       None, system)
 
-    pinned = tuple(
-        pos for j, pos in enumerate(system.columns)
-        if all(abs(basis[k, j]) < tol.abs_tol for k in range(nullity))
-    )
+    fixed = np.all(np.abs(basis) < tol.abs_tol, axis=0)
+    pinned = tuple(pos for pos, pin in zip(system.columns, fixed) if pin)
     v = basis[0]
     ref = system.reference
     active = np.abs(v) > tol.abs_tol

@@ -26,9 +26,11 @@ system's row space depends only on the row space of the coefficient block
 of each reduction.  :attr:`Family.certificate_rows` holds an orthonormal
 basis of that row space, computed once per scenario; its rank is the
 number of positions minus the no-signaling dimension (Collins–Gisin
-counting for the full family).  Each basis row is written once per
-Hermitian coordinate of the reduced units: ``D**2`` coordinates, the real
-upper triangle and the imaginary strict upper triangle, or the real trace.
+counting for the full family), and the same SVD gives the kernel of the
+block with no reduction, :attr:`Family.certificate_kernel`.  Each basis
+row is written once per Hermitian coordinate of the reduced units:
+``D**2`` coordinates, the real upper triangle and the imaginary strict
+upper triangle, or the real trace.
 Constraints with a target (trace one, output trace ``1/d_in``) keep their
 own rows.  The system has ``rank(C_block) * coordinates`` rows plus the
 targeted rows, with the same solutions as the family written out
@@ -92,6 +94,33 @@ class Family:
         return arrays
 
     @functools.cached_property
+    def _certificate(self):
+        rows, positions, signs = self.terms
+        coef = np.zeros((len(self.constraints), prod(self.scenario.settings)
+                         * prod(self.scenario.outcomes)))
+        np.add.at(coef, (rows, positions), signs)
+        blocks, kernel = [], np.eye(coef.shape[1])
+        for reduction in dict.fromkeys(c.reduction for c in self.constraints):
+            zero = [i for i, c in enumerate(self.constraints)
+                    if c.reduction is reduction and c.target is None]
+            targeted = [i for i, c in enumerate(self.constraints)
+                        if c.reduction is reduction and c.target is not None]
+            if zero:
+                _, s, vt = np.linalg.svd(coef[zero],
+                                         full_matrices=reduction is Reduction.NONE)
+                rank = np.count_nonzero(s > s[0] * max(len(zero), coef.shape[1])
+                                        * np.finfo(float).eps)
+                blocks.append((reduction, vt[:rank], None))
+                if reduction is Reduction.NONE:
+                    kernel = vt[rank:]
+            if targeted:
+                blocks.append((reduction, coef[targeted],
+                               tuple(self.constraints[i].target for i in targeted)))
+        for arr in [arr for _, arr, _ in blocks] + [kernel]:
+            arr.flags.writeable = False  # shared through the family cache
+        return tuple(blocks), kernel
+
+    @property
     def certificate_rows(self):
         """The coefficient rows of the certificate system, as blocks
         ``(reduction, rows, targets)`` over all positions.
@@ -102,27 +131,15 @@ class Family:
         integers), with ``targets`` ``None``; the constraints with a target
         give their own coefficient rows and their targets.
         """
-        rows, positions, signs = self.terms
-        coef = np.zeros((len(self.constraints), prod(self.scenario.settings)
-                         * prod(self.scenario.outcomes)))
-        np.add.at(coef, (rows, positions), signs)
-        blocks = []
-        for reduction in dict.fromkeys(c.reduction for c in self.constraints):
-            zero = [i for i, c in enumerate(self.constraints)
-                    if c.reduction is reduction and c.target is None]
-            targeted = [i for i, c in enumerate(self.constraints)
-                        if c.reduction is reduction and c.target is not None]
-            if zero:
-                _, s, vt = np.linalg.svd(coef[zero], full_matrices=False)
-                rank = np.count_nonzero(s > s[0] * max(len(zero), coef.shape[1])
-                                        * np.finfo(float).eps)
-                blocks.append((reduction, vt[:rank], None))
-            if targeted:
-                blocks.append((reduction, coef[targeted],
-                               tuple(self.constraints[i].target for i in targeted)))
-        for _, arr, _ in blocks:
-            arr.flags.writeable = False  # shared through the family cache
-        return tuple(blocks)
+        return self._certificate[0]
+
+    @property
+    def certificate_kernel(self):
+        """Orthonormal basis, as rows over all positions, of the kernel of
+        the zero-target coefficient block with no reduction (the whole
+        space when the family has none): the complement of that block's
+        rows in :attr:`certificate_rows`, from the same SVD."""
+        return self._certificate[1]
 
 
 @dataclass(frozen=True)

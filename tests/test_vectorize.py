@@ -7,6 +7,8 @@ sum (real parts, then imaginary parts, of every entry).  The reduced system
 keeps only a basis of each zero-target coefficient block's row space, and
 only the ``D**2`` Hermitian coordinates, so the two systems have the same
 kernel but not the same rows; they are compared through their kernels.
+The certificate ranks the reduced system on the kernel ``K`` of its
+coefficient block with no reduction, and maps the kernel back through ``K``.
 """
 
 from math import prod
@@ -19,7 +21,7 @@ from steercert import gallery
 from steercert.core import DEFAULT_TOL, nullspace_and_spectrum
 from steercert.assemblages import Scenario, canonicalize_pure
 from steercert.channel_assemblages import to_choi_assemblage
-from steercert.certificates import build_constraint_system
+from steercert.certificates import build_constraint_system, decomposition_analysis
 from steercert.constraints import (
     ConstraintMode,
     Reduction,
@@ -121,6 +123,65 @@ def test_reduced_system_has_the_reference_kernel(name, make, mode):
     np.testing.assert_allclose(basis.T @ basis, want.T @ want, atol=1e-12)
 
 
+def _zero_rows(fam):
+    """The zero-target coefficient rows with no reduction, over all positions."""
+    [rows] = [rows for reduction, rows, targets in fam.certificate_rows
+              if reduction is Reduction.NONE and targets is None]
+    return rows
+
+
+@pytest.mark.parametrize("name, make, mode", CASES, ids=[c[0] for c in CASES])
+def test_projected_kernel_is_the_reference_kernel(name, make, mode):
+    pure = make()
+    system = build_constraint_system(pure, mode)
+    k = system.kernel(DEFAULT_TOL.rank_rel_tol)
+    at = [pure.scenario.index(a, x) for a, x in pure.support]
+    np.testing.assert_allclose(k.T @ k, np.eye(k.shape[1]), atol=1e-12)
+    np.testing.assert_allclose(_zero_rows(system.family)[:, at] @ k, 0, atol=1e-12)
+
+    matrix, _ = reference_vectorize(system.family, pure.support, _units(pure))
+    want, _ = nullspace_and_spectrum(matrix)
+    projected, _ = nullspace_and_spectrum(system.matrix @ k)
+    basis = projected @ k.T
+    assert len(basis) == len(want)
+    assert _pinned(basis, pure.support) == _pinned(want, pure.support)
+    np.testing.assert_allclose(basis.T @ basis, want.T @ want, atol=1e-9)
+
+    ref = system.reference
+    if system.residual_of(ref) > DEFAULT_TOL.nnls_residual_tol:
+        return  # random weights (partial-*, one-party): no certificate
+    np.testing.assert_allclose(k @ (k.T @ ref), ref, atol=1e-12)
+    cert = decomposition_analysis(pure, mode)
+    assert cert.nullity == len(want)
+    assert set(cert.pinned) == _pinned(want, pure.support)
+    if cert.witness_pair is not None:
+        np.testing.assert_allclose(matrix @ (cert.witness_pair[0] - ref), 0, atol=1e-12)
+
+
+def test_kernel_rows_follow_the_support_order():
+    # The support is sorted (a, x) and positions() runs x-major, so K's rows
+    # must be taken through scenario.index, not in positions() order.
+    pure = _bench_case((3, 3, 2, 2), False)
+    scen = pure.scenario
+    assert sorted(pure.support) == sorted(scen.positions())
+    assert list(pure.support) != list(scen.positions())
+    cert = decomposition_analysis(pure, ConstraintMode.FULL_NS)
+    k = cert.system.kernel(DEFAULT_TOL.rank_rel_tol)
+    at = [scen.index(a, x) for a, x in pure.support]
+    np.testing.assert_allclose(_zero_rows(cert.system.family)[:, at] @ k, 0, atol=1e-12)
+    matrix, _ = reference_vectorize(cert.system.family, pure.support, _units(pure))
+    want, _ = nullspace_and_spectrum(matrix)
+    assert cert.nullity == len(want) > 0
+    assert set(cert.pinned) == _pinned(want, pure.support)
+
+
+def test_relaxed_bell_cnot_keeps_nullity_one():
+    # the partial-support system of acceptance criterion 4: 14 of 16 positions
+    cert = decomposition_analysis(_fixture("bell"), ConstraintMode.ASYM_NS)
+    assert len(cert.system.columns) == 14
+    assert cert.nullity == 1
+
+
 @pytest.mark.parametrize("name, make, mode", CASES, ids=[c[0] for c in CASES])
 def test_residual_is_the_family_deviation(name, make, mode):
     pure = make()
@@ -145,8 +206,7 @@ def test_zero_target_rank_is_the_collins_gisin_count(settings, outcomes, rank):
     # (Collins-Gisin parametrization), so the zero-target coefficients of
     # the full family have rank positions - that
     scen = Scenario(settings, outcomes, (2,))
-    [rows] = [rows for reduction, rows, targets in full_ns(scen).certificate_rows
-              if reduction is Reduction.NONE and targets is None]
+    rows = _zero_rows(full_ns(scen))
     ns_dim = prod(m * (k - 1) + 1 for m, k in zip(settings, outcomes))
     assert len(rows) == prod(settings) * prod(outcomes) - ns_dim == rank
     np.testing.assert_allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-12)
