@@ -74,6 +74,28 @@ class Scenario:
             index = index * s + v
         return int(index)
 
+    def indices(self, positions) -> np.ndarray:
+        """:meth:`index` of every position, in one vectorized pass.
+
+        The first position outside the scenario raises :meth:`index`'s
+        ``ValueError``; the error's ``place`` is where it sits in
+        ``positions``.
+        """
+        positions, sizes = list(positions), self.settings + self.outcomes
+        try:
+            digits = np.array([tuple(x) + tuple(a) for a, x in positions],
+                              dtype=np.int64).reshape(len(positions), len(sizes))
+            if ((digits >= 0) & (digits < sizes)).all():
+                return np.ravel_multi_index(tuple(digits.T), sizes)
+        except (ValueError, OverflowError):  # ragged, or beyond int64
+            pass
+        for place, (a, x) in enumerate(positions):
+            try:
+                self.index(a, x)
+            except ValueError as exc:
+                exc.place = place
+                raise
+
 
 def _read_only(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     """A read-only view of ``arr``, after checking that it has ``shape``."""

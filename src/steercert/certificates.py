@@ -12,6 +12,7 @@ feasible decompositions averaging to the reference.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from math import prod
 
@@ -19,20 +20,41 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Tolerances, nullspace, nullspace_and_spectrum
 from .assemblages import PureAssemblage
-from .constraints import ConstraintMode, Family, family, magnitudes, vectorize
+from .constraints import (ConstraintMode, Family, family, magnitudes, project,
+                          vectorize)
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     """The reduced real system ``A c = b`` over coefficients at non-zero
-    positions, with the family and unit members it was built from."""
+    positions, given by the family and the unit members it is built from.
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    :func:`decomposition_analysis` ranks :meth:`projected`, which never
+    forms ``A``; ``matrix`` and ``rhs`` are built on first use.
+    """
+
     columns: tuple  # position (a, x) of each column
     reference: np.ndarray  # coefficient vector of the input assemblage
     family: Family = field(repr=False)
     units: np.ndarray = field(repr=False)  # unit member at each column
+
+    @functools.cached_property
+    def at(self) -> np.ndarray:
+        """The place of each column's position in ``positions()`` order."""
+        return self.family.scenario.indices(self.columns)
+
+    @functools.cached_property
+    def _system(self):
+        return vectorize(self.family, self.at, self.units)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """``A``, by :func:`.constraints.vectorize`."""
+        return self._system[0]
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self._system[1]
 
     def residual_of(self, c) -> float:
         """The family's largest deviation (:func:`.constraints.magnitudes`)
@@ -40,8 +62,7 @@ class LinearSystem:
         scen = self.family.scenario
         members = np.zeros((prod(scen.settings) * prod(scen.outcomes),)
                            + self.units.shape[1:], dtype=complex)
-        members[[scen.index(a, x) for a, x in self.columns]] = (
-            np.asarray(c)[:, None, None] * self.units)
+        members[self.at] = np.asarray(c)[:, None, None] * self.units
         return float(magnitudes(self.family, members).max())
 
     def kernel(self, rel_tol: float) -> np.ndarray:
@@ -59,14 +80,18 @@ class LinearSystem:
         largest singular value, as the system is ranked, so that ``K``
         loses no kernel vector.
         """
-        fam = self.family
-        full = fam.certificate_kernel.T
-        at = [fam.scenario.index(a, x) for a, x in self.columns]
+        full = self.family.certificate_kernel.T
         off = np.ones(len(full), dtype=bool)
-        off[at] = False
+        off[self.at] = False
         if not off.any():
-            return full[at]
-        return full[at] @ nullspace(full[off], rel_tol).T
+            return full[self.at]
+        return full[self.at] @ nullspace(full[off], rel_tol).T
+
+    def projected(self, k: np.ndarray) -> np.ndarray:
+        """``A K`` for ``K`` from :meth:`kernel`, by
+        :func:`.constraints.project`: the same singular values as
+        ``matrix @ K``, with ``A`` never formed."""
+        return project(self.family, self.at, self.units, k)
 
 
 class Verdict(enum.Enum):
@@ -108,13 +133,10 @@ def build_constraint_system(p: PureAssemblage, mode: ConstraintMode) -> LinearSy
 
     Unknowns are the coefficients multiplying fixed unit-trace rank-one
     operators at the non-zero positions; the reference coefficients (the
-    member traces) satisfy the system by construction.  ``matrix`` is the
-    reduced system that :func:`decomposition_analysis` ranks.
+    member traces) satisfy the system by construction.
     """
-    fam = family(p.scenario, mode)
     units = p.kets[:, :, None] * p.kets[:, None, :].conj()
-    matrix, rhs = vectorize(fam, p.support, units)
-    return LinearSystem(matrix, rhs, p.support, p.weights, fam, units)
+    return LinearSystem(p.support, p.weights, family(p.scenario, mode), units)
 
 
 def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
@@ -131,7 +153,7 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     if system.residual_of(system.reference) > tol.nnls_residual_tol:
         raise ValueError("reference coefficients do not satisfy the system")
     k = system.kernel(tol.rank_rel_tol)
-    projected, s = nullspace_and_spectrum(system.matrix @ k, tol.rank_rel_tol)
+    projected, s = nullspace_and_spectrum(system.projected(k), tol.rank_rel_tol)
     basis = projected @ k.T
     nullity = basis.shape[0]
     rank = len(system.columns) - nullity

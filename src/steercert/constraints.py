@@ -23,14 +23,20 @@ fixed Hermitian unit members (the extremality certificate).
 That system is reduced.  A row of a zero-target constraint is one of the
 constraint's coefficients times one real coordinate of each unit, so the
 system's row space depends only on the row space of the coefficient block
-of each reduction.  :attr:`Family.certificate_rows` holds an orthonormal
-basis of that row space, computed once per scenario; its rank is the
-number of positions minus the no-signaling dimension (Collins–Gisin
-counting for the full family), and the same SVD gives the kernel of the
-block with no reduction, :attr:`Family.certificate_kernel`.  Each basis
-row is written once per Hermitian coordinate of the reduced units:
-``D**2`` coordinates, the real upper triangle and the imaginary strict
-upper triangle, or the real trace.
+of each reduction.  Those row spaces factorize party by party (the
+Collins–Gisin parametrization of the no-signaling space): each party has
+an orthogonal ``m k``-square factor over ``(x, a)``, whose rows are the
+normalized ones vector (kind ``ONES``), the vectors with zero outcome sum
+at every setting (``ZERO_SUM``), and the vectors constant in the outcome
+with zero sum over the settings (``PERP``).  Their Kronecker product,
+permuted to ``positions()`` order, is an orthonormal basis of the
+coefficient space, and each family names, per reduction, which of its
+rows span the zero-target block: a choice of columns, not a
+decomposition.  :attr:`Family.certificate_rows` holds those rows, and
+:attr:`Family.certificate_kernel` the complement of the block with no
+reduction.  Each basis row is written once per Hermitian coordinate of
+the reduced units: ``D**2`` coordinates, the real diagonal and the real
+and imaginary strict upper triangle, or the real trace.
 Constraints with a target (trace one, output trace ``1/d_in``) keep their
 own rows.  The system has ``rank(C_block) * coordinates`` rows plus the
 targeted rows, with the same solutions as the family written out
@@ -42,8 +48,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
-from math import prod
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,12 +79,58 @@ class Constraint:
     target: object = None
 
 
+ONES, ZERO_SUM, PERP = range(3)  # kinds of the rows of a party factor
+
+
+def _helmert(j: int) -> np.ndarray:
+    """Orthonormal ``(j, j - 1)`` columns orthogonal to the ones vector of
+    ``R^j`` (Helmert's basis): column ``r`` is ``1`` on the first ``r``
+    entries and ``-r`` on the next, normalized."""
+    i, r = np.arange(j)[:, None], np.arange(1, j)[None, :]
+    return ((i < r) - r * (i == r)) / np.sqrt(r * (r + 1))
+
+
+def _party_factor(m: int, k: int):
+    """One party's orthogonal factor, as rows over ``(x, a)`` x-major, and
+    the kind of each row: the normalized ones vector, ``I_m (x) H_k`` and
+    ``H_m (x) 1_k / sqrt(k)``."""
+    rows = np.concatenate([np.full((1, m * k), 1 / np.sqrt(m * k)),
+                           np.kron(np.eye(m), _helmert(k).T),
+                           np.kron(_helmert(m).T, np.full((1, k), 1 / np.sqrt(k)))])
+    return rows, np.repeat([ONES, ZERO_SUM, PERP], [1, m * (k - 1), m - 1])
+
+
+def _factor_basis(scen):
+    """The Kronecker product of the party factors, as rows over all
+    positions in ``scen.positions()`` order, and each party's row kinds,
+    shaped to broadcast along that party's axis of the product."""
+    n = scen.n_parties
+    basis, kinds = np.ones((1, 1)), []
+    for i, (m, k) in enumerate(zip(scen.settings, scen.outcomes)):
+        rows, kind = _party_factor(m, k)
+        basis = np.kron(basis, rows)
+        kinds.append(kind.reshape([-1 if j == i else 1 for j in range(n)]))
+    # columns run (x_1, a_1, x_2, a_2, ...); positions() runs (x..., a...)
+    sizes = [size for pair in zip(scen.settings, scen.outcomes) for size in pair]
+    order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
+    basis = basis.reshape([len(basis)] + sizes).transpose(order).reshape(len(basis), -1)
+    return basis, kinds
+
+
 @dataclass(frozen=True)
 class Family:
-    """The constraints of one family on one scenario, in report order."""
+    """The constraints of one family on one scenario, in report order.
+
+    ``row_rule(reduction, kinds)`` says which rows of the party-factor
+    basis span the row space of the zero-target constraints with that
+    reduction: a boolean array that broadcasts over the parties' row
+    ``kinds`` (:data:`ONES`, :data:`ZERO_SUM`, :data:`PERP`).  A family
+    with no certificate leaves it ``None``.
+    """
 
     scenario: object
     constraints: tuple
+    row_rule: object = field(default=None, repr=False)
 
     @functools.cached_property
     def terms(self):
@@ -95,24 +146,21 @@ class Family:
 
     @functools.cached_property
     def _certificate(self):
+        basis, kinds = _factor_basis(self.scenario)
+        shape = tuple(int(kind.size) for kind in kinds)
         rows, positions, signs = self.terms
-        coef = np.zeros((len(self.constraints), prod(self.scenario.settings)
-                         * prod(self.scenario.outcomes)))
+        coef = np.zeros((len(self.constraints), len(basis)))
         np.add.at(coef, (rows, positions), signs)
-        blocks, kernel = [], np.eye(coef.shape[1])
+        blocks, kernel = [], np.eye(len(basis))
         for reduction in dict.fromkeys(c.reduction for c in self.constraints):
-            zero = [i for i, c in enumerate(self.constraints)
-                    if c.reduction is reduction and c.target is None]
             targeted = [i for i, c in enumerate(self.constraints)
                         if c.reduction is reduction and c.target is not None]
-            if zero:
-                _, s, vt = np.linalg.svd(coef[zero],
-                                         full_matrices=reduction is Reduction.NONE)
-                rank = np.count_nonzero(s > s[0] * max(len(zero), coef.shape[1])
-                                        * np.finfo(float).eps)
-                blocks.append((reduction, vt[:rank], None))
+            if any(c.reduction is reduction and c.target is None
+                   for c in self.constraints):
+                zero = np.broadcast_to(self.row_rule(reduction, kinds), shape).reshape(-1)
+                blocks.append((reduction, basis[zero], None))
                 if reduction is Reduction.NONE:
-                    kernel = vt[rank:]
+                    kernel = basis[~zero]
             if targeted:
                 blocks.append((reduction, coef[targeted],
                                tuple(self.constraints[i].target for i in targeted)))
@@ -125,11 +173,11 @@ class Family:
         """The coefficient rows of the certificate system, as blocks
         ``(reduction, rows, targets)`` over all positions.
 
-        Per reduction, the zero-target constraints give an orthonormal basis
-        of the row space of their coefficient matrix, ranked with numpy's
-        default ``matrix_rank`` threshold (the coefficients are exact
-        integers), with ``targets`` ``None``; the constraints with a target
-        give their own coefficient rows and their targets.
+        Per reduction, the zero-target constraints give the orthonormal
+        rows of the party-factor basis that ``row_rule`` chooses, which
+        span their coefficient matrix's row space, with ``targets``
+        ``None``; the constraints with a target give their own coefficient
+        rows and their targets.
         """
         return self._certificate[0]
 
@@ -137,8 +185,8 @@ class Family:
     def certificate_kernel(self):
         """Orthonormal basis, as rows over all positions, of the kernel of
         the zero-target coefficient block with no reduction (the whole
-        space when the family has none): the complement of that block's
-        rows in :attr:`certificate_rows`, from the same SVD."""
+        space when the family has none): the rows of the party-factor
+        basis that ``row_rule`` leaves out of that block."""
         return self._certificate[1]
 
 
@@ -208,7 +256,14 @@ def full_ns(scen) -> Family:
         constraints.append(Constraint(
             f"total at x={x0} vs x={x}",
             tuple(_total(scen, x0, 1.0) + _total(scen, x, -1.0))))
-    return Family(scen, tuple(constraints))
+    return Family(scen, tuple(constraints), _full_rows)
+
+
+def _full_rows(reduction, kinds):
+    """The full family's zero-target rows: those with a ``PERP`` factor at
+    some party.  The rest span ``(x)_i V_i``, ``V_i`` the functions of
+    ``(a_i, x_i)`` whose outcome sum does not depend on ``x_i``."""
+    return functools.reduce(np.logical_or, [kind == PERP for kind in kinds])
 
 
 def output_trace_condition(scen) -> Constraint:
@@ -249,7 +304,18 @@ def asym_ns(scen) -> Family:
                 f"total at (0,0) vs {xy}",
                 tuple(_total(scen, (0, 0), 1.0) + _total(scen, xy, -1.0))))
     constraints.append(output_trace_condition(scen))
-    return Family(scen, tuple(constraints))
+    return Family(scen, tuple(constraints), _asym_rows)
+
+
+def _asym_rows(reduction, kinds):
+    """The relaxed family's zero-target rows.  With no reduction: ``PERP``
+    at A, or ``ONES`` at A and ``PERP`` at B, leaving the kernel
+    ``u (x) V_B + V_A^0 (x) R^{m_B k_B}`` (``V_A^0``: zero outcome sums).
+    Output-traced: ``PERP`` at B."""
+    a, b = kinds
+    if reduction is Reduction.OUTPUT_TRACE:
+        return b == PERP
+    return (a == PERP) | ((a == ONES) & (b == PERP))
 
 
 @functools.lru_cache(maxsize=16)
@@ -307,34 +373,38 @@ def evaluate(fam: Family, members: np.ndarray, tol: float) -> NsReport:
                     max((v.magnitude for v in violations), default=0.0))
 
 
-def _coordinates(reduced: np.ndarray) -> np.ndarray:
+def _coordinates(reduced: np.ndarray, traceless: bool = False) -> np.ndarray:
     """Real coordinates of each Hermitian reduced member, one column per
-    member: the real upper triangle then the imaginary strict upper
-    triangle (``D**2`` in all), or the real trace."""
+    member: the real diagonal, then the real and the imaginary strict upper
+    triangle (``D**2`` in all), or the real trace.  ``traceless`` rotates
+    the diagonal onto Helmert's basis of the traceless diagonals, which
+    drops the one coordinate along the trace (``D**2 - 1`` in all)."""
     if reduced.ndim == 1:
         return reduced[None, :]
     d = reduced.shape[-1]
-    upper, strict = np.triu_indices(d), np.triu_indices(d, 1)
-    return np.concatenate([reduced[:, upper[0], upper[1]].real,
-                           reduced[:, strict[0], strict[1]].imag], axis=1).T
+    diagonal = np.diagonal(reduced, axis1=1, axis2=2).real
+    if traceless:
+        diagonal = diagonal @ _helmert(d)
+    rows, cols = np.triu_indices(d, 1)
+    strict = reduced[:, rows, cols]
+    return np.concatenate([diagonal, strict.real, strict.imag], axis=1).T
 
 
-def vectorize(fam: Family, columns, units: np.ndarray):
+def vectorize(fam: Family, at, units: np.ndarray):
     """The reduced real system ``A c = b`` for ``sum_j c_j units[j]`` in the
     family, for Hermitian ``units``.
 
-    ``columns`` lists the position of each unit; terms at other positions
-    are zero.  Returns ``(A, b)``: each block of
-    :attr:`Family.certificate_rows`, restricted to the columns, gives one
-    real row per coefficient row and coordinate of the reduced units; rows
-    that are zero with a zero target are left out.
+    ``at`` holds the place of each unit's position in
+    ``scenario.positions()``; terms at other positions are zero.  Returns
+    ``(A, b)``: each block of :attr:`Family.certificate_rows`, restricted to
+    those positions, gives one real row per coefficient row and coordinate
+    of the reduced units; rows that are zero with a zero target are left
+    out.
     """
-    scen = fam.scenario
-    at = [scen.index(a, x) for a, x in columns]
     matrices, targets = [], []
     for reduction, coef, block_targets in fam.certificate_rows:
-        vec = _coordinates(_reduce(units, reduction, scen.trusted_dims))
-        matrices.append((coef[:, None, at] * vec[None]).reshape(-1, len(columns)))
+        vec = _coordinates(_reduce(units, reduction, fam.scenario.trusted_dims))
+        matrices.append((coef[:, None, at] * vec[None]).reshape(-1, len(at)))
         if block_targets is None:
             targets.append(np.zeros(len(coef) * len(vec)))
         else:
@@ -342,3 +412,23 @@ def vectorize(fam: Family, columns, units: np.ndarray):
     matrix, rhs = np.concatenate(matrices), np.concatenate(targets)
     kept = matrix.any(axis=1) | (rhs != 0)
     return matrix[kept], rhs[kept]
+
+
+def project(fam: Family, at, units: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``A K`` for the ``A`` of :func:`vectorize` and orthonormal columns
+    ``k`` spanning the kernel of ``B_S``, the zero-target block with no
+    reduction restricted to the positions ``at``; ``A`` is never formed.
+
+    Each block gives ``coef[:, at] @ (v[:, None] * k)`` per coordinate row
+    ``v`` of the reduced units.  In ``B_S``'s block the diagonal
+    coordinates are rotated so that one of them is the trace, and that one
+    is dropped: every unit has trace one, so its rows are
+    ``B_S k / sqrt(D)``, which vanish.  Neither changes a singular value.
+    """
+    parts = [np.zeros((0, k.shape[1]))]
+    for reduction, coef, targets in fam.certificate_rows:
+        traceless = reduction is Reduction.NONE and targets is None
+        vec = _coordinates(_reduce(units, reduction, fam.scenario.trusted_dims), traceless)
+        block = coef[:, at]
+        parts += [block @ (v[:, None] * k) for v in vec]
+    return np.concatenate(parts)

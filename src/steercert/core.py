@@ -160,23 +160,28 @@ def nullspace_and_spectrum(m: np.ndarray,
     Returns ``(basis, s)``: ``basis`` is as for :func:`nullspace`, ``s``
     holds the singular values in descending order (empty when every entry
     is zero).  All-zero rows are dropped first; a system that still has
-    more rows than columns is replaced by the ``R`` of its QR
+    at least as many rows as columns is replaced by the ``R`` of its QR
     factorization, which has the same singular values and the same right
-    null space, so the SVD never sees more rows than columns.  A square
-    system is ranked from its singular values alone, and its right
-    singular vectors are computed only when the kernel is not empty.
+    null space, so the SVD never sees more rows than columns.  ``R`` is
+    ranked from its singular values alone, and its right singular vectors
+    are computed only when the kernel is not empty.  A diagonal entry of
+    ``R`` at or below ``tol`` times the largest proves the kernel non-empty
+    (for a triangular ``R``, ``s_min <= min |R_ii|`` and
+    ``s_max >= max |R_ii|``), and so does a wide system: then the one SVD
+    taken is the full one.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     cols = m.shape[1]
     m = m[np.any(m != 0.0, axis=1)]
     if m.shape[0] == 0:
         return np.eye(cols), np.zeros(0)
-    if m.shape[0] > cols:
+    if m.shape[0] >= cols:
         m = np.linalg.qr(m, mode="r")
-    if m.shape[0] == cols:
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] > tol * s[0]:
-            return np.zeros((0, cols)), s
+        diagonal = np.abs(np.diagonal(m))
+        if diagonal.min() > tol * diagonal.max():
+            s = np.linalg.svd(m, compute_uv=False)
+            if s[-1] > tol * s[0]:
+                return np.zeros((0, cols)), s
     _, s, vt = np.linalg.svd(m, full_matrices=True)  # whole kernel if wide
     num_rank = int(np.count_nonzero(s > tol * s[0]))
     return vt[num_rank:], s

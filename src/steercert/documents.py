@@ -333,11 +333,11 @@ def _assemblage_in(obj, path, as_channel: bool):
     except (MemoryError, ValueError):  # ValueError: the size overflows
         raise DocumentError(f"the scenario's {n} members of {d}x{d} cannot be "
                             "allocated", f"{path}.scenario")
-    for i, entry in enumerate(obj["members"]):
-        try:
-            index = scen.index(entry["a"], entry["x"])
-        except ValueError as exc:
-            raise DocumentError(str(exc), f"{path}.members[{i}]")
+    try:
+        at = scen.indices((entry["a"], entry["x"]) for entry in obj["members"])
+    except ValueError as exc:
+        raise DocumentError(str(exc), f"{path}.members[{exc.place}]")
+    for i, (entry, index) in enumerate(zip(obj["members"], at)):
         mat = entry.get(key, entry.get("member"))
         if mat is None:
             raise DocumentError(f"missing '{key}' matrix", f"{path}.members[{i}]")

@@ -64,6 +64,20 @@ def test_scenario_validation():
     assert len(list(scen.positions())) == 6 * 4
 
 
+def test_indices_are_index_of_each_position():
+    scen = Scenario((2, 3, 1), (3, 1, 2), (2,))
+    positions = list(scen.positions())
+    order = np.random.default_rng(0).permutation(len(positions))
+    picked = [positions[i] for i in order]
+    np.testing.assert_array_equal(scen.indices(picked), order)
+    assert scen.indices([]).shape == (0,)
+    outside = [((0, 0, 0), (0, 0, 5)), ((0,), (0, 0, 0)), ((2 ** 70, 0, 0), (0, 0, 0))]
+    for bad in outside:
+        with pytest.raises(ValueError, match="outside the scenario") as info:
+            scen.indices(picked[:3] + [bad] + outside)
+        assert info.value.place == 3
+
+
 def test_verify_ns_reports_non_psd_members_and_totals():
     scen = Scenario((1,), (2,), (2,))
     # positivity and the trace of a total are measured against the

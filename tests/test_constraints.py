@@ -6,7 +6,7 @@ from steercert import gallery
 from steercert.assemblages import Assemblage, Scenario, canonicalize_pure, verify_ns
 from steercert.channel_assemblages import verify_asym_ns
 from steercert.certificates import build_constraint_system, decomposition_analysis
-from steercert.constraints import ConstraintMode, asym_ns, full_ns
+from steercert.constraints import ConstraintMode, Reduction, asym_ns, full_ns
 
 
 def relabel_mutant(s: Assemblage) -> Assemblage:
@@ -65,3 +65,60 @@ def test_family_names_follow_report_order():
                           "total at x=(0, 0) vs x=(1, 1)"]
     relaxed = verify_asym_ns(gallery.bell_cnot_assemblage())
     assert relaxed.ok and relaxed.max_violation == 0.0
+
+
+def _coefficients(fam, reduction):
+    """The zero-target coefficient rows with ``reduction``, from ``terms``."""
+    rows, positions, signs = fam.terms
+    coef = np.zeros((len(fam.constraints), len(list(fam.scenario.positions()))))
+    np.add.at(coef, (rows, positions), signs)
+    return coef[[i for i, c in enumerate(fam.constraints)
+                 if c.reduction is reduction and c.target is None]]
+
+
+FACTOR_GRID = [  # (settings, outcomes, trusted dims)
+    ((2,), (3,), (2,)), ((1,), (3,), (2,)), ((3,), (1,), (2,)),
+    ((2, 3), (3, 2), (2,)), ((1, 2, 3), (3, 2, 2), (2,)), ((2, 1), (1, 3), (2,)),
+    ((2, 2, 2, 2), (2, 2, 2, 2), (2,)),
+    ((2, 2), (2, 2), (2, 2)), ((2, 3), (3, 2), (2, 2)), ((3, 2), (2, 3), (1, 2)),
+    ((1, 2), (2, 1), (2, 1)), ((2, 1), (3, 2), (2, 3)),
+]
+
+
+@pytest.mark.parametrize("settings, outcomes, dims", FACTOR_GRID,
+                         ids=[f"{s}-{o}-{d}" for s, o, d in FACTOR_GRID])
+def test_factor_bases_are_the_constraint_list(settings, outcomes, dims):
+    # the party-factor rows and kernel against the family's own coefficient
+    # blocks, ranked by an SVD here
+    scen = Scenario(settings, outcomes, dims)
+    families = [full_ns(scen)] + ([asym_ns(scen)] if len(dims) == 2 else [])
+    for fam in families:
+        k = fam.certificate_kernel
+        zero_blocks = [(reduction, rows) for reduction, rows, targets
+                       in fam.certificate_rows if targets is None]
+        assert bool(zero_blocks) == any(c.target is None for c in fam.constraints)
+        if not zero_blocks:  # one party, one setting: no zero-target constraint
+            np.testing.assert_array_equal(k, np.eye(len(k)))
+        for reduction, rows in zero_blocks:
+            coef = _coefficients(fam, reduction)
+            _, s, vt = np.linalg.svd(coef)
+            rank = int(np.count_nonzero(s > s[0] * 1e-10))
+            assert len(rows) == rank
+            whole = np.vstack([rows, k]) if reduction is Reduction.NONE else rows
+            np.testing.assert_allclose(whole @ whole.T, np.eye(len(whole)), atol=1e-12)
+            # the block annihilates the complement of its rows
+            complement = np.eye(coef.shape[1]) - rows.T @ rows
+            np.testing.assert_allclose(coef @ complement, 0, atol=1e-12)
+            if reduction is Reduction.NONE:
+                np.testing.assert_allclose(coef @ k.T, 0, atol=1e-12)
+                np.testing.assert_allclose(k.T @ k, vt[rank:].T @ vt[rank:], atol=1e-12)
+
+
+def test_factor_bases_take_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    fam = full_ns(Scenario((3,) * 3, (3,) * 3, (2,)))
+    assert [len(rows) for _, rows, _ in fam.certificate_rows] == [386, 27]
+    assert fam.certificate_kernel.shape == (343, 729)

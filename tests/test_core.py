@@ -165,3 +165,35 @@ def test_tolerances_must_be_positive():
         Tolerances(abs_tol=0.0)
     with pytest.raises(ValueError):
         Tolerances(nnls_residual_tol=-1e-9)
+
+
+def _two_pass_nullspace_and_spectrum(m, tol):
+    """The rank path that ranked every square ``R`` from a values-only SVD
+    before taking the full one."""
+    m = m[np.any(m != 0.0, axis=1)]
+    cols = m.shape[1]
+    if m.shape[0] > cols:
+        m = np.linalg.qr(m, mode="r")
+    if m.shape[0] == cols:
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[-1] > tol * s[0]:
+            return np.zeros((0, cols)), s
+    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    return vt[int(np.count_nonzero(s > tol * s[0])):], s
+
+
+@pytest.mark.parametrize("rows", [10, 30])  # square, and tall with a square R
+def test_rank_deficient_system_takes_one_svd(rng, monkeypatch, rows):
+    # a diagonal entry of R at the threshold proves the kernel non-empty,
+    # so the values-only pass is skipped
+    m = rng.normal(size=(rows, 6)) @ rng.normal(size=(6, 10))
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kwargs: calls.append(kwargs) or svd(*args, **kwargs))
+    basis, s = nullspace_and_spectrum(m)
+    monkeypatch.undo()
+    assert calls == [{"full_matrices": True}]
+    want, s_want = _two_pass_nullspace_and_spectrum(m, DEFAULT_TOL.rank_rel_tol)
+    assert basis.shape == want.shape == (4, 10)
+    np.testing.assert_allclose(basis.T @ basis, want.T @ want, atol=1e-12)
+    np.testing.assert_allclose(s[:6], s_want[:6], rtol=1e-12)

@@ -103,6 +103,16 @@ def test_parse_rejects_position_outside_scenario():
         parse(raw)
 
 
+def test_first_position_outside_scenario_names_its_member():
+    raw = serialize(to_choi_assemblage(gallery.bell_cnot_assemblage()))
+    raw["payload"]["members"][2]["x"] = [0, 2]
+    raw["payload"]["members"][3]["a"] = [0]
+    with pytest.raises(DocumentError) as info:
+        parse(raw)
+    assert info.value.path == "$.payload.members[2]"
+    assert str(info.value).endswith("outside the scenario")
+
+
 def test_channel_needs_kraus_or_choi():
     with pytest.raises(DocumentError, match="kraus.*choi|choi.*kraus"):
         parse({"kind": "channel", "version": 1,

@@ -158,6 +158,28 @@ def test_projected_kernel_is_the_reference_kernel(name, make, mode):
         np.testing.assert_allclose(matrix @ (cert.witness_pair[0] - ref), 0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name, make, mode", CASES, ids=[c[0] for c in CASES])
+def test_assembled_projection_has_the_spectrum_of_a_times_k(name, make, mode):
+    # A K built block by block, with the trace coordinate of the
+    # no-reduction block dropped, against the product with the formed A
+    pure = make()
+    system = build_constraint_system(pure, mode)
+    k = system.kernel(DEFAULT_TOL.rank_rel_tol)
+    assembled, dense = system.projected(k), system.matrix @ k
+    spectra = np.zeros((2, k.shape[1]))
+    for row, m in zip(spectra, (assembled, dense)):
+        s = np.linalg.svd(m, compute_uv=False)
+        row[:len(s)] = s
+    np.testing.assert_allclose(spectra[0], spectra[1], rtol=0, atol=1e-12 * spectra[1, 0])
+    (basis, s), (want, s_want) = (nullspace_and_spectrum(m, DEFAULT_TOL.rank_rel_tol)
+                                  for m in (assembled, dense))
+    assert len(basis) == len(want)
+    assert _pinned(basis @ k.T, pure.support) == _pinned(want @ k.T, pure.support)
+    kept = k.shape[1] - len(basis)
+    if kept:
+        assert abs(s[kept - 1] / s[0] - s_want[kept - 1] / s_want[0]) <= 1e-12
+
+
 def test_kernel_rows_follow_the_support_order():
     # The support is sorted (a, x) and positions() runs x-major, so K's rows
     # must be taken through scenario.index, not in positions() order.
