@@ -3,6 +3,16 @@
 Commands: ``verify``, ``choi``, ``extremality``, ``lhs``, ``security-cert``,
 ``reproduce``, ``schema``.  Exit codes: 0 PASS, 1 FAIL, 2 INCONCLUSIVE,
 3 INPUT_ERROR.  Reports are byte-deterministic for fixed inputs and flags.
+
+Each ``cmd_*`` takes the parsed arguments, the ``Tolerances`` and the parsed
+``Document`` (``None`` for the commands that read none) and returns
+``(status, details)``; ``choi`` and ``schema`` print a document instead and
+return ``None``.  No command catches an exception or prints a report:
+``main`` alone does.  It maps ``OSError`` (a missing or unreadable document,
+an unwritable ``--certificate-out``) and ``ValueError`` (``DocumentError``,
+a non-positive tolerance, a mode or key setting that does not apply, a
+member that is not PSD) to INPUT_ERROR, exit 3, and ``NnlsDidNotConverge``
+to INCONCLUSIVE, exit 2, with the message as ``details.error``.
 """
 
 from __future__ import annotations
@@ -15,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gallery
-from .core import NnlsDidNotConverge, Tolerances
+from .core import DEFAULT_TOL, NnlsDidNotConverge, Tolerances
 from .channels import verify_cptp
 from .assemblages import (
     LhsModel,
+    assemblage_from_realization,
     canonicalize_pure,
     pure_lhs_decide,
     verify_ns,
@@ -30,7 +41,7 @@ from .channel_assemblages import (
     verify_ns_channel,
 )
 from .certificates import ConstraintMode, Verdict, decomposition_analysis
-from .documents import Document, DocumentError, Realization, SCHEMA, parse, serialize
+from .documents import Document, DocumentError, SCHEMA, parse, serialize
 from .security import correlations, eavesdropper_pinning, perfect_key_check
 
 PASS, FAIL, INCONCLUSIVE, INPUT_ERROR = "PASS", "FAIL", "INCONCLUSIVE", "INPUT_ERROR"
@@ -49,17 +60,6 @@ class Report:
                 "details": self.details, "tolerances": self.tolerances}
 
 
-def _tol_dict(args) -> dict:
-    """The tolerance flags as given, echoed in every report."""
-    return {"abs_tol": args.abs_tol, "rank_rel_tol": args.rank_tol,
-            "nnls_residual_tol": args.nnls_tol}
-
-
-def _load(path: str) -> Document:
-    with open(path, "rb") as fh:
-        return parse(fh.read())
-
-
 def _emit(report: Report, args) -> int:
     if args.output == "json":
         print(json.dumps(report.to_json(), sort_keys=True))
@@ -70,155 +70,96 @@ def _emit(report: Report, args) -> int:
     return _EXIT[report.status]
 
 
-def _input_error(command, message, args) -> int:
-    return _emit(Report(command, INPUT_ERROR, {"error": message},
-                        _tol_dict(args)), args)
+def _violation_details(report) -> dict:
+    return {"max_violation": report.max_violation,
+            "violations": [{"constraint": v.constraint, "magnitude": v.magnitude}
+                           for v in report.violations]}
 
 
-def _violation_details(violations) -> list:
-    return [{"constraint": v.constraint, "magnitude": v.magnitude}
-            for v in violations]
+def cmd_verify(args, tol: Tolerances, doc: Document):
+    mode, kind = args.mode, doc.kind
+    if kind == "assemblage" and mode in ("auto", "ns"):
+        report = verify_ns(doc.payload, tol.abs_tol)
+        details = {"mode": "ns", **_violation_details(report)}
+    elif kind == "channel" and mode in ("auto", "cptp"):
+        report = verify_cptp(doc.payload, tol.abs_tol)
+        details = {"mode": "cptp", "cp": report.cp, "tp": report.tp,
+                   "min_eigenvalue": report.min_eigenvalue,
+                   "tp_deviation": report.tp_deviation}
+    elif kind == "channel_assemblage" and mode in ("auto", "ns"):
+        report = verify_ns_channel(doc.payload, tol.abs_tol)
+        details = {"mode": "ns-channel",
+                   "trace_condition_deviation": report.trace_condition_deviation,
+                   **_violation_details(report.assemblage_report)}
+    elif kind == "channel_assemblage" and mode == "asym-ns":
+        report = verify_asym_ns(doc.payload, tol.abs_tol)
+        details = {"mode": "asym-ns", **_violation_details(report)}
+    else:
+        raise ValueError(f"mode '{mode}' is not applicable to kind '{kind}'")
+    return PASS if report.ok else FAIL, details
 
 
-def cmd_verify(args) -> int:
-    try:
-        doc = _load(args.document)
-        report, details = _verify(doc, args.mode, args.tol.abs_tol)
-    except (OSError, DocumentError, ValueError) as exc:
-        return _input_error("verify", str(exc), args)
-    return _emit(Report("verify", PASS if report.ok else FAIL, details,
-                        _tol_dict(args)), args)
-
-
-def _verify(doc: Document, mode: str, abs_tol: float):
-    """The verification report of ``doc`` and its details; ``ValueError``
-    if the mode does not apply to the document."""
-    if doc.kind == "assemblage" and mode in ("auto", "ns"):
-        report = verify_ns(doc.payload, abs_tol)
-        return report, {"mode": "ns", "max_violation": report.max_violation,
-                        "violations": _violation_details(report.violations)}
-    if doc.kind == "channel" and mode in ("auto", "cptp"):
-        report = verify_cptp(doc.payload, abs_tol)
-        return report, {"mode": "cptp", "cp": report.cp, "tp": report.tp,
-                        "min_eigenvalue": report.min_eigenvalue,
-                        "tp_deviation": report.tp_deviation}
-    if doc.kind == "channel_assemblage" and mode in ("auto", "ns"):
-        report = verify_ns_channel(doc.payload, abs_tol)
-        ns = report.assemblage_report
-        return report, {
-            "mode": "ns-channel",
-            "trace_condition_deviation": report.trace_condition_deviation,
-            "max_violation": ns.max_violation,
-            "violations": _violation_details(ns.violations),
-        }
-    if doc.kind == "channel_assemblage" and mode == "asym-ns":
-        report = verify_asym_ns(doc.payload, abs_tol)
-        return report, {"mode": "asym-ns", "max_violation": report.max_violation,
-                        "violations": _violation_details(report.violations)}
-    raise ValueError(f"mode '{mode}' is not applicable to kind '{doc.kind}'")
-
-
-def cmd_choi(args) -> int:
-    try:
-        doc = _load(args.document)
-    except (OSError, DocumentError) as exc:
-        return _input_error("choi", str(exc), args)
+def cmd_choi(args, tol: Tolerances, doc: Document) -> None:
     if doc.kind == "channel":
         out = serialize(doc.payload)  # canonical Choi form
     elif doc.kind == "channel_assemblage":
         out = serialize(to_choi_assemblage(doc.payload))
     else:
-        return _input_error("choi", f"kind '{doc.kind}' has no Choi form", args)
+        raise ValueError(f"kind '{doc.kind}' has no Choi form")
     print(json.dumps(out, sort_keys=True))
-    return 0
 
 
-def _pure_from_document(doc: Document, tol: Tolerances):
+def _pure(doc: Document, tol: Tolerances):
+    """The canonical pure assemblage of an assemblage, channel assemblage
+    or realization document."""
+    payload = doc.payload
     if doc.kind == "assemblage":
-        assemblage = doc.payload
+        assemblage = payload
     elif doc.kind == "channel_assemblage":
-        assemblage = to_choi_assemblage(doc.payload)
+        assemblage = to_choi_assemblage(payload)
+    elif doc.kind == "realization" and payload.channel is None:
+        assemblage = assemblage_from_realization(payload.state, payload.povms,
+                                                 payload.scenario)
     elif doc.kind == "realization":
-        assemblage = _assemblage_from_realization_doc(doc.payload)
+        assemblage = to_choi_assemblage(chanasm_from_realization(
+            payload.state, payload.povms, payload.channel, payload.scenario))
     else:
         raise DocumentError(f"kind '{doc.kind}' carries no assemblage")
     return canonicalize_pure(assemblage, tol)
 
 
-def _assemblage_from_realization_doc(real: Realization):
-    if real.channel is None:
-        from .assemblages import assemblage_from_realization
-        return assemblage_from_realization(real.state, real.povms, real.scenario)
-    l = chanasm_from_realization(real.state, real.povms, real.channel,
-                                 real.scenario)
-    return to_choi_assemblage(l)
-
-
-def cmd_extremality(args) -> int:
-    tol = args.tol
-    try:
-        doc = _load(args.document)
-        pure = _pure_from_document(doc, tol)
-    except (OSError, DocumentError, ValueError) as exc:
-        return _input_error("extremality", str(exc), args)
+def cmd_extremality(args, tol: Tolerances, doc: Document):
     mode = ConstraintMode.FULL_NS if args.mode == "full" else ConstraintMode.ASYM_NS
-    try:
-        cert = decomposition_analysis(pure, mode, tol)
-    except ValueError as exc:
-        return _input_error("extremality", str(exc), args)
+    cert = decomposition_analysis(_pure(doc, tol), mode, tol)
     if args.certificate_out:
         with open(args.certificate_out, "w") as fh:
             json.dump(cert.to_json(), fh, sort_keys=True, indent=2)
-    details = {"verdict": cert.verdict.value, "rank": cert.rank,
-               "nullity": cert.nullity,
-               "rank_margin": list(cert.rank_margin),
-               "pinned": [[list(a), list(x)] for a, x in cert.pinned]}
-    return _emit(Report("extremality", PASS, details, _tol_dict(args)), args)
+    return PASS, {"verdict": cert.verdict.value, "rank": cert.rank,
+                  "nullity": cert.nullity,
+                  "rank_margin": list(cert.rank_margin),
+                  "pinned": [[list(a), list(x)] for a, x in cert.pinned]}
 
 
-def cmd_lhs(args) -> int:
-    tol = args.tol
-    try:
-        doc = _load(args.document)
-        pure = _pure_from_document(doc, tol)
-    except (OSError, DocumentError, ValueError) as exc:
-        return _input_error("lhs", str(exc), args)
-    try:
-        verdict = pure_lhs_decide(pure, tol)
-    except NnlsDidNotConverge as exc:
-        return _emit(Report("lhs", INCONCLUSIVE, {"error": str(exc)},
-                            _tol_dict(args)), args)
+def cmd_lhs(args, tol: Tolerances, doc: Document):
+    verdict = pure_lhs_decide(_pure(doc, tol), tol)
     if isinstance(verdict, LhsModel):
-        details = {"lhs": True, "hidden_variables": len(verdict.weights),
-                   "weights": [float(w) for w in verdict.weights]}
-    else:
-        details = {"lhs": False, "reason": verdict.reason}
-        if verdict.residual is not None:
-            details["residual"] = verdict.residual
-    return _emit(Report("lhs", PASS, details, _tol_dict(args)), args)
+        return PASS, {"lhs": True, "hidden_variables": len(verdict.weights),
+                      "weights": [float(w) for w in verdict.weights]}
+    details = {"lhs": False, "reason": verdict.reason}
+    if verdict.residual is not None:
+        details["residual"] = verdict.residual
+    return PASS, details
 
 
-def cmd_security_cert(args) -> int:
-    tol = args.tol
-    try:
-        doc = _load(args.document)
-    except (OSError, DocumentError) as exc:
-        return _input_error("security-cert", str(exc), args)
+def cmd_security_cert(args, tol: Tolerances, doc: Document):
     if doc.kind != "channel_assemblage":
-        return _input_error("security-cert",
-                            "expected a channel_assemblage document", args)
-    l = doc.payload
-    try:
-        pure = canonicalize_pure(to_choi_assemblage(l), tol)
-        pin = eavesdropper_pinning(pure, args.x_key, args.y_key, tol)
-        table = correlations(l, gallery.key_input_state(),
-                             gallery.key_measurement())
-        key_ok = perfect_key_check(table, args.x_key, args.y_key, tol.abs_tol)
-    except ValueError as exc:
-        return _input_error("security-cert", str(exc), args)
-    status = PASS if (pin.certified and key_ok) else FAIL
-    details = {"pinning": pin.to_json(), "perfect_key": key_ok}
-    return _emit(Report("security-cert", status, details, _tol_dict(args)), args)
+        raise ValueError("expected a channel_assemblage document")
+    pin = eavesdropper_pinning(_pure(doc, tol), args.x_key, args.y_key, tol)
+    table = correlations(doc.payload, gallery.key_input_state(),
+                         gallery.key_measurement())
+    key_ok = perfect_key_check(table, args.x_key, args.y_key, tol.abs_tol)
+    return (PASS if (pin.certified and key_ok) else FAIL,
+            {"pinning": pin.to_json(), "perfect_key": key_ok})
 
 
 def _reproduce_example1(tol: Tolerances) -> dict:
@@ -288,20 +229,15 @@ _REPRODUCERS = {
 }
 
 
-def cmd_reproduce(args) -> int:
-    try:
-        details = _REPRODUCERS[args.target](args.tol)
-    except ValueError as exc:  # e.g. --abs-tol below the rounding of a member
-        return _input_error("reproduce", str(exc), args)
+def cmd_reproduce(args, tol: Tolerances, doc: None):
+    details = _REPRODUCERS[args.target](tol)
     ok = details.pop("ok")
     details["target"] = args.target
-    return _emit(Report("reproduce", PASS if ok else FAIL, details,
-                        _tol_dict(args)), args)
+    return PASS if ok else FAIL, details
 
 
-def cmd_schema(args) -> int:
+def cmd_schema(args, tol: Tolerances, doc: None) -> None:
     print(json.dumps(SCHEMA, sort_keys=True, indent=2))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,9 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="steercert",
         description="Verification and extremality certification for "
                     "state and channel assemblages.")
-    parser.add_argument("--abs-tol", type=float, default=1e-9)
-    parser.add_argument("--rank-tol", type=float, default=1e-8)
-    parser.add_argument("--nnls-tol", type=float, default=1e-7)
+    parser.add_argument("--abs-tol", type=float, default=DEFAULT_TOL.abs_tol)
+    parser.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_rel_tol)
+    parser.add_argument("--nnls-tol", type=float,
+                        default=DEFAULT_TOL.nnls_residual_tol)
     parser.add_argument("--output", choices=("json", "text"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -352,12 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    tolerances = {"abs_tol": args.abs_tol, "rank_rel_tol": args.rank_tol,
+                  "nnls_residual_tol": args.nnls_tol}  # echoed as given
     try:
-        args.tol = Tolerances(abs_tol=args.abs_tol, rank_rel_tol=args.rank_tol,
-                              nnls_residual_tol=args.nnls_tol)
-    except ValueError as exc:
-        return _input_error(args.command, str(exc), args)
-    return args.fn(args)
+        tol = Tolerances(**tolerances)
+        doc = None
+        if "document" in args:
+            with open(args.document, "rb") as fh:
+                doc = parse(fh.read())
+        result = args.fn(args, tol, doc)
+    except NnlsDidNotConverge as exc:
+        result = INCONCLUSIVE, {"error": str(exc)}
+    except (OSError, ValueError) as exc:
+        result = INPUT_ERROR, {"error": str(exc)}
+    if result is None:  # the command printed a document of its own
+        return 0
+    return _emit(Report(args.command, *result, tolerances), args)
 
 
 if __name__ == "__main__":

@@ -56,6 +56,14 @@ _SCENARIO = {
         "trusted_dims": _DIMS,
     },
 }
+_STATE = {
+    "type": "object",
+    "required": ["dims", "matrix"],
+    "properties": {
+        "dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "matrix": _MATRIX,
+    },
+}
 _POVM_PAYLOAD = {
     "type": "object",
     "required": ["dim", "effects"],
@@ -101,15 +109,7 @@ SCHEMA = {
         "payload": {"type": "object"},
     },
     "$defs": {
-        "state": {
-            "type": "object",
-            "required": ["dims", "matrix"],
-            "properties": {
-                "dims": {"type": "array",
-                         "items": {"type": "integer", "minimum": 1}},
-                "matrix": _MATRIX,
-            },
-        },
+        "state": _STATE,
         "povm": _POVM_PAYLOAD,
         "channel": _CHANNEL_PAYLOAD,
         "assemblage": {
@@ -133,7 +133,7 @@ SCHEMA = {
             "required": ["scenario", "state", "povms"],
             "properties": {
                 "scenario": _SCENARIO,
-                "state": {"type": "object"},
+                "state": _STATE,
                 "povms": {"type": "array", "items": _POVM_PAYLOAD},
                 "channel": _CHANNEL_PAYLOAD,
             },
@@ -360,10 +360,6 @@ class Realization:
 
 def _realization_in(obj, path) -> Realization:
     scen = _scenario_in(obj["scenario"], f"{path}.scenario")
-    # SCHEMA checks a realization's state only as an object: check it as a
-    # state document's payload is checked.
-    if not _conforms(obj["state"], SCHEMA["$defs"]["state"]):
-        _validate(obj["state"], "state", f"{path}.state")
     state = _state_in(obj["state"], f"{path}.state")
     if len(obj["povms"]) != scen.n_parties:
         raise DocumentError(f"expected one POVM per party ({scen.n_parties}), "

@@ -60,9 +60,26 @@ def test_verify_rejects_mismatched_mode(capsys, tmp_path):
     assert code == 3 and report["status"] == "INPUT_ERROR"
 
 
-def test_verify_missing_file(capsys):
-    code, report = run_json(capsys, "verify", "no-such-file.json")
+@pytest.mark.parametrize("command", ["verify", "choi", "extremality", "lhs",
+                                     "security-cert"])
+@pytest.mark.parametrize("content", [None, "not JSON"])
+def test_verify_missing_file(capsys, tmp_path, command, content):
+    path = tmp_path / "document.json"
+    if content is not None:
+        path.write_text(content)
+    code, report = run_json(capsys, command, str(path))
     assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["command"] == command
+
+
+@pytest.mark.parametrize("parts", [("missing", "cert.json"), ()],
+                         ids=["in-missing-directory", "a-directory"])
+def test_unwritable_certificate_out_is_input_error(capsys, tmp_path, parts):
+    path = str(tmp_path.joinpath(*parts))
+    code, report = run_json(capsys, "extremality", "--certificate-out", path,
+                            data_path("example1.json"))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert path in report["details"]["error"]
 
 
 def test_verify_fails_on_signaling_assemblage(capsys, tmp_path):

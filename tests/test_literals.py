@@ -1,7 +1,7 @@
 """Literal tolerances in the package do not grow in number.
 
 Tolerances belong in one ``Tolerances`` object, whose defaults the CLI's
-tolerance flags repeat.  A float literal below 1e-6 anywhere else is a
+tolerance flags take.  A float literal below 1e-6 anywhere else is a
 tolerance that ``--abs-tol`` and its siblings never reach.  The count of
 such literals may only fall: lower ``CEILING`` when one is removed.
 """
