@@ -132,30 +132,54 @@ class Assemblage:
         return Op(self.scenario.trusted_dims, self.members[self.scenario.index(a, x)])
 
 
+# The two bounds of an LhsModel's checks: how far a weight or a table entry
+# may fall below zero, and how far a sum or a trace may sit from one.
+_NEGATIVE_SLACK = 1e-12
+_SUM_SLACK = 1e-8
+
+
 @dataclass(frozen=True)
 class LhsModel:
     """Convex mixture of trusted states with local response tables.
 
-    ``tables[j][i]`` is a (settings x outcomes) conditional distribution
-    for party ``i`` under hidden variable ``j``.
+    With ``h`` hidden variables, ``weights`` is a float ``(h,)`` array,
+    ``states`` a complex ``(h, D, D)`` array of density matrices and
+    ``tables[i]`` a float ``(h, m_i, k_i)`` array: ``tables[i][j]`` is the
+    (settings x outcomes) conditional distribution of party ``i`` under
+    hidden variable ``j``.  Each check runs once over the whole array;
+    the arrays are read-only.
     """
 
-    weights: tuple
-    states: tuple  # of State
-    tables: tuple
+    weights: np.ndarray = field(repr=False)
+    states: np.ndarray = field(repr=False)
+    tables: tuple = field(repr=False)
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        if any(v < -1e-12 for v in w):
+        weights = np.asarray(self.weights, dtype=float)
+        if np.any(weights < -_NEGATIVE_SLACK):
             raise ValueError("weights must be nonnegative")
-        if abs(sum(w) - 1) > 1e-8:
+        if abs(weights.sum() - 1) > _SUM_SLACK:
             raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "weights", w)
-        for tabs in self.tables:
-            for table in tabs:
-                arr = np.asarray(table, dtype=float)
-                if np.any(arr < -1e-12) or np.max(np.abs(arr.sum(axis=1) - 1)) > 1e-8:
-                    raise ValueError("response tables must be conditional distributions")
+        h = len(weights)
+        states = _as_finite_complex(self.states, "states")
+        d = states.shape[-1] if states.ndim else 0
+        states = _read_only(states, (h, d, d), "states")
+        if np.any(psd_deviation(states) > DEFAULT_TOL.abs_tol):
+            raise ValueError("state must be Hermitian and PSD")
+        if np.any(np.abs(np.trace(states, axis1=1, axis2=2) - 1) > _SUM_SLACK):
+            raise ValueError("state must have unit trace")
+        tables = tuple(np.asarray(t, dtype=float) for t in self.tables)
+        for i, t in enumerate(tables):
+            if t.ndim != 3 or len(t) != h:
+                raise ValueError(f"tables[{i}] have shape {t.shape}, expected "
+                                 f"({h}, settings, outcomes)")
+            if np.any(t < -_NEGATIVE_SLACK) or np.any(
+                    np.abs(t.sum(axis=2) - 1) > _SUM_SLACK):
+                raise ValueError("response tables must be conditional distributions")
+        object.__setattr__(self, "weights", _read_only(weights, (h,), "weights"))
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "tables", tuple(_read_only(t, t.shape, "tables")
+                                                 for t in tables))
 
 
 @dataclass(frozen=True)
@@ -211,7 +235,7 @@ def measured_members(w: Op, povms, scenario: Scenario) -> np.ndarray:
     n = scenario.n_parties
     t = w.data[None]  # (effects so far, rest, rest)
     for i, (povm, m, k) in enumerate(zip(povms, scenario.settings, scenario.outcomes)):
-        if povm.settings < m or povm.outcomes < k:
+        if not povm.covers(m, k):
             raise ValueError(f"POVM of party {i} is too small for the scenario")
         effects = np.array([[e.data for e in row[:k]] for row in povm.effects[:m]])
         rest = t.shape[-1] // povm.dim
@@ -252,20 +276,21 @@ def mixture_members(tables, ops, scenario: Scenario) -> np.ndarray:
     """``sum_j prod_i p_j(a_i|x_i) ops[j]`` at every position, as a
     ``(positions, D, D)`` array.
 
-    ``tables[j][i]`` is the (settings x outcomes) response table of party
-    ``i`` under hidden variable ``j``.
+    ``tables[i]`` is party ``i``'s ``(h, settings, outcomes)`` array of
+    response tables, ``tables[i][j]`` its table under hidden variable ``j``.
     """
+    ops = np.asarray(ops)
     probs = np.ones((len(ops), 1, 1))  # (j, setting vector, outcome vector)
-    for i, (m, k) in enumerate(zip(scenario.settings, scenario.outcomes)):
-        table = np.array([np.asarray(tabs[i], dtype=float)[:m, :k] for tabs in tables])
+    for table, m, k in zip(tables, scenario.settings, scenario.outcomes, strict=True):
+        table = np.asarray(table, dtype=float)[:, :m, :k]
         probs = probs[:, :, None, :, None] * table[:, None, :, None, :]
         probs = probs.reshape(len(ops), probs.shape[1] * m, -1)
-    return np.tensordot(probs.reshape(len(ops), -1), np.array(ops), axes=(0, 0))
+    return np.tensordot(probs.reshape(len(ops), -1), ops, axes=(0, 0))
 
 
 def lhs_assemblage(model: LhsModel, scenario: Scenario) -> Assemblage:
     """Assemble the members generated by a local hidden state model."""
-    ops = [q * sigma.op.data for q, sigma in zip(model.weights, model.states)]
+    ops = model.weights[:, None, None] * model.states
     return Assemblage(scenario, mixture_members(model.tables, ops, scenario))
 
 
@@ -402,21 +427,14 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
         return NoLhs("nonnegative weight system over deterministic strategies "
                      "is infeasible", residual=residual)
 
+    # The model: the strategies with positive weight, each with the ket its
+    # responses select at x=(0,...,0) and one deterministic table per party.
+    keep = x > 0
+    chosen = strategies[keep]
+    total = sum(x[keep].tolist())  # left to right, one weight at a time
     origin = (0,) * scen.n_parties
-    weights, states, tables = [], [], []
-    for w, strategy in zip(x, strategies):
-        if w <= 0:
-            continue
-        weights.append(w)
-        responses = np.split(strategy, offsets[1:])
-        ket = p.kets[rows[tuple(int(f[0]) for f in responses) + origin]]
-        states.append(State(Op(scen.trusted_dims, np.outer(ket, ket.conj()))))
-        tabs = []
-        for i, f in enumerate(responses):
-            table = np.zeros((scen.settings[i], scen.outcomes[i]))
-            table[np.arange(scen.settings[i]), f] = 1.0
-            tabs.append(table)
-        tables.append(tuple(tabs))
-    total = sum(weights)
-    weights = [w / total for w in weights]
-    return LhsModel(tuple(weights), tuple(states), tuple(tables))
+    kets = p.kets[rows[tuple(chosen[:, offsets].T) + origin]]
+    states = kets[:, :, None] * kets.conj()[:, None, :]
+    tables = tuple(np.eye(k)[f] for k, f in
+                   zip(scen.outcomes, np.split(chosen, offsets[1:], axis=1)))
+    return LhsModel(x[keep] / total, states, tables)

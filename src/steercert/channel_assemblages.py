@@ -129,8 +129,9 @@ def verify_ns_channel(l: ChannelAssemblage,
 def local_channel_assemblage(tables, maps, scenario: Scenario) -> ChannelAssemblage:
     """Members ``sum_j prod_i p_j(a_i|x_i) L_j`` from CP maps with CPTP total.
 
-    ``tables[j][i]`` is the (settings x outcomes) response table of party
-    ``i`` under hidden variable ``j``; ``maps[j]`` the matching CP map.
+    ``tables[i]`` is party ``i``'s ``(h, settings, outcomes)`` array of
+    response tables, ``tables[i][j]`` its table under hidden variable ``j``;
+    ``maps[j]`` is the matching CP map.
     """
     d_out, d_in = scenario.trusted_dims
     total = sum(c.op.data for c in maps)

@@ -20,6 +20,7 @@ from .core import (
     is_hermitian,
     is_psd,
     partial_trace,
+    psd_deviation,
 )
 
 
@@ -60,17 +61,27 @@ class Povm:
     def __post_init__(self):
         effects = tuple(tuple(row) for row in self.effects)
         object.__setattr__(self, "effects", effects)
+        # One stack of the effects before the first of a wrong shape, and
+        # the faults in the order of a walk over (setting, outcome): the
+        # first bad effect comes after the sums of the settings before it.
         eye = np.eye(self.dim)
-        for x, row in enumerate(effects):
-            total = np.zeros((self.dim, self.dim), dtype=complex)
-            for a, eff in enumerate(row):
-                if eff.data.shape != (self.dim, self.dim):
-                    raise ValueError(f"effect ({x},{a}) has wrong dimension")
-                if not is_psd(eff, 1e-8):
-                    raise ValueError(f"effect ({x},{a}) is not PSD")
-                total += eff.data
-            if np.max(np.abs(total - eye)) > 1e-8:
+        flat = [(x, a, eff.data) for x, row in enumerate(effects) for a, eff in enumerate(row)]
+        good = next((f for f, (_, _, data) in enumerate(flat) if data.shape != eye.shape),
+                    len(flat))
+        stack = np.array([data for _, _, data in flat[:good]],
+                         dtype=complex).reshape((good,) + eye.shape)
+        not_psd = psd_deviation(stack) > 1e-8 if good else np.zeros(0, dtype=bool)
+        bad = int(np.argmax(np.append(not_psd, True)))  # the first bad effect
+        ends = np.cumsum([len(row) for row in effects])
+        for x, (row, end) in enumerate(zip(effects, ends)):
+            if end > bad:
+                break
+            if np.max(np.abs(stack[end - len(row):end].sum(axis=0) - eye)) > 1e-8:
                 raise ValueError(f"effects of setting {x} do not sum to identity")
+        if bad < len(flat):
+            x, a, _ = flat[bad]
+            raise ValueError(f"effect ({x},{a}) has wrong dimension" if bad == good
+                             else f"effect ({x},{a}) is not PSD")
 
     @property
     def settings(self) -> int:
@@ -79,6 +90,12 @@ class Povm:
     @property
     def outcomes(self) -> int:
         return len(self.effects[0])
+
+    def covers(self, settings: int, outcomes: int) -> bool:
+        """Whether each of the first ``settings`` settings has at least
+        ``outcomes`` effects."""
+        return self.settings >= settings and all(
+            len(row) >= outcomes for row in self.effects[:settings])
 
 
 def projective_povm(bases) -> Povm:

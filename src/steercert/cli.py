@@ -31,6 +31,7 @@ from .assemblages import (
     LhsModel,
     assemblage_from_realization,
     canonicalize_pure,
+    lhs_assemblage,
     pure_lhs_decide,
     verify_ns,
 )
@@ -109,23 +110,26 @@ def cmd_choi(args, tol: Tolerances, doc: Document) -> None:
     print(json.dumps(out, sort_keys=True))
 
 
-def _pure(doc: Document, tol: Tolerances):
-    """The canonical pure assemblage of an assemblage, channel assemblage
-    or realization document."""
+def _assemblage(doc: Document):
+    """The (Choi) state assemblage of an assemblage, channel assemblage or
+    realization document."""
     payload = doc.payload
     if doc.kind == "assemblage":
-        assemblage = payload
-    elif doc.kind == "channel_assemblage":
-        assemblage = to_choi_assemblage(payload)
-    elif doc.kind == "realization" and payload.channel is None:
-        assemblage = assemblage_from_realization(payload.state, payload.povms,
-                                                 payload.scenario)
-    elif doc.kind == "realization":
-        assemblage = to_choi_assemblage(chanasm_from_realization(
+        return payload
+    if doc.kind == "channel_assemblage":
+        return to_choi_assemblage(payload)
+    if doc.kind == "realization" and payload.channel is None:
+        return assemblage_from_realization(payload.state, payload.povms,
+                                           payload.scenario)
+    if doc.kind == "realization":
+        return to_choi_assemblage(chanasm_from_realization(
             payload.state, payload.povms, payload.channel, payload.scenario))
-    else:
-        raise DocumentError(f"kind '{doc.kind}' carries no assemblage")
-    return canonicalize_pure(assemblage, tol)
+    raise DocumentError(f"kind '{doc.kind}' carries no assemblage")
+
+
+def _pure(doc: Document, tol: Tolerances):
+    """The canonical pure assemblage of :func:`_assemblage`."""
+    return canonicalize_pure(_assemblage(doc), tol)
 
 
 def cmd_extremality(args, tol: Tolerances, doc: Document):
@@ -141,10 +145,14 @@ def cmd_extremality(args, tol: Tolerances, doc: Document):
 
 
 def cmd_lhs(args, tol: Tolerances, doc: Document):
-    verdict = pure_lhs_decide(_pure(doc, tol), tol)
+    assemblage = _assemblage(doc)
+    verdict = pure_lhs_decide(canonicalize_pure(assemblage, tol), tol)
     if isinstance(verdict, LhsModel):
+        rebuilt = lhs_assemblage(verdict, assemblage.scenario).members
         return PASS, {"lhs": True, "hidden_variables": len(verdict.weights),
-                      "weights": [float(w) for w in verdict.weights]}
+                      "weights": verdict.weights.tolist(),
+                      "reconstruction_residual":
+                          float(np.max(np.abs(rebuilt - assemblage.members)))}
     details = {"lhs": False, "reason": verdict.reason}
     if verdict.residual is not None:
         details["residual"] = verdict.residual

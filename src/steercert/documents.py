@@ -9,9 +9,16 @@ row-major nested arrays, dims as integer arrays.  Missing assemblage
 positions are zero members.
 
 ``SCHEMA`` is the one definition of a valid document.  ``parse`` checks a
-document with ``_conforms``, a walk of ``SCHEMA`` that reads each matrix in
-bulk; only when that check says no does it import jsonschema, which either
-names the fault and its JSON path or accepts what the walk leaves to it.
+document with ``_conforms``, a walk of ``SCHEMA``; only when that check
+says no does it import jsonschema, which either names the fault and its
+JSON path or accepts what the walk leaves to it.  The walk is batched: it
+checks a *list* of instances against a schema node one keyword at a time,
+and ``properties`` and ``items`` recurse once on the gathered
+sub-instances of the whole list, so the number of calls follows the depth
+of the schema, not the number of members.  The parsers then read the
+matrices of an assemblage or of a POVM with one ``np.array`` call and fall
+back to one matrix at a time only to name the first fault.  A position
+listed twice in an assemblage is a fault at its second listing.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import cmath
 import functools
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from math import prod
 
 import numpy as np
@@ -142,45 +149,56 @@ SCHEMA = {
 }
 
 
-def _is_matrix(rows) -> bool:
-    """Whether ``rows`` conforms to ``_MATRIX``: nested lists of ``[re, im]``
-    pairs of ints or floats (``bool`` is neither)."""
-    if type(rows) is not list or not set(map(type, rows)) <= {list}:
-        return False
-    entries = list(chain.from_iterable(rows))
-    return (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
-            and set(map(type, chain.from_iterable(entries))) <= {int, float})
-
-
 _TYPES = {"object": {dict}, "array": {list}, "integer": {int}, "number": {int, float}}
 
 
-def _items(v, s) -> bool:
-    if type(v) is not list:
-        return True
-    if s.get("type") == "integer" and s.keys() <= {"type", "minimum"}:
-        # A vector of integers: their types in one set, then the least of them.
-        return set(map(type, v)) <= {int} and (
-            not v or "minimum" not in s or min(v) >= s["minimum"])
-    return all(_conforms(item, s) for item in v)
+def _of(vs, kind) -> list:
+    """The members of ``vs`` of one JSON type (``bool`` is not a number)."""
+    types = _TYPES[kind]
+    return vs if set(map(type, vs)) <= types else [v for v in vs if type(v) in types]
 
 
-# One check per keyword SCHEMA uses; each reads (instance, keyword value).
-# Keywords that constrain one JSON type pass any other type, as in JSON Schema.
+def _at_least(vs, s) -> bool:
+    if set(map(type, vs)) <= {int}:  # the least integer decides, no NaN among them
+        return min(vs) >= s
+    return all(v >= s for v in _of(vs, "number"))
+
+
+# One check per keyword SCHEMA uses; each reads (instances, keyword value)
+# and holds when every instance satisfies the keyword.  Keywords that
+# constrain one JSON type pass any other type, as in JSON Schema.
 _KEYWORDS = {
-    "$schema": lambda v, s: True,  # annotations, no constraint on the instance
-    "$defs": lambda v, s: True,
-    "type": lambda v, s: type(s) is str and type(v) in _TYPES.get(s, ()),
-    "required": lambda v, s: type(v) is not dict or all(key in v for key in s),
-    "properties": lambda v, s: type(v) is not dict or all(
-        _conforms(v[key], sub) for key, sub in s.items() if key in v),
-    "items": _items,
-    "minItems": lambda v, s: type(v) is not list or len(v) >= s,
-    "maxItems": lambda v, s: type(v) is not list or len(v) <= s,
-    "minimum": lambda v, s: type(v) not in _TYPES["number"] or v >= s,
-    "enum": lambda v, s: any(type(v) is type(e) and v == e for e in s),
-    "const": lambda v, s: type(v) is type(s) and v == s,
+    "$schema": lambda vs, s: True,  # annotations, no constraint on the instance
+    "$defs": lambda vs, s: True,
+    "type": lambda vs, s: type(s) is str and set(map(type, vs)) <= _TYPES.get(s, set()),
+    "required": lambda vs, s: all(map(set(s).issubset, _of(vs, "object"))),
+    "properties": lambda vs, s: all(
+        _conform_all([v[key] for v in _of(vs, "object") if key in v], sub)
+        for key, sub in s.items()),
+    "items": lambda vs, s: _conform_all(list(chain.from_iterable(_of(vs, "array"))), s),
+    "minItems": lambda vs, s: min(map(len, _of(vs, "array")), default=s) >= s,
+    "maxItems": lambda vs, s: max(map(len, _of(vs, "array")), default=s) <= s,
+    "minimum": _at_least,
+    "enum": lambda vs, s: all(any(type(v) is type(e) and v == e for e in s) for v in vs),
+    "const": lambda vs, s: all(type(v) is type(s) and v == s for v in vs),
 }
+
+
+def _conform_all(instances: list, schema) -> bool:
+    """Whether every one of ``instances`` passes :func:`_conforms`.
+
+    One keyword at a time over the whole list: ``properties`` and ``items``
+    gather the sub-instances of every instance and recurse once, so the
+    number of calls follows the depth of ``schema``, not the size of the
+    instances (all the members of an assemblage are one list).
+    """
+    if not instances:
+        return True
+    for key, value in schema.items():
+        check = _KEYWORDS.get(key)
+        if check is None or not check(instances, value):
+            return False
+    return True
 
 
 def _conforms(instance, schema) -> bool:
@@ -190,13 +208,7 @@ def _conforms(instance, schema) -> bool:
     a keyword this check does not implement, an integer written as ``1.0``,
     or a real fault; ``parse`` then asks jsonschema.
     """
-    if schema is _MATRIX:
-        return _is_matrix(instance)
-    for key, value in schema.items():
-        check = _KEYWORDS.get(key)
-        if check is None or not check(instance, value):
-            return False
-    return True
+    return _conform_all([instance], schema)
 
 
 @dataclass(frozen=True)
@@ -221,22 +233,51 @@ def _complex_in(pair, path):
     return value
 
 
-def _matrix_in(rows, path) -> np.ndarray:
+def _pairs_in(data, shape: tuple):
+    """``data`` as a complex array of ``shape``, read by one ``np.array``
+    call, or None if it is not an array of that shape of finite ``[re, im]``
+    pairs.  A string or a null among the entries gives another dtype kind;
+    a boolean reads as 0 or 1, as ``complex`` reads it."""
     try:
-        pairs = np.array(rows, dtype=float)
+        pairs = np.array(data)
     except (TypeError, ValueError, OverflowError):
-        pairs = None
-    # np.array would also read strings and booleans: _is_matrix rules them out.
-    if (pairs is not None and pairs.ndim == 3 and pairs.shape[0] == pairs.shape[1]
-            and pairs.shape[2] == 2 and np.isfinite(pairs).all() and _is_matrix(rows)):
-        return pairs.view(complex)[..., 0]
+        return None
+    if (pairs.dtype.kind in "bif" and pairs.shape == shape + (2,)
+            and np.isfinite(pairs).all()):
+        return pairs.astype(float, copy=False).view(complex)[..., 0]
+    return None
+
+
+def _matrix_in(rows, path) -> np.ndarray:
+    side = len(rows) if type(rows) is list else -1
+    mat = _pairs_in(rows, (side, side))
+    if mat is not None:
+        return mat
     # Entry by entry, to name the first fault (or to read what the bulk
-    # path leaves out, such as ``true`` in a state matrix).
+    # path leaves out, such as an integer beyond the int64 range).
     if not rows or any(len(row) != len(rows) for row in rows):
         raise DocumentError("matrix must be square", path)
     return np.array([[_complex_in(v, f"{path}[{i}][{j}]")
                       for j, v in enumerate(row)]
                      for i, row in enumerate(rows)], dtype=complex)
+
+
+def _stack_in(mats: list, dims: tuple, path_of) -> np.ndarray:
+    """The matrices ``mats`` as one complex ``(len(mats), D, D)`` array,
+    ``D = prod(dims)``, read by one ``np.array`` call.  Only when that read
+    fails are they read one at a time, to name the first fault at
+    ``path_of(i)``."""
+    side = prod(dims)
+    stack = _pairs_in(mats, (len(mats), side, side))
+    if stack is None:
+        stack = np.zeros((len(mats), side, side), dtype=complex)
+        for i, rows in enumerate(mats):
+            mat = _matrix_in(rows, path_of(i))
+            if mat.shape != (side, side):
+                raise DocumentError(f"matrix shape {mat.shape} does not match dims "
+                                    f"{dims}", path_of(i))
+            stack[i] = mat
+    return stack
 
 
 def _matrix_out(arr) -> list:
@@ -267,20 +308,13 @@ def _state_in(obj, path) -> State:
 
 
 def _povm_in(obj, path) -> Povm:
-    dim = obj["dim"]
-    effects = []
-    for x, row in enumerate(obj["effects"]):
-        ops = []
-        for a, m in enumerate(row):
-            effect_path = f"{path}.effects[{x}][{a}]"
-            mat = _matrix_in(m, effect_path)
-            try:
-                ops.append(Op((dim,), mat))
-            except ValueError as exc:
-                raise DocumentError(str(exc), effect_path)
-        effects.append(tuple(ops))
+    dim, rows = int(obj["dim"]), obj["effects"]  # jsonschema accepts 2.0
+    at = [(x, a) for x, row in enumerate(rows) for a in range(len(row))]
+    stack = _stack_in(list(chain.from_iterable(rows)), (dim,),
+                      lambda i: f"{path}.effects[{at[i][0]}][{at[i][1]}]")
+    ops = iter([Op((dim,), mat) for mat in stack])
     try:
-        return Povm(dim, tuple(effects))
+        return Povm(dim, tuple(tuple(islice(ops, len(row))) for row in rows))
     except ValueError as exc:
         raise DocumentError(str(exc), path)
 
@@ -307,7 +341,7 @@ def _channel_in(obj, path) -> ChoiOp:
                       for row in m], dtype=complex)
             for k, m in enumerate(obj["kraus"]))
         try:
-            k = KrausChannel(obj["in_dim"], obj["out_dim"], ops)
+            k = KrausChannel(int(obj["in_dim"]), int(obj["out_dim"]), ops)
         except ValueError as exc:
             raise DocumentError(str(exc), f"{path}.kraus")
         return choi_of_kraus(k, in_dims, out_dims)
@@ -333,20 +367,24 @@ def _assemblage_in(obj, path, as_channel: bool):
     except (MemoryError, ValueError):  # ValueError: the size overflows
         raise DocumentError(f"the scenario's {n} members of {d}x{d} cannot be "
                             "allocated", f"{path}.scenario")
+    entries = obj["members"]
     try:
-        at = scen.indices((entry["a"], entry["x"]) for entry in obj["members"])
+        at = scen.indices((entry["a"], entry["x"]) for entry in entries)
     except ValueError as exc:
         raise DocumentError(str(exc), f"{path}.members[{exc.place}]")
-    for i, (entry, index) in enumerate(zip(obj["members"], at)):
-        mat = entry.get(key, entry.get("member"))
-        if mat is None:
-            raise DocumentError(f"missing '{key}' matrix", f"{path}.members[{i}]")
-        mat_path = f"{path}.members[{i}].{key}"
-        mat = _matrix_in(mat, mat_path)
-        if mat.shape != (d, d):
-            raise DocumentError(f"matrix shape {mat.shape} does not match dims "
-                                f"{scen.trusted_dims}", mat_path)
-        members[index] = mat
+    order = np.argsort(at, kind="stable")  # a repeat sorts after its first
+    repeats = order[1:][at[order[1:]] == at[order[:-1]]]
+    if len(repeats):
+        j = int(repeats.min())
+        raise DocumentError(f"member {tuple(entries[j]['a'])}|{tuple(entries[j]['x'])} "
+                            "is listed twice", f"{path}.members[{j}]")
+    mats = [entry.get(key, entry.get("member")) for entry in entries]
+    missing = mats.index(None) if None in mats else len(mats)
+    stack = _stack_in(mats[:missing], scen.trusted_dims,
+                      lambda i: f"{path}.members[{i}].{key}")
+    if missing < len(mats):
+        raise DocumentError(f"missing '{key}' matrix", f"{path}.members[{missing}]")
+    members[at] = stack
     return (ChannelAssemblage if as_channel else Assemblage)(scen, members)
 
 
@@ -367,7 +405,7 @@ def _realization_in(obj, path) -> Realization:
     povms = []
     for i, (p, m, k) in enumerate(zip(obj["povms"], scen.settings, scen.outcomes)):
         povm = _povm_in(p, f"{path}.povms[{i}]")
-        if povm.settings < m or povm.outcomes < k:
+        if not povm.covers(m, k):
             raise DocumentError(f"POVM of party {i} is too small for the scenario",
                                 f"{path}.povms[{i}]")
         povms.append(povm)

@@ -195,17 +195,16 @@ def test_criterion_7_lhs_decision():
         to_choi_assemblage(gallery.bell_cnot_assemblage()), TOL)
     steering_verdict = pure_lhs_decide(pure, TOL)
 
-    from steercert.channels import State
     scen = Scenario((2, 2), (2, 2), (2, 2))
     phi = gallery.KET_PHI
     flip = gallery.KET_PHI_FLIP
-    states = (State(Op((2, 2), np.outer(phi, phi.conj()))),
-              State(Op((2, 2), np.outer(flip, flip.conj()))))
+    states = np.array([np.outer(phi, phi.conj()), np.outer(flip, flip.conj())])
     det0 = np.array([[1.0, 0.0], [1.0, 0.0]])
     det1 = np.array([[0.0, 1.0], [0.0, 1.0]])
-    # disjoint deterministic supports keep every member rank one
-    tables = ((det0, det0), (det1, det1))
-    model = LhsModel((0.4, 0.6), states, tables)
+    # disjoint deterministic supports keep every member rank one; each
+    # party's tables are stacked over the two hidden variables
+    tables = (np.array([det0, det1]), np.array([det0, det1]))
+    model = LhsModel(np.array([0.4, 0.6]), states, tables)
     local = lhs_assemblage(model, scen)
     local_verdict = pure_lhs_decide(canonicalize_pure(local, TOL), TOL)
     roundtrip_dev = None

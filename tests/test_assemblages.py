@@ -5,7 +5,6 @@ from conftest import random_density
 from steercert.core import Ket, Op
 from steercert.channels import (
     Povm,
-    State,
     projective_povm,
     pure_state,
     random_kraus_channel,
@@ -137,13 +136,10 @@ def test_hermitian_realization_roundtrip():
 
 def test_lhs_assemblage_and_decision_roundtrip():
     scen = Scenario((2,), (2,), (2,))
-    states = (State(Op((2,), np.outer(KET0, KET0))),
-              State(Op((2,), np.outer(PLUS, PLUS))))
-    tables = (
-        (np.array([[1.0, 0.0], [0.0, 1.0]]),),
-        (np.array([[0.0, 1.0], [1.0, 0.0]]),),
-    )
-    model = LhsModel((0.25, 0.75), states, tables)
+    states = np.array([np.outer(KET0, KET0), np.outer(PLUS, PLUS)])
+    tables = (np.array([[[1.0, 0.0], [0.0, 1.0]],
+                        [[0.0, 1.0], [1.0, 0.0]]]),)
+    model = LhsModel(np.array([0.25, 0.75]), states, tables)
     s = lhs_assemblage(model, scen)
     assert verify_ns(s).ok
     verdict = pure_lhs_decide(canonicalize_pure(s))
@@ -152,6 +148,47 @@ def test_lhs_assemblage_and_decision_roundtrip():
     for pos in scen.positions():
         np.testing.assert_allclose(rebuilt.member(*pos).data,
                                    s.member(*pos).data, atol=1e-9)
+
+
+def _two_variable_model():
+    """Weights, states and tables of a valid one-party, two-variable model."""
+    return (np.array([0.25, 0.75]),
+            np.array([np.outer(KET0, KET0), np.outer(PLUS, PLUS)]),
+            (np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]),))
+
+
+def test_lhs_model_holds_read_only_arrays():
+    model = LhsModel(*_two_variable_model())
+    assert model.weights.shape == (2,) and model.states.shape == (2, 2, 2)
+    assert [t.shape for t in model.tables] == [(2, 2, 2)]
+    with pytest.raises(ValueError):
+        model.states[0, 0, 0] = 0
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("negative weight", "nonnegative"),
+    ("weights off one", "sum to 1"),
+    ("state not PSD", "PSD"),
+    ("trace off one", "unit trace"),
+    ("table row off one", "conditional distributions"),
+    ("count mismatch", "states have shape"),
+])
+def test_lhs_model_checks_raise(fault, message):
+    weights, states, tables = _two_variable_model()
+    if fault == "negative weight":
+        weights = np.array([-0.25, 1.25])
+    elif fault == "weights off one":
+        weights = np.array([0.25, 0.5])
+    elif fault == "state not PSD":
+        states[1] = np.diag([1.5, -0.5])
+    elif fault == "trace off one":
+        states[1] = 0.5 * states[1]
+    elif fault == "table row off one":
+        tables[0][1, 0] = [0.5, 0.4]
+    else:
+        states = states[:1]
+    with pytest.raises(ValueError, match=message):
+        LhsModel(weights, states, tables)
 
 
 def test_singlet_has_no_lhs_model():

@@ -50,11 +50,10 @@ def test_local_channel_assemblage_is_ns(rng):
     k1 = choi_of_kraus(random_kraus_channel(rng, 2, 2))
     half = ChoiOp((2,), (2,), Op((2, 2), 0.5 * k1.op.data))
     maps = (half, half)
-    table_det = (np.array([[1.0, 0.0], [1.0, 0.0]]),
-                 np.array([[1.0, 0.0], [0.0, 1.0]]))
-    table_mix = (np.array([[0.5, 0.5], [0.5, 0.5]]),
-                 np.array([[0.0, 1.0], [1.0, 0.0]]))
-    l = local_channel_assemblage((table_det, table_mix), maps, scen)
+    # tables[i][j]: party i under hidden variable j (deterministic, mixed)
+    tables = (np.array([[[1.0, 0.0], [1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]]),
+              np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]))
+    l = local_channel_assemblage(tables, maps, scen)
     assert verify_ns_channel(l).ok
     assert verify_asym_ns(l).ok
 
@@ -64,7 +63,7 @@ def test_local_channel_assemblage_needs_cptp_total(rng):
     k1 = choi_of_kraus(random_kraus_channel(rng, 2, 2))
     bad = ChoiOp((2,), (2,), Op((2, 2), 0.5 * k1.op.data))
     with pytest.raises(ValueError):
-        local_channel_assemblage(((np.ones((1, 1)), np.ones((1, 1))),),
+        local_channel_assemblage((np.ones((1, 1, 1)), np.ones((1, 1, 1))),
                                  (bad,), scen)
 
 

@@ -43,6 +43,25 @@ def test_povm_validation():
     assert p.settings == 1 and p.outcomes == 2 and p.dim == 2
 
 
+def _ops(*diagonals):
+    return tuple(Op((len(d),), np.diag(d)) for d in diagonals)
+
+
+@pytest.mark.parametrize("effects, message", [
+    # a setting whose sum is off comes before a later effect that is not PSD
+    ((_ops([1, 1], [0, 0.5]), _ops([1.5, 1], [-0.5, 0])),
+     "effects of setting 0 do not sum to identity"),
+    # an effect that is not PSD comes before a later one of the wrong shape
+    ((_ops([1, 1.5], [0, -0.5]), _ops([1, 0, 0], [0, 1])), r"effect \(0,1\) is not PSD"),
+    # the wrong shape comes before its setting's sum
+    ((_ops([1, 0], [0, 1]), _ops([1, 0], [0, 1, 0])),
+     r"effect \(1,1\) has wrong dimension"),
+])
+def test_povm_names_its_first_fault(effects, message):
+    with pytest.raises(ValueError, match=message):
+        Povm(2, effects)
+
+
 def test_kraus_completeness():
     with pytest.raises(ValueError):
         KrausChannel(2, 2, (0.5 * np.eye(2),))

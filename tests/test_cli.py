@@ -3,11 +3,19 @@ import json
 
 import numpy as np
 import pytest
+from conftest import haar_unitary
 
 from steercert import cli, documents, gallery
-from steercert.core import Op
-from steercert.channels import ChoiOp, State, choi_of_unitary
-from steercert.assemblages import Assemblage, Scenario
+from steercert.core import Ket, Op
+from steercert.channels import State, choi_of_unitary, projective_povm, pure_state
+from steercert.assemblages import (
+    Assemblage,
+    Scenario,
+    assemblage_from_realization,
+    canonicalize_pure,
+    lhs_assemblage,
+    pure_lhs_decide,
+)
 from steercert.channel_assemblages import (
     ChannelAssemblage,
     local_channel_assemblage,
@@ -121,6 +129,50 @@ def test_extremality_appendix(capsys):
 def test_lhs_command(capsys):
     code, report = run_json(capsys, "lhs", data_path("example1.json"))
     assert code == 0 and report["details"]["lhs"] is False
+
+
+def test_position_listed_twice_is_input_error(capsys, tmp_path):
+    half = [[[0.5, 0.0]]]
+    raw = {"kind": "assemblage", "version": 1, "payload": {
+        "scenario": {"settings": [1], "outcomes": [2], "trusted_dims": [1]},
+        "members": [{"a": [0], "x": [0], "member": half},
+                    {"a": [1], "x": [0], "member": half},
+                    {"a": [0], "x": [0], "member": [[[0.2, 0.0]]]}]}}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(raw))
+    for command in ("verify", "lhs"):
+        code, report = run_json(capsys, command, str(path))
+        assert code == 3 and report["status"] == "INPUT_ERROR"
+        assert report["details"]["error"].startswith("$.payload.members[2]: ")
+
+
+def _product_realization(rng, n, m, k, d) -> documents.Realization:
+    """A product pure state, measured in Haar-random projective bases."""
+    psi = haar_unitary(rng, d)[:, 0]
+    for _ in range(n):
+        psi = np.kron(haar_unitary(rng, k)[:, 0], psi)
+    povms = tuple(projective_povm([haar_unitary(rng, k).T for _ in range(m)])
+                  for _ in range(n))
+    return documents.Realization(Scenario((m,) * n, (k,) * n, (d,)),
+                                 pure_state(Ket((k,) * n + (d,), psi)), povms)
+
+
+def test_lhs_reports_reconstruction_residual(capsys, tmp_path, rng):
+    real = _product_realization(rng, 3, 2, 2, 2)
+    path = tmp_path / "product.json"
+    path.write_text(documents.dumps(real))
+    code, report = run_json(capsys, "lhs", str(path))
+    details = report["details"]
+    assert code == 0 and details["lhs"] is True
+    assert len(details["weights"]) == details["hidden_variables"]
+    assert 0 <= details["reconstruction_residual"] < 1e-12
+    # the residual is that of the model against the input's members
+    s = assemblage_from_realization(real.state, real.povms, real.scenario)
+    model = pure_lhs_decide(canonicalize_pure(s))
+    rebuilt = lhs_assemblage(model, s.scenario).members
+    assert details["reconstruction_residual"] == float(np.max(np.abs(rebuilt - s.members)))
+    _, report = run_json(capsys, "lhs", data_path("example1.json"))
+    assert "reconstruction_residual" not in report["details"]
 
 
 def test_security_cert_command(capsys):
@@ -255,7 +307,7 @@ def test_verify_reports_setting_dependent_totals(capsys, tmp_path):
 def test_verify_relaxed_mode_rejects_three_parties(capsys, tmp_path):
     scen = Scenario((2, 1, 1), (2, 1, 1), (2, 2))
     identity = choi_of_unitary(np.eye(2))
-    tables = ((np.array([[0.5, 0.5], [1.0, 0.0]]), np.ones((1, 1)), np.ones((1, 1))),)
+    tables = (np.array([[[0.5, 0.5], [1.0, 0.0]]]), np.ones((1, 1, 1)), np.ones((1, 1, 1)))
     path = tmp_path / "three.json"
     path.write_text(documents.dumps(
         local_channel_assemblage(tables, (identity,), scen)))
@@ -403,6 +455,8 @@ def _realization_document(defect: str) -> dict:
         raw["payload"]["state"]["matrix"][0][0] = [10 ** 400, 0]
     elif defect == "povm-with-one-setting":
         raw["payload"]["povms"][0]["effects"].pop()
+    elif defect == "povm-with-a-short-setting":  # one effect, the identity
+        raw["payload"]["povms"][0]["effects"][1] = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
     elif defect == "povm-missing":
         raw["payload"]["povms"].pop()
     elif defect == "povm-extra":
@@ -426,6 +480,8 @@ _MALFORMED_ENTRIES = {"one-number-entry": ([0.5], ": [0.5] is too short"),
     ("state-without-matrix", "$.payload.state: 'matrix' is a required property"),
     ("oversized-entry", "$.payload.state.matrix[0][0]: entry out of range"),
     ("povm-with-one-setting",
+     "$.payload.povms[0]: POVM of party 0 is too small for the scenario"),
+    ("povm-with-a-short-setting",
      "$.payload.povms[0]: POVM of party 0 is too small for the scenario"),
     ("povm-missing", "$.payload.povms: expected one POVM per party (2), got 1"),
     ("povm-extra", "$.payload.povms: expected one POVM per party (2), got 3"),

@@ -113,6 +113,17 @@ def test_first_position_outside_scenario_names_its_member():
     assert str(info.value).endswith("outside the scenario")
 
 
+def test_position_listed_twice_names_its_second_member():
+    raw = serialize(to_choi_assemblage(gallery.bell_cnot_assemblage()))
+    members = raw["payload"]["members"]
+    members.insert(3, dict(members[1], member=members[0]["member"]))
+    members.append(dict(members[0]))
+    with pytest.raises(DocumentError) as info:
+        parse(raw)
+    assert info.value.path == "$.payload.members[3]"
+    assert str(info.value).endswith("is listed twice")
+
+
 def test_channel_needs_kraus_or_choi():
     with pytest.raises(DocumentError, match="kraus.*choi|choi.*kraus"):
         parse({"kind": "channel", "version": 1,

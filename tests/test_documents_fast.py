@@ -5,19 +5,24 @@
 accept what jsonschema rejects.  Hypothesis mutates the bundled fixtures
 and a generated assemblage (``conftest.mutated``); the values it writes in
 include integer-valued floats, booleans, numeric strings and three-element
-pairs.  ``_matrix_in`` reads a matrix in bulk; it must give
-the same array, byte for byte, or the same error as the entry-by-entry
-reader it replaced, which is kept here as the reference.
+pairs.  ``_conforms`` checks all the members of an assemblage as one list,
+so a fault in any one member must still make it say no, and its number of
+calls must not grow with the number of members.  ``_matrix_in`` reads a
+matrix in bulk; it must give the same array, byte for byte, or the same
+error as the entry-by-entry reader it replaced, which is kept here as the
+reference.
 """
 
 import cmath
+import copy
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
-from conftest import BASES, mutated
+from conftest import BASES, mutated, pure_realization
 from steercert import documents, gallery
 from steercert.channel_assemblages import to_choi_assemblage
 from steercert.documents import SCHEMA, DocumentError, Realization, _conforms, _matrix_in
@@ -79,6 +84,75 @@ def test_integer_valued_floats_fall_back_to_jsonschema():
     for entry in raw["payload"]["members"]:
         entry["a"] = [float(v) for v in entry["a"]]
     assert np.array_equal(documents.parse(raw).payload.members, expected)
+
+
+@pytest.mark.parametrize("kind, field", [("realization", "dim"), ("channel", "in_dim"),
+                                         ("channel", "out_dim")])
+def test_integer_valued_float_dims_are_read_as_integers(kind, field):
+    rho, povms, channel, scen = gallery.bell_cnot_realization()
+    if kind == "realization":
+        raw = documents.serialize(Realization(scen, rho, povms, channel))
+        place = raw["payload"]["povms"][0]
+    else:
+        kraus = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
+        raw = {"kind": "channel", "version": 1,
+               "payload": {"in_dim": 2, "out_dim": 2, "kraus": kraus}}
+        place = raw["payload"]
+    expected = documents.dumps(documents.parse(raw).payload)
+    place[field] = float(place[field])
+    assert documents.dumps(documents.parse(raw).payload) == expected
+
+
+@functools.cache
+def _assemblage_document(n, m, k, d) -> dict:
+    """A document of an (n, m, k, d) assemblage, every member listed."""
+    rng = np.random.default_rng([n, m, k, d])
+    return documents.serialize(pure_realization(rng, n, m, k, d))
+
+
+def _put_fault(entry, fault):
+    if fault == "bool":
+        entry["member"][0][1][0] = True
+    elif fault == "string":
+        entry["member"][1][0][1] = "0.5"
+    elif fault == "pair of three":
+        entry["member"][1][1] = [0.5, 0.0, 0.0]
+    else:
+        del entry["a"]
+
+
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+@pytest.mark.parametrize("fault", ["bool", "string", "pair of three", "missing a"])
+def test_fault_in_one_member_is_found_and_named(fault, place):
+    raw = copy.deepcopy(_assemblage_document(3, 3, 3, 2))
+    members = raw["payload"]["members"]
+    assert len(members) == 729
+    j = {"first": 0, "middle": 364, "last": 728}[place]
+    _put_fault(members[j], fault)
+    assert not _conforms(raw["payload"], SCHEMA["$defs"]["assemblage"])
+    with pytest.raises(DocumentError) as info:
+        documents.parse(raw)
+    member, path = f"$.payload.members[{j}]", info.value.path
+    assert path.startswith(member) and path[len(member):][:1] in ("", ".", "[")
+
+
+def test_walk_calls_follow_the_schema_not_the_members(monkeypatch):
+    walk, calls = documents._conform_all, []
+
+    def counted(instances, schema):
+        calls.append(len(instances))
+        return walk(instances, schema)
+
+    monkeypatch.setattr(documents, "_conform_all", counted)
+    counts = {}
+    for size in [(2, 2, 2, 2), (3, 3, 3, 2)]:
+        payload = _assemblage_document(*size)["payload"]
+        calls.clear()
+        assert _conforms(payload, SCHEMA["$defs"]["assemblage"])
+        assert max(calls) >= len(payload["members"])  # the members in one call
+        counts[len(payload["members"])] = len(calls)
+    assert list(counts) == [16, 729]
+    assert counts[16] == counts[729]
 
 
 def _reference_complex_in(pair, path):

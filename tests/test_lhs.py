@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from conftest import haar_unitary, pure_assemblage, pure_members
 
-from steercert.core import DEFAULT_TOL, Ket, Op, Tolerances, nnls
-from steercert.channels import State, pure_state
+from steercert.core import DEFAULT_TOL, Ket, Tolerances, nnls
+from steercert.channels import pure_state
 from steercert.assemblages import (
     LhsModel,
     NoLhs,
@@ -81,22 +81,22 @@ def brute_force_decide(p: PureAssemblage, tol=DEFAULT_TOL):
         return flat, NoLhs("nonnegative weight system over deterministic strategies "
                            "is infeasible", residual=residual)
 
-    weights, states, tables = [], [], []
+    weights, states = [], []
+    tables = [[] for _ in range(scen.n_parties)]
     for w, (strat, ket, _) in zip(x, consistent):
         if w <= 0:
             continue
         weights.append(w)
-        states.append(State(Op(scen.trusted_dims, np.outer(ket, ket.conj()))))
-        tabs = []
+        states.append(np.outer(ket, ket.conj()))
         for i in range(scen.n_parties):
             table = np.zeros((scen.settings[i], scen.outcomes[i]))
             for xi in range(scen.settings[i]):
                 table[xi, strat.responses[i][xi]] = 1.0
-            tabs.append(table)
-        tables.append(tuple(tabs))
+            tables[i].append(table)
     total = sum(weights)
     weights = [w / total for w in weights]
-    return flat, LhsModel(tuple(weights), tuple(states), tuple(tables))
+    return flat, LhsModel(np.array(weights), np.array(states),
+                          tuple(np.array(t) for t in tables))
 
 
 def haar_ket(rng, dim):
@@ -132,16 +132,15 @@ def hidden_variable_model(rng, scen: Scenario, h: int) -> LhsModel:
     picks = [[rng.permutation(k)[:h] for _ in range(m)]
              for m, k in zip(scen.settings, scen.outcomes)]
     tables = []
-    for lam in range(h):
-        tabs = []
-        for i, (m, k) in enumerate(zip(scen.settings, scen.outcomes)):
-            table = np.zeros((m, k))
-            table[np.arange(m), [picks[i][x][lam] for x in range(m)]] = 1.0
-            tabs.append(table)
-        tables.append(tuple(tabs))
-    states = tuple(pure_state(Ket(scen.trusted_dims, haar_ket(rng, scen.trusted_dim)))
-                   for _ in range(h))
-    return LhsModel(tuple(rng.dirichlet(np.ones(h))), states, tuple(tables))
+    for i, (m, k) in enumerate(zip(scen.settings, scen.outcomes)):
+        table = np.zeros((h, m, k))
+        for x in range(m):
+            table[np.arange(h), x, picks[i][x]] = 1.0
+        tables.append(table)
+    states = np.array([pure_state(Ket(scen.trusted_dims,
+                                      haar_ket(rng, scen.trusted_dim))).op.data
+                       for _ in range(h)])
+    return LhsModel(rng.dirichlet(np.ones(h)), states, tuple(tables))
 
 
 def build(form, rng, settings, outcomes, d) -> PureAssemblage:
@@ -178,17 +177,20 @@ def pr_box_like(n: int) -> PureAssemblage:
     return pure_assemblage(scen, members)
 
 
+def same_bits(got, want) -> bool:
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
 def assert_same_verdict(got, want):
     assert type(got) is type(want)
     if isinstance(want, NoLhs):
         assert got == want
         return
-    assert got.weights == want.weights
-    assert len(got.states) == len(want.states) == len(got.tables) == len(want.tables)
-    for g, w in zip(got.states, want.states):
-        assert np.array_equal(g.op.data, w.op.data)
-    for g_tabs, w_tabs in zip(got.tables, want.tables):
-        assert all(np.array_equal(g, w) for g, w in zip(g_tabs, w_tabs, strict=True))
+    assert same_bits(got.weights, want.weights)
+    assert same_bits(got.states, want.states)
+    assert len(got.tables) == len(want.tables)
+    assert all(same_bits(g, w) for g, w in zip(got.tables, want.tables))
 
 
 # (settings, outcomes, d): the uniform (n, m, k, d) scenarios with
