@@ -15,7 +15,8 @@ from math import prod
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Op, Tolerances, _as_finite_complex, nnls, psd_deviation
+from .core import (BUILD_SLACK, DEFAULT_TOL, Op, Tolerances, _as_finite_complex,
+                   is_hermitian, nnls, psd_deviation)
 from .channels import State
 from .constraints import ConstraintMode, NsReport, evaluate, family
 
@@ -66,20 +67,14 @@ class Scenario:
 
     def index(self, a, x) -> int:
         """Place of position ``(a, x)`` in :meth:`positions` order."""
-        digits, sizes = tuple(x) + tuple(a), self.settings + self.outcomes
-        if len(digits) != len(sizes) or not all(0 <= v < s for v, s in zip(digits, sizes)):
-            raise ValueError(f"position {(tuple(a), tuple(x))} outside the scenario")
-        index = 0
-        for v, s in zip(digits, sizes):  # row-major, as np.ravel_multi_index
-            index = index * s + v
-        return int(index)
+        return int(self.indices([(a, x)])[0])
 
     def indices(self, positions) -> np.ndarray:
-        """:meth:`index` of every position, in one vectorized pass.
+        """Place of every position in :meth:`positions` order, in one
+        vectorized pass.
 
-        The first position outside the scenario raises :meth:`index`'s
-        ``ValueError``; the error's ``place`` is where it sits in
-        ``positions``.
+        The first position outside the scenario raises a ``ValueError``
+        whose ``place`` is where it sits in ``positions``.
         """
         positions, sizes = list(positions), self.settings + self.outcomes
         try:
@@ -90,11 +85,11 @@ class Scenario:
         except (ValueError, OverflowError):  # ragged, or beyond int64
             pass
         for place, (a, x) in enumerate(positions):
-            try:
-                self.index(a, x)
-            except ValueError as exc:
+            digits = tuple(x) + tuple(a)
+            if len(digits) != len(sizes) or not all(0 <= v < s for v, s in zip(digits, sizes)):
+                exc = ValueError(f"position {(tuple(a), tuple(x))} outside the scenario")
                 exc.place = place
-                raise
+                raise exc
 
 
 def _read_only(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -132,10 +127,9 @@ class Assemblage:
         return Op(self.scenario.trusted_dims, self.members[self.scenario.index(a, x)])
 
 
-# The two bounds of an LhsModel's checks: how far a weight or a table entry
-# may fall below zero, and how far a sum or a trace may sit from one.
+# How far a weight or a table entry of an LhsModel may fall below zero; a
+# sum or a trace may sit BUILD_SLACK from one.
 _NEGATIVE_SLACK = 1e-12
-_SUM_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ class LhsModel:
         weights = np.asarray(self.weights, dtype=float)
         if np.any(weights < -_NEGATIVE_SLACK):
             raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1) > _SUM_SLACK:
+        if abs(weights.sum() - 1) > BUILD_SLACK:
             raise ValueError("weights must sum to 1")
         h = len(weights)
         states = _as_finite_complex(self.states, "states")
@@ -166,7 +160,7 @@ class LhsModel:
         states = _read_only(states, (h, d, d), "states")
         if np.any(psd_deviation(states) > DEFAULT_TOL.abs_tol):
             raise ValueError("state must be Hermitian and PSD")
-        if np.any(np.abs(np.trace(states, axis1=1, axis2=2) - 1) > _SUM_SLACK):
+        if np.any(np.abs(np.trace(states, axis1=1, axis2=2) - 1) > BUILD_SLACK):
             raise ValueError("state must have unit trace")
         tables = tuple(np.asarray(t, dtype=float) for t in self.tables)
         for i, t in enumerate(tables):
@@ -174,7 +168,7 @@ class LhsModel:
                 raise ValueError(f"tables[{i}] have shape {t.shape}, expected "
                                  f"({h}, settings, outcomes)")
             if np.any(t < -_NEGATIVE_SLACK) or np.any(
-                    np.abs(t.sum(axis=2) - 1) > _SUM_SLACK):
+                    np.abs(t.sum(axis=2) - 1) > BUILD_SLACK):
                 raise ValueError("response tables must be conditional distributions")
         object.__setattr__(self, "weights", _read_only(weights, (h,), "weights"))
         object.__setattr__(self, "states", states)
@@ -220,8 +214,7 @@ class HermitianRealization:
     povms: tuple
 
     def __post_init__(self):
-        tol = 1e-8
-        if np.max(np.abs(self.w.data - self.w.data.conj().T)) > tol:
+        if not is_hermitian(self.w, BUILD_SLACK):
             raise ValueError("realization operator must be Hermitian")
 
 

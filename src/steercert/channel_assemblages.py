@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Op, kron
+from .core import BUILD_SLACK, DEFAULT_TOL, Op, kron
 from .channels import (
     ChoiOp,
     State,
@@ -89,7 +89,7 @@ def chanasm_from_realization(rho_untrusted: State, povms, channel: ChoiOp,
     """
     n = scenario.n_parties
     d_out, d_in = scenario.trusted_dims
-    if not verify_cptp(channel, 1e-8).ok:
+    if not verify_cptp(channel, BUILD_SLACK).ok:
         raise ValueError("realization channel must be CPTP")
     untrusted_dims = rho_untrusted.dims
     if channel.in_dims != untrusted_dims + (d_in,):
@@ -136,7 +136,7 @@ def local_channel_assemblage(tables, maps, scenario: Scenario) -> ChannelAssembl
     d_out, d_in = scenario.trusted_dims
     total = sum(c.op.data for c in maps)
     total_choi = ChoiOp((d_in,), (d_out,), Op((d_out, d_in), total))
-    if not verify_cptp(total_choi, 1e-8).ok:
+    if not verify_cptp(total_choi, BUILD_SLACK).ok:
         raise ValueError("sum of the CP maps must be a channel")
     return ChannelAssemblage(scenario, mixture_members(
         tables, [c.op.data for c in maps], scenario))

@@ -14,19 +14,21 @@ from math import prod
 import numpy as np
 
 from .core import (
+    BUILD_SLACK,
     DEFAULT_TOL,
     Ket,
     Op,
     is_hermitian,
     is_psd,
-    partial_trace,
+    output_trace,
     psd_deviation,
 )
 
 
 @dataclass(frozen=True)
 class State:
-    """Density matrix: Hermitian, PSD, unit trace within ``abs_tol``."""
+    """Density matrix: Hermitian and PSD within ``abs_tol``, unit trace
+    within ``BUILD_SLACK``."""
 
     op: Op
 
@@ -34,7 +36,7 @@ class State:
         tol = DEFAULT_TOL.abs_tol
         if not is_psd(self.op, tol):
             raise ValueError("state must be Hermitian and PSD")
-        if abs(self.op.trace() - 1) > 1e-8:
+        if abs(self.op.trace() - 1) > BUILD_SLACK:
             raise ValueError("state must have unit trace")
 
     @property
@@ -70,13 +72,13 @@ class Povm:
                     len(flat))
         stack = np.array([data for _, _, data in flat[:good]],
                          dtype=complex).reshape((good,) + eye.shape)
-        not_psd = psd_deviation(stack) > 1e-8 if good else np.zeros(0, dtype=bool)
+        not_psd = psd_deviation(stack) > BUILD_SLACK if good else np.zeros(0, dtype=bool)
         bad = int(np.argmax(np.append(not_psd, True)))  # the first bad effect
         ends = np.cumsum([len(row) for row in effects])
         for x, (row, end) in enumerate(zip(effects, ends)):
             if end > bad:
                 break
-            if np.max(np.abs(stack[end - len(row):end].sum(axis=0) - eye)) > 1e-8:
+            if np.max(np.abs(stack[end - len(row):end].sum(axis=0) - eye)) > BUILD_SLACK:
                 raise ValueError(f"effects of setting {x} do not sum to identity")
         if bad < len(flat):
             x, a, _ = flat[bad]
@@ -127,7 +129,7 @@ class KrausChannel:
             if k.shape != (self.out_dim, self.in_dim):
                 raise ValueError("Kraus operator has mismatched shape")
         total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(self.in_dim))) > 1e-8:
+        if np.max(np.abs(total - np.eye(self.in_dim))) > BUILD_SLACK:
             raise ValueError("Kraus operators do not satisfy completeness")
 
 
@@ -149,7 +151,7 @@ class ChoiOp:
         object.__setattr__(self, "out_dims", out_dims)
         if self.op.dims != out_dims + in_dims:
             raise ValueError("Choi operator dims must be out_dims + in_dims")
-        if not is_hermitian(self.op, 1e-8):
+        if not is_hermitian(self.op, BUILD_SLACK):
             raise ValueError("Choi matrix must be Hermitian")
 
     @property
@@ -159,11 +161,6 @@ class ChoiOp:
     @property
     def out_dim(self) -> int:
         return prod(self.out_dims)
-
-    def _blocks(self):
-        """View as J[o, m, p, n] with row (out, in), column (out, in)."""
-        do, di = self.out_dim, self.in_dim
-        return self.op.data.reshape(do, di, do, di)
 
 
 def maximally_entangled(d: int) -> Ket:
@@ -198,9 +195,7 @@ def apply_choi(c: ChoiOp, x: Op) -> Op:
     """Apply the map represented by Choi matrix ``c`` to operator ``x``."""
     if x.data.shape[0] != c.in_dim:
         raise ValueError("input operator dimension does not match the channel")
-    j = c._blocks()
-    out = c.in_dim * np.einsum("omyn,mn->oy", j, x.data)
-    return Op(c.out_dims, out)
+    return apply_channel_on_subsystems(c, Op(c.in_dims, x.data), range(len(c.in_dims)))
 
 
 def choi_from_map(fn, in_dims, out_dims) -> ChoiOp:
@@ -236,39 +231,12 @@ def verify_cptp(c: ChoiOp, tol: float = DEFAULT_TOL.abs_tol) -> CptpReport:
     Trace preservation: the partial trace of the Choi matrix over the
     output factor must equal ``1/d_in``.
     """
-    n_out = len(c.out_dims)
     cp = is_psd(c.op, tol)
     evals = np.linalg.eigvalsh((c.op.data + c.op.data.conj().T) / 2)
-    reduced = partial_trace(c.op, keep=range(n_out, n_out + len(c.in_dims)))
-    dev = float(np.max(np.abs(reduced.data - np.eye(c.in_dim) / c.in_dim)))
+    reduced = output_trace(c.op.data, c.out_dim, c.in_dim)[0]
+    dev = float(np.max(np.abs(reduced - np.eye(c.in_dim) / c.in_dim)))
     return CptpReport(cp=cp, tp=dev < tol,
                       min_eigenvalue=float(evals[0]), tp_deviation=dev)
-
-
-def extend_channel(e: ChoiOp):
-    """Extend ``e: A -> A' (x) B`` to ``E: A (x) B -> A' (x) B``.
-
-    Returns a fixed ancilla state ``|0><0|`` on B and the extension
-    ``E = e o Tr_B``, which is CPTP and satisfies
-    ``E(rho_A (x) |0><0|) = e(rho_A)`` for every state ``rho_A``.
-    """
-    if len(e.out_dims) < 2:
-        raise ValueError("output of the channel must factor as A' (x) B")
-    if not verify_cptp(e, 1e-8).ok:
-        raise ValueError("extend_channel expects a CPTP input")
-    d_b = e.out_dims[-1]
-    anc = np.zeros((d_b, d_b), dtype=complex)
-    anc[0, 0] = 1.0
-    rho_b = State(Op((d_b,), anc))
-
-    in_dims = e.in_dims + (d_b,)
-
-    def extended(x: Op) -> Op:
-        reduced = partial_trace(Op(e.in_dims + (d_b,), x.data),
-                                keep=range(len(e.in_dims)))
-        return apply_choi(e, reduced)
-
-    return rho_b, choi_from_map(extended, in_dims, e.out_dims)
 
 
 def apply_channel_on_subsystems(c: ChoiOp, rho: Op, targets) -> Op:
@@ -287,12 +255,11 @@ def apply_channel_on_subsystems(c: ChoiOp, rho: Op, targets) -> Op:
     perm = targets + spectators
     tensor = rho.data.reshape(rho.dims + rho.dims)
     tensor = np.transpose(tensor, perm + [n + p for p in perm])
-    di = c.in_dim
+    di, do = c.in_dim, c.out_dim
     ds = prod([rho.dims[k] for k in spectators]) if spectators else 1
     block = tensor.reshape(di, ds, di, ds)
-    j = c._blocks()
+    j = c.op.data.reshape(do, di, do, di)  # J[o, m, y, n]: row (o, m), column (y, n)
     out = di * np.einsum("omyn,mrns->orys", j, block)
-    do = c.out_dim
     out_dims = c.out_dims + tuple(rho.dims[k] for k in spectators)
     return Op(out_dims, out.reshape(do * ds, do * ds))
 

@@ -10,9 +10,10 @@ Each ``cmd_*`` takes the parsed arguments, the ``Tolerances`` and the parsed
 return ``None``.  No command catches an exception or prints a report:
 ``main`` alone does.  It maps ``OSError`` (a missing or unreadable document,
 an unwritable ``--certificate-out``) and ``ValueError`` (``DocumentError``,
-a non-positive tolerance, a mode or key setting that does not apply, a
-member that is not PSD) to INPUT_ERROR, exit 3, and ``NnlsDidNotConverge``
-to INCONCLUSIVE, exit 2, with the message as ``details.error``.
+a non-positive or non-finite tolerance, a mode or key setting that does not
+apply, a member that is not PSD) to INPUT_ERROR, exit 3, and
+``NnlsDidNotConverge`` to INCONCLUSIVE, exit 2, with the message as
+``details.error``.
 """
 
 from __future__ import annotations
@@ -297,10 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tolerances = {"abs_tol": args.abs_tol, "rank_rel_tol": args.rank_tol,
-                  "nnls_residual_tol": args.nnls_tol}  # echoed as given
+    given = {"abs_tol": args.abs_tol, "rank_rel_tol": args.rank_tol,
+             "nnls_residual_tol": args.nnls_tol}
+    # Echoed as given, a non-finite value as a string: JSON has no infinity.
+    tolerances = {k: v if np.isfinite(v) else str(v) for k, v in given.items()}
     try:
-        tol = Tolerances(**tolerances)
+        tol = Tolerances(**given)
         doc = None
         if "document" in args:
             with open(args.document, "rb") as fh:

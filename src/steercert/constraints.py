@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import psd_deviation
+from .core import output_trace, psd_deviation
 
 
 class ConstraintMode(enum.Enum):
@@ -328,8 +328,7 @@ def family(scen, mode: ConstraintMode) -> Family:
 def _reduce(stack: np.ndarray, reduction: Reduction, dims) -> np.ndarray:
     """Apply ``reduction`` to every matrix of a ``(count, D, D)`` stack."""
     if reduction is Reduction.OUTPUT_TRACE:
-        d_out, d_in = dims
-        return np.einsum("nkikj->nij", stack.reshape(-1, d_out, d_in, d_out, d_in))
+        return output_trace(stack, *dims)
     if reduction is Reduction.TRACE:
         return np.trace(stack, axis1=1, axis2=2).real
     return stack

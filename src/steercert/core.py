@@ -8,9 +8,8 @@ tensor factor is the most significant digit, so ``|i1 i2>`` on dimensions
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -35,11 +34,16 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("abs_tol", "rank_rel_tol", "nnls_residual_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
+
+# How far a constructor lets a trace, a sum, or a Hermiticity or PSD
+# deviation sit from exact.  Fixed: the tolerance flags do not reach the
+# checks an object passes while it is built.
+BUILD_SLACK = 1e-8
 
 
 def _as_finite_complex(data, shape_kind: str) -> np.ndarray:
@@ -110,29 +114,11 @@ def kron(a: Op, b: Op) -> Op:
     return Op(a.dims + b.dims, np.kron(a.data, b.data))
 
 
-def partial_trace(a: Op, keep) -> Op:
-    """Trace out all subsystems not in ``keep``; kept order is preserved.
-
-    ``keep`` may be any iterable of subsystem indices; keeping everything
-    returns the input unchanged.
-    """
-    n = len(a.dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise IndexError(f"subsystem index out of range for {n} subsystems")
-    if len(keep) == n:
-        return a
-    letters = string.ascii_lowercase
-    if 2 * n > len(letters):
-        raise ValueError("too many subsystems")
-    row = list(letters[:n])
-    col = [letters[n + k] if k in keep else letters[k] for k in range(n)]
-    out = [row[k] for k in keep] + [col[k] for k in keep]
-    tensor = a.data.reshape(a.dims + a.dims)
-    reduced = np.einsum("".join(row + col) + "->" + "".join(out), tensor)
-    kept_dims = tuple(a.dims[k] for k in keep) if keep else (1,)
-    side = prod(kept_dims)
-    return Op(kept_dims, reduced.reshape(side, side))
+def output_trace(stack: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
+    """Partial trace over the output factor of every Choi matrix of a
+    ``(count, d_out * d_in, d_out * d_in)`` stack: a ``(count, d_in, d_in)``
+    array."""
+    return np.einsum("nkikj->nij", stack.reshape(-1, d_out, d_in, d_out, d_in))
 
 
 def is_hermitian(a: Op, tol: float = DEFAULT_TOL.abs_tol) -> bool:

@@ -16,9 +16,10 @@ checks a *list* of instances against a schema node one keyword at a time,
 and ``properties`` and ``items`` recurse once on the gathered
 sub-instances of the whole list, so the number of calls follows the depth
 of the schema, not the number of members.  The parsers then read the
-matrices of an assemblage or of a POVM with one ``np.array`` call and fall
-back to one matrix at a time only to name the first fault.  A position
-listed twice in an assemblage is a fault at its second listing.
+matrices of an assemblage or of a POVM, and each Kraus operator, with one
+``np.array`` call and fall back to one matrix or one entry at a time only
+to name the first fault.  A position listed twice in an assemblage is a
+fault at its second listing.
 """
 
 from __future__ import annotations
@@ -102,6 +103,14 @@ _MEMBER = {
         "choi": _MATRIX,
     },
 }
+_ASSEMBLAGE = {
+    "type": "object",
+    "required": ["scenario", "members"],
+    "properties": {
+        "scenario": _SCENARIO,
+        "members": {"type": "array", "items": _MEMBER},
+    },
+}
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -119,22 +128,8 @@ SCHEMA = {
         "state": _STATE,
         "povm": _POVM_PAYLOAD,
         "channel": _CHANNEL_PAYLOAD,
-        "assemblage": {
-            "type": "object",
-            "required": ["scenario", "members"],
-            "properties": {
-                "scenario": _SCENARIO,
-                "members": {"type": "array", "items": _MEMBER},
-            },
-        },
-        "channel_assemblage": {
-            "type": "object",
-            "required": ["scenario", "members"],
-            "properties": {
-                "scenario": _SCENARIO,
-                "members": {"type": "array", "items": _MEMBER},
-            },
-        },
+        "assemblage": _ASSEMBLAGE,
+        "channel_assemblage": _ASSEMBLAGE,
         "realization": {
             "type": "object",
             "required": ["scenario", "state", "povms"],
@@ -262,6 +257,22 @@ def _matrix_in(rows, path) -> np.ndarray:
                      for i, row in enumerate(rows)], dtype=complex)
 
 
+def _kraus_in(rows, shape: tuple, path) -> np.ndarray:
+    """A Kraus operator of ``shape`` ``(out_dim, in_dim)``, read by one
+    ``np.array`` call, or entry by entry to name the first fault."""
+    op = _pairs_in(rows, shape)
+    if op is None:
+        entries = [[_complex_in(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
+                   for i, row in enumerate(rows)]
+        try:
+            op = np.array(entries, dtype=complex)
+        except ValueError as exc:  # ragged rows
+            raise DocumentError(str(exc), path)
+    if op.shape != shape:
+        raise DocumentError("Kraus operator has mismatched shape", path)
+    return op
+
+
 def _stack_in(mats: list, dims: tuple, path_of) -> np.ndarray:
     """The matrices ``mats`` as one complex ``(len(mats), D, D)`` array,
     ``D = prod(dims)``, read by one ``np.array`` call.  Only when that read
@@ -336,12 +347,11 @@ def _channel_in(obj, path) -> ChoiOp:
         except ValueError as exc:
             raise DocumentError(str(exc), path)
     if "kraus" in obj:
-        ops = tuple(
-            np.array([[_complex_in(v, f"{path}.kraus[{k}]") for v in row]
-                      for row in m], dtype=complex)
-            for k, m in enumerate(obj["kraus"]))
+        in_dim, out_dim = int(obj["in_dim"]), int(obj["out_dim"])
+        ops = tuple(_kraus_in(m, (out_dim, in_dim), f"{path}.kraus[{k}]")
+                    for k, m in enumerate(obj["kraus"]))
         try:
-            k = KrausChannel(int(obj["in_dim"]), int(obj["out_dim"]), ops)
+            k = KrausChannel(in_dim, out_dim, ops)
         except ValueError as exc:
             raise DocumentError(str(exc), f"{path}.kraus")
         return choi_of_kraus(k, in_dims, out_dims)

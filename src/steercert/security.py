@@ -35,7 +35,7 @@ class CorrelationTable:
         arr = np.asarray(self.table, dtype=float)
         if arr.ndim != 6:
             raise ValueError("correlation table must be 6-dimensional")
-        if np.any(arr < -1e-9):
+        if np.any(arr < -DEFAULT_TOL.abs_tol):
             raise ValueError("probabilities must be nonnegative")
         object.__setattr__(self, "table", arr)
 

@@ -1,6 +1,7 @@
 import copy
 import importlib.resources as resources
 import json
+import string
 from math import prod
 
 import numpy as np
@@ -48,6 +49,31 @@ def kron_all(ops) -> Op:
     for op in ops[1:]:
         out = kron(out, op)
     return out
+
+
+def partial_trace(a: Op, keep) -> Op:
+    """Trace out all subsystems not in ``keep``; kept order is preserved.
+
+    ``keep`` may be any iterable of subsystem indices; keeping everything
+    returns the input unchanged.
+    """
+    n = len(a.dims)
+    keep = sorted(set(int(k) for k in keep))
+    if any(k < 0 or k >= n for k in keep):
+        raise IndexError(f"subsystem index out of range for {n} subsystems")
+    if len(keep) == n:
+        return a
+    letters = string.ascii_lowercase
+    if 2 * n > len(letters):
+        raise ValueError("too many subsystems")
+    row = list(letters[:n])
+    col = [letters[n + k] if k in keep else letters[k] for k in range(n)]
+    out = [row[k] for k in keep] + [col[k] for k in keep]
+    tensor = a.data.reshape(a.dims + a.dims)
+    reduced = np.einsum("".join(row + col) + "->" + "".join(out), tensor)
+    kept_dims = tuple(a.dims[k] for k in keep) if keep else (1,)
+    side = prod(kept_dims)
+    return Op(kept_dims, reduced.reshape(side, side))
 
 
 def haar_unitary(rng, dim):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import identity, random_density
 
-from steercert.core import Ket, Op, kron
+from steercert.core import Ket, Op
 from steercert.channels import (
     ChoiOp,
     KrausChannel,
@@ -13,7 +13,6 @@ from steercert.channels import (
     choi_from_map,
     choi_of_kraus,
     choi_of_unitary,
-    extend_channel,
     maximally_entangled,
     projective_povm,
     pure_state,
@@ -147,16 +146,3 @@ def test_apply_channel_on_subsystems_permutes(rng):
     big = np.kron(np.eye(3), u)
     expected = swap @ (big @ rho.data @ big.conj().T) @ swap.T
     np.testing.assert_allclose(out.data, expected, atol=1e-10)
-
-
-def test_extend_channel(rng):
-    # e : A -> A' (x) B extends to E : A (x) B -> A' (x) B with a fixed ancilla
-    k = random_kraus_channel(rng, 2, 4)
-    e = choi_of_kraus(k, in_dims=(2,), out_dims=(2, 2))
-    anc, big = extend_channel(e)
-    assert verify_cptp(big).ok
-    assert big.in_dims == (2, 2) and big.out_dims == (2, 2)
-    rho = random_density(rng, (2,)).op
-    joint = kron(rho, anc.op)
-    np.testing.assert_allclose(apply_choi(big, joint).data,
-                               apply_choi(e, rho).data, atol=1e-9)

@@ -6,7 +6,7 @@ import pytest
 from conftest import haar_unitary
 
 from steercert import cli, documents, gallery
-from steercert.core import Ket, Op
+from steercert.core import Ket, NnlsDidNotConverge, Op
 from steercert.channels import State, choi_of_unitary, projective_povm, pure_state
 from steercert.assemblages import (
     Assemblage,
@@ -340,6 +340,19 @@ def test_non_positive_tolerance_is_input_error(capsys, flag, key, value):
     assert key in report["details"]["error"]
 
 
+@pytest.mark.parametrize("flag, key", [("--abs-tol", "abs_tol"),
+                                       ("--rank-tol", "rank_rel_tol"),
+                                       ("--nnls-tol", "nnls_residual_tol")])
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+def test_non_finite_tolerance_is_input_error(capsys, flag, key, value):
+    code, out = run(capsys, "--output", "json", flag, value, "verify",
+                    data_path("example1_channel_assemblage.json"))
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["tolerances"][key] == "inf"
+    assert key in report["details"]["error"]
+
+
 def test_relaxed_extremality_needs_channel_dims(capsys, tmp_path):
     choi = to_choi_assemblage(gallery.bell_cnot_assemblage())
     flat = Assemblage(Scenario((2, 2), (2, 2), (4,)), choi.members)
@@ -528,3 +541,69 @@ def test_reproduce_below_rounding_is_input_error(capsys):
     code, report = run_json(capsys, "--abs-tol", "1e-18", "reproduce", "appendix")
     assert code == 3 and report["status"] == "INPUT_ERROR"
     assert "is not PSD" in report["details"]["error"]
+
+
+def test_choi_of_a_channel_document_parses_back(capsys, tmp_path):
+    _, _, channel, _ = gallery.bell_cnot_realization()
+    path = tmp_path / "channel.json"
+    path.write_text(documents.dumps(channel))
+    code, out = run(capsys, "choi", str(path))
+    assert code == 0
+    doc = documents.parse(out)
+    assert doc.kind == "channel"
+    np.testing.assert_array_equal(doc.payload.op.data, channel.op.data)
+
+
+def _noisy_pr_box(tmp_path) -> str:
+    """The PR box mixed with white noise: p(ab|xy) = (1 +- 0.9) / 4, + where
+    a xor b = x y; no-signaling, with no LHS model (trusted dim 1)."""
+    members = [{"a": [a, b], "x": [x, y],
+                "member": [[[(1 + (0.9 if a ^ b == x * y else -0.9)) / 4, 0]]]}
+               for x in (0, 1) for y in (0, 1) for a in (0, 1) for b in (0, 1)]
+    path = tmp_path / "pr-box.json"
+    path.write_text(json.dumps({"kind": "assemblage", "version": 1, "payload": {
+        "scenario": {"settings": [2, 2], "outcomes": [2, 2], "trusted_dims": [1]},
+        "members": members}}))
+    return str(path)
+
+
+def test_lhs_reports_an_infeasible_weight_system(capsys, tmp_path):
+    code, report = run_json(capsys, "lhs", _noisy_pr_box(tmp_path))
+    assert code == 0 and report["details"]["lhs"] is False
+    assert "infeasible" in report["details"]["reason"]
+    assert report["details"]["residual"] == pytest.approx(0.358, abs=1e-3)
+
+
+def test_lhs_without_nnls_convergence_is_inconclusive(capsys, tmp_path, monkeypatch):
+    def stuck(m, b):
+        raise NnlsDidNotConverge("iteration cap reached")
+    monkeypatch.setattr("steercert.assemblages.nnls", stuck)
+    code, report = run_json(capsys, "lhs", _noisy_pr_box(tmp_path))
+    assert code == 2 and report["status"] == "INCONCLUSIVE"
+    assert report["details"]["error"] == "iteration cap reached"
+
+
+@pytest.mark.parametrize("command", ["extremality", "lhs"])
+@pytest.mark.parametrize("key, dims, error", [
+    ("in_dims", [4, 2], "channel input dims must be untrusted dims + (d_in,)"),
+    ("out_dims", [2, 4], "channel output dims must be untrusted dims + (d_out,)"),
+])
+def test_realization_channel_dims_must_match(capsys, tmp_path, command, key, dims, error):
+    raw = _realization_document("")
+    raw["payload"]["channel"][key] = dims  # same product, another split
+    path = tmp_path / "channel-dims.json"
+    path.write_text(json.dumps(raw))
+    code, report = run_json(capsys, command, str(path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"].endswith(error)
+
+
+def test_member_without_its_matrix_is_input_error(capsys, tmp_path):
+    with open(_noisy_pr_box(tmp_path)) as fh:
+        raw = json.load(fh)
+    del raw["payload"]["members"][5]["member"]
+    path = tmp_path / "no-matrix.json"
+    path.write_text(json.dumps(raw))
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"] == "$.payload.members[5]: missing 'member' matrix"

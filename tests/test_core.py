@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import identity, kron_all
+from conftest import identity, kron_all, partial_trace
 
 from steercert.core import (
     DEFAULT_TOL,
@@ -14,7 +14,6 @@ from steercert.core import (
     nnls,
     nullspace,
     nullspace_and_spectrum,
-    partial_trace,
 )
 
 
@@ -165,6 +164,11 @@ def test_tolerances_must_be_positive():
         Tolerances(abs_tol=0.0)
     with pytest.raises(ValueError):
         Tolerances(nnls_residual_tol=-1e-9)
+
+
+def test_tolerances_must_be_finite():
+    with pytest.raises(ValueError, match="abs_tol must be finite"):
+        Tolerances(abs_tol=float("inf"))
 
 
 def _two_pass_nullspace_and_spectrum(m, tol):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from steercert import documents, gallery
+from steercert.channels import KrausChannel, choi_of_kraus
 from steercert.channel_assemblages import to_choi_assemblage, verify_ns_channel
 from steercert.documents import Document, DocumentError, Realization, parse, serialize
 
@@ -130,6 +131,37 @@ def test_channel_needs_kraus_or_choi():
                "payload": {"in_dim": 2, "out_dim": 2}})
 
 
+def _kraus_document(**faults) -> dict:
+    """Amplitude damping in Kraus form; ``faults`` replaces operators."""
+    ops = [[[[1, 0], [0, 0]], [[0, 0], [0.8, 0]]],
+           [[[0, 0], [0.6, 0]], [[0, 0], [0, 0]]]]
+    for k, op in faults.items():
+        ops[int(k[1:])] = op
+    return {"kind": "channel", "version": 1,
+            "payload": {"in_dim": 2, "out_dim": 2, "kraus": ops}}
+
+
+def test_kraus_document_parses_to_the_choi_of_its_operators():
+    doc = parse(_kraus_document())
+    k = KrausChannel(2, 2, (np.array([[1, 0], [0, 0.8]]), np.array([[0, 0.6], [0, 0]])))
+    assert doc.payload.op.data.tobytes() == choi_of_kraus(k).op.data.tobytes()
+
+
+@pytest.mark.parametrize("op, path, message", [
+    ([[[0, 0], [0.6, 0]], [[0, 0]]], "$.payload.kraus[1]", "inhomogeneous shape"),
+    ([[[0, 0], [0.6, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]], "$.payload.kraus[1]",
+     "Kraus operator has mismatched shape"),
+    ([[[0, 0], [float("inf"), 0]], [[0, 0], [0, 0]]], "$.payload.kraus[1][0][1]",
+     "non-finite entry"),
+    ([[[0, 0], [10 ** 400, 0]], [[0, 0], [0, 0]]], "$.payload.kraus[1][0][1]",
+     "entry out of range"),
+], ids=["ragged", "wrong-shape", "non-finite", "out-of-range"])
+def test_kraus_fault_is_named_at_its_operator(op, path, message):
+    with pytest.raises(DocumentError, match=message) as err:
+        parse(_kraus_document(k1=op))
+    assert err.value.path == path
+
+
 def test_dumps_is_deterministic():
     l = gallery.bell_cnot_assemblage()
     assert documents.dumps(l) == documents.dumps(l)
@@ -142,7 +174,7 @@ def test_domain_errors_become_document_errors():
                                 "kraus": [[[[1, 0], [0, 0]], [[0, 0]]]]}}
     with pytest.raises(DocumentError) as err:
         parse(ragged_kraus)
-    assert err.value.path == "$.payload"
+    assert err.value.path == "$.payload.kraus[0]"
     rho, povms, channel, scen = gallery.bell_cnot_realization()
     raw = serialize(Realization(scen, rho, povms, channel))
     raw["payload"]["povms"][1]["dim"] = 3

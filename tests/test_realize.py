@@ -9,10 +9,10 @@ agree to rounding: 1e-14 on operators of norm at most one.
 
 import numpy as np
 import pytest
-from conftest import identity, kron_all, random_density
+from conftest import identity, kron_all, partial_trace, random_density
 
 from steercert import gallery
-from steercert.core import Op, kron, partial_trace
+from steercert.core import Op, kron
 from steercert.channels import (
     Povm,
     apply_channel_on_subsystems,
