@@ -270,6 +270,9 @@ def random_kraus_channel(rng: np.random.Generator, in_dim: int, out_dim: int,
     if n_kraus is None:
         n_kraus = in_dim * out_dim
     n_kraus = min(n_kraus, in_dim * out_dim)
+    if out_dim * n_kraus < in_dim:
+        raise ValueError(f"a channel from dimension {in_dim} needs out_dim * n_kraus >= "
+                         f"{in_dim}, got {out_dim} * {n_kraus}")
     g = rng.normal(size=(out_dim * n_kraus, in_dim)) \
         + 1j * rng.normal(size=(out_dim * n_kraus, in_dim))
     q, _ = np.linalg.qr(g)

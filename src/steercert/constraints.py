@@ -23,20 +23,24 @@ fixed Hermitian unit members (the extremality certificate).
 That system is reduced.  A row of a zero-target constraint is one of the
 constraint's coefficients times one real coordinate of each unit, so the
 system's row space depends only on the row space of the coefficient block
-of each reduction.  Those row spaces factorize party by party (the
-Collins–Gisin parametrization of the no-signaling space): each party has
-an orthogonal ``m k``-square factor over ``(x, a)``, whose rows are the
-normalized ones vector (kind ``ONES``), the vectors with zero outcome sum
-at every setting (``ZERO_SUM``), and the vectors constant in the outcome
-with zero sum over the settings (``PERP``).  Their Kronecker product,
-permuted to ``positions()`` order, is an orthonormal basis of the
-coefficient space, and each family names, per reduction, which of its
-rows span the zero-target block: a choice of columns, not a
-decomposition.  :attr:`Family.certificate_rows` holds those rows, and
-:attr:`Family.certificate_kernel` the complement of the block with no
-reduction.  Each basis row is written once per Hermitian coordinate of
-the reduced units: ``D**2`` coordinates, the real diagonal and the real
-and imaginary strict upper triangle, or the real trace.
+of each reduction.  That row space is read off a basis of the coefficient
+space that factorizes party by party (the Collins–Gisin parametrization
+of the no-signaling space): each party has an orthogonal integer
+``m k``-square factor over ``(x, a)``, whose rows are the ones vector,
+``I_m (x) H_k`` (zero outcome sum at every setting) and ``H_m (x) 1_k``
+(constant in the outcome, zero sum over the settings), ``H_j`` Helmert's
+basis without its normalization.  Their Kronecker product, permuted to
+``positions()`` order, is an orthogonal integer basis.  Per reduction,
+the certificate keeps the basis rows that the family's own zero-target
+coefficient rows do not annihilate: an exact test on small integers, not
+a decomposition.  Because the basis is orthogonal, the kept rows contain
+the block's row space, and they equal it exactly when that row space is
+spanned by basis rows, as it is for both families here.
+:attr:`Family.certificate_rows` holds the kept rows, normalized, and
+:attr:`Family.certificate_kernel` the rest of the basis for the block
+with no reduction.  Each basis row is written once per Hermitian
+coordinate of the reduced units: ``D**2`` coordinates, the real diagonal
+and the real and imaginary strict upper triangle, or the real trace.
 Constraints with a target (trace one, output trace ``1/d_in``) keep their
 own rows.  The system has ``rank(C_block) * coordinates`` rows plus the
 targeted rows, with the same solutions as the family written out
@@ -48,7 +52,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,88 +83,84 @@ class Constraint:
     target: object = None
 
 
-ONES, ZERO_SUM, PERP = range(3)  # kinds of the rows of a party factor
-
-
 def _helmert(j: int) -> np.ndarray:
-    """Orthonormal ``(j, j - 1)`` columns orthogonal to the ones vector of
-    ``R^j`` (Helmert's basis): column ``r`` is ``1`` on the first ``r``
-    entries and ``-r`` on the next, normalized."""
+    """Orthogonal integer ``(j, j - 1)`` columns orthogonal to the ones
+    vector of ``R^j`` (Helmert's basis, not normalized): column ``r`` is
+    ``1`` on the first ``r`` entries and ``-r`` on the next."""
     i, r = np.arange(j)[:, None], np.arange(1, j)[None, :]
-    return ((i < r) - r * (i == r)) / np.sqrt(r * (r + 1))
+    return (i < r) - r * (i == r)
 
 
-def _party_factor(m: int, k: int):
-    """One party's orthogonal factor, as rows over ``(x, a)`` x-major, and
-    the kind of each row: the normalized ones vector, ``I_m (x) H_k`` and
-    ``H_m (x) 1_k / sqrt(k)``."""
-    rows = np.concatenate([np.full((1, m * k), 1 / np.sqrt(m * k)),
+def _party_factor(m: int, k: int) -> np.ndarray:
+    """One party's orthogonal integer factor, as rows over ``(x, a)``
+    x-major: the ones vector, ``I_m (x) H_k`` and ``H_m (x) 1_k``."""
+    return np.concatenate([np.ones((1, m * k)),
                            np.kron(np.eye(m), _helmert(k).T),
-                           np.kron(_helmert(m).T, np.full((1, k), 1 / np.sqrt(k)))])
-    return rows, np.repeat([ONES, ZERO_SUM, PERP], [1, m * (k - 1), m - 1])
+                           np.kron(_helmert(m).T, np.ones((1, k)))])
 
 
-def _factor_basis(scen):
+def _factor_basis(scen) -> np.ndarray:
     """The Kronecker product of the party factors, as rows over all
-    positions in ``scen.positions()`` order, and each party's row kinds,
-    shaped to broadcast along that party's axis of the product."""
+    positions in ``scen.positions()`` order."""
     n = scen.n_parties
-    basis, kinds = np.ones((1, 1)), []
-    for i, (m, k) in enumerate(zip(scen.settings, scen.outcomes)):
-        rows, kind = _party_factor(m, k)
-        basis = np.kron(basis, rows)
-        kinds.append(kind.reshape([-1 if j == i else 1 for j in range(n)]))
+    basis = np.ones((1, 1))
+    for m, k in zip(scen.settings, scen.outcomes):
+        basis = np.kron(basis, _party_factor(m, k))
     # columns run (x_1, a_1, x_2, a_2, ...); positions() runs (x..., a...)
     sizes = [size for pair in zip(scen.settings, scen.outcomes) for size in pair]
     order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
-    basis = basis.reshape([len(basis)] + sizes).transpose(order).reshape(len(basis), -1)
-    return basis, kinds
+    return basis.reshape([len(basis)] + sizes).transpose(order).reshape(len(basis), -1)
+
+
+def _normalized(rows: np.ndarray) -> np.ndarray:
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
 class Family:
     """The constraints of one family on one scenario, in report order.
 
-    ``row_rule(reduction, kinds)`` says which rows of the party-factor
-    basis span the row space of the zero-target constraints with that
-    reduction: a boolean array that broadcasts over the parties' row
-    ``kinds`` (:data:`ONES`, :data:`ZERO_SUM`, :data:`PERP`).  A family
-    with no certificate leaves it ``None``.
+    The certificate is derived from the constraints alone.  It is exact
+    when, per reduction, the row space of the zero-target coefficient
+    block is spanned by rows of the party-factor basis, as it is for
+    :func:`full_ns` and :func:`asym_ns`; otherwise the kept rows span
+    more than the block, and the certificate would ask for more than the
+    constraints do.
     """
 
     scenario: object
     constraints: tuple
-    row_rule: object = field(default=None, repr=False)
 
     @functools.cached_property
     def terms(self):
         """Every term as arrays ``(constraint, position, sign)``, positions
-        numbered in ``scenario.positions()`` order."""
-        index = {pos: i for i, pos in enumerate(self.scenario.positions())}
-        flat = [(i, index[pos], sign) for i, c in enumerate(self.constraints)
+        numbered by :meth:`Scenario.indices`."""
+        flat = [(i, pos, sign) for i, c in enumerate(self.constraints)
                 for pos, sign in c.terms]
-        arrays = tuple(np.array(column) for column in zip(*flat))
+        rows, positions, signs = zip(*flat)
+        arrays = (np.array(rows), self.scenario.indices(positions), np.array(signs))
         for arr in arrays:
             arr.flags.writeable = False  # shared through the family cache
         return arrays
 
     @functools.cached_property
     def _certificate(self):
-        basis, kinds = _factor_basis(self.scenario)
-        shape = tuple(int(kind.size) for kind in kinds)
+        basis = _factor_basis(self.scenario)
         rows, positions, signs = self.terms
         coef = np.zeros((len(self.constraints), len(basis)))
         np.add.at(coef, (rows, positions), signs)
         blocks, kernel = [], np.eye(len(basis))
         for reduction in dict.fromkeys(c.reduction for c in self.constraints):
+            zero = [i for i, c in enumerate(self.constraints)
+                    if c.reduction is reduction and c.target is None]
             targeted = [i for i, c in enumerate(self.constraints)
                         if c.reduction is reduction and c.target is not None]
-            if any(c.reduction is reduction and c.target is None
-                   for c in self.constraints):
-                zero = np.broadcast_to(self.row_rule(reduction, kinds), shape).reshape(-1)
-                blocks.append((reduction, basis[zero], None))
+            if zero:
+                # small integers on both sides, so the test is exact
+                hit = np.any(coef[zero] @ basis.T != 0, axis=0)
+                blocks.append((reduction, _normalized(basis[hit]), None))
                 if reduction is Reduction.NONE:
-                    kernel = basis[~zero]
+                    kernel = _normalized(basis[~hit])
             if targeted:
                 blocks.append((reduction, coef[targeted],
                                tuple(self.constraints[i].target for i in targeted)))
@@ -173,11 +173,10 @@ class Family:
         """The coefficient rows of the certificate system, as blocks
         ``(reduction, rows, targets)`` over all positions.
 
-        Per reduction, the zero-target constraints give the orthonormal
-        rows of the party-factor basis that ``row_rule`` chooses, which
-        span their coefficient matrix's row space, with ``targets``
-        ``None``; the constraints with a target give their own coefficient
-        rows and their targets.
+        Per reduction, the zero-target constraints give the normalized rows
+        of the party-factor basis that their coefficient rows do not
+        annihilate, with ``targets`` ``None``; the constraints with a target
+        give their own coefficient rows and their targets.
         """
         return self._certificate[0]
 
@@ -185,8 +184,8 @@ class Family:
     def certificate_kernel(self):
         """Orthonormal basis, as rows over all positions, of the kernel of
         the zero-target coefficient block with no reduction (the whole
-        space when the family has none): the rows of the party-factor
-        basis that ``row_rule`` leaves out of that block."""
+        space when the family has none): the normalized rows of the
+        party-factor basis that this block annihilates."""
         return self._certificate[1]
 
 
@@ -256,14 +255,7 @@ def full_ns(scen) -> Family:
         constraints.append(Constraint(
             f"total at x={x0} vs x={x}",
             tuple(_total(scen, x0, 1.0) + _total(scen, x, -1.0))))
-    return Family(scen, tuple(constraints), _full_rows)
-
-
-def _full_rows(reduction, kinds):
-    """The full family's zero-target rows: those with a ``PERP`` factor at
-    some party.  The rest span ``(x)_i V_i``, ``V_i`` the functions of
-    ``(a_i, x_i)`` whose outcome sum does not depend on ``x_i``."""
-    return functools.reduce(np.logical_or, [kind == PERP for kind in kinds])
+    return Family(scen, tuple(constraints))
 
 
 def output_trace_condition(scen) -> Constraint:
@@ -304,18 +296,7 @@ def asym_ns(scen) -> Family:
                 f"total at (0,0) vs {xy}",
                 tuple(_total(scen, (0, 0), 1.0) + _total(scen, xy, -1.0))))
     constraints.append(output_trace_condition(scen))
-    return Family(scen, tuple(constraints), _asym_rows)
-
-
-def _asym_rows(reduction, kinds):
-    """The relaxed family's zero-target rows.  With no reduction: ``PERP``
-    at A, or ``ONES`` at A and ``PERP`` at B, leaving the kernel
-    ``u (x) V_B + V_A^0 (x) R^{m_B k_B}`` (``V_A^0``: zero outcome sums).
-    Output-traced: ``PERP`` at B."""
-    a, b = kinds
-    if reduction is Reduction.OUTPUT_TRACE:
-        return b == PERP
-    return (a == PERP) | ((a == ONES) & (b == PERP))
+    return Family(scen, tuple(constraints))
 
 
 @functools.lru_cache(maxsize=16)
@@ -383,7 +364,7 @@ def _coordinates(reduced: np.ndarray, traceless: bool = False) -> np.ndarray:
     d = reduced.shape[-1]
     diagonal = np.diagonal(reduced, axis1=1, axis2=2).real
     if traceless:
-        diagonal = diagonal @ _helmert(d)
+        diagonal = diagonal @ _normalized(_helmert(d).T).T
     rows, cols = np.triu_indices(d, 1)
     strict = reduced[:, rows, cols]
     return np.concatenate([diagonal, strict.real, strict.imag], axis=1).T

@@ -264,12 +264,9 @@ def _kraus_in(rows, shape: tuple, path) -> np.ndarray:
     if op is None:
         entries = [[_complex_in(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
                    for i, row in enumerate(rows)]
-        try:
-            op = np.array(entries, dtype=complex)
-        except ValueError as exc:  # ragged rows
-            raise DocumentError(str(exc), path)
-    if op.shape != shape:
-        raise DocumentError("Kraus operator has mismatched shape", path)
+        if [len(row) for row in entries] != [shape[1]] * shape[0]:  # ragged rows too
+            raise DocumentError("Kraus operator has mismatched shape", path)
+        op = np.array(entries, dtype=complex)
     return op
 
 

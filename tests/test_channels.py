@@ -66,6 +66,13 @@ def test_kraus_completeness():
         KrausChannel(2, 2, (0.5 * np.eye(2),))
 
 
+def test_random_kraus_channel_needs_room_for_an_isometry(rng):
+    with pytest.raises(ValueError, match=r"out_dim \* n_kraus >= 3, got 1 \* 1"):
+        random_kraus_channel(rng, 3, 1, 1)
+    k = random_kraus_channel(rng, 3, 1, 3)  # the smallest that fits
+    assert verify_cptp(choi_of_kraus(k)).ok
+
+
 def test_maximally_entangled():
     phi = maximally_entangled(2)
     np.testing.assert_allclose(phi.data, [1, 0, 0, 1] / np.sqrt(2))

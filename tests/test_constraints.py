@@ -6,7 +6,7 @@ from steercert import gallery
 from steercert.assemblages import Assemblage, Scenario, canonicalize_pure, verify_ns
 from steercert.channel_assemblages import verify_asym_ns
 from steercert.certificates import build_constraint_system, decomposition_analysis
-from steercert.constraints import ConstraintMode, Reduction, asym_ns, full_ns
+from steercert.constraints import ConstraintMode, Family, Reduction, asym_ns, full_ns
 
 
 def relabel_mutant(s: Assemblage) -> Assemblage:
@@ -85,19 +85,56 @@ FACTOR_GRID = [  # (settings, outcomes, trusted dims)
 ]
 
 
-@pytest.mark.parametrize("settings, outcomes, dims", FACTOR_GRID,
-                         ids=[f"{s}-{o}-{d}" for s, o, d in FACTOR_GRID])
-def test_factor_bases_are_the_constraint_list(settings, outcomes, dims):
+def _whole_families(settings, outcomes, dims):
+    scen = Scenario(settings, outcomes, dims)
+    return lambda: [full_ns(scen)] + ([asym_ns(scen)] if len(dims) == 2 else [])
+
+
+def _sub_family(make, settings, outcomes, dims, keep):
+    """The constraints of ``make``'s family that ``keep`` accepts."""
+    def families():
+        fam = make(Scenario(settings, outcomes, dims))
+        return [Family(fam.scenario, tuple(c for c in fam.constraints if keep(c)))]
+    return families
+
+
+def _marginals(inside):
+    return lambda c: c.name.startswith(f"marginal I={inside} ")
+
+
+def _totals(c):
+    return c.name.startswith("total")
+
+
+FACTOR_CASES = [pytest.param(_whole_families(*grid), id="-".join(map(str, grid)))
+                for grid in FACTOR_GRID] + [
+    pytest.param(_sub_family(full_ns, (2, 3), (3, 2), (2,), _marginals((0,))),
+                 id="full-marginals-I=(0,)"),
+    pytest.param(_sub_family(full_ns, (2, 2, 3), (3, 2, 2), (2,), _marginals((0, 2))),
+                 id="full-marginals-I=(0, 2)"),
+    pytest.param(_sub_family(full_ns, (2, 3), (3, 2), (2,), _totals), id="full-totals"),
+    pytest.param(_sub_family(full_ns, (2, 2, 3), (2, 3, 2), (2,), _totals),
+                 id="full-totals-three-parties"),
+    pytest.param(_sub_family(asym_ns, (2, 3), (3, 2), (2, 2),
+                             lambda c: c.target is None or c.reduction is Reduction.NONE),
+                 id="asym-without-output-trace-condition"),
+    pytest.param(_sub_family(asym_ns, (3, 2), (2, 3), (2, 2),
+                             lambda c: c.reduction is Reduction.OUTPUT_TRACE),
+                 id="asym-output-traced-only"),
+]
+
+
+@pytest.mark.parametrize("families", FACTOR_CASES)
+def test_factor_bases_are_the_constraint_list(families):
     # the party-factor rows and kernel against the family's own coefficient
     # blocks, ranked by an SVD here
-    scen = Scenario(settings, outcomes, dims)
-    families = [full_ns(scen)] + ([asym_ns(scen)] if len(dims) == 2 else [])
-    for fam in families:
+    for fam in families():
         k = fam.certificate_kernel
         zero_blocks = [(reduction, rows) for reduction, rows, targets
                        in fam.certificate_rows if targets is None]
         assert bool(zero_blocks) == any(c.target is None for c in fam.constraints)
-        if not zero_blocks:  # one party, one setting: no zero-target constraint
+        if not any(c.target is None and c.reduction is Reduction.NONE
+                   for c in fam.constraints):
             np.testing.assert_array_equal(k, np.eye(len(k)))
         for reduction, rows in zero_blocks:
             coef = _coefficients(fam, reduction)

@@ -148,7 +148,8 @@ def test_kraus_document_parses_to_the_choi_of_its_operators():
 
 
 @pytest.mark.parametrize("op, path, message", [
-    ([[[0, 0], [0.6, 0]], [[0, 0]]], "$.payload.kraus[1]", "inhomogeneous shape"),
+    ([[[0, 0], [0.6, 0]], [[0, 0]]], "$.payload.kraus[1]",
+     "Kraus operator has mismatched shape"),
     ([[[0, 0], [0.6, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]], "$.payload.kraus[1]",
      "Kraus operator has mismatched shape"),
     ([[[0, 0], [float("inf"), 0]], [[0, 0], [0, 0]]], "$.payload.kraus[1][0][1]",
