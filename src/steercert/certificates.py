@@ -110,6 +110,10 @@ class ExtremalityCertificate:
     # A K, each over its s_max; the rank decision is rank_rel_tol between
     # the two.
     rank_margin: tuple
+    # (largest |kernel entry| over pinned columns, smallest column-wise
+    # largest |kernel entry| over free ones), 0.0 for an empty side; the
+    # pinned set is decided by abs_tol between the two.
+    pin_margin: tuple
     witness_pair: tuple = None  # (c_plus, c_minus) when NON_UNIQUE
     system: LinearSystem = field(default=None, repr=False)
 
@@ -121,6 +125,7 @@ class ExtremalityCertificate:
             "pinned": [[list(a), list(x)] for a, x in self.pinned],
             "verdict": self.verdict.value,
             "rank_margin": list(self.rank_margin),
+            "pin_margin": list(self.pin_margin),
         }
         if self.witness_pair is not None:
             doc["witness_pair"] = [list(map(float, c)) for c in self.witness_pair]
@@ -164,19 +169,26 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     if nullity == 0:
         pinned = system.columns
         return ExtremalityCertificate(mode, rank, nullity, pinned,
-                                      Verdict.UNIQUE_EXTREME, margin,
+                                      Verdict.UNIQUE_EXTREME, margin, (0.0, 0.0),
                                       None, system)
 
-    fixed = np.all(np.abs(basis) < tol.abs_tol, axis=0)
+    reach = np.abs(basis).max(axis=0)  # how far each coefficient can move
+    fixed = reach < tol.abs_tol
     pinned = tuple(pos for pos, pin in zip(system.columns, fixed) if pin)
+    pin_margin = (float(reach[fixed].max()) if fixed.any() else 0.0,
+                  float(reach[~fixed].min()) if not fixed.all() else 0.0)
+    # The SVD fixes a kernel vector only up to sign: make its largest entry
+    # (the first of equal ones) positive, so the witness order is fixed.
     v = basis[0]
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
     ref = system.reference
     active = np.abs(v) > tol.abs_tol
     t_max = float(np.min(ref[active] / np.abs(v[active])))
     eps = t_max / 2
     witness = (ref + eps * v, ref - eps * v)
-    return ExtremalityCertificate(mode, rank, nullity, pinned,
-                                  Verdict.NON_UNIQUE, margin, witness, system)
+    return ExtremalityCertificate(mode, rank, nullity, pinned, Verdict.NON_UNIQUE,
+                                  margin, pin_margin, witness, system)
 
 
 def inflexibility_structural_check(p: PureAssemblage,

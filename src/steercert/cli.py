@@ -142,6 +142,7 @@ def cmd_extremality(args, tol: Tolerances, doc: Document):
     return PASS, {"verdict": cert.verdict.value, "rank": cert.rank,
                   "nullity": cert.nullity,
                   "rank_margin": list(cert.rank_margin),
+                  "pin_margin": list(cert.pin_margin),
                   "pinned": [[list(a), list(x)] for a, x in cert.pinned]}
 
 

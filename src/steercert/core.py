@@ -139,22 +139,96 @@ def is_psd(a: Op, tol: float = DEFAULT_TOL.abs_tol) -> bool:
     return bool(psd_deviation(a.data[None])[0] <= tol)
 
 
+def _gamma(k: int) -> float:
+    """``gamma_k = k u / (1 - k u)``, ``u`` the unit roundoff: the bound on
+    the relative rounding error of ``k`` floating-point operations."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1 - ku)
+
+
+def _certified_spectrum(m: np.ndarray, tol: float):
+    """Singular values of a tall ``m`` with no all-zero row, descending,
+    when a Cholesky factorization proves ``s_min > tol * ||m||_F``, and with
+    that ``s_min`` far enough from zero that they are computed within
+    ``tol`` (relative) from the Gram matrix; ``None`` otherwise.
+
+    ``G = fl(m^T m)`` is factored with its diagonal lowered by a shift
+    ``c``; ``r, n = m.shape``, ``f = ||m||_F^2``, ``u`` is the unit
+    roundoff and ``eta`` the smallest subnormal.  ``c`` is the sum of:
+
+    - ``tol^2 f``, the threshold: ``s_min^2 > tol^2 f`` implies
+      ``s_min > tol * s_max``, as ``||m||_F >= s_max``.
+    - ``gamma_r f``: each entry of ``G`` is a length-``r`` dot product, so
+      ``|G - m^T m| <= gamma_r |m|^T |m|`` entrywise, and the 2-norm of
+      the right-hand side is at most ``f`` (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, ch. 3).
+    - ``(gamma_{n+1} / (1 - gamma_{n+1}) + u) tr G``: a floating-point
+      Cholesky of a symmetric ``A`` that runs to completion is exact for
+      some ``A + dA`` with ``|dA_ij| <= gamma_{n+1} / (1 - gamma_{n+1})
+      sqrt(A_ii A_jj)``, whose 2-norm is at most that factor times
+      ``tr A`` (Demmel; Rump, "Verification of positive definiteness",
+      BIT 46:433-452, 2006; Higham, ch. 10).  So ``A`` has no eigenvalue
+      below ``-gamma_{n+1} / (1 - gamma_{n+1}) tr A``.  Subtracting ``c``
+      from each diagonal entry rounds it by at most ``u G_ii <= u tr G``.
+    - ``n (r + 8 (n + 2) + 4 tr G) eta``: gradual underflow adds at most
+      ``eta`` per product or quotient, so at most ``n r eta`` to the
+      2-norm of the error in ``G`` and ``n (n + 1 + sqrt(max G_ii)) eta``
+      to that of ``dA``; this term covers both.
+    - ``(r + n) eps f / tol``, the floor at which the spectrum is accurate:
+      the eigenvalues of ``G`` carry an absolute error of about
+      ``(r + n) u f`` (forming ``G``, then a backward-stable
+      ``eigvalsh``), and with ``s_min^2`` above twice that divided by
+      ``tol`` the ratio ``s_min / s_max`` taken from them is within
+      ``tol`` (relative) of the exact one.
+
+    ``f`` and ``tr G`` are bounded above by the computed trace ``t``
+    times ``1 + 2 gamma_{r+n}``, which together with the few operations
+    that form ``c`` gives the final factor ``1 + 2 gamma_{r+n+10}``.  If
+    the factorization of ``G - c I`` succeeds, then ``s_min^2`` exceeds
+    the threshold term plus the floor: the kernel is empty, as the
+    threshold ``tol * s_max`` decides, and the spectrum is taken from
+    ``eigvalsh(G)``.
+    """
+    rows, cols = m.shape
+    g = m.T @ m
+    trace = float(np.trace(g))
+    info = np.finfo(float)
+    cholesky = _gamma(cols + 1)
+    shift = ((tol * tol + _gamma(rows) + cholesky / (1 - cholesky) + info.eps / 2
+              + (rows + cols) * info.eps / tol) * trace
+             + cols * (rows + 8 * (cols + 2) + 4 * trace) * info.smallest_subnormal
+             ) * (1 + 2 * _gamma(rows + cols + 10))
+    try:
+        np.linalg.cholesky(g - shift * np.eye(cols))
+    except np.linalg.LinAlgError:
+        return None
+    return np.sqrt(np.linalg.eigvalsh(g)[::-1])
+
+
 def nullspace_and_spectrum(m: np.ndarray,
                            tol: float = DEFAULT_TOL.rank_rel_tol):
     """Kernel basis and singular values of a real matrix.
 
     Returns ``(basis, s)``: ``basis`` is as for :func:`nullspace`, ``s``
     holds the singular values in descending order (empty when every entry
-    is zero).  All-zero rows are dropped first; a system that still has
-    at least as many rows as columns is replaced by the ``R`` of its QR
-    factorization, which has the same singular values and the same right
-    null space, so the SVD never sees more rows than columns.  ``R`` is
-    ranked from its singular values alone, and its right singular vectors
-    are computed only when the kernel is not empty.  A diagonal entry of
-    ``R`` at or below ``tol`` times the largest proves the kernel non-empty
-    (for a triangular ``R``, ``s_min <= min |R_ii|`` and
-    ``s_max >= max |R_ii|``), and so does a wide system: then the one SVD
-    taken is the full one.
+    is zero).  All-zero rows are dropped first.
+
+    A system that still has at least as many rows as columns is first
+    tried on the certified path (:func:`_certified_spectrum`): a Cholesky
+    factorization of its Gram matrix, shifted down by the threshold, the
+    rounding of the computation and an accuracy floor, proves the kernel
+    empty.  Then ``s`` is the square roots of the Gram matrix's
+    eigenvalues, within ``tol`` (relative) of the SVD's at ``s_min``.
+
+    Otherwise, or when that factorization fails, the system is replaced by
+    the ``R`` of its QR factorization, which has the same singular values
+    and the same right null space, so the SVD never sees more rows than
+    columns.  ``R`` is ranked from its singular values alone, and its
+    right singular vectors are computed only when the kernel is not
+    empty.  A diagonal entry of ``R`` at or below ``tol`` times the
+    largest proves the kernel non-empty (for a triangular ``R``,
+    ``s_min <= min |R_ii|`` and ``s_max >= max |R_ii|``), and so does a
+    wide system: then the one SVD taken is the full one.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     cols = m.shape[1]
@@ -162,6 +236,9 @@ def nullspace_and_spectrum(m: np.ndarray,
     if m.shape[0] == 0:
         return np.eye(cols), np.zeros(0)
     if m.shape[0] >= cols:
+        s = _certified_spectrum(m, tol)
+        if s is not None:
+            return np.zeros((0, cols)), s
         m = np.linalg.qr(m, mode="r")
         diagonal = np.abs(np.diagonal(m))
         if diagonal.min() > tol * diagonal.max():

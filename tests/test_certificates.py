@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import pure_assemblage, pure_members
 
-from steercert import gallery
+from steercert import certificates, gallery
 from steercert.core import DEFAULT_TOL, Tolerances
 from steercert.assemblages import Scenario, canonicalize_pure
 from steercert.channel_assemblages import to_choi_assemblage
@@ -195,3 +195,29 @@ def test_reference_check_follows_nnls_residual_tol(bell_pure):
     with pytest.raises(ValueError, match="reference coefficients"):
         decomposition_analysis(off, ConstraintMode.FULL_NS,
                                Tolerances(nnls_residual_tol=1e-12))
+
+
+def test_witness_pair_does_not_follow_the_kernel_sign(bell_pure, monkeypatch):
+    cert = decomposition_analysis(bell_pure, ConstraintMode.ASYM_NS)
+    ranked = certificates.nullspace_and_spectrum
+
+    def negated(m, tol):
+        basis, s = ranked(m, tol)
+        return -basis, s
+
+    monkeypatch.setattr(certificates, "nullspace_and_spectrum", negated)
+    flipped = decomposition_analysis(bell_pure, ConstraintMode.ASYM_NS)
+    for got, want in zip(flipped.witness_pair, cert.witness_pair):
+        np.testing.assert_array_equal(got, want)
+    # the largest move (the first of equal ones) is upward in c_plus
+    step = cert.witness_pair[0] - cert.system.reference
+    assert step[np.argmax(np.abs(step))] > 0
+
+
+def test_pin_margin_straddles_abs_tol(bell_pure):
+    cert = decomposition_analysis(bell_pure, ConstraintMode.ASYM_NS)
+    pinned_reach, free_reach = cert.pin_margin
+    assert 0.0 <= pinned_reach < DEFAULT_TOL.abs_tol < free_reach <= 1.0
+    # an empty kernel pins every column and leaves no free side
+    extreme = decomposition_analysis(bell_pure, ConstraintMode.FULL_NS)
+    assert extreme.pin_margin == (0.0, 0.0)

@@ -274,6 +274,8 @@ def test_extremality_reports_rank_margin(capsys):
     kept, dropped = report["details"]["rank_margin"]
     assert code == 0
     assert kept > report["tolerances"]["rank_rel_tol"] >= dropped
+    pinned_reach, free_reach = report["details"]["pin_margin"]
+    assert pinned_reach < report["tolerances"]["abs_tol"] < free_reach
 
 
 @pytest.mark.parametrize("scenario", [

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from conftest import identity, kron_all, partial_trace
+from hypothesis import given, settings, strategies as st
 
+from steercert import core
 from steercert.core import (
     DEFAULT_TOL,
     Ket,
@@ -201,3 +203,85 @@ def test_rank_deficient_system_takes_one_svd(rng, monkeypatch, rows):
     assert basis.shape == want.shape == (4, 10)
     np.testing.assert_allclose(basis.T @ basis, want.T @ want, atol=1e-12)
     np.testing.assert_allclose(s[:6], s_want[:6], rtol=1e-12)
+
+
+# Where a planted smallest singular value sits: at the rank threshold
+# (ratio to s_max, times 1 -+ 1e-3), either side of the certification floor
+# (s_min^2 / ||m||_F^2 over (rows + cols) eps / tol), or well above it.
+PLANTED = {"below threshold": ("ratio", 1 - 1e-3), "above threshold": ("ratio", 1 + 1e-3),
+           "under floor": ("floor", 0.5), "over floor": ("floor", 2.0),
+           "well above": ("ratio", 1e6)}
+
+
+def _planted(rows, cols, seed, place):
+    """A ``rows x cols`` matrix whose singular values are 1, random values
+    in [0.5, 1], and a smallest one placed as ``PLANTED[place]`` says."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(rows, cols)))[0]
+    v = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
+    s = np.concatenate([[1.0], np.sort(rng.uniform(0.5, 1.0, cols - 2))[::-1], [0.0]])
+    tol = DEFAULT_TOL.rank_rel_tol
+    kind, q = PLANTED[place]
+    if kind == "ratio":
+        s[-1] = q * tol
+    else:  # s_min^2 = q * floor * (rest + s_min^2)
+        floor = q * (rows + cols) * np.finfo(float).eps / tol
+        s[-1] = np.sqrt(floor * np.sum(s ** 2) / (1 - floor))
+    return (u * s) @ v.T
+
+
+def _rank_calls(mp):
+    """Record each call of the linear-algebra routines the rank path uses,
+    and whether it raised."""
+    calls = []
+    for name in ("cholesky", "eigvalsh", "qr", "svd"):
+        def spy(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            try:
+                out = _f(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                calls.append(_name + " failed")
+                raise
+            calls.append(_name)
+            return out
+        mp.setattr(np.linalg, name, spy)
+    return calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cols=st.integers(2, 40), extra=st.integers(0, 80),
+       seed=st.integers(0, 2 ** 32 - 1), place=st.sampled_from(sorted(PLANTED)))
+def test_certified_path_agrees_with_the_svd(cols, extra, seed, place):
+    rows = cols + extra
+    m = _planted(rows, cols, seed, place)
+    tol = DEFAULT_TOL.rank_rel_tol
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _rank_calls(mp)
+        basis, s = nullspace_and_spectrum(m, tol)
+    want, s_want = _two_pass_nullspace_and_spectrum(m, tol)
+    assert basis.shape == want.shape
+    certified = calls[0] == "cholesky"
+    # where the planted s_min puts the decision
+    assert certified == (place in ("over floor", "well above"))
+    assert want.shape[0] == (place == "below threshold")
+    if certified:  # a kernel proven empty
+        assert calls == ["cholesky", "eigvalsh"]
+        assert want.shape[0] == 0
+        np.testing.assert_allclose(s, s_want, rtol=tol, atol=0)
+        assert s[-1] / s[0] == pytest.approx(s_want[-1] / s_want[0], rel=tol, abs=0)
+    else:  # one failed Cholesky, then the QR and SVD path alone
+        assert calls[:2] == ["cholesky failed", "qr"]
+        assert set(calls[2:]) <= {"svd"} and calls[2:]
+        # both SVDs are backward stable: equal to within rounding of s_max
+        np.testing.assert_allclose(s, s_want, rtol=0,
+                                   atol=rows * np.finfo(float).eps * s_want[0])
+
+
+def test_certified_spectrum_is_ordered_and_exact_enough(rng):
+    m = rng.normal(size=(50, 20))
+    s = core._certified_spectrum(m, DEFAULT_TOL.rank_rel_tol)
+    assert s is not None and np.all(np.diff(s) <= 0)
+    np.testing.assert_allclose(s, np.linalg.svd(m, compute_uv=False),
+                               rtol=DEFAULT_TOL.rank_rel_tol, atol=0)
+    # a larger threshold than s_min / ||m||_F cannot be certified
+    ratio = s[-1] / np.linalg.norm(m)
+    assert core._certified_spectrum(m, 1.01 * ratio) is None

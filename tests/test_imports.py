@@ -6,7 +6,8 @@ an imported name counts as used when it appears as a plain name anywhere
 in the module (attribute access starts from one).
 
 The CLI and the parsing of valid documents leave scipy and jsonschema
-unloaded; jsonschema loads only to explain a rejected document.
+unloaded; jsonschema loads only to explain a rejected document.  So does
+``steercert extremality``: its rank path is numpy alone.
 """
 
 import ast
@@ -65,13 +66,31 @@ except documents.DocumentError as exc:
 """
 
 
-def test_parsing_valid_documents_leaves_jsonschema_and_scipy_unloaded():
+def run_probe(code: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(steercert.__file__).resolve().parent.parent),
                     env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == {
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_parsing_valid_documents_leaves_jsonschema_and_scipy_unloaded():
+    assert json.loads(run_probe(PROBE)) == {
         "loaded": [], "jsonschema": True,
         "error": "$.payload.state: 'matrix' is a required property"}
+
+
+EXTREMALITY_PROBE = """
+import importlib.resources as resources, json, sys
+from steercert import cli
+path = str(resources.files("steercert").joinpath("data", "example1.json"))
+codes = [cli.main(["--output", "json", "extremality", "--mode", mode, path])
+         for mode in ("full", "asym")]
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def test_extremality_leaves_scipy_unloaded():
+    last = run_probe(EXTREMALITY_PROBE).splitlines()[-1]
+    assert json.loads(last) == {"codes": [0, 0], "scipy": False}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from steercert import gallery
+from steercert.core import DEFAULT_TOL
 from steercert.assemblages import canonicalize_pure
 from steercert.channel_assemblages import to_choi_assemblage
 from steercert.security import (
@@ -79,3 +80,13 @@ def test_pinning_json_roundtrip(bell_pure):
     assert doc["certified"] is True
     assert doc["key_settings"] == [0, 0]
     assert doc["certificate"]["verdict"] == "NON_UNIQUE"
+
+
+@pytest.mark.parametrize("x_key, y_key", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_pinning_reports_its_margin(bell_pure, x_key, y_key):
+    pin = eavesdropper_pinning(bell_pure, x_key, y_key)
+    pinned_reach, free_reach = pin.certificate.pin_margin
+    assert pinned_reach < DEFAULT_TOL.abs_tol < free_reach
+    # on example 1 the pinned entries are rounding noise and the free ones 1/2
+    assert pinned_reach < 1e-15 and free_reach == pytest.approx(0.5)
+    assert pin.to_json()["certificate"]["pin_margin"] == [pinned_reach, free_reach]
