@@ -290,15 +290,22 @@ def lhs_assemblage(model: LhsModel, scenario: Scenario) -> Assemblage:
 def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssemblage:
     """Split each member into (trace weight, principal unit ket) or zero.
 
-    Raises if any member is not PSD within ``abs_tol`` (as :func:`verify_ns`
-    measures it) or has rank two or more, naming the position, or if no
+    Raises a ``ValueError`` if any member is not PSD within ``abs_tol`` (as
+    :func:`verify_ns` measures it) or has rank two or more, naming the
+    position in the message and as the error's ``position``, or if no
     member has trace at least ``abs_tol``.
     """
     positions = list(s.scenario.positions())
+
+    def rejected(j, fault):
+        a, x = positions[j]
+        exc = ValueError(f"member {a}|{x} {fault}")
+        exc.position = (a, x)
+        return exc
+
     not_psd = np.flatnonzero(psd_deviation(s.members) > tol.abs_tol)
     if len(not_psd):
-        a, x = positions[not_psd[0]]
-        raise ValueError(f"member {a}|{x} is not PSD")
+        raise rejected(not_psd[0], "is not PSD")
     weights = np.trace(s.members, axis1=1, axis2=2).real
     kept = np.flatnonzero(weights >= tol.abs_tol)
     if not len(kept):
@@ -308,8 +315,7 @@ def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssem
     ranks = np.count_nonzero(sv > tol.rank_rel_tol * sv[:, :1], axis=1)
     if np.any(ranks > 1):
         j = int(np.argmax(ranks > 1))
-        a, x = positions[kept[j]]
-        raise ValueError(f"member {a}|{x} has rank {ranks[j]} > 1")
+        raise rejected(kept[j], f"has rank {ranks[j]} > 1")
     vecs = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2)[1][:, :, -1]
     order = sorted(range(len(kept)), key=lambda j: positions[kept[j]])
     return PureAssemblage(s.scenario, tuple(positions[kept[j]] for j in order),
@@ -397,9 +403,19 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
     pairwise proportional (its hidden state would have to be proportional
     to two non-proportional pure states).  Only the other strategies are
     enumerated (:func:`consistent_strategies`); they feed a nonnegative
-    weight system over the non-zero positions.  Feasibility of that system
-    is equivalent to the existence of an LHS model, and any feasible
-    weight vector is returned as one.
+    weight system ``A w = b`` over the non-zero positions, ``b`` the
+    member traces.  Feasibility of that system is equivalent to the
+    existence of an LHS model, and any feasible weight vector is returned
+    as one.
+
+    The system is solved in no-signaling coordinates.  A deterministic
+    strategy's column of ``A`` is a no-signaling vector that vanishes off
+    the support, so it lies in the span of ``Q``, the orthonormal basis of
+    those vectors (:meth:`.Family.support_kernel` of the full family).
+    Then ``||A w - b||^2 = ||Q^T A w - Q^T b||^2 + ||b - Q Q^T b||^2``:
+    the NNLS runs on ``(Q^T A, Q^T b)``, ``dim Q`` rows, with ``Q^T A``
+    gathered from ``Q``'s rows at the selected positions, and the residual
+    reported is that of the whole system.
     """
     scen = p.scenario
     strategies = consistent_strategies(p, tol)
@@ -413,9 +429,16 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
     offsets = np.cumsum((0,) + scen.settings[:-1])
     outcomes = tuple(strategies[:, o + xs] for o, xs in zip(offsets, settings))
     selected = rows[outcomes + tuple(settings)]  # (strategies, setting vectors)
-    a_mat = np.zeros((len(p.support), len(strategies)))
-    a_mat[selected, np.arange(len(strategies))[:, None]] = 1.0
-    x, residual = nnls(a_mat, p.weights)
+    q = family(scen, ConstraintMode.FULL_NS).support_kernel(
+        scen.indices(p.support), tol.rank_rel_tol)
+    # (Q^T A)^T, one setting vector at a time: q[selected] whole would
+    # hold strategies x setting vectors x dim Q floats (1.5 GB at (3,3,3,2))
+    columns = np.zeros((len(strategies), q.shape[1]))
+    for at in selected.T:
+        columns += q[at]
+    coordinates = q.T @ p.weights
+    x, residual = nnls(columns.T, coordinates)
+    residual = float(np.hypot(residual, np.linalg.norm(p.weights - q @ coordinates)))
     if residual >= tol.nnls_residual_tol:
         return NoLhs("nonnegative weight system over deterministic strategies "
                      "is infeasible", residual=residual)

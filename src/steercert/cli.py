@@ -128,14 +128,24 @@ def _assemblage(doc: Document):
     raise DocumentError(f"kind '{doc.kind}' carries no assemblage")
 
 
-def _pure(doc: Document, tol: Tolerances):
-    """The canonical pure assemblage of :func:`_assemblage`."""
-    return canonicalize_pure(_assemblage(doc), tol)
+def _pure(doc: Document, assemblage, tol: Tolerances):
+    """The canonical pure assemblage of ``assemblage``, the assemblage of
+    ``doc``.  A member it rejects is located at its entry of an assemblage
+    or a channel assemblage document."""
+    try:
+        return canonicalize_pure(assemblage, tol)
+    except ValueError as exc:
+        if doc.kind not in ("assemblage", "channel_assemblage") or not hasattr(exc, "position"):
+            raise
+        entries = doc.raw["payload"]["members"]
+        j = next(j for j, entry in enumerate(entries)
+                 if (tuple(entry["a"]), tuple(entry["x"])) == exc.position)
+        raise DocumentError(str(exc), f"$.payload.members[{j}]") from exc
 
 
 def cmd_extremality(args, tol: Tolerances, doc: Document):
     mode = ConstraintMode.FULL_NS if args.mode == "full" else ConstraintMode.ASYM_NS
-    cert = decomposition_analysis(_pure(doc, tol), mode, tol)
+    cert = decomposition_analysis(_pure(doc, _assemblage(doc), tol), mode, tol)
     if args.certificate_out:
         with open(args.certificate_out, "w") as fh:
             json.dump(cert.to_json(), fh, sort_keys=True, indent=2)
@@ -148,7 +158,7 @@ def cmd_extremality(args, tol: Tolerances, doc: Document):
 
 def cmd_lhs(args, tol: Tolerances, doc: Document):
     assemblage = _assemblage(doc)
-    verdict = pure_lhs_decide(canonicalize_pure(assemblage, tol), tol)
+    verdict = pure_lhs_decide(_pure(doc, assemblage, tol), tol)
     if isinstance(verdict, LhsModel):
         rebuilt = lhs_assemblage(verdict, assemblage.scenario).members
         return PASS, {"lhs": True, "hidden_variables": len(verdict.weights),
@@ -164,7 +174,8 @@ def cmd_lhs(args, tol: Tolerances, doc: Document):
 def cmd_security_cert(args, tol: Tolerances, doc: Document):
     if doc.kind != "channel_assemblage":
         raise ValueError("expected a channel_assemblage document")
-    pin = eavesdropper_pinning(_pure(doc, tol), args.x_key, args.y_key, tol)
+    pin = eavesdropper_pinning(_pure(doc, _assemblage(doc), tol), args.x_key, args.y_key,
+                               tol)
     table = correlations(doc.payload, gallery.key_input_state(),
                          gallery.key_measurement())
     key_ok = perfect_key_check(table, args.x_key, args.y_key, tol.abs_tol)

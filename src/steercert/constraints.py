@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import output_trace, psd_deviation
+from .core import nullspace, output_trace, psd_deviation
 
 
 class ConstraintMode(enum.Enum):
@@ -187,6 +187,30 @@ class Family:
         space when the family has none): the normalized rows of the
         party-factor basis that this block annihilates."""
         return self._certificate[1]
+
+    def support_kernel(self, at, rel_tol: float) -> np.ndarray:
+        """Orthonormal columns spanning the vectors of
+        :attr:`certificate_kernel`'s span that vanish off the positions
+        ``at``, with their rows taken in the order of ``at``.
+
+        On all positions these are :attr:`certificate_kernel`'s own rows.
+        Otherwise they are the combinations of those rows that vanish off
+        ``at``, or equally the kernel of the zero-target block with no
+        reduction restricted to ``at``: the smaller of the two matrices is
+        ranked, relative to its largest singular value as a system is
+        ranked, so that no kernel vector is lost.
+        """
+        kernel = self.certificate_kernel.T
+        off = np.ones(len(kernel), dtype=bool)
+        off[at] = False
+        if not off.any():
+            return kernel[at]
+        block = [rows for reduction, rows, targets in self.certificate_rows
+                 if reduction is Reduction.NONE and targets is None]
+        block = block[0] if block else np.zeros((0, len(kernel)))
+        if len(block) * len(at) < np.count_nonzero(off) * kernel.shape[1]:
+            return nullspace(block[:, at], rel_tol).T
+        return kernel[at] @ nullspace(kernel[off], rel_tol).T
 
 
 @dataclass(frozen=True)

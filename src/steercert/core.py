@@ -205,6 +205,57 @@ def _certified_spectrum(m: np.ndarray, tol: float):
     return np.sqrt(np.linalg.eigvalsh(g)[::-1])
 
 
+def _rank_one(m: np.ndarray, tol: float):
+    """Kernel and spectrum of an ``m`` with no all-zero row, when rank one
+    is proven with ``s_2 <= tol * s_1 / 2``; ``None`` otherwise.
+
+    ``w`` is the row of ``m`` of largest norm, normalized in floating
+    point, and ``y = fl(m w)``.  For any vectors, ``s_1 >= ||m w|| / ||w||``
+    and, as ``y w^T`` has rank one, ``s_2 <= ||m - y w^T||_F``
+    (Eckart-Young).  ``r, n = m.shape``, ``u`` is the unit roundoff,
+    ``eta`` the smallest subnormal and ``g = 1 + 2 gamma_{r n + r + n + 10}``;
+    each computed quantity is turned into a bound:
+
+    - ``||m - y w^T||_F <= (fl(||fl(m - fl(y w^T))||_F) + gamma_2 ||y||
+      ||w||) g``: the product and the difference of each entry round by
+      ``u`` each, and a norm of ``N`` squares carries a relative error of
+      at most ``gamma_{N+1}`` (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, ch. 3).
+    - ``||m w|| >= fl(||y||) (2 - g) - gamma_n ||m||_F ||w||``: each
+      entry of ``y`` is a length-``n`` dot product, within
+      ``gamma_n |m| |w|``; ``||m||_F <= ||m - y w^T||_F + ||y|| ||w||``.
+    - ``||w|| <= (fl(||w||) + sqrt(n eta)) g``.
+    - Gradual underflow adds at most ``eta`` to each product and ``N eta``
+      to a sum of ``N`` squares: ``4 sqrt((r + 1) (n + 1) eta)`` covers it
+      in every norm above.
+
+    When the bounds give ``s_2 / s_1 <= tol / 2`` (and ``tol < 1``, below
+    which the threshold keeps ``s_1``), the rank is one, as the threshold
+    ``tol * s_max`` decides, with room for the SVD's own rounding of about
+    ``eps * s_1``.  The kernel is the complement of ``w``: the rows after
+    the first of the Householder reflector that maps ``w`` onto the first
+    axis.  The spectrum is ``[fl(||y||), bound]``, where ``bound / fl(||y||)``
+    is the bound on ``s_2 / s_1``, cut to ``min(r, n)`` values.
+    """
+    rows, cols = m.shape
+    w = m[np.argmax(np.einsum("ij,ij->i", m, m))]
+    w = w / np.linalg.norm(w)
+    y = m @ w
+    g = 1 + 2 * _gamma(rows * cols + rows + cols + 10)
+    under = 4 * np.sqrt((rows + 1) * (cols + 1) * np.finfo(float).smallest_subnormal)
+    norm, w_norm = np.linalg.norm(y), np.linalg.norm(w)
+    w_upper = (w_norm + under) * g
+    residual = (np.linalg.norm(m - np.outer(y, w)) + _gamma(2) * norm * w_upper) * g + under
+    frobenius = residual + (norm * g + under) * w_upper
+    lower = (norm * (2 - g) - _gamma(cols) * frobenius * w_upper - under) / w_upper
+    if not (tol < 1 and 0 < lower and residual <= tol / 2 * lower):
+        return None
+    v = w.copy()
+    v[0] += np.copysign(w_norm, w[0])
+    kernel = np.eye(cols)[1:] - np.outer(v[1:], v) * (2 / (v @ v))
+    return kernel, np.array([norm, norm * residual / lower])[:min(rows, cols)]
+
+
 def nullspace_and_spectrum(m: np.ndarray,
                            tol: float = DEFAULT_TOL.rank_rel_tol):
     """Kernel basis and singular values of a real matrix.
@@ -220,25 +271,37 @@ def nullspace_and_spectrum(m: np.ndarray,
     empty.  Then ``s`` is the square roots of the Gram matrix's
     eigenvalues, within ``tol`` (relative) of the SVD's at ``s_min``.
 
-    Otherwise, or when that factorization fails, the system is replaced by
-    the ``R`` of its QR factorization, which has the same singular values
-    and the same right null space, so the SVD never sees more rows than
-    columns.  ``R`` is ranked from its singular values alone, and its
-    right singular vectors are computed only when the kernel is not
-    empty.  A diagonal entry of ``R`` at or below ``tol`` times the
-    largest proves the kernel non-empty (for a triangular ``R``,
-    ``s_min <= min |R_ii|`` and ``s_max >= max |R_ii|``), and so does a
-    wide system: then the one SVD taken is the full one.
+    When that factorization fails, or the system is wide, the rank-one
+    path (:func:`_rank_one`) is tried: a bound on the distance of ``m``
+    from the rank-one matrix through its largest row proves
+    ``s_2 <= tol * s_1 / 2``.  Then the kernel is the complement of that
+    row, and ``s`` is ``[||m w||, bound on s_2]``: its second value is an
+    upper bound, not a singular value.
+
+    Otherwise the system is replaced by the ``R`` of its QR
+    factorization, which has the same singular values and the same right
+    null space, so the SVD never sees more rows than columns.  ``R`` is
+    ranked from its singular values alone, and its right singular vectors
+    are computed only when the kernel is not empty.  A diagonal entry of
+    ``R`` at or below ``tol`` times the largest proves the kernel
+    non-empty (for a triangular ``R``, ``s_min <= min |R_ii|`` and
+    ``s_max >= max |R_ii|``), and so does a wide system: then the one SVD
+    taken is the full one.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     cols = m.shape[1]
     m = m[np.any(m != 0.0, axis=1)]
     if m.shape[0] == 0:
         return np.eye(cols), np.zeros(0)
-    if m.shape[0] >= cols:
+    tall = m.shape[0] >= cols
+    if tall:
         s = _certified_spectrum(m, tol)
         if s is not None:
             return np.zeros((0, cols)), s
+    found = _rank_one(m, tol)
+    if found is not None:
+        return found
+    if tall:
         m = np.linalg.qr(m, mode="r")
         diagonal = np.abs(np.diagonal(m))
         if diagonal.min() > tol * diagonal.max():

@@ -434,6 +434,34 @@ def test_member_that_is_not_psd_is_input_error(capsys, tmp_path, command):
     assert "member (0, 0)|(0, 0) is not PSD" in report["details"]["error"]
 
 
+@pytest.mark.parametrize("command", ["extremality", "lhs"])
+@pytest.mark.parametrize("kind", ["assemblage", "channel_assemblage"])
+@pytest.mark.parametrize("fault", ["maximally mixed", "not PSD"])
+def test_rejected_member_is_located_at_its_entry(capsys, tmp_path, command, kind, fault):
+    # the channel fixture with one member replaced, given as a channel
+    # assemblage or as the assemblage of its Choi matrices
+    raw = json.loads(open(data_path("example1_channel_assemblage.json")).read())
+    if kind == "assemblage":
+        raw["kind"] = "assemblage"
+        for entry in raw["payload"]["members"]:
+            entry["member"] = entry.pop("choi")
+    key = "choi" if kind == "channel_assemblage" else "member"
+    j = 12  # the member (1, 1)|(1, 0)
+    entry = raw["payload"]["members"][j]
+    assert (entry["a"], entry["x"]) == ([1, 1], [1, 0])
+    trace = sum(entry[key][i][i][0] for i in range(4))
+    mixed = np.eye(4) * trace / 4
+    if fault == "not PSD":
+        mixed[3, 3] = -0.1
+    entry[key] = [[[float(v), 0.0] for v in row] for row in mixed]
+    path = tmp_path / "rejected.json"
+    path.write_text(json.dumps(raw))
+    code, report = run_json(capsys, command, str(path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    error = "has rank 4 > 1" if fault == "maximally mixed" else "is not PSD"
+    assert report["details"]["error"] == f"$.payload.members[12]: member (1, 1)|(1, 0) {error}"
+
+
 def _empty_document(tmp_path, kind: str) -> str:
     """A Bell-CNOT scenario document of ``kind`` with no member."""
     raw = documents.serialize(gallery.bell_cnot_assemblage())

@@ -159,3 +159,27 @@ def test_factor_bases_take_no_svd(monkeypatch):
     fam = full_ns(Scenario((3,) * 3, (3,) * 3, (2,)))
     assert [len(rows) for _, rows, _ in fam.certificate_rows] == [386, 27]
     assert fam.certificate_kernel.shape == (343, 729)
+
+
+@pytest.mark.parametrize("strategies, extra", [(2, 0), (4, 80)])
+def test_support_kernel_is_the_kernel_vanishing_off_the_support(strategies, extra):
+    # 216 positions, a 64-dimensional kernel and 152 block rows.  The
+    # support holds the positions of a few deterministic strategies and
+    # ``extra`` others: a small one ranks the block's columns there, a
+    # large one the kernel's rows off it.
+    scen = Scenario((3,) * 3, (2,) * 3, (2,))
+    fam = full_ns(scen)
+    k = fam.certificate_kernel.T
+    rng = np.random.default_rng(strategies)
+    at = set()
+    for _ in range(strategies):
+        f = rng.integers(2, size=(3, 3))
+        at |= {scen.index(tuple(f[i, x[i]] for i in range(3)), x)
+               for x in scen.setting_vectors()}
+    at = np.array(sorted(at) + list(rng.permutation(sorted(set(range(len(k))) - at))[:extra]))
+    q = fam.support_kernel(at, 1e-8)
+    _, s, vt = np.linalg.svd(np.delete(k, at, axis=0))
+    want = k[at] @ vt[np.count_nonzero(s > 1e-8 * s[0]):].T
+    assert q.shape == want.shape and q.shape[1] >= strategies
+    np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+    np.testing.assert_allclose(q @ q.T, want @ want.T, atol=1e-12)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import identity, kron_all, partial_trace
+from conftest import identity, kron_all, partial_trace, pure_realization
 from hypothesis import given, settings, strategies as st
 
-from steercert import core
+from steercert import assemblages, core
 from steercert.core import (
     DEFAULT_TOL,
     Ket,
@@ -285,3 +285,70 @@ def test_certified_spectrum_is_ordered_and_exact_enough(rng):
     # a larger threshold than s_min / ||m||_F cannot be certified
     ratio = s[-1] / np.linalg.norm(m)
     assert core._certified_spectrum(m, 1.01 * ratio) is None
+
+
+# Where the planted s_2 of a rank-one matrix sits, as a multiple of
+# rank_rel_tol * s_1: either side of the threshold, at half of it (the
+# rank-one path's own bound), at twice it, and far below.
+RANK_ONE = {"below threshold": 1 - 1e-3, "above threshold": 1 + 1e-3, "half": 0.5,
+            "twice": 2.0, "far below": 1e-6}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.integers(2, 60), cols=st.integers(2, 60),
+       seed=st.integers(0, 2 ** 32 - 1), place=st.sampled_from(sorted(RANK_ONE)))
+def test_rank_one_path_agrees_with_the_svd(rows, cols, seed, place):
+    rng = np.random.default_rng(seed)
+    tol, r = DEFAULT_TOL.rank_rel_tol, min(rows, cols)
+    u = np.linalg.qr(rng.normal(size=(rows, r)))[0]
+    v = np.linalg.qr(rng.normal(size=(cols, r)))[0]
+    s = np.zeros(r)
+    s[:2] = 1.0, RANK_ONE[place] * tol
+    m = (u * s) @ v.T
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _rank_calls(mp)
+        basis, got = nullspace_and_spectrum(m, tol)
+    want, s_want = _two_pass_nullspace_and_spectrum(m, tol)
+    assert len(want) == cols - 1 - (RANK_ONE[place] > 1)
+    # the rank-one path calls none of the spied routines after Cholesky
+    fired = set(calls) <= {"cholesky failed"}
+    assert fired == (place == "far below")
+    if fired:
+        assert basis.shape == want.shape
+        # the sine of the largest principal angle between the kernels
+        assert np.linalg.norm(basis.T @ basis - want.T @ want, 2) <= 1e-12
+        np.testing.assert_allclose(basis @ basis.T, np.eye(cols - 1), atol=1e-14)
+        assert len(got) == 2
+        assert got[0] == pytest.approx(s_want[0], rel=1e-12)
+        assert s_want[1] <= got[1] <= tol / 2 * got[0]
+    else:
+        assert {"qr", "svd"} & set(calls)
+
+
+def test_single_column_keeps_one_singular_value():
+    # 1e-15 puts the certification floor above the column, so the Cholesky
+    # fails and the rank-one path decides; either way one value remains,
+    # so a certificate's rank_margin is (1.0, 0.0)
+    m = np.random.default_rng(3).normal(size=(10, 1))
+    for tol, path in [(DEFAULT_TOL.rank_rel_tol, ["cholesky", "eigvalsh"]),
+                      (1e-15, ["cholesky failed"])]:
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _rank_calls(mp)
+            basis, s = nullspace_and_spectrum(m, tol)
+        assert calls == path
+        assert basis.shape == (0, 1)
+        assert s == pytest.approx([np.linalg.norm(m)], rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m, k, rows", [(3, 2, 3, 125), (3, 3, 2, 64), (4, 2, 2, 81)])
+def test_lhs_nnls_sees_one_row_per_no_signaling_coordinate(monkeypatch, n, m, k, rows):
+    # a product state on a full support: the weight system's rows are the
+    # dim Q = prod(m_i (k_i - 1) + 1) no-signaling coordinates (Collins-Gisin),
+    # not the 216, 216 and 256 support positions
+    p = assemblages.canonicalize_pure(
+        pure_realization(np.random.default_rng(5), n, m, k, 2, entangled=False))
+    assert len(p.support) == (m * k) ** n
+    shapes, solve = [], assemblages.nnls
+    monkeypatch.setattr(assemblages, "nnls", lambda a, b: shapes.append(a.shape) or solve(a, b))
+    assert isinstance(assemblages.pure_lhs_decide(p), assemblages.LhsModel)
+    assert shapes == [(rows, len(assemblages.consistent_strategies(p)))]
