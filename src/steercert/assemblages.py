@@ -18,7 +18,8 @@ import numpy as np
 from .core import (BUILD_SLACK, DEFAULT_TOL, Op, Tolerances, _as_finite_complex,
                    is_hermitian, nnls, psd_deviation)
 from .channels import State
-from .constraints import ConstraintMode, NsReport, evaluate, family
+from .constraints import (ConstraintMode, NsReport, evaluate, family,
+                          no_signaling_factors)
 
 
 @dataclass(frozen=True)
@@ -287,25 +288,26 @@ def lhs_assemblage(model: LhsModel, scenario: Scenario) -> Assemblage:
     return Assemblage(scenario, mixture_members(model.tables, ops, scenario))
 
 
+class MemberError(ValueError):
+    """A member that :func:`canonicalize_pure` rejects, at ``position``."""
+
+    def __init__(self, position: tuple, fault: str):
+        super().__init__(f"member {position[0]}|{position[1]} {fault}")
+        self.position = position
+
+
 def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssemblage:
     """Split each member into (trace weight, principal unit ket) or zero.
 
-    Raises a ``ValueError`` if any member is not PSD within ``abs_tol`` (as
-    :func:`verify_ns` measures it) or has rank two or more, naming the
-    position in the message and as the error's ``position``, or if no
-    member has trace at least ``abs_tol``.
+    Raises :class:`MemberError` if any member is not PSD within
+    ``abs_tol`` (as :func:`verify_ns` measures it) or has rank two or
+    more, and a ``ValueError`` if no member has trace at least
+    ``abs_tol``.
     """
     positions = list(s.scenario.positions())
-
-    def rejected(j, fault):
-        a, x = positions[j]
-        exc = ValueError(f"member {a}|{x} {fault}")
-        exc.position = (a, x)
-        return exc
-
     not_psd = np.flatnonzero(psd_deviation(s.members) > tol.abs_tol)
     if len(not_psd):
-        raise rejected(not_psd[0], "is not PSD")
+        raise MemberError(positions[not_psd[0]], "is not PSD")
     weights = np.trace(s.members, axis1=1, axis2=2).real
     kept = np.flatnonzero(weights >= tol.abs_tol)
     if not len(kept):
@@ -315,7 +317,7 @@ def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssem
     ranks = np.count_nonzero(sv > tol.rank_rel_tol * sv[:, :1], axis=1)
     if np.any(ranks > 1):
         j = int(np.argmax(ranks > 1))
-        raise rejected(kept[j], f"has rank {ranks[j]} > 1")
+        raise MemberError(positions[kept[j]], f"has rank {ranks[j]} > 1")
     vecs = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2)[1][:, :, -1]
     order = sorted(range(len(kept)), key=lambda j: positions[kept[j]])
     return PureAssemblage(s.scenario, tuple(positions[kept[j]] for j in order),
@@ -408,14 +410,17 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
     existence of an LHS model, and any feasible weight vector is returned
     as one.
 
-    The system is solved in no-signaling coordinates.  A deterministic
-    strategy's column of ``A`` is a no-signaling vector that vanishes off
-    the support, so it lies in the span of ``Q``, the orthonormal basis of
-    those vectors (:meth:`.Family.support_kernel` of the full family).
-    Then ``||A w - b||^2 = ||Q^T A w - Q^T b||^2 + ||b - Q Q^T b||^2``:
-    the NNLS runs on ``(Q^T A, Q^T b)``, ``dim Q`` rows, with ``Q^T A``
-    gathered from ``Q``'s rows at the selected positions, and the residual
-    reported is that of the whole system.
+    The system is solved in no-signaling coordinates.  Written over all
+    positions, a deterministic strategy's column of ``A`` is the Kronecker
+    product over parties of the 0/1 vectors of their responses, a
+    no-signaling vector.  So it lies in the span of ``Q``, the Kronecker
+    product of :func:`.constraints.no_signaling_factors`, and its
+    coordinates ``Q^T A`` are the Kronecker product of each party's factor
+    summed over its responses.  Then ``||A w - b||^2 = ||Q^T A w - Q^T
+    b||^2 + ||b - Q Q^T b||^2``: the NNLS runs on ``(Q^T A, Q^T b)``, with
+    ``prod(m_i (k_i - 1) + 1)`` rows whatever the support, and the
+    residual reported is that of the whole system.  Neither ``A`` nor
+    ``Q`` is formed.
     """
     scen = p.scenario
     strategies = consistent_strategies(p, tol)
@@ -423,22 +428,28 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
         return NoLhs("no deterministic strategy selects pairwise proportional "
                      "pure states on its support")
 
+    digits = _digits(p)
     rows = np.full(scen.outcomes + scen.settings, -1)
-    rows[_digits(p)] = np.arange(len(p.support))
-    settings = np.indices(scen.settings).reshape(scen.n_parties, -1)
+    rows[digits] = np.arange(len(p.support))
     offsets = np.cumsum((0,) + scen.settings[:-1])
-    outcomes = tuple(strategies[:, o + xs] for o, xs in zip(offsets, settings))
-    selected = rows[outcomes + tuple(settings)]  # (strategies, setting vectors)
-    q = family(scen, ConstraintMode.FULL_NS).support_kernel(
-        scen.indices(p.support), tol.rank_rel_tol)
-    # (Q^T A)^T, one setting vector at a time: q[selected] whole would
-    # hold strategies x setting vectors x dim Q floats (1.5 GB at (3,3,3,2))
-    columns = np.zeros((len(strategies), q.shape[1]))
-    for at in selected.T:
-        columns += q[at]
-    coordinates = q.T @ p.weights
-    x, residual = nnls(columns.T, coordinates)
-    residual = float(np.hypot(residual, np.linalg.norm(p.weights - q @ coordinates)))
+    factors = no_signaling_factors(scen)
+    columns = np.ones((len(strategies), 1))  # (Q^T A)^T
+    for q, k, f in zip(factors, scen.outcomes, np.split(strategies, offsets[1:], axis=1)):
+        part = q[:, np.arange(f.shape[1]) * k + f].sum(axis=2)  # (factor rows, strategies)
+        columns = (columns[:, :, None] * part.T[:, None, :]).reshape(len(strategies), -1)
+    # b over (x_i, a_i) per party; each contraction takes the first party
+    # axis left and appends that party's coordinate axis
+    b = np.zeros([m * k for m, k in zip(scen.settings, scen.outcomes)])
+    b[tuple(digits[scen.n_parties + i] * k + digits[i]
+            for i, k in enumerate(scen.outcomes))] = p.weights
+    coordinates = b
+    for q in factors:
+        coordinates = np.tensordot(coordinates, q, axes=(0, 1))
+    projection = coordinates
+    for q in factors:
+        projection = np.tensordot(projection, q, axes=(0, 0))
+    x, residual = nnls(columns.T, coordinates.ravel())
+    residual = float(np.hypot(residual, np.linalg.norm(b - projection)))
     if residual >= tol.nnls_residual_tol:
         return NoLhs("nonnegative weight system over deterministic strategies "
                      "is infeasible", residual=residual)

@@ -18,7 +18,7 @@ from math import prod
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, nullspace_and_spectrum
+from .core import DEFAULT_TOL, Tolerances, nullspace, nullspace_and_spectrum
 from .assemblages import PureAssemblage
 from .constraints import (ConstraintMode, Family, family, magnitudes, project,
                           vectorize)
@@ -73,10 +73,19 @@ class LinearSystem:
         Every unit has trace one, so for each row of ``B`` the rows of the
         system at the diagonal coordinates sum to that row of ``B_S``: every
         solution of ``A c = 0`` has ``B_S c = 0``, and the system's kernel
-        is ``K`` times the kernel of ``A K``.  ``K`` is
-        :meth:`.Family.support_kernel` on the columns.
+        is ``K`` times the kernel of ``A K``.  ``K`` is made of the vectors
+        of :attr:`.Family.certificate_kernel` that vanish off the columns,
+        with their rows taken in column order.  Off a full support, those
+        are found by ranking the kernel's rows there relative to their
+        largest singular value, as the system is ranked, so that ``K``
+        loses no kernel vector.
         """
-        return self.family.support_kernel(self.at, rel_tol)
+        full = self.family.certificate_kernel.T
+        off = np.ones(len(full), dtype=bool)
+        off[self.at] = False
+        if not off.any():
+            return full[self.at]
+        return full[self.at] @ nullspace(full[off], rel_tol).T
 
     def projected(self, k: np.ndarray) -> np.ndarray:
         """``A K`` for ``K`` from :meth:`kernel`, by

@@ -13,7 +13,10 @@ an unwritable ``--certificate-out``) and ``ValueError`` (``DocumentError``,
 a non-positive or non-finite tolerance, a mode or key setting that does not
 apply, a member that is not PSD) to INPUT_ERROR, exit 3, and
 ``NnlsDidNotConverge`` to INCONCLUSIVE, exit 2, with the message as
-``details.error``.
+``details.error``.  A member that :func:`.assemblages.canonicalize_pure`
+rejects (:class:`.assemblages.MemberError`) is located at its entry,
+``$.payload.members[j]``, in an assemblage or a channel assemblage
+document.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .core import DEFAULT_TOL, NnlsDidNotConverge, Tolerances
 from .channels import verify_cptp
 from .assemblages import (
     LhsModel,
+    MemberError,
     assemblage_from_realization,
     canonicalize_pure,
     lhs_assemblage,
@@ -128,24 +132,26 @@ def _assemblage(doc: Document):
     raise DocumentError(f"kind '{doc.kind}' carries no assemblage")
 
 
-def _pure(doc: Document, assemblage, tol: Tolerances):
-    """The canonical pure assemblage of ``assemblage``, the assemblage of
-    ``doc``.  A member it rejects is located at its entry of an assemblage
-    or a channel assemblage document."""
-    try:
-        return canonicalize_pure(assemblage, tol)
-    except ValueError as exc:
-        if doc.kind not in ("assemblage", "channel_assemblage") or not hasattr(exc, "position"):
-            raise
+def _pure(doc: Document, tol: Tolerances):
+    """The canonical pure assemblage of :func:`_assemblage`."""
+    return canonicalize_pure(_assemblage(doc), tol)
+
+
+def _located(exc: MemberError, doc: Document) -> str:
+    """``exc``'s message, prefixed with the JSON path of the member's entry
+    when ``doc`` is an assemblage or a channel assemblage document."""
+    if doc is not None and doc.kind in ("assemblage", "channel_assemblage"):
         entries = doc.raw["payload"]["members"]
-        j = next(j for j, entry in enumerate(entries)
-                 if (tuple(entry["a"]), tuple(entry["x"])) == exc.position)
-        raise DocumentError(str(exc), f"$.payload.members[{j}]") from exc
+        j = next((j for j, entry in enumerate(entries)
+                  if (tuple(entry["a"]), tuple(entry["x"])) == exc.position), None)
+        if j is not None:
+            return str(DocumentError(str(exc), f"$.payload.members[{j}]"))
+    return str(exc)
 
 
 def cmd_extremality(args, tol: Tolerances, doc: Document):
     mode = ConstraintMode.FULL_NS if args.mode == "full" else ConstraintMode.ASYM_NS
-    cert = decomposition_analysis(_pure(doc, _assemblage(doc), tol), mode, tol)
+    cert = decomposition_analysis(_pure(doc, tol), mode, tol)
     if args.certificate_out:
         with open(args.certificate_out, "w") as fh:
             json.dump(cert.to_json(), fh, sort_keys=True, indent=2)
@@ -158,7 +164,7 @@ def cmd_extremality(args, tol: Tolerances, doc: Document):
 
 def cmd_lhs(args, tol: Tolerances, doc: Document):
     assemblage = _assemblage(doc)
-    verdict = pure_lhs_decide(_pure(doc, assemblage, tol), tol)
+    verdict = pure_lhs_decide(canonicalize_pure(assemblage, tol), tol)
     if isinstance(verdict, LhsModel):
         rebuilt = lhs_assemblage(verdict, assemblage.scenario).members
         return PASS, {"lhs": True, "hidden_variables": len(verdict.weights),
@@ -174,8 +180,7 @@ def cmd_lhs(args, tol: Tolerances, doc: Document):
 def cmd_security_cert(args, tol: Tolerances, doc: Document):
     if doc.kind != "channel_assemblage":
         raise ValueError("expected a channel_assemblage document")
-    pin = eavesdropper_pinning(_pure(doc, _assemblage(doc), tol), args.x_key, args.y_key,
-                               tol)
+    pin = eavesdropper_pinning(_pure(doc, tol), args.x_key, args.y_key, tol)
     table = correlations(doc.payload, gallery.key_input_state(),
                          gallery.key_measurement())
     key_ok = perfect_key_check(table, args.x_key, args.y_key, tol.abs_tol)
@@ -314,15 +319,17 @@ def main(argv=None) -> int:
              "nnls_residual_tol": args.nnls_tol}
     # Echoed as given, a non-finite value as a string: JSON has no infinity.
     tolerances = {k: v if np.isfinite(v) else str(v) for k, v in given.items()}
+    doc = None
     try:
         tol = Tolerances(**given)
-        doc = None
         if "document" in args:
             with open(args.document, "rb") as fh:
                 doc = parse(fh.read())
         result = args.fn(args, tol, doc)
     except NnlsDidNotConverge as exc:
         result = INCONCLUSIVE, {"error": str(exc)}
+    except MemberError as exc:
+        result = INPUT_ERROR, {"error": _located(exc, doc)}
     except (OSError, ValueError) as exc:
         result = INPUT_ERROR, {"error": str(exc)}
     if result is None:  # the command printed a document of its own

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import nullspace, output_trace, psd_deviation
+from .core import output_trace, psd_deviation
 
 
 class ConstraintMode(enum.Enum):
@@ -114,6 +114,21 @@ def _factor_basis(scen) -> np.ndarray:
 
 def _normalized(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@functools.lru_cache(maxsize=16)
+def no_signaling_factors(scen) -> tuple:
+    """One orthonormal factor per party, as rows over ``(x, a)`` x-major:
+    the normalized rows of :func:`_party_factor` with no ``H_m (x) 1_k``
+    part, ``m (k - 1) + 1`` of them.  Their Kronecker product spans the
+    no-signaling vectors over all positions (Collins–Gisin), the span of
+    :attr:`Family.certificate_kernel` for :func:`full_ns`.  Cached, and
+    read-only."""
+    factors = tuple(_normalized(_party_factor(m, k)[:m * (k - 1) + 1])
+                    for m, k in zip(scen.settings, scen.outcomes))
+    for q in factors:
+        q.flags.writeable = False
+    return factors
 
 
 @dataclass(frozen=True)
@@ -187,30 +202,6 @@ class Family:
         space when the family has none): the normalized rows of the
         party-factor basis that this block annihilates."""
         return self._certificate[1]
-
-    def support_kernel(self, at, rel_tol: float) -> np.ndarray:
-        """Orthonormal columns spanning the vectors of
-        :attr:`certificate_kernel`'s span that vanish off the positions
-        ``at``, with their rows taken in the order of ``at``.
-
-        On all positions these are :attr:`certificate_kernel`'s own rows.
-        Otherwise they are the combinations of those rows that vanish off
-        ``at``, or equally the kernel of the zero-target block with no
-        reduction restricted to ``at``: the smaller of the two matrices is
-        ranked, relative to its largest singular value as a system is
-        ranked, so that no kernel vector is lost.
-        """
-        kernel = self.certificate_kernel.T
-        off = np.ones(len(kernel), dtype=bool)
-        off[at] = False
-        if not off.any():
-            return kernel[at]
-        block = [rows for reduction, rows, targets in self.certificate_rows
-                 if reduction is Reduction.NONE and targets is None]
-        block = block[0] if block else np.zeros((0, len(kernel)))
-        if len(block) * len(at) < np.count_nonzero(off) * kernel.shape[1]:
-            return nullspace(block[:, at], rel_tol).T
-        return kernel[at] @ nullspace(kernel[off], rel_tol).T
 
 
 @dataclass(frozen=True)

@@ -232,10 +232,15 @@ def _rank_one(m: np.ndarray, tol: float):
     When the bounds give ``s_2 / s_1 <= tol / 2`` (and ``tol < 1``, below
     which the threshold keeps ``s_1``), the rank is one, as the threshold
     ``tol * s_max`` decides, with room for the SVD's own rounding of about
-    ``eps * s_1``.  The kernel is the complement of ``w``: the rows after
-    the first of the Householder reflector that maps ``w`` onto the first
-    axis.  The spectrum is ``[fl(||y||), bound]``, where ``bound / fl(||y||)``
-    is the bound on ``s_2 / s_1``, cut to ``min(r, n)`` values.
+    ``eps * s_1``.  The kernel is the complement of ``z = fl(m^T y)``, one
+    power step from ``w``: the rows after the first of the Householder
+    reflector that maps ``z`` onto the first axis.  The tangent of the
+    angle from ``w`` to ``v_1`` is at most about ``sqrt(r) s_2 / s_1``,
+    which can exceed ``abs_tol`` on this path; ``m^T m`` shrinks it by
+    ``(s_2 / s_1)^2``, far below the rounding of ``z`` (``z^T w =
+    ||y||^2 > 0``, so ``z`` is not zero).  The spectrum is
+    ``[fl(||y||), bound]``, where ``bound / fl(||y||)`` is the bound on
+    ``s_2 / s_1``, cut to ``min(r, n)`` values.
     """
     rows, cols = m.shape
     w = m[np.argmax(np.einsum("ij,ij->i", m, m))]
@@ -250,8 +255,8 @@ def _rank_one(m: np.ndarray, tol: float):
     lower = (norm * (2 - g) - _gamma(cols) * frobenius * w_upper - under) / w_upper
     if not (tol < 1 and 0 < lower and residual <= tol / 2 * lower):
         return None
-    v = w.copy()
-    v[0] += np.copysign(w_norm, w[0])
+    v = m.T @ y
+    v[0] += np.copysign(np.linalg.norm(v), v[0])
     kernel = np.eye(cols)[1:] - np.outer(v[1:], v) * (2 / (v @ v))
     return kernel, np.array([norm, norm * residual / lower])[:min(rows, cols)]
 
@@ -274,8 +279,8 @@ def nullspace_and_spectrum(m: np.ndarray,
     When that factorization fails, or the system is wide, the rank-one
     path (:func:`_rank_one`) is tried: a bound on the distance of ``m``
     from the rank-one matrix through its largest row proves
-    ``s_2 <= tol * s_1 / 2``.  Then the kernel is the complement of that
-    row, and ``s`` is ``[||m w||, bound on s_2]``: its second value is an
+    ``s_2 <= tol * s_1 / 2``.  Then the kernel is the complement of
+    ``m^T m w``, and ``s`` is ``[||m w||, bound on s_2]``: its second value is an
     upper bound, not a singular value.
 
     Otherwise the system is replaced by the ``R`` of its QR

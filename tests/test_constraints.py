@@ -6,7 +6,8 @@ from steercert import gallery
 from steercert.assemblages import Assemblage, Scenario, canonicalize_pure, verify_ns
 from steercert.channel_assemblages import verify_asym_ns
 from steercert.certificates import build_constraint_system, decomposition_analysis
-from steercert.constraints import ConstraintMode, Family, Reduction, asym_ns, full_ns
+from steercert.constraints import (ConstraintMode, Family, Reduction, asym_ns, full_ns,
+                                   no_signaling_factors)
 
 
 def relabel_mutant(s: Assemblage) -> Assemblage:
@@ -161,25 +162,22 @@ def test_factor_bases_take_no_svd(monkeypatch):
     assert fam.certificate_kernel.shape == (343, 729)
 
 
-@pytest.mark.parametrize("strategies, extra", [(2, 0), (4, 80)])
-def test_support_kernel_is_the_kernel_vanishing_off_the_support(strategies, extra):
-    # 216 positions, a 64-dimensional kernel and 152 block rows.  The
-    # support holds the positions of a few deterministic strategies and
-    # ``extra`` others: a small one ranks the block's columns there, a
-    # large one the kernel's rows off it.
-    scen = Scenario((3,) * 3, (2,) * 3, (2,))
-    fam = full_ns(scen)
-    k = fam.certificate_kernel.T
-    rng = np.random.default_rng(strategies)
-    at = set()
-    for _ in range(strategies):
-        f = rng.integers(2, size=(3, 3))
-        at |= {scen.index(tuple(f[i, x[i]] for i in range(3)), x)
-               for x in scen.setting_vectors()}
-    at = np.array(sorted(at) + list(rng.permutation(sorted(set(range(len(k))) - at))[:extra]))
-    q = fam.support_kernel(at, 1e-8)
-    _, s, vt = np.linalg.svd(np.delete(k, at, axis=0))
-    want = k[at] @ vt[np.count_nonzero(s > 1e-8 * s[0]):].T
-    assert q.shape == want.shape and q.shape[1] >= strategies
-    np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
-    np.testing.assert_allclose(q @ q.T, want @ want.T, atol=1e-12)
+@pytest.mark.parametrize("settings, outcomes", [((3, 3, 3), (2, 2, 2)), ((2, 3), (3, 1)),
+                                                ((1, 2, 3), (3, 2, 2))])
+def test_no_signaling_factors_span_the_full_family_kernel(settings, outcomes):
+    scen = Scenario(settings, outcomes, (2,))
+    factors = no_signaling_factors(scen)
+    for q, m, k in zip(factors, settings, outcomes):
+        assert q.shape == (m * (k - 1) + 1, m * k)
+        np.testing.assert_allclose(q @ q.T, np.eye(len(q)), atol=1e-14)
+    # Q over positions: the Kronecker product of each party's factor at (x_i, a_i)
+    rows = []
+    for a, x in scen.positions():
+        row = np.ones(1)
+        for q, k, ai, xi in zip(factors, outcomes, a, x):
+            row = np.kron(row, q[:, xi * k + ai])
+        rows.append(row)
+    q = np.array(rows)
+    k = full_ns(scen).certificate_kernel
+    assert q.shape[1] == len(k)
+    np.testing.assert_allclose(q @ q.T, k.T @ k, atol=1e-13)

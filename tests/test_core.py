@@ -289,12 +289,14 @@ def test_certified_spectrum_is_ordered_and_exact_enough(rng):
 
 # Where the planted s_2 of a rank-one matrix sits, as a multiple of
 # rank_rel_tol * s_1: either side of the threshold, at half of it (the
-# rank-one path's own bound), at twice it, and far below.
+# rank-one path's own bound) and at twice it, where the path never fires;
+# at 1e-4 of it and far below, where it always does; and at a tenth of it,
+# where it fires unless the largest row lies far from v_1.
 RANK_ONE = {"below threshold": 1 - 1e-3, "above threshold": 1 + 1e-3, "half": 0.5,
-            "twice": 2.0, "far below": 1e-6}
+            "twice": 2.0, "tenth": 0.1, "1e-4": 1e-4, "far below": 1e-6}
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(rows=st.integers(2, 60), cols=st.integers(2, 60),
        seed=st.integers(0, 2 ** 32 - 1), place=st.sampled_from(sorted(RANK_ONE)))
 def test_rank_one_path_agrees_with_the_svd(rows, cols, seed, place):
@@ -312,7 +314,10 @@ def test_rank_one_path_agrees_with_the_svd(rows, cols, seed, place):
     assert len(want) == cols - 1 - (RANK_ONE[place] > 1)
     # the rank-one path calls none of the spied routines after Cholesky
     fired = set(calls) <= {"cholesky failed"}
-    assert fired == (place == "far below")
+    if RANK_ONE[place] >= 0.5:
+        assert not fired
+    elif RANK_ONE[place] <= 1e-4:
+        assert fired
     if fired:
         assert basis.shape == want.shape
         # the sine of the largest principal angle between the kernels
@@ -323,6 +328,27 @@ def test_rank_one_path_agrees_with_the_svd(rows, cols, seed, place):
         assert s_want[1] <= got[1] <= tol / 2 * got[0]
     else:
         assert {"qr", "svd"} & set(calls)
+
+
+def test_rank_one_kernel_pins_what_the_svd_pins():
+    # s_2 / s_1 = 3e-9 is within the rank-one bound, and v_1 is the first
+    # axis, so the kernel does not reach the first column: it is pinned.
+    # The largest row, (1, 3e-9, 0) / sqrt(2), is 3e-9 from v_1, so its
+    # complement would reach 3e-9 > abs_tol there.
+    m = np.array([[1.0, 3e-9, 0.0], [1.0, -3e-9, 0.0]]) / np.sqrt(2)
+    tol = DEFAULT_TOL
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _rank_calls(mp)
+        basis, s = nullspace_and_spectrum(m, tol.rank_rel_tol)
+    assert calls == []  # wide: no Cholesky, and the rank-one path decides
+    want, s_want = _two_pass_nullspace_and_spectrum(m, tol.rank_rel_tol)
+    assert basis.shape == want.shape == (2, 3)
+    assert s_want[1] <= s[1] <= tol.rank_rel_tol / 2 * s[0]
+
+    def pinned(b):  # as decomposition_analysis pins a coefficient
+        return np.flatnonzero(np.abs(b).max(axis=0) < tol.abs_tol).tolist()
+
+    assert pinned(basis) == pinned(want) == [0]
 
 
 def test_single_column_keeps_one_singular_value():
