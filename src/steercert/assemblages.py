@@ -396,6 +396,51 @@ def consistent_strategies(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL) -> n
     return strategies[np.lexsort(strategies.T[::-1])]
 
 
+def _response_coordinates(q: np.ndarray, k: int, tables: np.ndarray) -> np.ndarray:
+    """One party's factor ``q`` summed over the responses of each row of
+    ``tables``: the ``(factor rows, tables)`` coordinates of their 0/1
+    vectors over ``(x, a)``."""
+    return q[:, np.arange(tables.shape[1]) * k + tables].sum(axis=2)
+
+
+def _per_party_weights(per_party, factors, outcomes, b, coordinates, outside,
+                       count, tol: Tolerances):
+    """Weights on the strategies from one NNLS per party, or ``None``.
+
+    ``per_party[i]`` holds party i's responses in every strategy.  If each
+    party has ``T_i`` distinct tables and ``prod(T_i) == count``, the
+    strategies are every combination of them, and in lexicographic order
+    strategy ``(j_0, ..., j_{n-1})`` sits at the mixed-radix place of its
+    table indices.  Party i's marginal box, ``b`` at the other parties'
+    setting 0 summed over their outcomes, then gets weights ``x_i >= 0``
+    on its tables, and the candidate is ``x_0 (x) ... (x) x_{n-1}``.  Its
+    coordinates are the Kronecker product of the per-party fits, so the
+    whole-system residual ``hypot(||fit - Q^T b||, outside)`` costs no
+    joint matrix.  ``None`` when the strategies are not a product set or
+    that residual reaches ``nnls_residual_tol``.
+    """
+    tables = []
+    for f, k in zip(per_party, outcomes):
+        m = f.shape[1]
+        if k ** m > np.iinfo(np.int64).max:  # a table's code would overflow
+            return None
+        codes = np.unique(np.ravel_multi_index(tuple(f.T), (k,) * m))
+        tables.append(np.stack(np.unravel_index(codes, (k,) * m), axis=1))
+    if prod(len(t) for t in tables) != count:
+        return None
+    weights, fit = np.ones(()), np.ones(())
+    for i, (q, k, t) in enumerate(zip(factors, outcomes, tables)):
+        at_zero = tuple(slice(None) if j == i else slice(kj) for j, kj in enumerate(outcomes))
+        marginal = b[at_zero].sum(axis=tuple(j for j in range(len(outcomes)) if j != i))
+        part = _response_coordinates(q, k, t)
+        x, _ = nnls(part, q @ marginal)
+        weights = np.multiply.outer(weights, x)
+        fit = np.multiply.outer(fit, part @ x)
+    if np.hypot(np.linalg.norm(fit.ravel() - coordinates), outside) >= tol.nnls_residual_tol:
+        return None
+    return weights.ravel()
+
+
 def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
     """Exact LHS decision for pure-member assemblages.
 
@@ -421,6 +466,13 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
     ``prod(m_i (k_i - 1) + 1)`` rows whatever the support, and the
     residual reported is that of the whole system.  Neither ``A`` nor
     ``Q`` is formed.
+
+    When the strategies are a product set, one set of response tables per
+    party, a per-party candidate is tried first (:func:`_per_party_weights`):
+    one small NNLS per party on its marginal box, their weights multiplied.
+    It is kept only if it passes the same whole-system residual check, so
+    it is an LHS model by the argument above.  Otherwise the joint system
+    is solved, and every ``NoLhs`` residual is the joint solve's.
     """
     scen = p.scenario
     strategies = consistent_strategies(p, tol)
@@ -432,11 +484,8 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
     rows = np.full(scen.outcomes + scen.settings, -1)
     rows[digits] = np.arange(len(p.support))
     offsets = np.cumsum((0,) + scen.settings[:-1])
+    per_party = np.split(strategies, offsets[1:], axis=1)
     factors = no_signaling_factors(scen)
-    columns = np.ones((len(strategies), 1))  # (Q^T A)^T
-    for q, k, f in zip(factors, scen.outcomes, np.split(strategies, offsets[1:], axis=1)):
-        part = q[:, np.arange(f.shape[1]) * k + f].sum(axis=2)  # (factor rows, strategies)
-        columns = (columns[:, :, None] * part.T[:, None, :]).reshape(len(strategies), -1)
     # b over (x_i, a_i) per party; each contraction takes the first party
     # axis left and appends that party's coordinate axis
     b = np.zeros([m * k for m, k in zip(scen.settings, scen.outcomes)])
@@ -444,15 +493,24 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
             for i, k in enumerate(scen.outcomes))] = p.weights
     coordinates = b
     for q in factors:
-        coordinates = np.tensordot(coordinates, q, axes=(0, 1))
+        coordinates = coordinates.reshape(q.shape[1], -1).T @ q.T
     projection = coordinates
     for q in factors:
-        projection = np.tensordot(projection, q, axes=(0, 0))
-    x, residual = nnls(columns.T, coordinates.ravel())
-    residual = float(np.hypot(residual, np.linalg.norm(b - projection)))
-    if residual >= tol.nnls_residual_tol:
-        return NoLhs("nonnegative weight system over deterministic strategies "
-                     "is infeasible", residual=residual)
+        projection = projection.reshape(len(q), -1).T @ q
+    coordinates = coordinates.ravel()
+    outside = np.linalg.norm(b - projection.reshape(b.shape))  # ||b - Q Q^T b||
+    x = _per_party_weights(per_party, factors, scen.outcomes, b, coordinates, outside,
+                           len(strategies), tol)
+    if x is None:
+        columns = np.ones((len(strategies), 1))  # (Q^T A)^T
+        for q, k, f in zip(factors, scen.outcomes, per_party):
+            part = _response_coordinates(q, k, f)
+            columns = (columns[:, :, None] * part.T[:, None, :]).reshape(len(strategies), -1)
+        x, residual = nnls(columns.T, coordinates)
+        residual = float(np.hypot(residual, outside))
+        if residual >= tol.nnls_residual_tol:
+            return NoLhs("nonnegative weight system over deterministic strategies "
+                         "is infeasible", residual=residual)
 
     # The model: the strategies with positive weight, each with the ket its
     # responses select at x=(0,...,0) and one deterministic table per party.

@@ -56,14 +56,19 @@ class LinearSystem:
     def rhs(self) -> np.ndarray:
         return self._system[1]
 
-    def residual_of(self, c) -> float:
-        """The family's largest deviation (:func:`.constraints.magnitudes`)
-        on ``sum_j c_j units[j]``; not a residual of the reduced rows."""
+    def deviations(self, c) -> np.ndarray:
+        """Each constraint's deviation (:func:`.constraints.magnitudes`) on
+        ``sum_j c_j units[j]``."""
         scen = self.family.scenario
         members = np.zeros((prod(scen.settings) * prod(scen.outcomes),)
                            + self.units.shape[1:], dtype=complex)
         members[self.at] = np.asarray(c)[:, None, None] * self.units
-        return float(magnitudes(self.family, members).max())
+        return magnitudes(self.family, members)
+
+    def residual_of(self, c) -> float:
+        """The family's largest deviation on ``sum_j c_j units[j]``; not a
+        residual of the reduced rows."""
+        return float(self.deviations(c).max())
 
     def kernel(self, rel_tol: float) -> np.ndarray:
         """Orthonormal columns ``K`` spanning the kernel of ``B_S``: the
@@ -92,6 +97,11 @@ class LinearSystem:
         :func:`.constraints.project`: the same singular values as
         ``matrix @ K``, with ``A`` never formed."""
         return project(self.family, self.at, self.units, k)
+
+
+class UnsatisfiedReference(ValueError):
+    """The member traces themselves violate the family; the message names
+    the constraint they violate most, and by how much."""
 
 
 class Verdict(enum.Enum):
@@ -155,8 +165,12 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     the reference is strictly positive at every variable position.
     """
     system = build_constraint_system(p, mode)
-    if system.residual_of(system.reference) > tol.nnls_residual_tol:
-        raise ValueError("reference coefficients do not satisfy the system")
+    deviations = system.deviations(system.reference)
+    worst = int(np.argmax(deviations))
+    if deviations[worst] > tol.nnls_residual_tol:
+        raise UnsatisfiedReference(
+            "reference coefficients do not satisfy the system: "
+            f"'{system.family.constraints[worst].name}' deviates by {deviations[worst]:.3g}")
     k = system.kernel(tol.rank_rel_tol)
     projected, s = nullspace_and_spectrum(system.projected(k), tol.rank_rel_tol)
     basis = projected @ k.T

@@ -16,7 +16,8 @@ apply, a member that is not PSD) to INPUT_ERROR, exit 3, and
 ``details.error``.  A member that :func:`.assemblages.canonicalize_pure`
 rejects (:class:`.assemblages.MemberError`) is located at its entry,
 ``$.payload.members[j]``, in an assemblage or a channel assemblage
-document.
+document; an assemblage that violates the family a certificate is built
+from (:class:`.certificates.UnsatisfiedReference`) at ``$.payload``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .channel_assemblages import (
     verify_asym_ns,
     verify_ns_channel,
 )
-from .certificates import ConstraintMode, Verdict, decomposition_analysis
+from .certificates import (ConstraintMode, UnsatisfiedReference, Verdict,
+                           decomposition_analysis)
 from .documents import Document, DocumentError, SCHEMA, parse, serialize
 from .security import correlations, eavesdropper_pinning, perfect_key_check
 
@@ -330,6 +332,8 @@ def main(argv=None) -> int:
         result = INCONCLUSIVE, {"error": str(exc)}
     except MemberError as exc:
         result = INPUT_ERROR, {"error": _located(exc, doc)}
+    except UnsatisfiedReference as exc:  # the document's own assemblage
+        result = INPUT_ERROR, {"error": str(DocumentError(str(exc), "$.payload"))}
     except (OSError, ValueError) as exc:
         result = INPUT_ERROR, {"error": str(exc)}
     if result is None:  # the command printed a document of its own

@@ -109,6 +109,23 @@ def pure_assemblage(scenario, members: dict):
                           np.array([members[pos][1] for pos in support]).reshape(-1, d))
 
 
+def shared_ket_local_box(rng, scenario):
+    """One Haar-random ket at every position, weighted by a box that is local
+    but not a product: half a product of random per-party boxes, half one
+    random deterministic strategy.  Every strategy selects that one ket, so
+    they form a product set while the box does not factor."""
+    boxes = [rng.dirichlet(np.ones(k), size=m)
+             for m, k in zip(scenario.settings, scenario.outcomes)]
+    responses = [rng.integers(k, size=m) for m, k in zip(scenario.settings, scenario.outcomes)]
+    ket = haar_unitary(rng, scenario.trusted_dim)[:, 0]
+    members = {}
+    for a, x in scenario.positions():
+        product = prod(box[xi, ai] for box, ai, xi in zip(boxes, a, x))
+        chosen = all(f[xi] == ai for f, ai, xi in zip(responses, a, x))
+        members[(a, x)] = (product / 2 + chosen / 2, ket)
+    return pure_assemblage(scenario, members)
+
+
 def pure_members(p) -> dict:
     """``{(a, x): (weight, unit ket)}`` over the support of ``p``."""
     return {pos: (weight, ket) for pos, weight, ket in zip(p.support, p.weights, p.kets)}

@@ -637,3 +637,22 @@ def test_member_without_its_matrix_is_input_error(capsys, tmp_path):
     code, report = run_json(capsys, "verify", str(path))
     assert code == 3 and report["status"] == "INPUT_ERROR"
     assert report["details"]["error"] == "$.payload.members[5]: missing 'member' matrix"
+
+
+def test_signaling_assemblage_is_located_at_the_payload(capsys, tmp_path):
+    # party 1 answers 0 whenever party 0's setting is 1: the member traces
+    # signal, so they cannot solve the system a certificate is built from
+    scen = Scenario((2, 2), (2, 2), (2,))
+    members = [(0.5 * (a[1] == 0) if x[0] else 0.25) * np.diag([1.0, 0.0])
+               for a, x in scen.positions()]
+    path = tmp_path / "signaling.json"
+    path.write_text(documents.dumps(Assemblage(scen, np.array(members))))
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 1
+    worst = max(report["details"]["violations"], key=lambda v: v["magnitude"])
+    assert worst["magnitude"] == 0.5
+    code, report = run_json(capsys, "extremality", str(path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"] == (
+        "$.payload: reference coefficients do not satisfy the system: "
+        f"'{worst['constraint']}' deviates by 0.5")

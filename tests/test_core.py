@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import identity, kron_all, partial_trace, pure_realization
+from conftest import (identity, kron_all, partial_trace, pure_realization,
+                      shared_ket_local_box)
 from hypothesis import given, settings, strategies as st
 
 from steercert import assemblages, core
@@ -368,13 +369,30 @@ def test_single_column_keeps_one_singular_value():
 
 @pytest.mark.parametrize("n, m, k, rows", [(3, 2, 3, 125), (3, 3, 2, 64), (4, 2, 2, 81)])
 def test_lhs_nnls_sees_one_row_per_no_signaling_coordinate(monkeypatch, n, m, k, rows):
-    # a product state on a full support: the weight system's rows are the
-    # dim Q = prod(m_i (k_i - 1) + 1) no-signaling coordinates (Collins-Gisin),
-    # not the 216, 216 and 256 support positions
+    # one shared ket on a full support, weighted by a local box that is not
+    # a product: the per-party candidate is tried and rejected, and the
+    # joint weight system's rows are the dim Q = prod(m_i (k_i - 1) + 1)
+    # no-signaling coordinates (Collins-Gisin), not the 216, 216 and 256
+    # support positions
+    scen = assemblages.Scenario((m,) * n, (k,) * n, (2,))
+    p = shared_ket_local_box(np.random.default_rng(5), scen)
+    assert len(p.support) == (m * k) ** n
+    shapes, solve = [], assemblages.nnls
+    monkeypatch.setattr(assemblages, "nnls", lambda a, b: shapes.append(a.shape) or solve(a, b))
+    assert isinstance(assemblages.pure_lhs_decide(p), assemblages.LhsModel)
+    assert len(assemblages.consistent_strategies(p)) == (k ** m) ** n
+    assert shapes == [(m * (k - 1) + 1, k ** m)] * n + [(rows, (k ** m) ** n)]
+
+
+@pytest.mark.parametrize("n, m, k", [(3, 2, 3), (3, 3, 2), (4, 2, 2)])
+def test_lhs_of_a_product_state_solves_one_small_system_per_party(monkeypatch, n, m, k):
+    # a product state on a full support: each party's NNLS has its own
+    # m (k - 1) + 1 coordinates and k^m response tables, and no joint
+    # system is built
     p = assemblages.canonicalize_pure(
         pure_realization(np.random.default_rng(5), n, m, k, 2, entangled=False))
     assert len(p.support) == (m * k) ** n
     shapes, solve = [], assemblages.nnls
     monkeypatch.setattr(assemblages, "nnls", lambda a, b: shapes.append(a.shape) or solve(a, b))
     assert isinstance(assemblages.pure_lhs_decide(p), assemblages.LhsModel)
-    assert shapes == [(rows, len(assemblages.consistent_strategies(p)))]
+    assert shapes == [(m * (k - 1) + 1, k ** m)] * n

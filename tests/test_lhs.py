@@ -5,10 +5,11 @@ carry weight (:func:`consistent_strategies`).  The walk over every
 strategy that it replaced is kept here as the reference: on a seeded grid
 of scenarios both must give bitwise the same strategies in the same order.
 The walk solves the weight system over every support position;
-``pure_lhs_decide`` solves it in no-signaling coordinates, so its weights
-may land elsewhere on a degenerate solution set.  Its verdict must have
-the walk's type, and either a model that rebuilds the assemblage or the
-walk's reason and residual.
+``pure_lhs_decide`` solves it in no-signaling coordinates, one party at a
+time when that fits the box, so its weights may land elsewhere on a
+degenerate solution set.  Its verdict must have the walk's type, and
+either a model that rebuilds the assemblage or the walk's reason and
+residual.
 """
 
 import itertools
@@ -17,8 +18,9 @@ from math import prod
 
 import numpy as np
 import pytest
-from conftest import haar_unitary, pure_assemblage, pure_members
+from conftest import haar_unitary, pure_assemblage, pure_members, shared_ket_local_box
 
+from steercert import assemblages
 from steercert.core import DEFAULT_TOL, Ket, Tolerances, nnls
 from steercert.channels import pure_state
 from steercert.assemblages import (
@@ -166,6 +168,8 @@ def build(form, rng, settings, outcomes, d) -> PureAssemblage:
         dropped |= {positions[j] for j in rng.choice(len(positions), 2, replace=False)}
         members = {pos: e for pos, e in pure_members(p).items() if pos not in dropped}
         return pure_assemblage(scen, members)
+    if form == "shared-ket":
+        return shared_ket_local_box(rng, scen)
     assert form == "mixture"
     model = hidden_variable_model(rng, scen, min(min(outcomes), 3))
     return canonicalize_pure(lhs_assemblage(model, scen))
@@ -212,7 +216,7 @@ GRID = [((m,) * n, (k,) * n, d) for n, m, k, d in
         [(1, 3, 3, 2), (2, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 2), (2, 3, 3, 2),
          (3, 2, 2, 2), (3, 3, 2, 2), (3, 2, 3, 2), (4, 2, 2, 2), (2, 2, 2, 3)]]
 GRID += [((2, 3), (3, 2), 2), ((1, 2, 3), (3, 2, 2), 2)]
-FORMS = ["entangled", "product", "mixture", "zeroed"]
+FORMS = ["entangled", "product", "mixture", "zeroed", "shared-ket"]
 
 
 def test_deterministic_strategy_count():
@@ -225,17 +229,27 @@ def test_deterministic_strategy_count():
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("settings,outcomes,d", GRID, ids=[
     f"m{''.join(map(str, s))}-k{''.join(map(str, o))}-d{d}" for s, o, d in GRID])
-def test_matches_brute_force(settings, outcomes, d, form):
+def test_matches_brute_force(monkeypatch, settings, outcomes, d, form):
     rng = np.random.default_rng([*settings, *outcomes, d, FORMS.index(form)])
     p = build(form, rng, settings, outcomes, d)
     want_strategies, want = brute_force_decide(p)
     assert consistent_strategies(p).tolist() == want_strategies
+    rows, solve = [], assemblages.nnls
+    monkeypatch.setattr(assemblages, "nnls", lambda a, b: rows.append(len(a)) or solve(a, b))
     got = pure_lhs_decide(p)
     assert_same_verdict(p, got, want)
     if form == "entangled":
         assert isinstance(got, NoLhs) and got.residual is None
     elif form in ("product", "mixture"):
         assert isinstance(got, LhsModel)
+    elif form == "shared-ket":
+        # every strategy is consistent, so they form a product set; with two
+        # or more parties the per-party candidate misses the box, which does
+        # not factor, and the joint system decides
+        assert isinstance(got, LhsModel)
+        assert len(want_strategies) == prod(k ** m for m, k in zip(settings, outcomes))
+        joint = prod(m * (k - 1) + 1 for m, k in zip(settings, outcomes))
+        assert rows[-1] == joint and len(rows) == len(settings) + (len(settings) > 1)
     else:
         assert any(not any(x) for _, x in p.support)
         assert len(p.support) < len(list(p.scenario.positions()))
@@ -292,3 +306,14 @@ def test_hidden_variable_model_beyond_brute_force_is_recovered():
         np.testing.assert_allclose(rebuilt.member(*pos).data, s.member(*pos).data,
                                    atol=1e-9)
 
+
+
+def test_tables_too_long_for_an_int64_code_are_solved_jointly():
+    # 64 two-outcome settings: a response table's mixed-radix code would
+    # overflow int64, so the per-party candidate is skipped, not attempted
+    rng = np.random.default_rng(64)
+    scen = Scenario((64,), (2,), (2,))
+    p = canonicalize_pure(lhs_assemblage(hidden_variable_model(rng, scen, 2), scen))
+    verdict = pure_lhs_decide(p)
+    assert isinstance(verdict, LhsModel)
+    assert rebuild_error(p, verdict) <= 1e-12
