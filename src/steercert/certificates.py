@@ -70,10 +70,11 @@ class LinearSystem:
         residual of the reduced rows."""
         return float(self.deviations(c).max())
 
-    def kernel(self, rel_tol: float) -> np.ndarray:
-        """Orthonormal columns ``K`` spanning the kernel of ``B_S``: the
-        zero-target coefficient rows with no reduction, restricted to the
-        columns.
+    def kernel(self, rel_tol: float) -> tuple:
+        """``(K, N)``: orthonormal columns ``K`` spanning the kernel of
+        ``B_S``, the zero-target coefficient rows with no reduction
+        restricted to the columns, and their coordinates ``N`` in
+        :attr:`.Family.certificate_kernel` (``None`` on a full support).
 
         Every unit has trace one, so for each row of ``B`` the rows of the
         system at the diagonal coordinates sum to that row of ``B_S``: every
@@ -89,14 +90,15 @@ class LinearSystem:
         off = np.ones(len(full), dtype=bool)
         off[self.at] = False
         if not off.any():
-            return full[self.at]
-        return full[self.at] @ nullspace(full[off], rel_tol).T
+            return full[self.at], None
+        n = nullspace(full[off], rel_tol).T
+        return full[self.at] @ n, n
 
-    def projected(self, k: np.ndarray) -> np.ndarray:
-        """``A K`` for ``K`` from :meth:`kernel`, by
+    def projected(self, k: np.ndarray, n) -> np.ndarray:
+        """``A K`` for ``(K, N)`` from :meth:`kernel`, by
         :func:`.constraints.project`: the same singular values as
         ``matrix @ K``, with ``A`` never formed."""
-        return project(self.family, self.at, self.units, k)
+        return project(self.family, self.at, self.units, k, n)
 
 
 class UnsatisfiedReference(ValueError):
@@ -171,8 +173,8 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
         raise UnsatisfiedReference(
             "reference coefficients do not satisfy the system: "
             f"'{system.family.constraints[worst].name}' deviates by {deviations[worst]:.3g}")
-    k = system.kernel(tol.rank_rel_tol)
-    projected, s = nullspace_and_spectrum(system.projected(k), tol.rank_rel_tol)
+    k, n = system.kernel(tol.rank_rel_tol)
+    projected, s = nullspace_and_spectrum(system.projected(k, n), tol.rank_rel_tol)
     basis = projected @ k.T
     nullity = basis.shape[0]
     rank = len(system.columns) - nullity

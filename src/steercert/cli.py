@@ -16,8 +16,10 @@ apply, a member that is not PSD) to INPUT_ERROR, exit 3, and
 ``details.error``.  A member that :func:`.assemblages.canonicalize_pure`
 rejects (:class:`.assemblages.MemberError`) is located at its entry,
 ``$.payload.members[j]``, in an assemblage or a channel assemblage
-document; an assemblage that violates the family a certificate is built
-from (:class:`.certificates.UnsatisfiedReference`) at ``$.payload``.
+document, and at ``$.payload`` in a realization; an assemblage that
+violates the family a certificate is built from
+(:class:`.certificates.UnsatisfiedReference`) at ``$.payload``; a command
+or mode that does not take the document's kind at ``$.kind``.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def cmd_verify(args, tol: Tolerances, doc: Document):
         report = verify_asym_ns(doc.payload, tol.abs_tol)
         details = {"mode": "asym-ns", **_violation_details(report)}
     else:
-        raise ValueError(f"mode '{mode}' is not applicable to kind '{kind}'")
+        raise DocumentError(f"mode '{mode}' is not applicable to kind '{kind}'", "$.kind")
     return PASS if report.ok else FAIL, details
 
 
@@ -113,7 +115,7 @@ def cmd_choi(args, tol: Tolerances, doc: Document) -> None:
     elif doc.kind == "channel_assemblage":
         out = serialize(to_choi_assemblage(doc.payload))
     else:
-        raise ValueError(f"kind '{doc.kind}' has no Choi form")
+        raise DocumentError(f"kind '{doc.kind}' has no Choi form", "$.kind")
     print(json.dumps(out, sort_keys=True))
 
 
@@ -131,7 +133,7 @@ def _assemblage(doc: Document):
     if doc.kind == "realization":
         return to_choi_assemblage(chanasm_from_realization(
             payload.state, payload.povms, payload.channel, payload.scenario))
-    raise DocumentError(f"kind '{doc.kind}' carries no assemblage")
+    raise DocumentError(f"kind '{doc.kind}' carries no assemblage", "$.kind")
 
 
 def _pure(doc: Document, tol: Tolerances):
@@ -141,7 +143,11 @@ def _pure(doc: Document, tol: Tolerances):
 
 def _located(exc: MemberError, doc: Document) -> str:
     """``exc``'s message, prefixed with the JSON path of the member's entry
-    when ``doc`` is an assemblage or a channel assemblage document."""
+    when ``doc`` is an assemblage or a channel assemblage document, and
+    with ``$.payload`` for a realization, whose members are computed from
+    its state and measurements."""
+    if doc is not None and doc.kind == "realization":
+        return str(DocumentError(str(exc), "$.payload"))
     if doc is not None and doc.kind in ("assemblage", "channel_assemblage"):
         entries = doc.raw["payload"]["members"]
         j = next((j for j, entry in enumerate(entries)
@@ -181,7 +187,7 @@ def cmd_lhs(args, tol: Tolerances, doc: Document):
 
 def cmd_security_cert(args, tol: Tolerances, doc: Document):
     if doc.kind != "channel_assemblage":
-        raise ValueError("expected a channel_assemblage document")
+        raise DocumentError("expected a channel_assemblage document", "$.kind")
     pin = eavesdropper_pinning(_pure(doc, tol), args.x_key, args.y_key, tol)
     table = correlations(doc.payload, gallery.key_input_state(),
                          gallery.key_measurement())

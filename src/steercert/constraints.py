@@ -18,7 +18,9 @@ Two consumers read a family.  :func:`evaluate` measures each constraint,
 and the positivity of each member, on a ``(positions, D, D)`` members array
 and reports the violations (the verifiers);
 :func:`vectorize` turns it into a real linear system over coefficients of
-fixed Hermitian unit members (the extremality certificate).
+fixed Hermitian unit members (the extremality certificate), and
+:func:`project` gives that system times a basis of its kernel's
+no-reduction part without forming it.
 
 That system is reduced.  A row of a zero-target constraint is one of the
 constraint's coefficients times one real coordinate of each unit, so the
@@ -45,6 +47,21 @@ Constraints with a target (trace one, output trace ``1/d_in``) keep their
 own rows.  The system has ``rank(C_block) * coordinates`` rows plus the
 targeted rows, with the same solutions as the family written out
 constraint by constraint.
+
+Each family is evaluated through a compiled form, built once per family
+(so once per scenario through :func:`family`) and cached on it:
+
+- **Segments** for :func:`magnitudes`: per reduction, the terms of its
+  constraints in constraint order, where each constraint's terms begin,
+  and the targets stacked.  The members are reduced once per reduction,
+  one gather takes every term, ``np.add.reduceat`` sums each
+  constraint's segment, and the stacked targets are subtracted.
+- **Contractions** for :func:`project`: a zero-target block's rows and
+  the kernel's are rows of one orthonormal Kronecker basis, so the block
+  times a diagonal times the kernel is a contraction of the diagonal with
+  one small matrix per party, then a gather of the (row, kernel row)
+  entries.  At (3,3,3,2) that is about 35 times fewer multiplications
+  than the dense product; only the few targeted rows stay dense.
 """
 
 from __future__ import annotations
@@ -99,21 +116,62 @@ def _party_factor(m: int, k: int) -> np.ndarray:
                            np.kron(_helmert(m).T, np.ones((1, k)))])
 
 
+def _party_major(scen) -> np.ndarray:
+    """The place of each position, in ``scen.positions()`` order, among the
+    columns of a Kronecker product of the party factors, which run
+    ``(x_1, a_1, x_2, a_2, ...)``."""
+    n = scen.n_parties
+    sizes = [size for pair in zip(scen.settings, scen.outcomes) for size in pair]
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return np.arange(np.prod(sizes)).reshape(sizes).transpose(order).ravel()
+
+
 def _factor_basis(scen) -> np.ndarray:
     """The Kronecker product of the party factors, as rows over all
     positions in ``scen.positions()`` order."""
-    n = scen.n_parties
     basis = np.ones((1, 1))
     for m, k in zip(scen.settings, scen.outcomes):
         basis = np.kron(basis, _party_factor(m, k))
-    # columns run (x_1, a_1, x_2, a_2, ...); positions() runs (x..., a...)
-    sizes = [size for pair in zip(scen.settings, scen.outcomes) for size in pair]
-    order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
-    return basis.reshape([len(basis)] + sizes).transpose(order).reshape(len(basis), -1)
+    return basis[:, _party_major(scen)]
 
 
 def _normalized(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _contraction(factors, hit, kept) -> tuple:
+    """``(matrices, rows, cols)`` that give ``Φ[hit] diag(w) Φ[kept]ᵀ`` from
+    a vector ``w`` over the party-major positions, ``Φ`` the Kronecker
+    product of the orthonormal party ``factors``.
+
+    Entry ``(r, s)`` is ``sum_c prod_i P_i[r_i, c_i] P_i[s_i, c_i] w[c]``, so
+    :func:`_contract` contracts ``w`` one party at a time with
+    ``matrices[i]``, the ``(c_i, R_i S_i)`` products ``P_i[r] * P_i[s]``
+    over the rows ``R_i`` and ``S_i`` of party ``i``'s factor that occur in
+    the rows ``hit`` and ``kept`` of ``Φ``.  That leaves a tensor over
+    ``(r_1, s_1, ..., r_n, s_n)``, in which entry ``(hit[i], kept[j])``
+    sits at ``rows[i] + cols[j]``.
+    """
+    shape = [len(p) for p in factors]
+    matrices, rows, cols, stride = [], 0, 0, 1
+    for p, r, s in reversed(list(zip(factors, np.unravel_index(hit, shape),
+                                     np.unravel_index(kept, shape)))):
+        r, r_at = np.unique(r, return_inverse=True)
+        s, s_at = np.unique(s, return_inverse=True)
+        matrices.insert(0, np.ascontiguousarray(
+            (p[r][:, None] * p[s][None]).reshape(-1, p.shape[1]).T))
+        rows = rows + r_at * (len(s) * stride)
+        cols = cols + s_at * stride
+        stride *= len(r) * len(s)
+    return tuple(matrices), rows, cols
+
+
+def _contract(w: np.ndarray, matrices) -> np.ndarray:
+    """Contract the leading party axis of ``w`` with each matrix in turn;
+    each result axis goes last, so the parties keep their order."""
+    for f in matrices:
+        w = w.reshape(len(f), -1).T @ f
+    return w.ravel()
 
 
 @functools.lru_cache(maxsize=16)
@@ -149,8 +207,12 @@ class Family:
     @functools.cached_property
     def terms(self):
         """Every term as arrays ``(constraint, position, sign)``, positions
-        numbered by :meth:`Scenario.indices`."""
-        flat = [(i, pos, sign) for i, c in enumerate(self.constraints)
+        numbered by :meth:`Scenario.indices`: grouped by reduction in
+        first-use order, in constraint order within a group, so that each
+        reduction's terms are one slice (:attr:`_segments`)."""
+        flat = [(i, pos, sign)
+                for reduction in dict.fromkeys(c.reduction for c in self.constraints)
+                for i, c in enumerate(self.constraints) if c.reduction is reduction
                 for pos, sign in c.terms]
         rows, positions, signs = zip(*flat)
         arrays = (np.array(rows), self.scenario.indices(positions), np.array(signs))
@@ -160,11 +222,15 @@ class Family:
 
     @functools.cached_property
     def _certificate(self):
+        """``(blocks, kernel, hits, kept)``: :attr:`certificate_rows`,
+        :attr:`certificate_kernel`, and the places in the party-factor
+        basis of each block's rows (``None`` for a targeted block) and of
+        the kernel's rows."""
         basis = _factor_basis(self.scenario)
         rows, positions, signs = self.terms
         coef = np.zeros((len(self.constraints), len(basis)))
         np.add.at(coef, (rows, positions), signs)
-        blocks, kernel = [], np.eye(len(basis))
+        blocks, hits, kept = [], [], np.ones(len(basis), dtype=bool)
         for reduction in dict.fromkeys(c.reduction for c in self.constraints):
             zero = [i for i, c in enumerate(self.constraints)
                     if c.reduction is reduction and c.target is None]
@@ -174,14 +240,17 @@ class Family:
                 # small integers on both sides, so the test is exact
                 hit = np.any(coef[zero] @ basis.T != 0, axis=0)
                 blocks.append((reduction, _normalized(basis[hit]), None))
+                hits.append(np.flatnonzero(hit))
                 if reduction is Reduction.NONE:
-                    kernel = _normalized(basis[~hit])
+                    kept = ~hit
             if targeted:
                 blocks.append((reduction, coef[targeted],
                                tuple(self.constraints[i].target for i in targeted)))
+                hits.append(None)
+        kernel = _normalized(basis[kept])
         for arr in [arr for _, arr, _ in blocks] + [kernel]:
             arr.flags.writeable = False  # shared through the family cache
-        return tuple(blocks), kernel
+        return tuple(blocks), kernel, tuple(hits), np.flatnonzero(kept)
 
     @property
     def certificate_rows(self):
@@ -198,10 +267,47 @@ class Family:
     @property
     def certificate_kernel(self):
         """Orthonormal basis, as rows over all positions, of the kernel of
-        the zero-target coefficient block with no reduction (the whole
-        space when the family has none): the normalized rows of the
-        party-factor basis that this block annihilates."""
+        the zero-target coefficient block with no reduction: the normalized
+        rows of the party-factor basis that this block annihilates (all of
+        them when the family has no such block)."""
         return self._certificate[1]
+
+    @functools.cached_property
+    def _contractions(self):
+        """``(party_major, per_block)``: :func:`_party_major`, and for each
+        block of :attr:`certificate_rows` the :func:`_contraction` of its
+        rows against :attr:`certificate_kernel` (``None`` for a targeted
+        block)."""
+        _, _, hits, kept = self._certificate
+        scen = self.scenario
+        factors = [_normalized(_party_factor(m, k))
+                   for m, k in zip(scen.settings, scen.outcomes)]
+        return _party_major(scen), tuple(
+            None if hit is None else _contraction(factors, hit, kept) for hit in hits)
+
+    @functools.cached_property
+    def _segments(self):
+        """Per reduction, in first-use order: ``(reduction, chosen, span,
+        starts, targets)``.  ``chosen`` are the constraints with that
+        reduction, ``span`` the slice of :attr:`terms` that holds their
+        terms, ``starts`` where each constraint's terms begin in it (every
+        constraint has terms), and ``targets`` the targets stacked, zero for
+        none (``None`` when no constraint has one)."""
+        rows = self.terms[0]
+        reductions = [c.reduction for c in self.constraints]
+        counts = np.bincount(rows, minlength=len(self.constraints))
+        segments, end = [], 0
+        for reduction in dict.fromkeys(reductions):
+            chosen = np.flatnonzero([r is reduction for r in reductions])
+            start, end = end, end + int(counts[chosen].sum())
+            starts = np.cumsum(counts[chosen]) - counts[chosen]
+            given = [self.constraints[i].target for i in chosen]
+            targets = None
+            if any(t is not None for t in given):
+                shape = np.shape(next(t for t in given if t is not None))
+                targets = np.array([np.zeros(shape) if t is None else t for t in given])
+            segments.append((reduction, chosen, slice(start, end), starts, targets))
+        return tuple(segments)
 
 
 @dataclass(frozen=True)
@@ -335,35 +441,36 @@ def magnitudes(fam: Family, members: np.ndarray) -> np.ndarray:
     array in ``scenario.positions()`` order.
 
     Max-abs complex entry of the reduced sum minus the target, and
-    ``|Re tr - 1|`` for a trace constraint.
+    ``|Re tr - 1|`` for a trace constraint.  Per reduction, the members
+    are reduced once, one gather takes every term of the family's
+    constraints with that reduction, in constraint order, and
+    ``np.add.reduceat`` sums each constraint's segment of them.
     """
-    scen = fam.scenario
     stack = np.asarray(members, dtype=complex)
-    rows, cols, signs = fam.terms
+    _, positions, signs = fam.terms
     out = np.empty(len(fam.constraints))
-    for reduction in {c.reduction for c in fam.constraints}:
-        chosen = np.array([c.reduction is reduction for c in fam.constraints])
-        reduced = _reduce(stack, reduction, scen.trusted_dims)
-        sums = np.zeros((len(chosen),) + reduced.shape[1:], dtype=reduced.dtype)
-        picked = chosen[rows]
-        scale = signs[picked].reshape((-1,) + (1,) * (reduced.ndim - 1))
-        np.add.at(sums, rows[picked], scale * reduced[cols[picked]])
-        for i in np.flatnonzero(chosen):
-            target = fam.constraints[i].target
-            if target is not None:
-                sums[i] -= target
-        dev = np.abs(sums[chosen]).reshape(int(chosen.sum()), -1)
-        out[chosen] = dev.max(axis=1)
+    for reduction, chosen, span, starts, targets in fam._segments:
+        reduced = _reduce(stack, reduction, fam.scenario.trusted_dims)
+        terms = reduced[positions[span]]
+        terms *= signs[span].reshape((-1,) + (1,) * (reduced.ndim - 1))
+        sums = np.add.reduceat(terms, starts, axis=0)
+        if targets is not None:
+            sums = sums - targets
+        out[chosen] = np.abs(sums).reshape(len(chosen), -1).max(axis=1)
     return out
 
 
 def evaluate(fam: Family, members: np.ndarray, tol: float) -> NsReport:
     """Violations above ``tol``: each member that is not PSD (by
     :func:`.core.psd_deviation`), then the family's constraints in order."""
-    psd = zip(fam.scenario.positions(), psd_deviation(members))
-    violations = [NsViolation(f"member {a}|{x} PSD", float(v)) for (a, x), v in psd if v > tol]
-    violations += [NsViolation(c.name, float(v))
-                   for c, v in zip(fam.constraints, magnitudes(fam, members)) if v > tol]
+    psd = psd_deviation(members)
+    bad = np.flatnonzero(psd > tol)
+    positions = list(fam.scenario.positions()) if bad.size else []
+    violations = [NsViolation(f"member {positions[i][0]}|{positions[i][1]} PSD",
+                              float(psd[i])) for i in bad]
+    deviation = magnitudes(fam, members)
+    violations += [NsViolation(fam.constraints[i].name, float(deviation[i]))
+                   for i in np.flatnonzero(deviation > tol)]
     return NsReport(tuple(violations),
                     max((v.magnitude for v in violations), default=0.0))
 
@@ -409,21 +516,47 @@ def vectorize(fam: Family, at, units: np.ndarray):
     return matrix[kept], rhs[kept]
 
 
-def project(fam: Family, at, units: np.ndarray, k: np.ndarray) -> np.ndarray:
+def project(fam: Family, at, units: np.ndarray, k: np.ndarray, n) -> np.ndarray:
     """``A K`` for the ``A`` of :func:`vectorize` and orthonormal columns
     ``k`` spanning the kernel of ``B_S``, the zero-target block with no
     reduction restricted to the positions ``at``; ``A`` is never formed.
+    ``k`` is ``K_fullᵀ[at] n``, ``K_full`` :attr:`Family.certificate_kernel`
+    and ``n`` ``None`` on a full support.
 
-    Each block gives ``coef[:, at] @ (v[:, None] * k)`` per coordinate row
-    ``v`` of the reduced units.  In ``B_S``'s block the diagonal
-    coordinates are rotated so that one of them is the trace, and that one
-    is dropped: every unit has trace one, so its rows are
-    ``B_S k / sqrt(D)``, which vanish.  Neither changes a singular value.
+    Each block gives ``(coef[:, at] * v) @ k`` per coordinate row ``v`` of
+    the reduced units.  In ``B_S``'s block the diagonal coordinates are
+    rotated so that one of them is the trace, and that one is dropped:
+    every unit has trace one, so its rows are ``B_S k / sqrt(D)``, which
+    vanish.  Neither changes a singular value.
+
+    A zero-target block's rows and ``K_full``'s are rows of one orthonormal
+    Kronecker basis, so with ``w`` equal to ``v`` on ``at`` and zero
+    elsewhere its rows are ``(rows diag(w) K_fullᵀ) n``: ``w`` is contracted
+    with one small matrix per party, one coordinate at a time, and the
+    (row, kernel row) entries are gathered (:func:`_contraction`).  Only the
+    targeted rows (trace and output trace) are dense products.
     """
-    parts = [np.zeros((0, k.shape[1]))]
-    for reduction, coef, targets in fam.certificate_rows:
-        traceless = reduction is Reduction.NONE and targets is None
-        vec = _coordinates(_reduce(units, reduction, fam.scenario.trusted_dims), traceless)
-        block = coef[:, at]
-        parts += [block @ (v[:, None] * k) for v in vec]
-    return np.concatenate(parts)
+    party_major, contractions = fam._contractions
+    place, w = party_major[at], np.zeros(len(party_major))
+    blocks = [(coef, contraction,
+               _coordinates(_reduce(units, reduction, fam.scenario.trusted_dims),
+                            reduction is Reduction.NONE and targets is None))
+              for (reduction, coef, targets), contraction
+              in zip(fam.certificate_rows, contractions)]
+    out, end = np.empty((sum(len(coef) * len(vec) for coef, _, vec in blocks),
+                         k.shape[1])), 0
+    for coef, contraction, vec in blocks:
+        if contraction is not None:
+            matrices, rows, cols = contraction
+            index = rows[:, None] + cols
+        for v in vec:
+            start, end = end, end + len(coef)
+            if contraction is None:
+                out[start:end] = (coef[:, at] * v) @ k
+                continue
+            w[place] = v
+            if n is None:  # in range: "clip" skips a buffered bounds check
+                np.take(_contract(w, matrices), index, out=out[start:end], mode="clip")
+            else:
+                out[start:end] = _contract(w, matrices)[index] @ n
+    return out

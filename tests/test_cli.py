@@ -656,3 +656,51 @@ def test_signaling_assemblage_is_located_at_the_payload(capsys, tmp_path):
     assert report["details"]["error"] == (
         "$.payload: reference coefficients do not satisfy the system: "
         f"'{worst['constraint']}' deviates by 0.5")
+
+
+@pytest.mark.parametrize("command", ["extremality", "lhs"])
+def test_member_of_a_realization_is_located_at_the_payload(capsys, tmp_path, command):
+    # a maximally mixed state makes the computed members mixed; they are
+    # listed nowhere in the document, so the fault sits at the payload
+    raw = json.loads(open(data_path("example1.json")).read())
+    d = len(raw["payload"]["state"]["matrix"])
+    raw["payload"]["state"]["matrix"] = [[[1 / d if i == j else 0.0, 0.0] for j in range(d)]
+                                         for i in range(d)]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(raw))
+    code, report = run_json(capsys, command, str(path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"] == "$.payload: member (0, 0)|(0, 1) has rank 2 > 1"
+
+
+def _kind_documents(tmp_path) -> dict:
+    """A document of each kind the kind faults below need."""
+    _, _, channel, _ = gallery.bell_cnot_realization()
+    paths = {"realization": data_path("example1.json"),
+             "channel_assemblage": data_path("example1_channel_assemblage.json")}
+    for kind, payload in (("channel", channel),
+                          ("assemblage", to_choi_assemblage(gallery.bell_cnot_assemblage()))):
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(documents.dumps(payload))
+    return {kind: str(path) for kind, path in paths.items()}
+
+
+@pytest.mark.parametrize("argv, kind, error", [
+    (("verify",), "realization", "mode 'auto' is not applicable to kind 'realization'"),
+    (("verify", "--mode", "cptp"), "assemblage",
+     "mode 'cptp' is not applicable to kind 'assemblage'"),
+    (("verify", "--mode", "asym-ns"), "channel",
+     "mode 'asym-ns' is not applicable to kind 'channel'"),
+    (("choi",), "assemblage", "kind 'assemblage' has no Choi form"),
+    (("choi",), "realization", "kind 'realization' has no Choi form"),
+    (("security-cert",), "assemblage", "expected a channel_assemblage document"),
+    (("security-cert",), "realization", "expected a channel_assemblage document"),
+    (("extremality",), "channel", "kind 'channel' carries no assemblage"),
+    (("lhs",), "channel", "kind 'channel' carries no assemblage"),
+])
+def test_kind_that_a_command_does_not_take_is_located_at_the_kind(capsys, tmp_path, argv,
+                                                                   kind, error):
+    path = _kind_documents(tmp_path)[kind]
+    code, report = run_json(capsys, *argv, path)
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"] == f"$.kind: {error}"

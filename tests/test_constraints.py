@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from conftest import pure_realization
@@ -6,8 +8,11 @@ from steercert import gallery
 from steercert.assemblages import Assemblage, Scenario, canonicalize_pure, verify_ns
 from steercert.channel_assemblages import verify_asym_ns
 from steercert.certificates import build_constraint_system, decomposition_analysis
-from steercert.constraints import (ConstraintMode, Family, Reduction, asym_ns, full_ns,
-                                   no_signaling_factors)
+from steercert.constraints import (ConstraintMode, Family, Reduction, _reduce,
+                                   asym_ns, evaluate, full_ns, magnitudes,
+                                   no_signaling_factors, output_trace_condition)
+from steercert.core import psd_deviation
+from steercert.documents import parse
 
 
 def relabel_mutant(s: Assemblage) -> Assemblage:
@@ -136,7 +141,8 @@ def test_factor_bases_are_the_constraint_list(families):
         assert bool(zero_blocks) == any(c.target is None for c in fam.constraints)
         if not any(c.target is None and c.reduction is Reduction.NONE
                    for c in fam.constraints):
-            np.testing.assert_array_equal(k, np.eye(len(k)))
+            # the whole space
+            np.testing.assert_allclose(k.T @ k, np.eye(len(k)), atol=1e-12)
         for reduction, rows in zero_blocks:
             coef = _coefficients(fam, reduction)
             _, s, vt = np.linalg.svd(coef)
@@ -181,3 +187,93 @@ def test_no_signaling_factors_span_the_full_family_kernel(settings, outcomes):
     k = full_ns(scen).certificate_kernel
     assert q.shape[1] == len(k)
     np.testing.assert_allclose(q @ q.T, k.T @ k, atol=1e-13)
+
+
+def oracle_magnitudes(fam, members):
+    """Each constraint's deviation by ``np.add.at`` over the family's terms,
+    one reduction at a time: the body :func:`magnitudes` had before it
+    summed segments."""
+    scen = fam.scenario
+    stack = np.asarray(members, dtype=complex)
+    rows, cols, signs = fam.terms
+    out = np.empty(len(fam.constraints))
+    for reduction in {c.reduction for c in fam.constraints}:
+        chosen = np.array([c.reduction is reduction for c in fam.constraints])
+        reduced = _reduce(stack, reduction, scen.trusted_dims)
+        sums = np.zeros((len(chosen),) + reduced.shape[1:], dtype=reduced.dtype)
+        picked = chosen[rows]
+        scale = signs[picked].reshape((-1,) + (1,) * (reduced.ndim - 1))
+        np.add.at(sums, rows[picked], scale * reduced[cols[picked]])
+        for i in np.flatnonzero(chosen):
+            target = fam.constraints[i].target
+            if target is not None:
+                sums[i] -= target
+        dev = np.abs(sums[chosen]).reshape(int(chosen.sum()), -1)
+        out[chosen] = dev.max(axis=1)
+    return out
+
+
+def oracle_violations(fam, members, tol):
+    """The violation names :func:`evaluate` reported before, in order."""
+    psd = zip(fam.scenario.positions(), psd_deviation(members))
+    names = [f"member {a}|{x} PSD" for (a, x), v in psd if v > tol]
+    return names + [c.name for c, v in zip(fam.constraints,
+                                           oracle_magnitudes(fam, members)) if v > tol]
+
+
+def _channel_fixture():
+    data = resources.files("steercert").joinpath("data")
+    return parse(data.joinpath("example1_channel_assemblage.json").read_bytes()).payload
+
+
+def _not_psd(members, rng):
+    """``members`` with a third of them pushed below PSD by a random
+    Hermitian matrix."""
+    out = np.array(members)
+    for i in rng.choice(len(out), size=max(1, len(out) // 3), replace=False):
+        g = rng.normal(size=out.shape[1:]) + 1j * rng.normal(size=out.shape[1:])
+        out[i] -= (g + g.conj().T) / 4
+    return out
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(19)
+    cases = []
+    for shape in [(2, 2, 2, 2), (2, 3, 2, 2), (3, 2, 2, 2), (3, 2, 3, 2), (3, 3, 3, 2),
+                  (4, 2, 2, 2)]:
+        s = pure_realization(rng, *shape)
+        fam = full_ns(s.scenario)
+        cases += [(f"{shape}", fam, s.members, False),
+                  (f"{shape}-mutant", fam, relabel_mutant(s).members, True),
+                  (f"{shape}-not-psd", fam, _not_psd(s.members, rng), True)]
+    channel = _channel_fixture()
+    scen, members = channel.scenario, channel.members
+    mutant = relabel_mutant(Assemblage(scen, members)).members
+    families = [("full", full_ns(scen)), ("asym", asym_ns(scen)),
+                ("output-trace", Family(scen, (output_trace_condition(scen),)))]
+    for name, fam in families:
+        cases += [(f"channel-{name}", fam, members, False),
+                  # the relabeling keeps every total, and so the output trace
+                  (f"channel-{name}-mutant", fam, mutant, name != "output-trace"),
+                  (f"channel-{name}-not-psd", fam, _not_psd(members, rng), True),
+                  (f"channel-{name}-scaled", fam, 3 * members, True)]
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("name, fam, members, fails", KERNEL_CASES,
+                         ids=[c[0] for c in KERNEL_CASES])
+def test_segment_sums_match_the_scattered_oracle(name, fam, members, fails):
+    want = oracle_magnitudes(fam, members)
+    np.testing.assert_allclose(magnitudes(fam, members), want, rtol=0,
+                               atol=1e-15 * max(1.0, want.max()))
+    for tol in (1e-9, 1e-3):
+        report = evaluate(fam, members, tol)
+        assert [v.constraint for v in report.violations] == \
+            oracle_violations(fam, members, tol)
+    report = evaluate(fam, members, 1e-9)
+    assert report.ok is not fails
+    if "not-psd" in name:
+        assert report.violations[0].constraint.endswith(" PSD")

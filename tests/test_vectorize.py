@@ -25,6 +25,7 @@ from steercert.certificates import build_constraint_system, decomposition_analys
 from steercert.constraints import (
     ConstraintMode,
     Reduction,
+    _coordinates,
     _reduce,
     family,
     full_ns,
@@ -93,6 +94,8 @@ CASES = (
     + [(f"partial-{mode.value}",
         lambda: _random_pure(Scenario((2, 3), (3, 2), (2, 2)), 1 / 3), mode)
        for mode in ConstraintMode]
+    + [("partial-3232", lambda: _random_pure(Scenario((2, 2, 2), (3, 3, 3), (2,)), 1 / 3),
+        ConstraintMode.FULL_NS)]
     # fewer rows than columns: the kernel depends on the imaginary coordinates
     + [("one-party", lambda: _random_pure(Scenario((2,), (4,), (2,)), 0.0),
         ConstraintMode.FULL_NS)]
@@ -134,7 +137,7 @@ def _zero_rows(fam):
 def test_projected_kernel_is_the_reference_kernel(name, make, mode):
     pure = make()
     system = build_constraint_system(pure, mode)
-    k = system.kernel(DEFAULT_TOL.rank_rel_tol)
+    k, _ = system.kernel(DEFAULT_TOL.rank_rel_tol)
     at = [pure.scenario.index(a, x) for a, x in pure.support]
     np.testing.assert_allclose(k.T @ k, np.eye(k.shape[1]), atol=1e-12)
     np.testing.assert_allclose(_zero_rows(system.family)[:, at] @ k, 0, atol=1e-12)
@@ -164,8 +167,8 @@ def test_assembled_projection_has_the_spectrum_of_a_times_k(name, make, mode):
     # no-reduction block dropped, against the product with the formed A
     pure = make()
     system = build_constraint_system(pure, mode)
-    k = system.kernel(DEFAULT_TOL.rank_rel_tol)
-    assembled, dense = system.projected(k), system.matrix @ k
+    k, n = system.kernel(DEFAULT_TOL.rank_rel_tol)
+    assembled, dense = system.projected(k, n), system.matrix @ k
     spectra = np.zeros((2, k.shape[1]))
     for row, m in zip(spectra, (assembled, dense)):
         s = np.linalg.svd(m, compute_uv=False)
@@ -180,6 +183,31 @@ def test_assembled_projection_has_the_spectrum_of_a_times_k(name, make, mode):
         assert abs(s[kept - 1] / s[0] - s_want[kept - 1] / s_want[0]) <= 1e-12
 
 
+def dense_project(fam, at, units, k):
+    """``A K`` block by block as dense products over the positions ``at``:
+    the body :func:`.constraints.project` had before it contracted the
+    zero-target blocks party by party."""
+    parts = [np.zeros((0, k.shape[1]))]
+    for reduction, coef, targets in fam.certificate_rows:
+        traceless = reduction is Reduction.NONE and targets is None
+        vec = _coordinates(_reduce(units, reduction, fam.scenario.trusted_dims), traceless)
+        block = coef[:, at]
+        parts += [block @ (v[:, None] * k) for v in vec]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("name, make, mode", CASES, ids=[c[0] for c in CASES])
+def test_contracted_projection_is_the_dense_block_product(name, make, mode):
+    pure = make()
+    system = build_constraint_system(pure, mode)
+    k, n = system.kernel(DEFAULT_TOL.rank_rel_tol)
+    assert (n is None) == (len(pure.support) == len(list(pure.scenario.positions())))
+    want = dense_project(system.family, system.at, system.units, k)
+    got = system.projected(k, n)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
 def test_kernel_rows_follow_the_support_order():
     # The support is sorted (a, x) and positions() runs x-major, so K's rows
     # must be taken through scenario.index, not in positions() order.
@@ -188,7 +216,7 @@ def test_kernel_rows_follow_the_support_order():
     assert sorted(pure.support) == sorted(scen.positions())
     assert list(pure.support) != list(scen.positions())
     cert = decomposition_analysis(pure, ConstraintMode.FULL_NS)
-    k = cert.system.kernel(DEFAULT_TOL.rank_rel_tol)
+    k, _ = cert.system.kernel(DEFAULT_TOL.rank_rel_tol)
     at = [scen.index(a, x) for a, x in pure.support]
     np.testing.assert_allclose(_zero_rows(cert.system.family)[:, at] @ k, 0, atol=1e-12)
     matrix, _ = reference_vectorize(cert.system.family, pure.support, _units(pure))
