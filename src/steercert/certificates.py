@@ -103,7 +103,8 @@ class LinearSystem:
 
 class UnsatisfiedReference(ValueError):
     """The member traces themselves violate the family; the message names
-    the constraint they violate most, and by how much."""
+    the constraint they violate most (the first, in family order, within
+    ``abs_tol`` of the largest deviation), and by how much."""
 
 
 class Verdict(enum.Enum):
@@ -168,8 +169,12 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     """
     system = build_constraint_system(p, mode)
     deviations = system.deviations(system.reference)
-    worst = int(np.argmax(deviations))
-    if deviations[worst] > tol.nnls_residual_tol:
+    largest = deviations.max()
+    if largest > tol.nnls_residual_tol:
+        # The first constraint within abs_tol of the largest deviation:
+        # deviations equal in exact arithmetic name one constraint,
+        # whatever the rounding of their sums.
+        worst = int(np.argmax(deviations >= largest - tol.abs_tol))
         raise UnsatisfiedReference(
             "reference coefficients do not satisfy the system: "
             f"'{system.family.constraints[worst].name}' deviates by {deviations[worst]:.3g}")

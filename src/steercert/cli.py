@@ -148,12 +148,10 @@ def _located(exc: MemberError, doc: Document) -> str:
     its state and measurements."""
     if doc is not None and doc.kind == "realization":
         return str(DocumentError(str(exc), "$.payload"))
-    if doc is not None and doc.kind in ("assemblage", "channel_assemblage"):
-        entries = doc.raw["payload"]["members"]
-        j = next((j for j, entry in enumerate(entries)
-                  if (tuple(entry["a"]), tuple(entry["x"])) == exc.position), None)
-        if j is not None:
-            return str(DocumentError(str(exc), f"$.payload.members[{j}]"))
+    if doc is not None and doc.member_at is not None:
+        j = np.flatnonzero(doc.member_at == doc.payload.scenario.index(*exc.position))
+        if j.size:
+            return str(DocumentError(str(exc), f"$.payload.members[{j[0]}]"))
     return str(exc)
 
 

@@ -20,18 +20,33 @@ matrices of an assemblage or of a POVM, and each Kraus operator, with one
 ``np.array`` call and fall back to one matrix or one entry at a time only
 to name the first fault.  A position listed twice in an assemblage is a
 fault at its second listing.
+
+``parse`` decodes bytes or str with orjson.  It decodes them again with
+the standard ``json`` module, and goes on with that tree, in two cases
+only: orjson refuses the text (``NaN`` and ``Infinity`` literals, a
+number beyond the float range, a byte order mark, UTF-16 or UTF-32, a
+lone surrogate), or the walk refuses orjson's tree (orjson reads an
+integer outside [-2**63, 2**64) as a float, which an integer field
+rejects).  Every fault is therefore named by ``json`` or by jsonschema,
+and on the accepted path the walk runs once.  The whole parse runs with the cyclic garbage collector paused:
+the decoded tree holds no cycle and is freed before ``parse`` returns,
+so a collection during the parse could free nothing.  No decoded tree
+outlives ``parse``; a ``Document`` keeps the scenario index of each
+``members`` entry in its place.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import gc
 import json
 from dataclasses import dataclass
 from itertools import chain, islice
 from math import prod
 
 import numpy as np
+import orjson
 
 from .core import Op
 from .channels import ChoiOp, KrausChannel, Povm, State, choi_of_kraus
@@ -211,7 +226,9 @@ class Document:
     kind: str
     version: int
     payload: object  # parsed domain object
-    raw: dict
+    # The scenario index of each ``members`` entry, in document order, for
+    # an assemblage or a channel assemblage; None for other kinds.
+    member_at: np.ndarray = None
 
 
 def _complex_in(pair, path):
@@ -392,7 +409,7 @@ def _assemblage_in(obj, path, as_channel: bool):
     if missing < len(mats):
         raise DocumentError(f"missing '{key}' matrix", f"{path}.members[{missing}]")
     members[at] = stack
-    return (ChannelAssemblage if as_channel else Assemblage)(scen, members)
+    return (ChannelAssemblage if as_channel else Assemblage)(scen, members), at
 
 
 @dataclass(frozen=True)
@@ -421,14 +438,16 @@ def _realization_in(obj, path) -> Realization:
     return Realization(scen, state, tuple(povms), channel)
 
 
+# Each parser returns the payload and the scenario index of each
+# ``members`` entry (None for kinds without members).
 _PARSERS = {
-    "state": lambda obj: _state_in(obj, "$.payload"),
-    "povm": lambda obj: _povm_in(obj, "$.payload"),
-    "channel": lambda obj: _channel_in(obj, "$.payload"),
+    "state": lambda obj: (_state_in(obj, "$.payload"), None),
+    "povm": lambda obj: (_povm_in(obj, "$.payload"), None),
+    "channel": lambda obj: (_channel_in(obj, "$.payload"), None),
     "assemblage": lambda obj: _assemblage_in(obj, "$.payload", as_channel=False),
     "channel_assemblage": lambda obj: _assemblage_in(obj, "$.payload",
                                                      as_channel=True),
-    "realization": lambda obj: _realization_in(obj, "$.payload"),
+    "realization": lambda obj: (_realization_in(obj, "$.payload"), None),
 }
 
 
@@ -449,28 +468,56 @@ def _validate(instance, kind=None, path="$"):
             f"[{p}]" if isinstance(p, int) else f".{p}" for p in error.absolute_path))
 
 
-def parse(data) -> Document:
-    """Parse and validate document bytes (or str, or an already-loaded dict)."""
-    if isinstance(data, (bytes, str)):
-        try:
-            raw = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON at byte offset {exc.pos}: {exc.msg}")
-    else:
-        raw = data
-    if not _conforms(raw, SCHEMA):
-        _validate(raw)
-    kind = raw["kind"]
-    if not _conforms(raw["payload"], SCHEMA["$defs"][kind]):
-        _validate(raw["payload"], kind, "$.payload")
+def _orjson_tree(data):
+    """orjson's tree of document bytes or str ``data``, when orjson decodes
+    them and the walk accepts the tree, envelope and payload; else None."""
     try:
-        payload = _PARSERS[kind](raw["payload"])
+        raw = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return None
+    if _conforms(raw, SCHEMA) and _conforms(raw["payload"],
+                                            SCHEMA["$defs"][raw["kind"]]):
+        return raw
+    return None
+
+
+def _parse(data) -> Document:
+    raw = _orjson_tree(data) if isinstance(data, (bytes, str)) else None
+    if raw is None:  # the standard decoder and jsonschema name the fault
+        raw = data
+        if isinstance(data, (bytes, str)):
+            try:
+                raw = json.loads(data)
+            except json.JSONDecodeError as exc:
+                raise DocumentError(f"invalid JSON at byte offset {exc.pos}: {exc.msg}")
+        if not _conforms(raw, SCHEMA):
+            _validate(raw)
+        if not _conforms(raw["payload"], SCHEMA["$defs"][raw["kind"]]):
+            _validate(raw["payload"], raw["kind"], "$.payload")
+    kind = raw["kind"]
+    try:
+        payload, member_at = _PARSERS[kind](raw["payload"])
     except DocumentError:
         raise
     except ValueError as exc:
         # A domain check the parser does not locate more precisely.
         raise DocumentError(str(exc), "$.payload")
-    return Document(kind=kind, version=raw["version"], payload=payload, raw=raw)
+    return Document(kind, raw["version"], payload, member_at)
+
+
+def parse(data) -> Document:
+    """Parse and validate document bytes (or str, or an already-loaded dict).
+
+    The cyclic garbage collector is paused for the whole parse, and left
+    enabled or disabled as it was found, whatever the outcome.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def serialize(obj) -> dict:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from conftest import pure_realization
 
-from steercert import gallery
+from steercert import certificates, gallery
 from steercert.assemblages import Assemblage, Scenario, canonicalize_pure, verify_ns
 from steercert.channel_assemblages import verify_asym_ns
-from steercert.certificates import build_constraint_system, decomposition_analysis
+from steercert.certificates import (UnsatisfiedReference, build_constraint_system,
+                                    decomposition_analysis)
 from steercert.constraints import (ConstraintMode, Family, Reduction, _reduce,
                                    asym_ns, evaluate, full_ns, magnitudes,
                                    no_signaling_factors, output_trace_condition)
@@ -277,3 +278,21 @@ def test_segment_sums_match_the_scattered_oracle(name, fam, members, fails):
     assert report.ok is not fails
     if "not-psd" in name:
         assert report.violations[0].constraint.endswith(" PSD")
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 2, 2), (3, 2, 2, 2), (3, 2, 3, 2)],
+                         ids=str)
+def test_segment_sums_and_the_oracle_name_one_unsatisfied_constraint(shape, monkeypatch):
+    # A relabeled mutant has constraints whose deviations are equal in exact
+    # arithmetic; the two summation orders round them differently, and the
+    # named constraint must not follow that rounding.
+    for seed in range(6):
+        s = relabel_mutant(pure_realization(np.random.default_rng([seed, *shape]), *shape))
+        pure = canonicalize_pure(s)
+        messages = []
+        for deviations in (magnitudes, oracle_magnitudes):
+            monkeypatch.setattr(certificates, "magnitudes", deviations)
+            with pytest.raises(UnsatisfiedReference) as info:
+                decomposition_analysis(pure, ConstraintMode.FULL_NS)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]

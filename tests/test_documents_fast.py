@@ -11,11 +11,21 @@ calls must not grow with the number of members.  ``_matrix_in`` reads a
 matrix in bulk; it must give the same array, byte for byte, or the same
 error as the entry-by-entry reader it replaced, which is kept here as the
 reference.
+
+``parse`` decodes text with orjson and falls back to the standard ``json``
+module where orjson refuses the text or the walk refuses orjson's tree.
+The parse that decoded with ``json`` alone is kept here as the reference:
+over mutated document bytes, written with the numbers and literals the two
+decoders read differently, ``parse`` must give byte-identical arrays or the
+same error.  It must also leave the garbage collector as it found it.
 """
 
 import cmath
 import copy
+import dataclasses
 import functools
+import gc
+import json
 
 import numpy as np
 import pytest
@@ -24,8 +34,11 @@ from jsonschema import Draft202012Validator
 
 from conftest import BASES, mutated, pure_realization
 from steercert import documents, gallery
-from steercert.channel_assemblages import to_choi_assemblage
-from steercert.documents import SCHEMA, DocumentError, Realization, _conforms, _matrix_in
+from steercert.assemblages import Assemblage
+from steercert.channel_assemblages import ChannelAssemblage, to_choi_assemblage
+from steercert.channels import ChoiOp, Povm, State
+from steercert.documents import (SCHEMA, Document, DocumentError, Realization, _conforms,
+                                 _matrix_in)
 
 ENVELOPE = Draft202012Validator(SCHEMA)
 PAYLOADS = {kind: Draft202012Validator(schema) for kind, schema in SCHEMA["$defs"].items()}
@@ -220,3 +233,160 @@ def matrices(draw):
 @given(rows=matrices())
 def test_bulk_matrix_reader_matches_entry_by_entry(rows):
     assert _outcome(_matrix_in, rows) == _outcome(_reference_matrix_in, rows)
+
+
+def _reference_parse(data):
+    """The parse that decoded with ``json`` alone, as ``(kind, version,
+    payload, member_at)``."""
+    try:
+        raw = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"invalid JSON at byte offset {exc.pos}: {exc.msg}")
+    if not _conforms(raw, SCHEMA):
+        documents._validate(raw)
+    kind = raw["kind"]
+    if not _conforms(raw["payload"], SCHEMA["$defs"][kind]):
+        documents._validate(raw["payload"], kind, "$.payload")
+    try:
+        payload, member_at = documents._PARSERS[kind](raw["payload"])
+    except DocumentError:
+        raise
+    except ValueError as exc:
+        raise DocumentError(str(exc), "$.payload")
+    return kind, raw["version"], payload, member_at
+
+
+def _arrays(payload) -> list:
+    """Every array a parsed payload holds, in a fixed order."""
+    if isinstance(payload, (Assemblage, ChannelAssemblage)):
+        return [payload.members]
+    if isinstance(payload, (State, ChoiOp)):
+        return [payload.op.data]
+    if isinstance(payload, Povm):
+        return [e.data for row in payload.effects for e in row]
+    channel = [] if payload.channel is None else _arrays(payload.channel)
+    return [payload.state.op.data, *(a for p in payload.povms for a in _arrays(p)), *channel]
+
+
+def _parsed(reader, data):
+    try:
+        kind, version, payload, member_at = reader(data)
+    except DocumentError as exc:
+        return "DocumentError", str(exc), exc.path
+    except Exception as exc:  # a decoder's own error, as both raise it
+        return type(exc).__name__, str(exc)
+    arrays = _arrays(payload) + ([] if member_at is None else [member_at])
+    return kind, type(version), version, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _new_parse(data):
+    doc = documents.parse(data)
+    return doc.kind, doc.version, doc.payload, doc.member_at
+
+
+# Numbers and literals the two decoders read differently: orjson reads an
+# integer outside [-2**63, 2**64) as a float and refuses NaN, Infinity, a
+# number beyond the float range and a lone surrogate.  "@..." strings are
+# written into the text as the bare literal after them.
+DECODED = [2 ** 64, -2 ** 63 - 1, 2 ** 70, 10 ** 400, 2 ** 64 - 1, -2 ** 63, 2 ** 63,
+           float("nan"), float("inf"), -float("inf"), 1e300, 5e-324, -0.0, 0.1, 1.0,
+           True, None, "\ud800", "@1e400", "@-1e400", "@1E2", "@-0", "@0.1e1",
+           "@123456789012345678901234567890"]
+TEXTS = {
+    "utf-8": lambda text: text.encode(),
+    "str": lambda text: text,
+    "bom": lambda text: b"\xef\xbb\xbf" + text.encode(),
+    "bom-str": lambda text: "\ufeff" + text,
+    "utf-16": lambda text: text.encode("utf-16"),
+    "utf-32-le": lambda text: text.encode("utf-32-le"),
+    "trailing": lambda text: text.encode() + b" {}",
+    "cut": lambda text: text.encode()[:-1],
+}
+
+
+def _text(doc) -> str:
+    text = json.dumps(doc)
+    for literal in DECODED:
+        if isinstance(literal, str) and literal.startswith("@"):
+            text = text.replace(json.dumps(literal), literal[1:])
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated(st.sampled_from(DECODED)), form=st.sampled_from(sorted(TEXTS)))
+def test_orjson_parse_matches_the_json_parse(doc, form):
+    data = TEXTS[form](_text(doc))
+    assert _parsed(_new_parse, data) == _parsed(_reference_parse, data)
+
+
+def _channel_assemblage_document() -> dict:
+    return documents.serialize(to_choi_assemblage(gallery.bell_cnot_assemblage()))
+
+
+# An integer field and a matrix entry of each document kind with members.
+PLACES = {
+    "version": lambda doc: (doc, "version"),
+    "settings": lambda doc: (doc["payload"]["scenario"]["settings"], 0),
+    "index": lambda doc: (doc["payload"]["members"][1]["a"], 0),
+    "entry": lambda doc: (doc["payload"]["members"][1]["member"][0][0], 0),
+    "imaginary": lambda doc: (doc["payload"]["members"][2]["member"][1][0], 1),
+}
+
+
+@pytest.mark.parametrize("place", sorted(PLACES))
+@pytest.mark.parametrize("value", DECODED, ids=repr)
+def test_each_number_and_literal_parses_as_json_reads_it(value, place):
+    doc = _channel_assemblage_document()
+    node, key = PLACES[place](doc)
+    node[key] = value
+    for form, write in TEXTS.items():
+        data = write(_text(doc))
+        assert _parsed(_new_parse, data) == _parsed(_reference_parse, data), form
+
+
+def _faults() -> dict:
+    valid = documents.dumps(_channel_assemblage_document()).encode()
+    schema = _channel_assemblage_document()
+    schema["payload"]["members"][0]["a"] = ["0", 0]
+    domain = _channel_assemblage_document()
+    domain["payload"]["members"].append(domain["payload"]["members"][0])  # listed twice
+    return {"valid": valid, "invalid JSON": valid[:-1],
+            "schema": json.dumps(schema).encode(), "domain": json.dumps(domain).encode()}
+
+
+FAULTS = _faults()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", sorted(FAULTS))
+def test_parse_pauses_the_collector_and_restores_it(case, enabled, monkeypatch):
+    decode, during = documents.orjson.loads, []
+
+    def watched(data):
+        during.append(gc.isenabled())
+        return decode(data)
+
+    monkeypatch.setattr(documents.orjson, "loads", watched)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        try:
+            documents.parse(FAULTS[case])
+        except DocumentError:
+            assert case != "valid"
+        else:
+            assert case == "valid"
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+
+
+def test_document_keeps_no_decoded_tree():
+    assert [f.name for f in dataclasses.fields(Document)] == \
+        ["kind", "version", "payload", "member_at"]
+    doc = documents.parse(FAULTS["valid"])
+    entries = json.loads(FAULTS["valid"])["payload"]["members"]
+    assert doc.member_at.tolist() == [doc.payload.scenario.index(e["a"], e["x"])
+                                      for e in entries]
