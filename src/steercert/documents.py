@@ -8,37 +8,33 @@ Complex scalars serialize as two-element ``[re, im]`` arrays, matrices as
 row-major nested arrays, dims as integer arrays.  Missing assemblage
 positions are zero members.
 
-``SCHEMA`` is the one definition of a valid document.  ``parse`` checks a
-document with ``_conforms``, a walk of ``SCHEMA``; only when that check
-says no does it import jsonschema, which either names the fault and its
-JSON path or accepts what the walk leaves to it.  The walk is batched: it
-checks a *list* of instances against a schema node one keyword at a time,
-and ``properties`` and ``items`` recurse once on the gathered
-sub-instances of the whole list, so the number of calls follows the depth
-of the schema, not the number of members.  The parsers then read the
-matrices of an assemblage or of a POVM, and each Kraus operator, with one
-``np.array`` call and fall back to one matrix or one entry at a time only
-to name the first fault.  A position listed twice in an assemblage is a
-fault at its second listing.
+``SCHEMA`` is the one definition of a valid document.  One walk of it
+decides a document and names its first fault, with its JSON path, in
+jsonschema's words.  The walk checks a *list* of instances against a
+schema node one keyword at a time (all the members of an assemblage are
+one list), so its number of calls follows the depth of the schema, not
+the size or the nesting of the document; only when the check of a whole
+list fails does it look for the failing instance.  The parsers then read
+the matrices of an assemblage or of a POVM, and each Kraus operator, with
+one ``np.array`` call and fall back to one matrix or one entry at a time
+only to name the first fault.  A position listed twice in an assemblage
+is a fault at its second listing.
 
-``parse`` decodes bytes or str with orjson.  It decodes them again with
-the standard ``json`` module, and goes on with that tree, in two cases
-only: orjson refuses the text (``NaN`` and ``Infinity`` literals, a
-number beyond the float range, a byte order mark, UTF-16 or UTF-32, a
-lone surrogate), or the walk refuses orjson's tree (orjson reads an
-integer outside [-2**63, 2**64) as a float, which an integer field
-rejects).  Every fault is therefore named by ``json`` or by jsonschema,
-and on the accepted path the walk runs once.  The whole parse runs with the cyclic garbage collector paused:
-the decoded tree holds no cycle and is freed before ``parse`` returns,
-so a collection during the parse could free nothing.  No decoded tree
-outlives ``parse``; a ``Document`` keeps the scenario index of each
-``members`` entry in its place.
+``parse`` decodes bytes or str with orjson, and again with the ``json``
+module, going on with that tree, only where orjson refuses the text
+(``NaN``, ``Infinity``, a number beyond the float range, a byte order
+mark, UTF-16 or UTF-32, a lone surrogate) or the walk refuses its tree
+(orjson reads an integer outside [-2**63, 2**64) as a float).  So faults
+are named on the tree ``json`` reads, and a valid document is walked
+once.  Nesting too deep for ``json`` or for the repr of a fault is a
+fault at ``$``.  The cyclic garbage collector is paused for the parse:
+the decoded tree holds no cycle, and it is freed before ``parse``
+returns; a ``Document`` keeps each ``members`` entry's scenario index.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import gc
 import json
 from dataclasses import dataclass
@@ -168,57 +164,65 @@ def _of(vs, kind) -> list:
     return vs if set(map(type, vs)) <= types else [v for v in vs if type(v) in types]
 
 
-def _at_least(vs, s) -> bool:
-    if set(map(type, vs)) <= {int}:  # the least integer decides, no NaN among them
-        return min(vs) >= s
-    return all(v >= s for v in _of(vs, "number"))
+def _is(v, kind) -> bool:
+    """Whether ``v`` is of a JSON type; an integer-valued float is an integer
+    below 2**63 in magnitude, the range where orjson reads ``int``."""
+    return type(v) in _TYPES[kind] or (kind == "integer" and type(v) is float
+                                       and v.is_integer() and abs(v) < 2 ** 63)
 
 
-# One check per keyword SCHEMA uses; each reads (instances, keyword value)
-# and holds when every instance satisfies the keyword.  Keywords that
-# constrain one JSON type pass any other type, as in JSON Schema.
-_KEYWORDS = {
-    "$schema": lambda vs, s: True,  # annotations, no constraint on the instance
-    "$defs": lambda vs, s: True,
-    "type": lambda vs, s: type(s) is str and set(map(type, vs)) <= _TYPES.get(s, set()),
-    "required": lambda vs, s: all(map(set(s).issubset, _of(vs, "object"))),
-    "properties": lambda vs, s: all(
-        _conform_all([v[key] for v in _of(vs, "object") if key in v], sub)
-        for key, sub in s.items()),
-    "items": lambda vs, s: _conform_all(list(chain.from_iterable(_of(vs, "array"))), s),
-    "minItems": lambda vs, s: min(map(len, _of(vs, "array")), default=s) >= s,
-    "maxItems": lambda vs, s: max(map(len, _of(vs, "array")), default=s) <= s,
-    "minimum": _at_least,
-    "enum": lambda vs, s: all(any(type(v) is type(e) and v == e for e in s) for v in vs),
-    "const": lambda vs, s: all(type(v) is type(s) and v == s for v in vs),
+def _equal(v, s) -> bool:  # numbers by value, but a bool never equals a number
+    return v == s and (type(v) is bool) == (type(s) is bool)
+
+
+# Per constraint keyword: whether every one of a list of instances passes,
+# decided at C speed where it can be, and jsonschema's wording of the fault
+# of one that fails.  A keyword on one JSON type passes every other type.
+_LEAVES = {
+    "type": (lambda vs, s: set(map(type, vs)) <= _TYPES[s] or all(_is(v, s) for v in vs),
+             lambda v, s: f"{v!r} is not of type {s!r}"),
+    "required": (lambda vs, s: all(map(set(s).issubset, _of(vs, "object"))),
+                 lambda v, s: f"{next(p for p in s if p not in v)!r} is a required property"),
+    "minItems": (lambda vs, s: min(map(len, _of(vs, "array")), default=s) >= s,
+                 lambda v, s: f"{v!r} {'should be non-empty' if s == 1 else 'is too short'}"),
+    "maxItems": (lambda vs, s: max(map(len, _of(vs, "array")), default=s) <= s,
+                 lambda v, s: f"{v!r} is too long"),
+    "minimum": (lambda vs, s: set(map(type, vs)) <= {int} and min(vs) >= s
+                or not any(v < s for v in _of(vs, "number")),
+                lambda v, s: f"{v!r} is less than the minimum of {s!r}"),
+    "enum": (lambda vs, s: all(any(_equal(v, e) for e in s) for v in vs),
+             lambda v, s: f"{v!r} is not one of {s!r}"),
+    "const": (lambda vs, s: all(_equal(v, s) for v in vs), lambda v, s: f"{s!r} was expected"),
 }
 
 
-def _conform_all(instances: list, schema) -> bool:
-    """Whether every one of ``instances`` passes :func:`_conforms`.
-
-    One keyword at a time over the whole list: ``properties`` and ``items``
-    gather the sub-instances of every instance and recurse once, so the
-    number of calls follows the depth of ``schema``, not the size of the
-    instances (all the members of an assemblage are one list).
-    """
+def _walk(instances: list, schema: dict):
+    """The first fault of ``instances`` against a node of ``SCHEMA``, or None:
+    ``(path, keyword, value, expected)``, the path starting at the failing
+    instance's place in ``instances``, and ``expected`` the keyword's value."""
     if not instances:
-        return True
-    for key, value in schema.items():
-        check = _KEYWORDS.get(key)
-        if check is None or not check(instances, value):
-            return False
-    return True
-
-
-def _conforms(instance, schema) -> bool:
-    """A fast, conservative check of ``instance`` against a node of ``SCHEMA``.
-
-    True means jsonschema accepts the instance too.  False means it may not:
-    a keyword this check does not implement, an integer written as ``1.0``,
-    or a real fault; ``parse`` then asks jsonschema.
-    """
-    return _conform_all([instance], schema)
+        return None
+    for keyword, expected in schema.items():
+        if keyword == "properties":
+            for key, sub in expected.items():
+                fault = _walk([v[key] for v in _of(instances, "object") if key in v], sub)
+                if fault is not None:  # the place of the key's owner
+                    (j, *below), *rest = fault
+                    i = [i for i, v in enumerate(instances) if type(v) is dict and key in v][j]
+                    return (i, key, *below), *rest
+        elif keyword == "items":
+            fault = _walk(list(chain.from_iterable(_of(instances, "array"))), expected)
+            if fault is not None:  # the item's array and its position there
+                (j, *below), *rest = fault
+                i, k = [(i, k) for i, v in enumerate(instances) if type(v) is list
+                        for k in range(len(v))][j]
+                return (i, k, *below), *rest
+        elif keyword not in ("$schema", "$defs"):  # annotations constrain nothing
+            passes = _LEAVES[keyword][0]
+            if not passes(instances, expected):
+                i = next(i for i, v in enumerate(instances) if not passes([v], expected))
+                return (i,), keyword, instances[i], expected
+    return None
 
 
 @dataclass(frozen=True)
@@ -333,7 +337,7 @@ def _state_in(obj, path) -> State:
 
 
 def _povm_in(obj, path) -> Povm:
-    dim, rows = int(obj["dim"]), obj["effects"]  # jsonschema accepts 2.0
+    dim, rows = int(obj["dim"]), obj["effects"]  # the walk accepts 2.0
     at = [(x, a) for x, row in enumerate(rows) for a in range(len(row))]
     stack = _stack_in(list(chain.from_iterable(rows)), (dim,),
                       lambda i: f"{path}.effects[{at[i][0]}][{at[i][1]}]")
@@ -451,49 +455,42 @@ _PARSERS = {
 }
 
 
-@functools.cache
-def _validator(kind):
-    """The jsonschema validator of ``SCHEMA`` (kind None) or of ``$defs[kind]``,
-    built on first use: jsonschema is imported only to explain a rejection."""
-    from jsonschema import Draft202012Validator
-    return Draft202012Validator(SCHEMA if kind is None else SCHEMA["$defs"][kind])
+def _fault_in(raw):
+    """The first fault of a decoded document, envelope then payload, or None."""
+    return _walk([raw], SCHEMA) or _walk(
+        [raw], {"properties": {"payload": SCHEMA["$defs"][raw["kind"]]}})
 
 
-def _validate(instance, kind=None, path="$"):
-    """Raise jsonschema's best-matching error, if any, at its JSON path."""
-    from jsonschema.exceptions import best_match
-    error = best_match(_validator(kind).iter_errors(instance))
-    if error is not None:
-        raise DocumentError(error.message, path + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in error.absolute_path))
+def _checked(raw):
+    """A decoded document ``raw`` if the walk accepts it; else its first fault
+    is raised, worded as jsonschema words it."""
+    fault = _fault_in(raw)
+    if fault is not None:
+        (_, *path), keyword, value, expected = fault
+        raise DocumentError(_LEAVES[keyword][1](value, expected), "$" + "".join(
+            f"[{p}]" if type(p) is int else f".{p}" for p in path))
+    return raw
 
 
-def _orjson_tree(data):
-    """orjson's tree of document bytes or str ``data``, when orjson decodes
-    them and the walk accepts the tree, envelope and payload; else None."""
+def _tree(data):
+    """The checked tree of document bytes or str ``data``: orjson's when the
+    walk accepts it, else the ``json`` module's."""
     try:
         raw = orjson.loads(data)
     except orjson.JSONDecodeError:
-        return None
-    if _conforms(raw, SCHEMA) and _conforms(raw["payload"],
-                                            SCHEMA["$defs"][raw["kind"]]):
-        return raw
-    return None
+        pass
+    else:
+        if _fault_in(raw) is None:
+            return raw
+    try:
+        raw = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"invalid JSON at byte offset {exc.pos}: {exc.msg}")
+    return _checked(raw)
 
 
 def _parse(data) -> Document:
-    raw = _orjson_tree(data) if isinstance(data, (bytes, str)) else None
-    if raw is None:  # the standard decoder and jsonschema name the fault
-        raw = data
-        if isinstance(data, (bytes, str)):
-            try:
-                raw = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise DocumentError(f"invalid JSON at byte offset {exc.pos}: {exc.msg}")
-        if not _conforms(raw, SCHEMA):
-            _validate(raw)
-        if not _conforms(raw["payload"], SCHEMA["$defs"][raw["kind"]]):
-            _validate(raw["payload"], raw["kind"], "$.payload")
+    raw = _tree(data) if isinstance(data, (bytes, str)) else _checked(data)
     kind = raw["kind"]
     try:
         payload, member_at = _PARSERS[kind](raw["payload"])
@@ -515,6 +512,8 @@ def parse(data) -> Document:
     gc.disable()
     try:
         return _parse(data)
+    except RecursionError:  # from json's decoder, or from the repr of a fault
+        raise DocumentError("nesting too deep") from None
     finally:
         if enabled:
             gc.enable()

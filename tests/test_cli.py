@@ -232,7 +232,7 @@ def test_custom_tolerance_is_reported(capsys):
 
 
 def _malformed_document(defect: str) -> dict:
-    if defect == "povm-entry":
+    if defect == "povm-entry":  # two faults, 1 and 0: the first is named
         return {"kind": "povm", "version": 1,
                 "payload": {"dim": 2, "effects": [[[[1, 0]]]]}}
     if defect in ("ragged-member", "string-index", "no-kind"):
@@ -255,7 +255,7 @@ def _malformed_document(defect: str) -> dict:
 @pytest.mark.parametrize("defect, path", [
     ("ragged-member", "$.payload.members[0].member"),
     ("povm-dim", "$.payload.povms[0].effects[0][0]"),
-    ("povm-entry", "$.payload.effects[0][0][0][1]"),
+    ("povm-entry", "$.payload.effects[0][0][0][0]"),
     ("string-index", "$.payload.members[0].a[0]"),
     ("no-kind", "$"),
 ])
@@ -510,12 +510,12 @@ def _realization_document(defect: str) -> dict:
 
 
 # Each entry with the error a state document gives for it, after the path
-# of the entry.
+# of the entry; of two faults, the first is named.
 _MALFORMED_ENTRIES = {"one-number-entry": ([0.5], ": [0.5] is too short"),
                       "empty-entry": ([], ": [] is too short"),
                       "string-entry": ("0.5", ": '0.5' is not of type 'array'"),
                       "boolean-entry": ([False, False],
-                                        "[1]: False is not of type 'number'")}
+                                        "[0]: False is not of type 'number'")}
 
 
 @pytest.mark.parametrize("command", ["verify", "extremality", "lhs"])

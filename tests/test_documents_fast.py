@@ -1,16 +1,20 @@
-"""The fast document check agrees with jsonschema where it accepts.
+"""The document walk decides and names faults as jsonschema does.
 
-``documents.parse`` accepts a document when ``_conforms`` says it matches
-``SCHEMA`` and asks jsonschema only otherwise, so ``_conforms`` must never
-accept what jsonschema rejects.  Hypothesis mutates the bundled fixtures
-and a generated assemblage (``conftest.mutated``); the values it writes in
+``documents.parse`` checks a document with one walk of ``SCHEMA``, which
+both decides it and names its first fault; jsonschema, kept here as the
+oracle, must agree.  Hypothesis mutates the bundled fixtures and a
+generated assemblage (``conftest.mutated``); the values it writes in
 include integer-valued floats, booleans, numeric strings and three-element
-pairs.  ``_conforms`` checks all the members of an assemblage as one list,
-so a fault in any one member must still make it say no, and its number of
-calls must not grow with the number of members.  ``_matrix_in`` reads a
-matrix in bulk; it must give the same array, byte for byte, or the same
-error as the entry-by-entry reader it replaced, which is kept here as the
-reference.
+pairs.  The walk and jsonschema must agree on accept or reject; a document
+with one fault must get jsonschema's message and path, and one with
+several faults one of jsonschema's errors.  The walk checks all the
+members of an assemblage as one list, so a fault in any one member must
+still be found and named, and its number of calls must not grow with the
+number of members.  A document nested deeper than the decoders or the
+repr of a fault reach is a fault at ``$``, never a ``RecursionError``.
+``_matrix_in`` reads a matrix in bulk; it must give the same array, byte
+for byte, or the same error as the entry-by-entry reader it replaced,
+which is kept here as the reference.
 
 ``parse`` decodes text with orjson and falls back to the standard ``json``
 module where orjson refuses the text or the walk refuses orjson's tree.
@@ -33,12 +37,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 from conftest import BASES, mutated, pure_realization
-from steercert import documents, gallery
+from steercert import cli, documents, gallery
 from steercert.assemblages import Assemblage
 from steercert.channel_assemblages import ChannelAssemblage, to_choi_assemblage
 from steercert.channels import ChoiOp, Povm, State
-from steercert.documents import (SCHEMA, Document, DocumentError, Realization, _conforms,
-                                 _matrix_in)
+from steercert.documents import SCHEMA, Document, DocumentError, Realization, _matrix_in
 
 ENVELOPE = Draft202012Validator(SCHEMA)
 PAYLOADS = {kind: Draft202012Validator(schema) for kind, schema in SCHEMA["$defs"].items()}
@@ -47,15 +50,37 @@ VALUES = st.sampled_from([float("nan"), float("inf"), True, False, None, "x", "1
                           [], {}, [[1, 0]], [1, 0, 0], [0.5, 0.5, 0.5]])
 
 
-@settings(max_examples=400, deadline=None, derandomize=True,
+def _jsonschema_errors(doc) -> list:
+    """jsonschema's errors of a document as ``(message, path)``: those of its
+    envelope, or, when there are none, those of its payload."""
+    errors = list(ENVELOPE.iter_errors(doc))
+    prefix = "$"
+    if not errors:
+        errors, prefix = list(PAYLOADS[doc["kind"]].iter_errors(doc["payload"])), "$.payload"
+    return [(error.message, prefix + "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                                             for p in error.absolute_path))
+            for error in errors]
+
+
+def _walk_error(doc):
+    """The walk's fault of a document as ``(message, path)``, or None."""
+    try:
+        documents._checked(doc)
+    except DocumentError as error:
+        return str(error)[len(error.path) + 2:], error.path
+    return None
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=mutated(VALUES))
-def test_fast_check_accepts_only_what_jsonschema_accepts(doc):
-    if _conforms(doc, SCHEMA):
-        assert ENVELOPE.is_valid(doc)
-        kind = doc["kind"]
-        if _conforms(doc["payload"], SCHEMA["$defs"][kind]):
-            assert PAYLOADS[kind].is_valid(doc["payload"])
+def test_walk_agrees_with_jsonschema(doc):
+    errors, error = _jsonschema_errors(doc), _walk_error(doc)
+    assert (error is None) == (not errors)
+    if len(errors) == 1:
+        assert error == errors[0]
+    elif errors:
+        assert error in errors
 
 
 def _gallery_documents() -> list:
@@ -70,26 +95,29 @@ def _gallery_documents() -> list:
 
 
 @pytest.mark.parametrize("doc", BASES + _gallery_documents(), ids=lambda doc: doc["kind"])
-def test_fast_check_accepts_fixtures_and_gallery_objects(doc):
-    assert _conforms(doc, SCHEMA)
-    assert _conforms(doc["payload"], SCHEMA["$defs"][doc["kind"]])
+def test_walk_accepts_fixtures_and_gallery_objects(doc):
+    assert documents._fault_in(doc) is None
 
 
-@pytest.mark.parametrize("instance, schema", [
-    (2, {"type": "integer", "multipleOf": 2}),  # a keyword the check lacks
-    (2, {"type": ["integer", "null"]}),
-    (1.0, {"type": "integer"}),  # jsonschema reads 1.0 as an integer
-    (True, {"type": "integer"}),
-    (True, {"type": "number"}),
-    (True, SCHEMA["properties"]["version"]),
-    ([1, True], documents._DIMS),
-    ([[[1, 0], [0, True]]], documents._MATRIX),
+@pytest.mark.parametrize("instance, schema, accepted", [
+    (1.0, {"type": "integer"}, True),  # as jsonschema reads it
+    (-2.0 ** 62, {"type": "integer"}, True),
+    (2.0 ** 63, {"type": "integer"}, False),  # unlike jsonschema: orjson's range
+    (-2.0 ** 63, {"type": "integer"}, False),
+    (float("inf"), {"type": "integer"}, False),
+    (True, {"type": "integer"}, False),
+    (True, {"type": "number"}, False),
+    (1.0, SCHEMA["properties"]["version"], True),
+    (True, SCHEMA["properties"]["version"], False),
+    ([1, True], documents._DIMS, False),
+    ([1, 2.0], documents._DIMS, True),
+    ([[[1, 0], [0, True]]], documents._MATRIX, False),
 ])
-def test_fast_check_rejects_what_it_does_not_decide(instance, schema):
-    assert not _conforms(instance, schema)
+def test_walk_decides_integers_and_booleans(instance, schema, accepted):
+    assert (documents._walk([instance], schema) is None) is accepted
 
 
-def test_integer_valued_floats_fall_back_to_jsonschema():
+def test_integer_valued_floats_pass_the_walk():
     raw = documents.serialize(to_choi_assemblage(gallery.bell_cnot_assemblage()))
     expected = documents.parse(raw).payload.members
     raw["version"] = 1.0
@@ -97,6 +125,20 @@ def test_integer_valued_floats_fall_back_to_jsonschema():
     for entry in raw["payload"]["members"]:
         entry["a"] = [float(v) for v in entry["a"]]
     assert np.array_equal(documents.parse(raw).payload.members, expected)
+
+
+def _keywords(schema):
+    """Every keyword of a schema node and of the nodes below it."""
+    yield from schema
+    subs = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values()]
+    for sub in subs + ([schema["items"]] if "items" in schema else []):
+        yield from _keywords(sub)
+
+
+def test_walk_implements_every_keyword_of_the_schema():
+    used = set(_keywords(SCHEMA))
+    assert used <= {*documents._LEAVES, "properties", "items", "$schema", "$defs"}
+    assert set(documents._LEAVES) <= used
 
 
 @pytest.mark.parametrize("kind, field", [("realization", "dim"), ("channel", "in_dim"),
@@ -142,7 +184,7 @@ def test_fault_in_one_member_is_found_and_named(fault, place):
     assert len(members) == 729
     j = {"first": 0, "middle": 364, "last": 728}[place]
     _put_fault(members[j], fault)
-    assert not _conforms(raw["payload"], SCHEMA["$defs"]["assemblage"])
+    assert documents._fault_in(raw) is not None
     with pytest.raises(DocumentError) as info:
         documents.parse(raw)
     member, path = f"$.payload.members[{j}]", info.value.path
@@ -150,22 +192,59 @@ def test_fault_in_one_member_is_found_and_named(fault, place):
 
 
 def test_walk_calls_follow_the_schema_not_the_members(monkeypatch):
-    walk, calls = documents._conform_all, []
+    walk, calls = documents._walk, []
 
     def counted(instances, schema):
         calls.append(len(instances))
         return walk(instances, schema)
 
-    monkeypatch.setattr(documents, "_conform_all", counted)
+    monkeypatch.setattr(documents, "_walk", counted)
     counts = {}
     for size in [(2, 2, 2, 2), (3, 3, 3, 2)]:
         payload = _assemblage_document(*size)["payload"]
         calls.clear()
-        assert _conforms(payload, SCHEMA["$defs"]["assemblage"])
+        assert documents._walk([payload], SCHEMA["$defs"]["assemblage"]) is None
         assert max(calls) >= len(payload["members"])  # the members in one call
         counts[len(payload["members"])] = len(calls)
     assert list(counts) == [16, 729]
     assert counts[16] == counts[729]
+
+
+# Places in the channel assemblage fixture where nested arrays are written:
+# three the schema constrains and one it does not.
+NESTED = {
+    "kind": lambda doc: (doc, "kind"),
+    "index": lambda doc: (doc["payload"]["members"][0], "a"),
+    "choi entry": lambda doc: (doc["payload"]["members"][0]["choi"][0], 0),
+    "unconstrained": lambda doc: (doc["payload"], "note"),
+}
+
+
+@pytest.mark.parametrize("depth", [500, 990, 1025, 100_000])
+@pytest.mark.parametrize("place", sorted(NESTED))
+def test_deep_nesting_is_an_input_error_only_where_constrained(place, depth, tmp_path,
+                                                               capsys):
+    doc = copy.deepcopy(BASES[2])
+    node, key = NESTED[place](doc)
+    node[key] = "@"
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace('"@"', "[" * depth + "]" * depth))
+    code = cli.main(["--output", "json", "verify", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    if place == "unconstrained":
+        assert code == 0
+    else:
+        assert code == 3 and report["details"]["error"].startswith("$")
+
+
+def test_deep_nesting_in_a_loaded_document_is_a_fault_at_the_root():
+    doc, nested = copy.deepcopy(BASES[2]), []
+    for _ in range(100_000):
+        nested = [nested]
+    doc["kind"] = nested  # its repr, in the message, recurses too deep
+    with pytest.raises(DocumentError) as info:
+        documents.parse(doc)
+    assert str(info.value) == "$: nesting too deep"
 
 
 def _reference_complex_in(pair, path):
@@ -242,11 +321,8 @@ def _reference_parse(data):
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at byte offset {exc.pos}: {exc.msg}")
-    if not _conforms(raw, SCHEMA):
-        documents._validate(raw)
+    documents._checked(raw)
     kind = raw["kind"]
-    if not _conforms(raw["payload"], SCHEMA["$defs"][kind]):
-        documents._validate(raw["payload"], kind, "$.payload")
     try:
         payload, member_at = documents._PARSERS[kind](raw["payload"])
     except DocumentError:
@@ -343,6 +419,18 @@ def test_each_number_and_literal_parses_as_json_reads_it(value, place):
     for form, write in TEXTS.items():
         data = write(_text(doc))
         assert _parsed(_new_parse, data) == _parsed(_reference_parse, data), form
+
+
+@pytest.mark.parametrize("place, path", [("settings", "$.payload.scenario.settings[0]"),
+                                         ("index", "$.payload.members[1].a[0]")])
+def test_a_float_beyond_orjsons_integer_range_is_not_an_integer(place, path):
+    doc = _channel_assemblage_document()
+    node, key = PLACES[place](doc)
+    node[key] = 1e300
+    for form in ("utf-8", "str", "bom", "utf-16", "utf-32-le"):
+        with pytest.raises(DocumentError) as info:
+            documents.parse(TEXTS[form](_text(doc)))
+        assert str(info.value) == f"{path}: 1e+300 is not of type 'integer'", form
 
 
 def _faults() -> dict:
