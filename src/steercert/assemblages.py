@@ -302,7 +302,9 @@ def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssem
     Raises :class:`MemberError` if any member is not PSD within
     ``abs_tol`` (as :func:`verify_ns` measures it) or has rank two or
     more, and a ``ValueError`` if no member has trace at least
-    ``abs_tol``.
+    ``abs_tol``.  A member's rank is that of its Hermitian part, taken
+    from the eigendecomposition that gives its ket: the count of
+    ``|lambda|`` above ``rank_rel_tol`` times the largest.
     """
     positions = list(s.scenario.positions())
     not_psd = np.flatnonzero(psd_deviation(s.members) > tol.abs_tol)
@@ -313,15 +315,15 @@ def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssem
     if not len(kept):
         raise ValueError("no member has trace above abs_tol")
     stack = s.members[kept]
-    sv = np.linalg.svd(stack, compute_uv=False)
-    ranks = np.count_nonzero(sv > tol.rank_rel_tol * sv[:, :1], axis=1)
+    evals, vecs = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2)
+    mags = np.abs(evals)
+    ranks = np.count_nonzero(mags > tol.rank_rel_tol * mags.max(axis=1)[:, None], axis=1)
     if np.any(ranks > 1):
         j = int(np.argmax(ranks > 1))
         raise MemberError(positions[kept[j]], f"has rank {ranks[j]} > 1")
-    vecs = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2)[1][:, :, -1]
     order = sorted(range(len(kept)), key=lambda j: positions[kept[j]])
     return PureAssemblage(s.scenario, tuple(positions[kept[j]] for j in order),
-                          weights[kept[order]], vecs[order])
+                          weights[kept[order]], vecs[order, :, -1])
 
 
 @dataclass(frozen=True)

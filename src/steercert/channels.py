@@ -19,7 +19,6 @@ from .core import (
     Ket,
     Op,
     is_hermitian,
-    is_psd,
     output_trace,
     psd_deviation,
 )
@@ -33,8 +32,7 @@ class State:
     op: Op
 
     def __post_init__(self):
-        tol = DEFAULT_TOL.abs_tol
-        if not is_psd(self.op, tol):
+        if psd_deviation(self.op.data[None])[0] > DEFAULT_TOL.abs_tol:
             raise ValueError("state must be Hermitian and PSD")
         if abs(self.op.trace() - 1) > BUILD_SLACK:
             raise ValueError("state must have unit trace")
@@ -231,11 +229,11 @@ def verify_cptp(c: ChoiOp, tol: float = DEFAULT_TOL.abs_tol) -> CptpReport:
     Trace preservation: the partial trace of the Choi matrix over the
     output factor must equal ``1/d_in``.
     """
-    cp = is_psd(c.op, tol)
+    cp = bool(psd_deviation(c.op.data[None])[0] <= tol)
     evals = np.linalg.eigvalsh((c.op.data + c.op.data.conj().T) / 2)
     reduced = output_trace(c.op.data, c.out_dim, c.in_dim)[0]
     dev = float(np.max(np.abs(reduced - np.eye(c.in_dim) / c.in_dim)))
-    return CptpReport(cp=cp, tp=dev < tol,
+    return CptpReport(cp=cp, tp=dev <= tol,
                       min_eigenvalue=float(evals[0]), tp_deviation=dev)
 
 

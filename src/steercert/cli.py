@@ -7,7 +7,7 @@ Commands: ``verify``, ``choi``, ``extremality``, ``lhs``, ``security-cert``,
 Each ``cmd_*`` takes the parsed arguments, the ``Tolerances`` and the parsed
 ``Document`` (``None`` for the commands that read none) and returns
 ``(status, details)``; ``choi`` and ``schema`` print a document instead and
-return ``None``.  No command catches an exception or prints a report:
+return ``None``.  No command prints a report or handles an exception:
 ``main`` alone does.  It maps ``OSError`` (a missing or unreadable document,
 an unwritable ``--certificate-out``) and ``ValueError`` (``DocumentError``,
 a non-positive or non-finite tolerance, a mode or key setting that does not
@@ -18,8 +18,10 @@ rejects (:class:`.assemblages.MemberError`) is located at its entry,
 ``$.payload.members[j]``, in an assemblage or a channel assemblage
 document, and at ``$.payload`` in a realization; an assemblage that
 violates the family a certificate is built from
-(:class:`.certificates.UnsatisfiedReference`) at ``$.payload``; a command
-or mode that does not take the document's kind at ``$.kind``.
+(:class:`.certificates.UnsatisfiedReference`), and a correlation table
+that ``security-cert`` refuses (it re-raises the refusal with this path),
+at ``$.payload``; a command or mode that does not take the document's
+kind at ``$.kind``.
 """
 
 from __future__ import annotations
@@ -187,8 +189,11 @@ def cmd_security_cert(args, tol: Tolerances, doc: Document):
     if doc.kind != "channel_assemblage":
         raise DocumentError("expected a channel_assemblage document", "$.kind")
     pin = eavesdropper_pinning(_pure(doc, tol), args.x_key, args.y_key, tol)
-    table = correlations(doc.payload, gallery.key_input_state(),
-                         gallery.key_measurement())
+    try:
+        table = correlations(doc.payload, gallery.key_input_state(),
+                             gallery.key_measurement(), tol.abs_tol)
+    except ValueError as exc:
+        raise DocumentError(str(exc), "$.payload") from None
     key_ok = perfect_key_check(table, args.x_key, args.y_key, tol.abs_tol)
     return (PASS if (pin.certified and key_ok) else FAIL,
             {"pinning": pin.to_json(), "perfect_key": key_ok})

@@ -134,11 +134,6 @@ def psd_deviation(stack: np.ndarray) -> np.ndarray:
     return np.maximum(hermiticity, -np.linalg.eigvalsh((stack + adjoint) / 2)[:, 0])
 
 
-def is_psd(a: Op, tol: float = DEFAULT_TOL.abs_tol) -> bool:
-    """Hermitian within ``tol`` with minimal eigenvalue >= -tol."""
-    return bool(psd_deviation(a.data[None])[0] <= tol)
-
-
 def _gamma(k: int) -> float:
     """``gamma_k = k u / (1 - k u)``, ``u`` the unit roundoff: the bound on
     the relative rounding error of ``k`` floating-point operations."""

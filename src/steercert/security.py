@@ -10,7 +10,7 @@ there and no attack can bias the key."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -27,15 +27,17 @@ from .certificates import (
 
 @dataclass(frozen=True)
 class CorrelationTable:
-    """p(a, b, c | x, y, z) as an array indexed [x][y][z][a][b][c]."""
+    """p(a, b, c | x, y, z) as an array indexed [x][y][z][a][b][c]; no
+    entry may fall below ``-tol``."""
 
     table: np.ndarray = field(repr=False)
+    tol: InitVar[float] = DEFAULT_TOL.abs_tol
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         arr = np.asarray(self.table, dtype=float)
         if arr.ndim != 6:
             raise ValueError("correlation table must be 6-dimensional")
-        if np.any(arr < -DEFAULT_TOL.abs_tol):
+        if np.any(arr < -tol):
             raise ValueError("probabilities must be nonnegative")
         object.__setattr__(self, "table", arr)
 
@@ -43,9 +45,11 @@ class CorrelationTable:
         return float(self.table[x, y, z, a, b, c])
 
 
-def correlations(l: ChannelAssemblage, rho: State, charlie: Povm) -> CorrelationTable:
+def correlations(l: ChannelAssemblage, rho: State, charlie: Povm,
+                 tol: float = DEFAULT_TOL.abs_tol) -> CorrelationTable:
     """Measured statistics when the trusted side feeds ``rho`` through each
-    member map and measures the output with ``charlie``."""
+    member map and measures the output with ``charlie``, refused if an
+    entry falls below ``-tol``."""
     scen = l.scenario
     if scen.n_parties != 2:
         raise ValueError("correlations are defined for two untrusted parties")
@@ -61,7 +65,7 @@ def correlations(l: ChannelAssemblage, rho: State, charlie: Povm) -> Correlation
     # p(a, b, c | x, y, z) = Tr[E_{c|z} L_{ab|xy}(rho)], where
     # L(rho) = d_in Tr_in[(1 (x) rho^T) J]
     table = d_in * np.einsum("zcqo,xyabomqn,mn->xyzabc", effects, choi, rho.op.data).real
-    return CorrelationTable(table)
+    return CorrelationTable(table, tol)
 
 
 def perfect_key_check(t: CorrelationTable, x_key: int, y_key: int,
@@ -72,18 +76,11 @@ def perfect_key_check(t: CorrelationTable, x_key: int, y_key: int,
     (0,0,0) and (1,1,1) each occur with probability one half for every
     trusted setting, and everything else vanishes.
     """
-    m1, m2, mz, k1, k2, kz = t.table.shape
-    if (k1, k2, kz) != (2, 2, 2):
+    if t.table.shape[3:] != (2, 2, 2):
         raise ValueError("perfect key check requires binary outcomes throughout")
-    block = t.table[x_key, y_key]
-    for z in range(mz):
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    expected = 0.5 if a == b == c else 0.0
-                    if abs(block[z, a, b, c] - expected) > tol:
-                        return False
-    return True
+    expected = np.zeros((2, 2, 2))
+    expected[0, 0, 0] = expected[1, 1, 1] = 0.5
+    return bool(np.all(np.abs(t.table[x_key, y_key] - expected) <= tol))
 
 
 @dataclass(frozen=True)

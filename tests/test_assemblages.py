@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from conftest import random_density
+from hypothesis import given, settings, strategies as st
 
-from steercert.core import Ket, Op
+from steercert.core import DEFAULT_TOL, Ket, Op
 from steercert.channels import (
     Povm,
     projective_povm,
@@ -13,6 +14,7 @@ from steercert.assemblages import (
     Assemblage,
     HermitianRealization,
     LhsModel,
+    MemberError,
     NoLhs,
     Scenario,
     assemblage_from_realization,
@@ -223,3 +225,42 @@ def test_canonicalize_pure_names_high_rank_position():
     with pytest.raises(ValueError, match=r"\(0,\)\|\(0,\)"):
         canonicalize_pure(s)
 
+
+def test_canonicalize_pure_ranks_the_hermitian_part():
+    # a rank-one member plus a skew of 1e-10: PSD within abs_tol, and its
+    # Hermitian part, which gives the ket, has rank one; the SVD of the
+    # member itself counts the skew as a second singular value
+    v = np.array([1, 1j]) / np.sqrt(2)
+    skewed = 1e-3 * np.outer(v, v.conj()) + 1e-10 * np.array([[0, 1], [-1, 0]])
+    sv = np.linalg.svd(skewed, compute_uv=False)
+    assert sv[1] > DEFAULT_TOL.rank_rel_tol * sv[0]
+    s = Assemblage(Scenario((1,), (2,), (2,)), [skewed, 0.999 * np.diag([1.0, 0.0])])
+    p = canonicalize_pure(s)
+    assert p.support == (((0,), (0,)), ((1,), (0,)))
+    assert abs(np.vdot(v, p.kets[0])) == pytest.approx(1, abs=1e-12)
+    np.testing.assert_allclose(p.weights, [1e-3, 0.999])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=st.integers(2, 4), log_trace=st.floats(-6, 0), above=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_rank_decision_at_rank_rel_tol(d, log_trace, above, seed):
+    """Planted lambda_2 / lambda_1 = rank_rel_tol * (1 +- 1e-3) in an exactly
+    Hermitian PSD member: the rank follows the planted side, and agrees
+    with the SVD of the member."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    ratio = DEFAULT_TOL.rank_rel_tol * (1 + (1e-3 if above else -1e-3))
+    lam = np.zeros(d)
+    lam[:2] = np.array([1, ratio]) * 10**log_trace / (1 + ratio)
+    member = (u * lam) @ u.conj().T
+    member = (member + member.conj().T) / 2
+    sv = np.linalg.svd(member, compute_uv=False)
+    assert (sv[1] > DEFAULT_TOL.rank_rel_tol * sv[0]) == above  # the oracle
+    s = Assemblage(Scenario((1,), (1,), (d,)), [member])
+    if above:
+        with pytest.raises(MemberError, match="has rank 2 > 1"):
+            canonicalize_pure(s)
+    else:
+        ket = canonicalize_pure(s).kets[0]
+        assert abs(np.vdot(u[:, 0], ket)) == pytest.approx(1, abs=1e-9)

@@ -60,6 +60,28 @@ def test_verify_channel_document(capsys, tmp_path):
     assert report["details"]["cp"] and report["details"]["tp"]
 
 
+# tp_deviation of the boundary channel is 2**-20 exactly, the flag's value
+_BOUNDARY_TOL = "9.5367431640625e-07"
+
+
+@pytest.mark.parametrize("payload, flags, code, cp, tp", [
+    ({"in_dim": 2, "out_dim": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+     (), 0, True, True),
+    ({"in_dim": 1, "out_dim": 2, "choi": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]},
+     (), 1, False, True),
+    ({"in_dim": 1, "out_dim": 1, "choi": [[[1.0000009536743164, 0.0]]]},
+     ("--abs-tol", _BOUNDARY_TOL), 0, True, True),
+], ids=["identity-kraus", "not-cp", "tp-at-abs-tol"])
+def test_verify_cptp_report(capsys, tmp_path, payload, flags, code, cp, tp):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"kind": "channel", "version": 1, "payload": payload}))
+    got, report = run_json(capsys, *flags, "verify", str(path))
+    details = report["details"]
+    assert (got, details["mode"], details["cp"], details["tp"]) == (code, "cptp", cp, tp)
+    if flags:
+        assert details["tp_deviation"] == float(_BOUNDARY_TOL)
+
+
 def test_verify_rejects_mismatched_mode(capsys, tmp_path):
     _, _, channel, _ = gallery.bell_cnot_realization()
     path = tmp_path / "channel.json"
@@ -181,6 +203,36 @@ def test_security_cert_command(capsys):
     assert code == 0
     assert report["details"]["perfect_key"] is True
     assert report["details"]["pinning"]["certified"] is True
+
+
+def _key_member_lowered(tmp_path, eps: float) -> str:
+    """The Bell-CNOT channel assemblage with ``eps |u><u|`` taken from the
+    member (0, 0)|(0, 0), ``u`` the unit part of |1>_out|0>_in orthogonal
+    to the member's principal ket."""
+    raw = json.loads(open(data_path("example1_channel_assemblage.json")).read())
+    member = raw["payload"]["members"][0]
+    assert (member["a"], member["x"]) == ([0, 0], [0, 0])
+    choi = np.array([[complex(*z) for z in row] for row in member["choi"]])
+    ket = np.linalg.eigh(choi)[1][:, -1]
+    u = np.eye(4)[2] - ket * ket.conj()[2]
+    u /= np.linalg.norm(u)
+    choi = choi - eps * np.outer(u, u.conj())
+    member["choi"] = [[[z.real, z.imag] for z in row] for row in choi]
+    path = tmp_path / "lowered.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_security_cert_judges_the_table_at_abs_tol(capsys, tmp_path):
+    flags = ("--abs-tol", "1e-5", "--rank-tol", "1e-4", "--nnls-tol", "1e-4")
+    # pinning accepts the member at 1e-5, and so does the table it gives
+    code, report = run_json(capsys, *flags, "security-cert",
+                            _key_member_lowered(tmp_path, 3e-7))
+    assert code == 0 and report["details"]["perfect_key"] is True
+    code, report = run_json(capsys, *flags, "security-cert",
+                            _key_member_lowered(tmp_path, 9e-6))
+    assert code == 3
+    assert report["details"]["error"] == "$.payload: probabilities must be nonnegative"
 
 
 def test_security_cert_declines_other_setting(capsys):

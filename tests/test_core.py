@@ -12,11 +12,11 @@ from steercert.core import (
     Op,
     Tolerances,
     is_hermitian,
-    is_psd,
     kron,
     nnls,
     nullspace,
     nullspace_and_spectrum,
+    psd_deviation,
 )
 
 
@@ -91,8 +91,8 @@ def test_partial_trace_keep_all_and_bad_index():
 def test_hermitian_and_psd_checks():
     assert is_hermitian(Op((2,), [[1, 1j], [-1j, 2]]))
     assert not is_hermitian(Op((2,), [[1, 1], [2, 1]]))
-    assert is_psd(Op((2,), np.diag([1.0, 0.0])))
-    assert not is_psd(Op((2,), np.diag([1.0, -1e-3])))
+    assert psd_deviation(np.diag([1.0, 0.0])[None])[0] <= DEFAULT_TOL.abs_tol
+    assert psd_deviation(np.diag([1.0, -1e-3])[None])[0] > DEFAULT_TOL.abs_tol
 
 
 def test_nullspace_contract(rng):

@@ -29,6 +29,11 @@ def test_correlation_table_validation():
         CorrelationTable(np.zeros((2, 2, 2, 2, 2)))
     with pytest.raises(ValueError):
         CorrelationTable(-np.ones((1, 1, 1, 2, 2, 2)))
+    # entries are judged against the tolerance the table is built with
+    slightly_negative = np.full((1, 1, 1, 2, 2, 2), -1e-7)
+    with pytest.raises(ValueError, match="probabilities must be nonnegative"):
+        CorrelationTable(slightly_negative)
+    CorrelationTable(slightly_negative, 1e-6)
 
 
 def test_key_setting_statistics(bell_table):
@@ -48,6 +53,12 @@ def test_perfect_key_check(bell_table):
     # other settings mix outcomes and cannot give a perfect key
     assert not perfect_key_check(bell_table, 1, 0)
     assert not perfect_key_check(bell_table, 1, 1)
+
+
+def test_perfect_key_check_fails_on_nan(bell_table):
+    table = bell_table.table.copy()
+    table[0, 0, 0, 0, 1, 0] = np.nan
+    assert not perfect_key_check(CorrelationTable(table), 0, 0)
 
 
 def test_perfect_key_requires_binary_outcomes():
