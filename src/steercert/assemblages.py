@@ -231,11 +231,10 @@ def measured_members(w: Op, povms, scenario: Scenario) -> np.ndarray:
     for i, (povm, m, k) in enumerate(zip(povms, scenario.settings, scenario.outcomes)):
         if not povm.covers(m, k):
             raise ValueError(f"POVM of party {i} is too small for the scenario")
-        effects = np.array([[e.data for e in row[:k]] for row in povm.effects[:m]])
         rest = t.shape[-1] // povm.dim
         t = t.reshape(len(t), povm.dim, rest, povm.dim, rest)
         # sum_{r,c} E[c, r] t[:, r, :, c, :]: the partial trace of (E (x) 1) t
-        t = np.tensordot(t, effects, axes=([1, 3], [3, 2]))
+        t = np.tensordot(t, povm.effects[:m, :k], axes=([1, 3], [3, 2]))
         t = np.moveaxis(t, (3, 4), (1, 2)).reshape(-1, rest, rest)
     d = t.shape[-1]
     t = t.reshape([v for mk in zip(scenario.settings, scenario.outcomes) for v in mk] + [d, d])

@@ -49,67 +49,53 @@ def pure_state(ket: Ket) -> State:
 
 @dataclass(frozen=True)
 class Povm:
-    """Measurement effects indexed by (setting, outcome).
+    """Measurement effects as one read-only complex array of shape
+    ``(settings, outcomes, dim, dim)``.
 
-    ``effects[x][a]`` is the effect for outcome ``a`` under setting ``x``.
+    ``effects[x, a]`` is the effect for outcome ``a`` under setting ``x``.
     Effects of each setting must be PSD and sum to the identity.
     """
 
     dim: int
-    effects: tuple  # tuple of tuples of Op
+    effects: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        effects = tuple(tuple(row) for row in self.effects)
+        effects = np.array(self.effects, dtype=complex)  # a copy the caller cannot write
+        if effects.ndim != 4 or effects.shape[2:] != (self.dim, self.dim):
+            raise ValueError(f"effects have shape {effects.shape}, expected "
+                             f"(settings, outcomes, {self.dim}, {self.dim})")
+        effects.flags.writeable = False
         object.__setattr__(self, "effects", effects)
-        # One stack of the effects before the first of a wrong shape, and
-        # the faults in the order of a walk over (setting, outcome): the
-        # first bad effect comes after the sums of the settings before it.
-        eye = np.eye(self.dim)
-        flat = [(x, a, eff.data) for x, row in enumerate(effects) for a, eff in enumerate(row)]
-        good = next((f for f, (_, _, data) in enumerate(flat) if data.shape != eye.shape),
-                    len(flat))
-        stack = np.array([data for _, _, data in flat[:good]],
-                         dtype=complex).reshape((good,) + eye.shape)
-        not_psd = psd_deviation(stack) > BUILD_SLACK if good else np.zeros(0, dtype=bool)
-        bad = int(np.argmax(np.append(not_psd, True)))  # the first bad effect
-        ends = np.cumsum([len(row) for row in effects])
-        for x, (row, end) in enumerate(zip(effects, ends)):
-            if end > bad:
-                break
-            if np.max(np.abs(stack[end - len(row):end].sum(axis=0) - eye)) > BUILD_SLACK:
-                raise ValueError(f"effects of setting {x} do not sum to identity")
-        if bad < len(flat):
-            x, a, _ = flat[bad]
-            raise ValueError(f"effect ({x},{a}) has wrong dimension" if bad == good
-                             else f"effect ({x},{a}) is not PSD")
+        # The faults in the order of a walk over (setting, outcome): the first
+        # setting x with an effect that is not PSD is named after the sums of
+        # the settings before it.
+        m, k, d, _ = effects.shape
+        not_psd = (psd_deviation(effects.reshape(-1, d, d)) > BUILD_SLACK).reshape(m, k)
+        off = np.abs(effects.sum(axis=1) - np.eye(d)).max(axis=(1, 2)) > BUILD_SLACK
+        x = int(np.argmax(np.append(not_psd.any(axis=1), True)))
+        if off[:x].any():
+            raise ValueError(f"effects of setting {np.argmax(off)} do not sum to identity")
+        if x < m:
+            raise ValueError(f"effect ({x},{np.argmax(not_psd[x])}) is not PSD")
 
     @property
     def settings(self) -> int:
-        return len(self.effects)
+        return self.effects.shape[0]
 
     @property
     def outcomes(self) -> int:
-        return len(self.effects[0])
+        return self.effects.shape[1]
 
     def covers(self, settings: int, outcomes: int) -> bool:
-        """Whether each of the first ``settings`` settings has at least
-        ``outcomes`` effects."""
-        return self.settings >= settings and all(
-            len(row) >= outcomes for row in self.effects[:settings])
+        """Whether there are at least ``settings`` settings and at least
+        ``outcomes`` effects to each."""
+        return self.settings >= settings and self.outcomes >= outcomes
 
 
 def projective_povm(bases) -> Povm:
     """POVM whose setting-``x`` effects project on the kets ``bases[x]``."""
-    rows = []
-    dim = None
-    for basis in bases:
-        row = []
-        for ket in basis:
-            v = np.asarray(ket, dtype=complex).reshape(-1)
-            dim = v.size
-            row.append(Op((dim,), np.outer(v, v.conj())))
-        rows.append(tuple(row))
-    return Povm(dim, tuple(rows))
+    kets = np.asarray(bases, dtype=complex)  # (settings, outcomes, dim)
+    return Povm(kets.shape[-1], kets[..., :, None] * kets[..., None, :].conj())
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,15 @@ violates the family a certificate is built from
 (:class:`.certificates.UnsatisfiedReference`), and a correlation table
 that ``security-cert`` refuses (it re-raises the refusal with this path),
 at ``$.payload``; a command or mode that does not take the document's
-kind at ``$.kind``.
+kind at ``$.kind``.  A closed standard output loses the rest of the
+output, with no traceback, and keeps the exit code (0 for ``choi``, ``schema``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -72,14 +74,13 @@ class Report:
                 "details": self.details, "tolerances": self.tolerances}
 
 
-def _emit(report: Report, args) -> int:
+def _emit(report: Report, args) -> None:
     if args.output == "json":
         print(json.dumps(report.to_json(), sort_keys=True))
     else:
         print(f"[{report.status}] {report.command}")
         for key in sorted(report.details):
             print(f"  {key}: {report.details[key]}")
-    return _EXIT[report.status]
 
 
 def _violation_details(report) -> dict:
@@ -337,6 +338,8 @@ def main(argv=None) -> int:
             with open(args.document, "rb") as fh:
                 doc = parse(fh.read())
         result = args.fn(args, tol, doc)
+    except BrokenPipeError:  # the command's own document found stdout closed
+        result = None
     except NnlsDidNotConverge as exc:
         result = INCONCLUSIVE, {"error": str(exc)}
     except MemberError as exc:
@@ -345,9 +348,16 @@ def main(argv=None) -> int:
         result = INPUT_ERROR, {"error": str(DocumentError(str(exc), "$.payload"))}
     except (OSError, ValueError) as exc:
         result = INPUT_ERROR, {"error": str(exc)}
-    if result is None:  # the command printed a document of its own
-        return 0
-    return _emit(Report(args.command, *result, tolerances), args)
+    code = 0 if result is None else _EXIT[result[0]]  # None: a document was printed
+    try:
+        if result is not None:
+            _emit(Report(args.command, *result, tolerances), args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # so that the interpreter's last flush drops the rest
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -130,7 +130,7 @@ def psd_deviation(stack: np.ndarray) -> np.ndarray:
     larger of its max-abs Hermiticity deviation and ``-lambda_min`` of its
     Hermitian part."""
     adjoint = stack.conj().transpose(0, 2, 1)
-    hermiticity = np.abs(stack - adjoint).reshape(len(stack), -1).max(axis=1)
+    hermiticity = np.abs(stack - adjoint).max(axis=(1, 2))
     return np.maximum(hermiticity, -np.linalg.eigvalsh((stack + adjoint) / 2)[:, 0])
 
 

@@ -18,7 +18,8 @@ list fails does it look for the failing instance.  The parsers then read
 the matrices of an assemblage or of a POVM, and each Kraus operator, with
 one ``np.array`` call and fall back to one matrix or one entry at a time
 only to name the first fault.  A position listed twice in an assemblage
-is a fault at its second listing.
+is a fault at its second listing.  A POVM setting with another number of
+effects than setting 0 is a fault at that setting.
 
 ``parse`` decodes bytes or str with orjson, and again with the ``json``
 module, going on with that tree, only where orjson refuses the text
@@ -38,7 +39,7 @@ import cmath
 import gc
 import json
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -338,19 +339,21 @@ def _state_in(obj, path) -> State:
 
 def _povm_in(obj, path) -> Povm:
     dim, rows = int(obj["dim"]), obj["effects"]  # the walk accepts 2.0
-    at = [(x, a) for x, row in enumerate(rows) for a in range(len(row))]
+    k = len(rows[0]) if rows else 0
+    for x, row in enumerate(rows):
+        if len(row) != k:
+            raise DocumentError(f"setting {x} has a different number of effects "
+                                f"({len(row)}) than setting 0 ({k})", f"{path}.effects[{x}]")
     stack = _stack_in(list(chain.from_iterable(rows)), (dim,),
-                      lambda i: f"{path}.effects[{at[i][0]}][{at[i][1]}]")
-    ops = iter([Op((dim,), mat) for mat in stack])
+                      lambda i: f"{path}.effects[{i // k}][{i % k}]")
     try:
-        return Povm(dim, tuple(tuple(islice(ops, len(row))) for row in rows))
+        return Povm(dim, stack.reshape(len(rows), k, dim, dim))
     except ValueError as exc:
         raise DocumentError(str(exc), path)
 
 
 def _povm_out(p: Povm) -> dict:
-    return {"dim": p.dim,
-            "effects": [[_matrix_out(e.data) for e in row] for row in p.effects]}
+    return {"dim": p.dim, "effects": [[_matrix_out(e) for e in row] for row in p.effects]}
 
 
 def _channel_in(obj, path) -> ChoiOp:

@@ -61,11 +61,10 @@ def correlations(l: ChannelAssemblage, rho: State, charlie: Povm,
     (m1, m2), (k1, k2) = scen.settings, scen.outcomes
     # choi[x, y, a, b, o, i, o', i'] = J_{ab|xy}[(o, i), (o', i')]
     choi = l.members.reshape(m1, m2, k1, k2, d_out, d_in, d_out, d_in)
-    effects = np.array([[e.data for e in row] for row in charlie.effects])
     # p(a, b, c | x, y, z) = Tr[E_{c|z} L_{ab|xy}(rho)], where
     # L(rho) = d_in Tr_in[(1 (x) rho^T) J]
-    table = d_in * np.einsum("zcqo,xyabomqn,mn->xyzabc", effects, choi, rho.op.data).real
-    return CorrelationTable(table, tol)
+    table = np.einsum("zcqo,xyabomqn,mn->xyzabc", charlie.effects, choi, rho.op.data)
+    return CorrelationTable(d_in * table.real, tol)
 
 
 def perfect_key_check(t: CorrelationTable, x_key: int, y_key: int,

@@ -48,8 +48,8 @@ def random_realized_assemblage(rng, scen: Scenario) -> Assemblage:
         rows = []
         for _ in range(m):
             ch = random_kraus_channel(rng, 2, 2, n_kraus=k)
-            rows.append(tuple(Op((2,), op.conj().T @ op) for op in ch.kraus_ops))
-        povms.append(Povm(2, tuple(rows)))
+            rows.append([op.conj().T @ op for op in ch.kraus_ops])
+        povms.append(Povm(2, rows))
     dims = tuple(2 for _ in scen.settings) + scen.trusted_dims
     rho = random_density(rng, dims)
     return assemblage_from_realization(rho, tuple(povms), scen)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import identity, random_density
+from conftest import random_density
 
 from steercert.core import Ket, Op
 from steercert.channels import (
@@ -35,30 +35,53 @@ def test_state_validation():
 
 
 def test_povm_validation():
-    eye = identity((2,))
+    eye = np.eye(2)
     with pytest.raises(ValueError):
-        Povm(2, ((eye, eye),))  # sums to 2*I
+        Povm(2, [[eye, eye]])  # sums to 2*I
     p = projective_povm([[np.array([1, 0]), np.array([0, 1])]])
     assert p.settings == 1 and p.outcomes == 2 and p.dim == 2
+    assert p.effects.shape == (1, 2, 2, 2) and p.effects.dtype == complex
 
 
-def _ops(*diagonals):
-    return tuple(Op((len(d),), np.diag(d)) for d in diagonals)
+def _diagonals(*settings):
+    return [[np.diag(d) for d in setting] for setting in settings]
 
 
 @pytest.mark.parametrize("effects, message", [
     # a setting whose sum is off comes before a later effect that is not PSD
-    ((_ops([1, 1], [0, 0.5]), _ops([1.5, 1], [-0.5, 0])),
+    (_diagonals([[1, 1], [0, 0.5]], [[1.5, 1], [-0.5, 0]]),
      "effects of setting 0 do not sum to identity"),
-    # an effect that is not PSD comes before a later one of the wrong shape
-    ((_ops([1, 1.5], [0, -0.5]), _ops([1, 0, 0], [0, 1])), r"effect \(0,1\) is not PSD"),
-    # the wrong shape comes before its setting's sum
-    ((_ops([1, 0], [0, 1]), _ops([1, 0], [0, 1, 0])),
-     r"effect \(1,1\) has wrong dimension"),
+    # an effect that is not PSD comes before its own setting's sum
+    (_diagonals([[1, 0], [0, 1]], [[1, 1.5], [0, -0.5]], [[2, 2], [0, 0]]),
+     r"effect \(1,1\) is not PSD"),
+    # a setting with no effect sums to zero
+    (np.zeros((1, 0, 2, 2)), "effects of setting 0 do not sum to identity"),
+    # a wrong shape is one message for the whole array
+    (_diagonals([[1, 0, 0], [0, 1, 1]]),
+     r"effects have shape \(1, 2, 3, 3\), expected \(settings, outcomes, 2, 2\)"),
+    (np.eye(2)[None], r"effects have shape \(1, 2, 2\)"),
 ])
 def test_povm_names_its_first_fault(effects, message):
     with pytest.raises(ValueError, match=message):
         Povm(2, effects)
+
+
+def test_povm_effects_are_read_only():
+    effects = np.array(_diagonals([[1, 0], [0, 1]]), dtype=complex)
+    p = Povm(2, effects)
+    with pytest.raises(ValueError, match="read-only"):
+        p.effects[0, 0, 0, 0] = 0
+    effects[0, 0, 0, 0] = 0  # nor is it changed through the caller's array
+    assert p.effects[0, 0, 0, 0] == 1
+
+
+def test_projective_povm_is_the_outer_product_of_each_ket(rng):
+    kets = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    kets = np.linalg.qr(kets)[0].transpose(0, 2, 1)  # orthonormal rows per setting
+    p = projective_povm(kets)
+    for x, basis in enumerate(kets):
+        for a, ket in enumerate(basis):
+            assert p.effects[x, a].tobytes() == np.outer(ket, ket.conj()).tobytes()
 
 
 def test_kraus_completeness():

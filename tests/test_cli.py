@@ -1,5 +1,9 @@
 import importlib.resources as resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +116,7 @@ def test_unwritable_certificate_out_is_input_error(capsys, tmp_path, parts):
     assert path in report["details"]["error"]
 
 
-def test_verify_fails_on_signaling_assemblage(capsys, tmp_path):
+def _signaling_document(tmp_path) -> str:
     raw = documents.serialize(to_choi_assemblage(gallery.bell_cnot_assemblage()))
     # shift weight between two proportional members at settings (1, 0):
     # traces still sum to one, but party A's marginals now signal
@@ -124,9 +128,37 @@ def test_verify_fails_on_signaling_assemblage(capsys, tmp_path):
                                for row in entry["member"]]
     path = tmp_path / "signaling.json"
     path.write_text(json.dumps(raw))
-    code, report = run_json(capsys, "verify", str(path))
+    return str(path)
+
+
+def test_verify_fails_on_signaling_assemblage(capsys, tmp_path):
+    code, report = run_json(capsys, "verify", _signaling_document(tmp_path))
     assert code == 1 and report["status"] == "FAIL"
     assert report["details"]["violations"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["schema"], 0),
+    (["choi", data_path("example1_channel_assemblage.json")], 0),
+    (["verify", data_path("example1_channel_assemblage.json")], 0),
+    (["--output", "json", "verify", "signaling"], 1),
+])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, argv, code):
+    if argv[-1] == "signaling":
+        argv = [*argv[:-1], _signaling_document(tmp_path)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).resolve().parent.parent),
+                    env.get("PYTHONPATH")) if p)
+    read, write = os.pipe()
+    os.close(read)  # no reader, before the child writes a byte
+    try:
+        out = subprocess.run([sys.executable, "-m", "steercert.cli", *argv], env=env,
+                             stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_extremality_full_and_asym(capsys, tmp_path):
@@ -552,6 +584,8 @@ def _realization_document(defect: str) -> dict:
         raw["payload"]["povms"][0]["effects"].pop()
     elif defect == "povm-with-a-short-setting":  # one effect, the identity
         raw["payload"]["povms"][0]["effects"][1] = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
+    elif defect == "povm-with-a-long-setting":  # a third effect, zero
+        raw["payload"]["povms"][0]["effects"][1].append([[[0, 0], [0, 0]]] * 2)
     elif defect == "povm-missing":
         raw["payload"]["povms"].pop()
     elif defect == "povm-extra":
@@ -576,8 +610,10 @@ _MALFORMED_ENTRIES = {"one-number-entry": ([0.5], ": [0.5] is too short"),
     ("oversized-entry", "$.payload.state.matrix[0][0]: entry out of range"),
     ("povm-with-one-setting",
      "$.payload.povms[0]: POVM of party 0 is too small for the scenario"),
-    ("povm-with-a-short-setting",
-     "$.payload.povms[0]: POVM of party 0 is too small for the scenario"),
+    ("povm-with-a-short-setting", "$.payload.povms[0].effects[1]: setting 1 has a "
+     "different number of effects (1) than setting 0 (2)"),
+    ("povm-with-a-long-setting", "$.payload.povms[0].effects[1]: setting 1 has a "
+     "different number of effects (3) than setting 0 (2)"),
     ("povm-missing", "$.payload.povms: expected one POVM per party (2), got 1"),
     ("povm-extra", "$.payload.povms: expected one POVM per party (2), got 3"),
     *((defect, f"$.payload.state.matrix[0][0]{error}")

@@ -88,6 +88,48 @@ def test_schema_errors_carry_paths():
     assert err.value.path.startswith("$")
 
 
+_HALF = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+_EYE = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+def _povm_document(effects) -> dict:
+    return {"kind": "povm", "version": 1, "payload": {"dim": 2, "effects": effects}}
+
+
+@pytest.mark.parametrize("effects, at, lengths", [
+    ([[_HALF, _HALF], [_EYE]], 1, "(1) than setting 0 (2)"),
+    ([[_EYE], [_EYE], [_EYE, [[[0, 0], [0, 0]]] * 2]], 2, "(2) than setting 0 (1)"),
+])
+def test_ragged_povm_effects_are_located(effects, at, lengths):
+    with pytest.raises(DocumentError) as err:
+        parse(_povm_document(effects))
+    assert err.value.path == f"$.payload.effects[{at}]"
+    assert str(err.value).endswith(f"setting {at} has a different number of effects {lengths}")
+    rho, povms, channel, scen = gallery.bell_cnot_realization()
+    raw = serialize(Realization(scen, rho, povms, channel))
+    raw["payload"]["povms"][1]["effects"] = effects
+    with pytest.raises(DocumentError) as err:
+        parse(raw)
+    assert err.value.path == f"$.payload.povms[1].effects[{at}]"
+
+
+def test_povm_effects_are_one_array():
+    povm = parse(_povm_document([[_HALF, _HALF], [_EYE, [[[0, 0], [0, 0]]] * 2]])).payload
+    assert povm.effects.shape == (2, 2, 2, 2) and not povm.effects.flags.writeable
+    np.testing.assert_array_equal(povm.effects[1, 0], np.eye(2))
+    with pytest.raises(DocumentError) as err:  # a fault past setting 0 is located
+        parse(_povm_document([[_HALF, _HALF], [_EYE, [[[0, 0]] * 2] * 3]]))
+    assert err.value.path == "$.payload.effects[1][1]"
+
+
+def test_povm_with_no_effects():
+    with pytest.raises(DocumentError, match=r"^\$\.payload: effects of setting 0 do not "
+                                            "sum to identity$"):
+        parse(_povm_document([[]]))
+    povm = parse(_povm_document([])).payload
+    assert povm.effects.shape == (0, 0, 2, 2)
+
+
 def test_parse_rejects_invalid_state():
     bad = {"kind": "state", "version": 1,
            "payload": {"dims": [2],

@@ -339,7 +339,7 @@ def _arrays(payload) -> list:
     if isinstance(payload, (State, ChoiOp)):
         return [payload.op.data]
     if isinstance(payload, Povm):
-        return [e.data for row in payload.effects for e in row]
+        return [payload.effects]
     channel = [] if payload.channel is None else _arrays(payload.channel)
     return [payload.state.op.data, *(a for p in payload.povms for a in _arrays(p)), *channel]
 

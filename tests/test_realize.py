@@ -37,7 +37,8 @@ def reference_members(w: Op, povms, scenario: Scenario) -> np.ndarray:
     trusted = identity(scenario.trusted_dims)
     members = []
     for a, x in scenario.positions():
-        effect = kron_all([povms[i].effects[x[i]][a[i]] for i in range(n)] + [trusted])
+        effect = kron_all([Op((povms[i].dim,), povms[i].effects[x[i], a[i]])
+                           for i in range(n)] + [trusted])
         big = Op(w.dims, effect.data @ w.data)
         members.append(partial_trace(big, keep=range(n, len(w.dims))).data)
     return np.array(members)
@@ -56,8 +57,8 @@ def random_povm(rng, dim: int, settings: int, outcomes: int) -> Povm:
     rows = []
     for _ in range(settings):
         ch = random_kraus_channel(rng, dim, dim, n_kraus=outcomes)
-        rows.append(tuple(Op((dim,), k.conj().T @ k) for k in ch.kraus_ops))
-    return Povm(dim, tuple(rows))
+        rows.append([k.conj().T @ k for k in ch.kraus_ops])
+    return Povm(dim, rows)
 
 
 def random_povms(rng, scen: Scenario, dims, extra: int = 0):
