@@ -94,10 +94,10 @@ class Scenario:
 
 
 def _read_only(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    """A read-only view of ``arr``, after checking that it has ``shape``."""
+    """A read-only copy of ``arr``, after checking that it has ``shape``."""
     if arr.shape != shape:
         raise ValueError(f"{what} have shape {arr.shape}, expected {shape}")
-    arr = arr.view()
+    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 

@@ -198,10 +198,12 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     pinned = tuple(pos for pos, pin in zip(system.columns, fixed) if pin)
     pin_margin = (float(reach[fixed].max()) if fixed.any() else 0.0,
                   float(reach[~fixed].min()) if not fixed.all() else 0.0)
-    # The SVD fixes a kernel vector only up to sign: make its largest entry
-    # (the first of equal ones) positive, so the witness order is fixed.
+    # The SVD fixes a kernel vector only up to sign: make the first entry
+    # within abs_tol of the largest |v| positive, so the witness order
+    # follows neither that sign nor the rounding of equal entries.
     v = basis[0]
-    if v[np.argmax(np.abs(v))] < 0:
+    mag = np.abs(v)
+    if v[np.argmax(mag >= mag.max() - tol.abs_tol)] < 0:
         v = -v
     ref = system.reference
     active = np.abs(v) > tol.abs_tol

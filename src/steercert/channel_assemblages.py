@@ -14,14 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BUILD_SLACK, DEFAULT_TOL, Op, kron
-from .channels import (
-    ChoiOp,
-    State,
-    apply_channel_on_subsystems,
-    maximally_entangled,
-    verify_cptp,
-)
+from .core import BUILD_SLACK, DEFAULT_TOL, Op
+from .channels import ChoiOp, State, verify_cptp
 from .assemblages import (
     Assemblage,
     Scenario,
@@ -82,12 +76,13 @@ def chanasm_from_realization(rho_untrusted: State, povms, channel: ChoiOp,
     """Build the channel assemblage of an explicit quantum realization.
 
     ``channel`` maps the untrusted parties together with the trusted input
-    to the untrusted parties and the trusted output.  The construction
-    routes one half of a maximally entangled pair through the interaction
-    and measures the untrusted parties, leaving each member's Choi matrix
-    on ``(d_out, d_in)``.
+    to the untrusted parties and the trusted output.  Routing one half of
+    a maximally entangled pair through the interaction, with ``rho_U`` on
+    the untrusted parties, leaves ``d_U * sum_qv J[(p,o,q,i),(r,s,v,j)]
+    rho_U[q,v]`` on ``(U, d_out, d_in)``, one contraction of the channel's
+    Choi matrix ``J``; measuring the untrusted parties then leaves each
+    member's Choi matrix on ``(d_out, d_in)``.
     """
-    n = scenario.n_parties
     d_out, d_in = scenario.trusted_dims
     if not verify_cptp(channel, BUILD_SLACK).ok:
         raise ValueError("realization channel must be CPTP")
@@ -97,19 +92,18 @@ def chanasm_from_realization(rho_untrusted: State, povms, channel: ChoiOp,
     if channel.out_dims != untrusted_dims + (d_out,):
         raise ValueError("channel output dims must be untrusted dims + (d_out,)")
 
-    phi = maximally_entangled(d_in).outer()  # dims (d_in, d_in)
-    joint = kron(rho_untrusted.op, phi)
-    # Channel acts on the untrusted parties and the first trusted factor;
-    # the second half of the entangled pair is a spectator and lands last.
-    rho = apply_channel_on_subsystems(channel, joint, targets=list(range(n + 1)))
-    members = measured_members(Op(untrusted_dims + (d_out, d_in), rho.data),
+    d_u = rho_untrusted.op.data.shape[0]
+    j = channel.op.data.reshape(d_u, d_out, d_u, d_in, d_u, d_out, d_u, d_in)
+    rho = d_u * np.einsum("poqirsvj,qv->poirsj", j, rho_untrusted.op.data)
+    side = d_u * d_out * d_in
+    members = measured_members(Op(untrusted_dims + (d_out, d_in), rho.reshape(side, side)),
                                povms, scenario)
     return ChannelAssemblage(scenario, (members + members.conj().transpose(0, 2, 1)) / 2)
 
 
 def to_choi_assemblage(l: ChannelAssemblage) -> Assemblage:
-    """Reinterpret the Choi matrices as a state assemblage on out (x) in;
-    the two share one members array."""
+    """Reinterpret the Choi matrices as a state assemblage on out (x) in,
+    with its own copy of the members array."""
     return Assemblage(l.scenario, l.members)
 
 

@@ -100,19 +100,25 @@ def projective_povm(bases) -> Povm:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Channel in Kraus form: operators map ``in_dim`` to ``out_dim``."""
+    """Channel in Kraus form, with the operators as one read-only complex
+    array of shape ``(operators, out_dim, in_dim)``: ``kraus_ops[k]`` maps
+    ``in_dim`` to ``out_dim``."""
 
     in_dim: int
     out_dim: int
-    kraus_ops: tuple = field(repr=False)
+    kraus_ops: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
+        shape = (self.out_dim, self.in_dim)
+        try:  # a copy the caller cannot write; no operators at all are (0, *shape)
+            ops = np.array(list(self.kraus_ops) or np.empty((0,) + shape), dtype=complex)
+        except ValueError:  # a ragged list
+            ops = np.empty(0)
+        if ops.shape[1:] != shape:
+            raise ValueError("Kraus operator has mismatched shape")
+        ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
-        for k in ops:
-            if k.shape != (self.out_dim, self.in_dim):
-                raise ValueError("Kraus operator has mismatched shape")
-        total = sum(k.conj().T @ k for k in ops)
+        total = np.einsum("koi,koj->ij", ops.conj(), ops)
         if np.max(np.abs(total - np.eye(self.in_dim))) > BUILD_SLACK:
             raise ValueError("Kraus operators do not satisfy completeness")
 
@@ -157,22 +163,17 @@ def maximally_entangled(d: int) -> Ket:
 
 
 def choi_of_kraus(k: KrausChannel, in_dims=None, out_dims=None) -> ChoiOp:
-    """Choi matrix of a Kraus channel; unit trace, PSD."""
-    d = k.in_dim
-    phi = maximally_entangled(d).outer()
-    total = np.zeros((k.out_dim * d, k.out_dim * d), dtype=complex)
-    eye = np.eye(d)
-    for op in k.kraus_ops:
-        lifted = np.kron(op, eye)
-        total += lifted @ phi.data @ lifted.conj().T
+    """Choi matrix of a Kraus channel, ``sum_k vec(K_k) vec(K_k)^† / d_in``
+    with ``vec`` row-major over ``(out, in)``; unit trace, PSD."""
+    v = k.kraus_ops.reshape(len(k.kraus_ops), -1)
     in_dims = tuple(in_dims) if in_dims is not None else (k.in_dim,)
     out_dims = tuple(out_dims) if out_dims is not None else (k.out_dim,)
-    return ChoiOp(in_dims, out_dims, Op(out_dims + in_dims, total))
+    return ChoiOp(in_dims, out_dims, Op(out_dims + in_dims, v.T @ v.conj() / k.in_dim))
 
 
 def choi_of_unitary(u: np.ndarray, in_dims=None, out_dims=None) -> ChoiOp:
     d = u.shape[0]
-    return choi_of_kraus(KrausChannel(d, d, (u,)), in_dims, out_dims)
+    return choi_of_kraus(KrausChannel(d, d, u[None]), in_dims, out_dims)
 
 
 def apply_choi(c: ChoiOp, x: Op) -> Op:
@@ -260,7 +261,5 @@ def random_kraus_channel(rng: np.random.Generator, in_dim: int, out_dim: int,
     g = rng.normal(size=(out_dim * n_kraus, in_dim)) \
         + 1j * rng.normal(size=(out_dim * n_kraus, in_dim))
     q, _ = np.linalg.qr(g)
-    iso = q[:, :in_dim]
-    ops = [iso[k * out_dim:(k + 1) * out_dim, :] for k in range(n_kraus)]
-    return KrausChannel(in_dim, out_dim, tuple(ops))
+    return KrausChannel(in_dim, out_dim, q[:, :in_dim].reshape(n_kraus, out_dim, in_dim))
 

@@ -24,6 +24,7 @@ from steercert.assemblages import (
     verify_hermitian_realization,
     verify_ns,
 )
+from steercert.channel_assemblages import ChannelAssemblage, to_choi_assemblage
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -165,6 +166,22 @@ def test_lhs_model_holds_read_only_arrays():
     assert [t.shape for t in model.tables] == [(2, 2, 2)]
     with pytest.raises(ValueError):
         model.states[0, 0, 0] = 0
+
+
+@pytest.mark.parametrize("kind", ["Assemblage", "ChannelAssemblage", "LhsModel"])
+def test_checked_containers_own_their_arrays(kind):
+    m = np.eye(2, dtype=complex)[None] / 2
+    if kind == "Assemblage":
+        held = Assemblage(Scenario((1,), (1,), (2,)), m).members
+    elif kind == "ChannelAssemblage":
+        l = ChannelAssemblage(Scenario((1,), (1,), (2, 1)), m)
+        held = l.members
+        assert not np.shares_memory(to_choi_assemblage(l).members, held)
+    else:
+        held = LhsModel(np.ones(1), m, (np.ones((1, 1, 1)),)).states
+    m[0, 0, 0] = 7  # neither a write to the caller's array
+    m[0, 1, 1] = np.nan  # nor a non-finite entry gets past the checks
+    assert held[0, 0, 0] == 0.5 and held[0, 1, 1] == 0.5
 
 
 @pytest.mark.parametrize("fault, message", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_density
 
+from steercert import gallery
 from steercert.core import Ket, Op
 from steercert.channels import (
     ChoiOp,
@@ -87,6 +88,52 @@ def test_projective_povm_is_the_outer_product_of_each_ket(rng):
 def test_kraus_completeness():
     with pytest.raises(ValueError):
         KrausChannel(2, 2, (0.5 * np.eye(2),))
+    with pytest.raises(ValueError, match="completeness"):
+        KrausChannel(2, 2, ())
+
+
+def test_kraus_ops_are_one_read_only_copy():
+    ops = np.eye(3, 2)[None]  # one isometry from dimension 2 to 3
+    k = KrausChannel(2, 3, ops)
+    assert k.kraus_ops.shape == (1, 3, 2) and k.kraus_ops.dtype == complex
+    with pytest.raises(ValueError, match="read-only"):
+        k.kraus_ops[0, 0, 0] = 0
+    ops[0, 0, 0] = 0  # nor is it changed through the caller's array
+    assert k.kraus_ops[0, 0, 0] == 1
+
+
+@pytest.mark.parametrize("ops", [
+    ([[1, 0], [0, 1]], [[1, 0]]),
+    ([[1, 0], [0]],),
+    (np.eye(2), np.eye(3)),
+    (np.eye(2)[None],),
+    np.eye(2),
+], ids=["ragged-list", "ragged-operator", "two-shapes", "one-too-deep", "no-operator-axis"])
+def test_kraus_channel_refuses_a_wrongly_shaped_list(ops):
+    with pytest.raises(ValueError, match="Kraus operator has mismatched shape"):
+        KrausChannel(2, 2, ops)
+
+
+def kron_lift_choi(k: KrausChannel) -> np.ndarray:
+    """``sum_k (K_k (x) 1) phi (K_k (x) 1)^†``, phi the maximally
+    entangled projector on the input and a copy of it."""
+    phi = maximally_entangled(k.in_dim).outer().data
+    lifts = [np.kron(op, np.eye(k.in_dim)) for op in k.kraus_ops]
+    return sum(lift @ phi @ lift.conj().T for lift in lifts)
+
+
+@pytest.mark.parametrize("in_dim, out_dim", [(2, 2), (3, 3), (2, 3), (3, 2), (4, 1)])
+def test_choi_of_kraus_matches_the_kronecker_lift(rng, in_dim, out_dim):
+    for _ in range(10):
+        k = random_kraus_channel(rng, in_dim, out_dim)
+        assert np.max(np.abs(choi_of_kraus(k).op.data - kron_lift_choi(k))) <= 1e-15
+
+
+def test_choi_of_a_permutation_unitary_is_exact():
+    # the gallery's CNOT interaction: vec(u) has entries 0 and 1, so every
+    # Choi entry is exactly 0 or 1/8
+    _, _, channel, _ = gallery.bell_cnot_realization()
+    assert np.isin(channel.op.data, [0, 1 / 8]).all()
 
 
 def test_random_kraus_channel_needs_room_for_an_isometry(rng):

@@ -7,6 +7,9 @@ untrusted parties.  Both compute the same sums in another order, so they
 agree to rounding: 1e-14 on operators of norm at most one.
 """
 
+from functools import partial
+from math import prod
+
 import numpy as np
 import pytest
 from conftest import identity, kron_all, partial_trace, random_density
@@ -16,6 +19,7 @@ from steercert.core import Op, kron
 from steercert.channels import (
     Povm,
     apply_channel_on_subsystems,
+    choi_of_kraus,
     maximally_entangled,
     random_kraus_channel,
 )
@@ -100,8 +104,22 @@ def test_hermitian_realization_matches_the_per_position_loop(rng):
                                             tol=TOL)
 
 
+def random_channel_realization(untrusted: tuple, d_out: int, d_in: int):
+    """A random state and POVMs on the ``untrusted`` parties, and a random
+    Kraus channel from them and ``d_in`` to them and ``d_out``."""
+    rng = np.random.default_rng(11)
+    scen = Scenario((2,) * len(untrusted), (2,) * len(untrusted), (d_out, d_in))
+    d_u = prod(untrusted)
+    k = random_kraus_channel(rng, d_u * d_in, d_u * d_out, n_kraus=3)
+    channel = choi_of_kraus(k, untrusted + (d_in,), untrusted + (d_out,))
+    return random_density(rng, untrusted), random_povms(rng, scen, untrusted), channel, scen
+
+
 @pytest.mark.parametrize("realization", [gallery.bell_cnot_realization,
-                                         gallery.tilted_cnot_realization])
+                                         gallery.tilted_cnot_realization] + [
+    pytest.param(partial(random_channel_realization, untrusted, d_out, d_in),
+                 id=f"random-{'x'.join(map(str, untrusted))}-out{d_out}-in{d_in}")
+    for untrusted, d_out, d_in in [((2,), 3, 2), ((3,), 2, 3), ((2, 3), 2, 3), ((2, 3), 3, 2)]])
 def test_channel_realization_matches_the_per_position_loop(realization):
     rho, povms, channel, scen = realization()
     l = chanasm_from_realization(rho, povms, channel, scen)
