@@ -4,7 +4,8 @@ channel assemblages.
 Modules:
 
 - ``core``: dense linear-algebra primitives (operators, partial trace,
-  rank/kernel helpers, NNLS).
+  rank/kernel helpers, and NNLS for the joint LHS weight system, the
+  one caller that imports scipy).
 - ``channels``: states, POVMs, and channels via Choi matrices.
 - ``constraints``: the full no-signaling and relaxed A|BC constraint
   families, defined once; evaluated by the verifiers and vectorized by

@@ -404,39 +404,67 @@ def _response_coordinates(q: np.ndarray, k: int, tables: np.ndarray) -> np.ndarr
     return q[:, np.arange(tables.shape[1]) * k + tables].sum(axis=2)
 
 
+def quantile_coupling(box: np.ndarray):
+    """One party's box as a mixture of deterministic response tables, in
+    closed form: the quantile (comonotone) coupling of its settings.
+
+    ``box`` is the ``(m, k)`` array of nonnegative ``p(a|x)``.  Draw ``u``
+    from ``[0, T)``, ``T`` the largest row sum, and at each setting answer
+    the outcome whose cumulative interval contains ``u``.  The cuts are 0,
+    ``T`` and the cumulative sums of every row but its last; each of the
+    ``h <= m (k - 1) + 1`` intervals between consecutive cuts is one
+    table, weighted by its length.  Returns ``(tables, weights)``:
+    ``tables`` the int ``(h, m)`` array of responses, ``weights`` the
+    ``(h,)`` lengths, which sum to ``T`` and give back each row of ``box``
+    (the last outcome of a row with a smaller sum takes the difference).
+    """
+    cumulative = np.cumsum(box, axis=1)
+    cuts = np.unique(np.concatenate(([0.0, cumulative[:, -1].max()],
+                                     cumulative[:, :-1].ravel())))
+    tables = (cumulative[:, None, :-1] <= cuts[None, :-1, None]).sum(axis=2).T
+    return tables, np.diff(cuts)
+
+
 def _per_party_weights(per_party, factors, outcomes, b, coordinates, outside,
                        count, tol: Tolerances):
-    """Weights on the strategies from one NNLS per party, or ``None``.
+    """Weights on the strategies from one closed-form coupling per party,
+    or ``None``.
 
     ``per_party[i]`` holds party i's responses in every strategy.  If each
     party has ``T_i`` distinct tables and ``prod(T_i) == count``, the
     strategies are every combination of them, and in lexicographic order
     strategy ``(j_0, ..., j_{n-1})`` sits at the mixed-radix place of its
     table indices.  Party i's marginal box, ``b`` at the other parties'
-    setting 0 summed over their outcomes, then gets weights ``x_i >= 0``
-    on its tables, and the candidate is ``x_0 (x) ... (x) x_{n-1}``.  Its
-    coordinates are the Kronecker product of the per-party fits, so the
-    whole-system residual ``hypot(||fit - Q^T b||, outside)`` costs no
-    joint matrix.  ``None`` when the strategies are not a product set or
-    that residual reaches ``nnls_residual_tol``.
+    setting 0 summed over their outcomes, is local whatever it is (Fine,
+    PRL 48, 291, 1982): :func:`quantile_coupling` gives its weights
+    ``x_i`` on at most ``m_i (k_i - 1) + 1`` tables, and the candidate is
+    ``x_0 (x) ... (x) x_{n-1}``.  Its coordinates are the Kronecker
+    product of the per-party fits, so the whole-system residual
+    ``hypot(||fit - Q^T b||, outside)`` costs no joint matrix.  ``None``
+    when the strategies are not a product set, a coupling table is not
+    among its party's tables, or that residual reaches
+    ``nnls_residual_tol``.
     """
-    tables = []
+    codes = []
     for f, k in zip(per_party, outcomes):
         m = f.shape[1]
         if k ** m > np.iinfo(np.int64).max:  # a table's code would overflow
             return None
-        codes = np.unique(np.ravel_multi_index(tuple(f.T), (k,) * m))
-        tables.append(np.stack(np.unravel_index(codes, (k,) * m), axis=1))
-    if prod(len(t) for t in tables) != count:
+        codes.append(np.unique(np.ravel_multi_index(tuple(f.T), (k,) * m)))
+    if prod(len(c) for c in codes) != count:
         return None
     weights, fit = np.ones(()), np.ones(())
-    for i, (q, k, t) in enumerate(zip(factors, outcomes, tables)):
+    for i, (q, k, c) in enumerate(zip(factors, outcomes, codes)):
         at_zero = tuple(slice(None) if j == i else slice(kj) for j, kj in enumerate(outcomes))
         marginal = b[at_zero].sum(axis=tuple(j for j in range(len(outcomes)) if j != i))
-        part = _response_coordinates(q, k, t)
-        x, _ = nnls(part, q @ marginal)
+        tables, w = quantile_coupling(marginal.reshape(-1, k))
+        code = np.ravel_multi_index(tuple(tables.T), (k,) * tables.shape[1])
+        if not np.isin(code, c).all():
+            return None
+        x = np.zeros(len(c))
+        x[np.searchsorted(c, code)] = w
         weights = np.multiply.outer(weights, x)
-        fit = np.multiply.outer(fit, part @ x)
+        fit = np.multiply.outer(fit, _response_coordinates(q, k, tables) @ w)
     if np.hypot(np.linalg.norm(fit.ravel() - coordinates), outside) >= tol.nnls_residual_tol:
         return None
     return weights.ravel()
@@ -470,10 +498,11 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
 
     When the strategies are a product set, one set of response tables per
     party, a per-party candidate is tried first (:func:`_per_party_weights`):
-    one small NNLS per party on its marginal box, their weights multiplied.
-    It is kept only if it passes the same whole-system residual check, so
-    it is an LHS model by the argument above.  Otherwise the joint system
-    is solved, and every ``NoLhs`` residual is the joint solve's.
+    each party's marginal box split in closed form by its quantile
+    coupling, their weights multiplied, with no solver.  It is kept only if
+    it passes the same whole-system residual check, so it is an LHS model
+    by the argument above.  Otherwise the joint system is solved by NNLS,
+    and every ``NoLhs`` residual is the joint solve's.
     """
     scen = p.scenario
     strategies = consistent_strategies(p, tol)

@@ -21,6 +21,7 @@ from .core import (
     is_hermitian,
     output_trace,
     psd_deviation,
+    psd_deviation_and_spectra,
 )
 
 
@@ -216,12 +217,12 @@ def verify_cptp(c: ChoiOp, tol: float = DEFAULT_TOL.abs_tol) -> CptpReport:
     Trace preservation: the partial trace of the Choi matrix over the
     output factor must equal ``1/d_in``.
     """
-    cp = bool(psd_deviation(c.op.data[None])[0] <= tol)
-    evals = np.linalg.eigvalsh((c.op.data + c.op.data.conj().T) / 2)
+    deviation, evals = psd_deviation_and_spectra(c.op.data[None])
+    cp = bool(deviation[0] <= tol)
     reduced = output_trace(c.op.data, c.out_dim, c.in_dim)[0]
     dev = float(np.max(np.abs(reduced - np.eye(c.in_dim) / c.in_dim)))
     return CptpReport(cp=cp, tp=dev <= tol,
-                      min_eigenvalue=float(evals[0]), tp_deviation=dev)
+                      min_eigenvalue=float(evals[0, 0]), tp_deviation=dev)
 
 
 def apply_channel_on_subsystems(c: ChoiOp, rho: Op, targets) -> Op:

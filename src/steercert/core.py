@@ -125,13 +125,19 @@ def is_hermitian(a: Op, tol: float = DEFAULT_TOL.abs_tol) -> bool:
     return bool(np.max(np.abs(a.data - a.data.conj().T)) <= tol)
 
 
-def psd_deviation(stack: np.ndarray) -> np.ndarray:
-    """How far each matrix of a ``(count, D, D)`` stack is from PSD: the
-    larger of its max-abs Hermiticity deviation and ``-lambda_min`` of its
-    Hermitian part."""
+def psd_deviation_and_spectra(stack: np.ndarray):
+    """How far each matrix of a ``(count, D, D)`` stack is from PSD, with
+    the ascending eigenvalues of each Hermitian part: the deviation is the
+    larger of the max-abs Hermiticity deviation and ``-lambda_min``."""
     adjoint = stack.conj().transpose(0, 2, 1)
     hermiticity = np.abs(stack - adjoint).max(axis=(1, 2))
-    return np.maximum(hermiticity, -np.linalg.eigvalsh((stack + adjoint) / 2)[:, 0])
+    spectra = np.linalg.eigvalsh((stack + adjoint) / 2)
+    return np.maximum(hermiticity, -spectra[:, 0]), spectra
+
+
+def psd_deviation(stack: np.ndarray) -> np.ndarray:
+    """:func:`psd_deviation_and_spectra` without the spectra."""
+    return psd_deviation_and_spectra(stack)[0]
 
 
 def _gamma(k: int) -> float:

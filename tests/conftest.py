@@ -99,6 +99,17 @@ def pure_realization(rng, n, m, k, d, entangled=True):
                                        povms, scen)
 
 
+def product_realization(rng, n, m, k, d) -> documents.Realization:
+    """A product pure state, measured in Haar-random projective bases."""
+    psi = haar_unitary(rng, d)[:, 0]
+    for _ in range(n):
+        psi = np.kron(haar_unitary(rng, k)[:, 0], psi)
+    povms = tuple(projective_povm([haar_unitary(rng, k).T for _ in range(m)])
+                  for _ in range(n))
+    return documents.Realization(Scenario((m,) * n, (k,) * n, (d,)),
+                                 pure_state(Ket((k,) * n + (d,), psi)), povms)
+
+
 def pure_assemblage(scenario, members: dict):
     """A ``PureAssemblage`` from ``{(a, x): (weight, unit ket)}``; positions
     left out are zero."""

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import haar_unitary
+from conftest import product_realization
 
 from steercert import cli, documents, gallery
-from steercert.core import Ket, NnlsDidNotConverge, Op
-from steercert.channels import State, choi_of_unitary, projective_povm, pure_state
+from steercert.core import NnlsDidNotConverge, Op
+from steercert.channels import State, choi_of_unitary
 from steercert.assemblages import (
     Assemblage,
     Scenario,
@@ -200,19 +200,8 @@ def test_position_listed_twice_is_input_error(capsys, tmp_path):
         assert report["details"]["error"].startswith("$.payload.members[2]: ")
 
 
-def _product_realization(rng, n, m, k, d) -> documents.Realization:
-    """A product pure state, measured in Haar-random projective bases."""
-    psi = haar_unitary(rng, d)[:, 0]
-    for _ in range(n):
-        psi = np.kron(haar_unitary(rng, k)[:, 0], psi)
-    povms = tuple(projective_povm([haar_unitary(rng, k).T for _ in range(m)])
-                  for _ in range(n))
-    return documents.Realization(Scenario((m,) * n, (k,) * n, (d,)),
-                                 pure_state(Ket((k,) * n + (d,), psi)), povms)
-
-
 def test_lhs_reports_reconstruction_residual(capsys, tmp_path, rng):
-    real = _product_realization(rng, 3, 2, 2, 2)
+    real = product_realization(rng, 3, 2, 2, 2)
     path = tmp_path / "product.json"
     path.write_text(documents.dumps(real))
     code, report = run_json(capsys, "lhs", str(path))

@@ -370,10 +370,10 @@ def test_single_column_keeps_one_singular_value():
 @pytest.mark.parametrize("n, m, k, rows", [(3, 2, 3, 125), (3, 3, 2, 64), (4, 2, 2, 81)])
 def test_lhs_nnls_sees_one_row_per_no_signaling_coordinate(monkeypatch, n, m, k, rows):
     # one shared ket on a full support, weighted by a local box that is not
-    # a product: the per-party candidate is tried and rejected, and the
-    # joint weight system's rows are the dim Q = prod(m_i (k_i - 1) + 1)
-    # no-signaling coordinates (Collins-Gisin), not the 216, 216 and 256
-    # support positions
+    # a product: the per-party candidate, found without a solver, misses
+    # the box, and the one solve is the joint weight system, whose rows are
+    # the dim Q = prod(m_i (k_i - 1) + 1) no-signaling coordinates
+    # (Collins-Gisin), not the 216, 216 and 256 support positions
     scen = assemblages.Scenario((m,) * n, (k,) * n, (2,))
     p = shared_ket_local_box(np.random.default_rng(5), scen)
     assert len(p.support) == (m * k) ** n
@@ -381,18 +381,22 @@ def test_lhs_nnls_sees_one_row_per_no_signaling_coordinate(monkeypatch, n, m, k,
     monkeypatch.setattr(assemblages, "nnls", lambda a, b: shapes.append(a.shape) or solve(a, b))
     assert isinstance(assemblages.pure_lhs_decide(p), assemblages.LhsModel)
     assert len(assemblages.consistent_strategies(p)) == (k ** m) ** n
-    assert shapes == [(m * (k - 1) + 1, k ** m)] * n + [(rows, (k ** m) ** n)]
+    assert shapes == [(rows, (k ** m) ** n)]
 
 
 @pytest.mark.parametrize("n, m, k", [(3, 2, 3), (3, 3, 2), (4, 2, 2)])
-def test_lhs_of_a_product_state_solves_one_small_system_per_party(monkeypatch, n, m, k):
-    # a product state on a full support: each party's NNLS has its own
-    # m (k - 1) + 1 coordinates and k^m response tables, and no joint
-    # system is built
-    p = assemblages.canonicalize_pure(
-        pure_realization(np.random.default_rng(5), n, m, k, 2, entangled=False))
+def test_lhs_of_a_product_state_calls_no_solver(monkeypatch, n, m, k):
+    # a product state on a full support: each party's marginal box is split
+    # in closed form, so no NNLS runs, and the model has at most
+    # prod(m_i (k_i - 1) + 1) hidden variables and rebuilds the assemblage
+    s = pure_realization(np.random.default_rng(5), n, m, k, 2, entangled=False)
+    p = assemblages.canonicalize_pure(s)
     assert len(p.support) == (m * k) ** n
     shapes, solve = [], assemblages.nnls
     monkeypatch.setattr(assemblages, "nnls", lambda a, b: shapes.append(a.shape) or solve(a, b))
-    assert isinstance(assemblages.pure_lhs_decide(p), assemblages.LhsModel)
-    assert shapes == [(m * (k - 1) + 1, k ** m)] * n
+    model = assemblages.pure_lhs_decide(p)
+    assert isinstance(model, assemblages.LhsModel)
+    assert shapes == []
+    assert len(model.weights) <= (m * (k - 1) + 1) ** n
+    rebuilt = assemblages.lhs_assemblage(model, s.scenario)
+    assert np.abs(rebuilt.members - s.members).max() <= 1e-14

@@ -8,7 +8,9 @@ in the module (attribute access starts from one).
 The CLI and the parsing of documents leave scipy and jsonschema unloaded,
 a rejected document included: the document walk names its own faults.
 ``steercert extremality`` leaves scipy unloaded too: its rank path is
-numpy alone.
+numpy alone.  So does ``steercert lhs`` on a product realization: each
+party's weights come in closed form, and scipy is imported only for the
+joint NNLS of a box whose per-party candidate fails.
 """
 
 import ast
@@ -18,9 +20,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import product_realization
 
 import steercert
+from steercert import documents
 
 MODULES = sorted(p for p in Path(steercert.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -67,12 +72,12 @@ except documents.DocumentError as exc:
 """
 
 
-def run_probe(code: str) -> str:
+def run_probe(code: str, *args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(steercert.__file__).resolve().parent.parent),
                     env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True).stdout
 
 
@@ -95,3 +100,20 @@ print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
 def test_extremality_leaves_scipy_unloaded():
     last = run_probe(EXTREMALITY_PROBE).splitlines()[-1]
     assert json.loads(last) == {"codes": [0, 0], "scipy": False}
+
+
+LHS_PROBE = """
+import json, sys
+from steercert import cli
+code = cli.main(["--output", "json", "lhs", sys.argv[1]])
+print(json.dumps({"code": code, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def test_lhs_of_a_product_realization_leaves_scipy_unloaded(tmp_path):
+    path = tmp_path / "product.json"
+    real = product_realization(np.random.default_rng(2332), 2, 3, 3, 2)
+    path.write_text(documents.dumps(real))
+    *report, last = run_probe(LHS_PROBE, str(path)).splitlines()
+    assert json.loads(last) == {"code": 0, "scipy": False}
+    assert json.loads("\n".join(report))["details"]["lhs"] is True

@@ -5,11 +5,11 @@ carry weight (:func:`consistent_strategies`).  The walk over every
 strategy that it replaced is kept here as the reference: on a seeded grid
 of scenarios both must give bitwise the same strategies in the same order.
 The walk solves the weight system over every support position;
-``pure_lhs_decide`` solves it in no-signaling coordinates, one party at a
-time when that fits the box, so its weights may land elsewhere on a
-degenerate solution set.  Its verdict must have the walk's type, and
-either a model that rebuilds the assemblage or the walk's reason and
-residual.
+``pure_lhs_decide`` solves it in no-signaling coordinates, or splits each
+party's marginal box in closed form when their product fits the box, so
+its weights may land elsewhere on a degenerate solution set.  Its verdict
+must have the walk's type, and either a model that rebuilds the
+assemblage or the walk's reason and residual.
 """
 
 import itertools
@@ -19,6 +19,7 @@ from math import prod
 import numpy as np
 import pytest
 from conftest import haar_unitary, pure_assemblage, pure_members, shared_ket_local_box
+from hypothesis import given, settings, strategies as st
 
 from steercert import assemblages
 from steercert.core import DEFAULT_TOL, Ket, Tolerances, nnls
@@ -32,6 +33,7 @@ from steercert.assemblages import (
     consistent_strategies,
     lhs_assemblage,
     pure_lhs_decide,
+    quantile_coupling,
 )
 
 
@@ -238,18 +240,26 @@ def test_matches_brute_force(monkeypatch, settings, outcomes, d, form):
     monkeypatch.setattr(assemblages, "nnls", lambda a, b: rows.append(len(a)) or solve(a, b))
     got = pure_lhs_decide(p)
     assert_same_verdict(p, got, want)
+    joint = prod(m * (k - 1) + 1 for m, k in zip(settings, outcomes))
     if form == "entangled":
         assert isinstance(got, NoLhs) and got.residual is None
-    elif form in ("product", "mixture"):
+    elif form == "product":
+        # a product box is its own product of marginals: the closed-form
+        # candidate fits it, and no solver runs
+        assert isinstance(got, LhsModel) and rows == []
+        assert len(got.weights) <= joint
+    elif form == "mixture":
         assert isinstance(got, LhsModel)
     elif form == "shared-ket":
-        # every strategy is consistent, so they form a product set; with two
-        # or more parties the per-party candidate misses the box, which does
-        # not factor, and the joint system decides
+        # every strategy is consistent, so they form a product set.  One
+        # party's box is always its own coupling, so no solver runs; with
+        # two or more parties the per-party candidate misses the box, which
+        # does not factor, and the one solve is the joint system's
         assert isinstance(got, LhsModel)
         assert len(want_strategies) == prod(k ** m for m, k in zip(settings, outcomes))
-        joint = prod(m * (k - 1) + 1 for m, k in zip(settings, outcomes))
-        assert rows[-1] == joint and len(rows) == len(settings) + (len(settings) > 1)
+        assert rows == ([joint] if len(settings) > 1 else [])
+        if len(settings) == 1:
+            assert len(got.weights) <= joint
     else:
         assert any(not any(x) for _, x in p.support)
         assert len(p.support) < len(list(p.scenario.positions()))
@@ -317,3 +327,41 @@ def test_tables_too_long_for_an_int64_code_are_solved_jointly():
     verdict = pure_lhs_decide(p)
     assert isinstance(verdict, LhsModel)
     assert rebuild_error(p, verdict) <= 1e-12
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data(), st.integers(1, 5), st.integers(2, 5), st.floats(0.01, 100))
+def test_quantile_coupling_reproduces_the_box(data, m, k, total):
+    entry = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+    raw = np.array(data.draw(st.lists(
+        st.lists(entry, min_size=k, max_size=k).filter(any), min_size=m, max_size=m)))
+    box = total * raw / raw.sum(axis=1, keepdims=True)
+    tables, weights = quantile_coupling(box)
+    assert tables.shape == (len(weights), m)
+    assert ((tables >= 0) & (tables < k)).all()
+    assert len(weights) <= m * (k - 1) + 1
+    assert (weights >= 0).all()
+    assert weights.sum() == pytest.approx(total, rel=1e-14, abs=0)
+    marginals = np.tensordot(weights, np.eye(k)[tables], axes=1)
+    assert np.abs(marginals - box).max() <= 1e-14 * total
+
+
+def test_coupling_outside_the_consistent_tables_reaches_the_joint_solve(monkeypatch):
+    # party 0's ket is |a_0 XOR x_0>, so its consistent tables are (0, 1)
+    # and (1, 0); party 1 answers its own box on either ket.  The strategies
+    # are a product set, but party 0's uniform marginal couples into (0, 0)
+    # and (1, 1), so the candidate is dropped and the joint system decides
+    scen = Scenario((2, 2), (2, 2), (2,))
+    box = np.array([[0.3, 0.7], [0.6, 0.4]])
+    p = pure_assemblage(scen, {(a, x): (box[x[1], a[1]] / 2, np.eye(2)[a[0] ^ x[0]])
+                               for a, x in scen.positions()})
+    assert quantile_coupling(np.full((2, 2), 0.5))[0].tolist() == [[0, 0], [1, 1]]
+    want_strategies, want = brute_force_decide(p)
+    strategies = consistent_strategies(p)
+    assert strategies.tolist() == want_strategies and len(strategies) == 2 * 4
+    assert sorted({tuple(f) for f in strategies[:, :2].tolist()}) == [(0, 1), (1, 0)]
+    rows, solve = [], assemblages.nnls
+    monkeypatch.setattr(assemblages, "nnls", lambda a, b: rows.append(len(a)) or solve(a, b))
+    got = pure_lhs_decide(p)
+    assert_same_verdict(p, got, want)
+    assert isinstance(got, LhsModel) and rows == [3 * 3]
