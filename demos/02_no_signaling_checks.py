@@ -11,23 +11,22 @@ tying the total to a trace-preserving channel.
 import numpy as np
 
 from steercert import gallery
-from steercert.core import Ket
 from steercert.channels import projective_povm, pure_state
 from steercert.assemblages import Assemblage, Scenario, assemblage_from_realization, verify_ns
 from steercert.channel_assemblages import verify_asym_ns, verify_ns_channel
 
 # One untrusted qubit measured in the Z and X bases on half a Bell pair.
-bell = Ket((2, 2), np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 povm = projective_povm([
     [np.array([1, 0]), np.array([0, 1])],
     [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)],
 ])
 scen = Scenario((2,), (2,), (2,))
-steered = assemblage_from_realization(pure_state(bell), (povm,), scen)
+steered = assemblage_from_realization(pure_state((2, 2), bell), (povm,), scen)
 report = verify_ns(steered)
 print("steered qubit assemblage no-signaling:", report.ok)
 print("member for outcome 0, setting Z:")
-print(np.round(steered.member((0,), (0,)).data.real, 3))
+print(np.round(steered.member((0,), (0,)).real, 3))
 
 # Tampering with one member is detected and named.  The members are one
 # (positions, D, D) array; scen.index(a, x) is the place of member a|x.

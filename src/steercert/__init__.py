@@ -3,10 +3,12 @@ channel assemblages.
 
 Modules:
 
-- ``core``: dense linear-algebra primitives (operators, partial trace,
-  rank/kernel helpers, and NNLS for the joint LHS weight system, the
-  one caller that imports scipy).
-- ``channels``: states, POVMs, and channels via Choi matrices.
+- ``core``: dense linear-algebra primitives (tolerances, PSD deviation,
+  the output partial trace of Choi matrices, rank/kernel helpers, and
+  NNLS for the joint LHS weight system, the one caller that imports
+  scipy).
+- ``channels``: states, POVMs, and channels via Choi matrices, each
+  held as a read-only complex array.
 - ``constraints``: the full no-signaling and relaxed A|BC constraint
   families, defined once; evaluated by the verifiers and vectorized by
   the certificate builder.

@@ -15,8 +15,8 @@ from math import prod
 
 import numpy as np
 
-from .core import (BUILD_SLACK, DEFAULT_TOL, Op, Tolerances, _as_finite_complex,
-                   is_hermitian, nnls, psd_deviation)
+from .core import (BUILD_SLACK, DEFAULT_TOL, Tolerances, _as_finite_complex, nnls,
+                   psd_deviation)
 from .channels import State
 from .constraints import (ConstraintMode, NsReport, evaluate, family,
                           no_signaling_factors)
@@ -124,8 +124,9 @@ class Assemblage:
     def __post_init__(self):
         object.__setattr__(self, "members", member_array(self.scenario, self.members))
 
-    def member(self, a, x) -> Op:
-        return Op(self.scenario.trusted_dims, self.members[self.scenario.index(a, x)])
+    def member(self, a, x) -> np.ndarray:
+        """The ``(D, D)`` member at ``(a, x)``, a read-only view."""
+        return self.members[self.scenario.index(a, x)]
 
 
 # How far a weight or a table entry of an LhsModel may fall below zero; a
@@ -207,27 +208,18 @@ class PureAssemblage:
         return np.abs(self.kets[rows].conj() @ self.kets.T) > 1 - tol.abs_tol
 
 
-@dataclass(frozen=True)
-class HermitianRealization:
-    """Hermitian operator on untrusted (x) trusted plus per-party POVMs."""
-
-    w: Op
-    povms: tuple
-
-    def __post_init__(self):
-        if not is_hermitian(self.w, BUILD_SLACK):
-            raise ValueError("realization operator must be Hermitian")
-
-
-def measured_members(w: Op, povms, scenario: Scenario) -> np.ndarray:
+def measured_members(w: np.ndarray, povms, scenario: Scenario) -> np.ndarray:
     """``Tr_untrusted[(E_{a_1|x_1} (x) ... (x) E_{a_n|x_n} (x) 1) w]`` at every
     position, as a ``(positions, D, D)`` array.
 
-    One party at a time, its effects (stacked over ``(x_i, a_i)``) are
-    contracted against its row and column index of ``w``.
+    ``w`` is a square array on the untrusted parties (in order) (x) the
+    trusted system.  It may be any Hermitian operator, not only a state,
+    so this also measures a Hermitian realization.  One party at a time,
+    its effects (stacked over ``(x_i, a_i)``) are contracted against its
+    row and column index of ``w``.
     """
     n = scenario.n_parties
-    t = w.data[None]  # (effects so far, rest, rest)
+    t = w[None]  # (effects so far, rest, rest)
     for i, (povm, m, k) in enumerate(zip(povms, scenario.settings, scenario.outcomes)):
         if not povm.covers(m, k):
             raise ValueError(f"POVM of party {i} is too small for the scenario")
@@ -248,14 +240,7 @@ def assemblage_from_realization(rho: State, povms, scenario: Scenario) -> Assemb
     expected = tuple(p.dim for p in povms) + scenario.trusted_dims
     if rho.dims != expected:
         raise ValueError(f"state dims {rho.dims} do not match scenario dims {expected}")
-    return Assemblage(scenario, measured_members(rho.op, povms, scenario))
-
-
-def verify_hermitian_realization(h: HermitianRealization, s: Assemblage,
-                                 tol: float = DEFAULT_TOL.abs_tol) -> bool:
-    """Whether measuring ``h`` reproduces every member of ``s``."""
-    members = measured_members(h.w, h.povms, s.scenario)
-    return float(np.max(np.abs(members - s.members))) <= tol
+    return Assemblage(scenario, measured_members(rho.matrix, povms, scenario))
 
 
 def verify_ns(s: Assemblage, tol: float = DEFAULT_TOL.abs_tol) -> NsReport:

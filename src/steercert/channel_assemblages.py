@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BUILD_SLACK, DEFAULT_TOL, Op
+from .core import BUILD_SLACK, DEFAULT_TOL
 from .channels import ChoiOp, State, verify_cptp
 from .assemblages import (
     Assemblage,
     Scenario,
     measured_members,
     member_array,
-    mixture_members,
 )
 from .constraints import (
     ConstraintMode,
@@ -55,9 +54,9 @@ class ChannelAssemblage:
     def d_out(self) -> int:
         return self.scenario.trusted_dims[0]
 
-    def member(self, a, x) -> ChoiOp:
-        return ChoiOp((self.d_in,), (self.d_out,), Op(
-            self.scenario.trusted_dims, self.members[self.scenario.index(a, x)]))
+    def member(self, a, x) -> np.ndarray:
+        """The ``(D, D)`` Choi matrix at ``(a, x)``, a read-only view."""
+        return self.members[self.scenario.index(a, x)]
 
 
 @dataclass(frozen=True)
@@ -92,12 +91,11 @@ def chanasm_from_realization(rho_untrusted: State, povms, channel: ChoiOp,
     if channel.out_dims != untrusted_dims + (d_out,):
         raise ValueError("channel output dims must be untrusted dims + (d_out,)")
 
-    d_u = rho_untrusted.op.data.shape[0]
-    j = channel.op.data.reshape(d_u, d_out, d_u, d_in, d_u, d_out, d_u, d_in)
-    rho = d_u * np.einsum("poqirsvj,qv->poirsj", j, rho_untrusted.op.data)
+    d_u = rho_untrusted.matrix.shape[0]
+    j = channel.matrix.reshape(d_u, d_out, d_u, d_in, d_u, d_out, d_u, d_in)
+    rho = d_u * np.einsum("poqirsvj,qv->poirsj", j, rho_untrusted.matrix)
     side = d_u * d_out * d_in
-    members = measured_members(Op(untrusted_dims + (d_out, d_in), rho.reshape(side, side)),
-                               povms, scenario)
+    members = measured_members(rho.reshape(side, side), povms, scenario)
     return ChannelAssemblage(scenario, (members + members.conj().transpose(0, 2, 1)) / 2)
 
 
@@ -118,22 +116,6 @@ def verify_ns_channel(l: ChannelAssemblage,
     report = evaluate(family(l.scenario, ConstraintMode.FULL_NS), l.members, tol)
     condition = Family(l.scenario, (output_trace_condition(l.scenario),))
     return NsChannelReport(report, float(magnitudes(condition, l.members)[0]), tol)
-
-
-def local_channel_assemblage(tables, maps, scenario: Scenario) -> ChannelAssemblage:
-    """Members ``sum_j prod_i p_j(a_i|x_i) L_j`` from CP maps with CPTP total.
-
-    ``tables[i]`` is party ``i``'s ``(h, settings, outcomes)`` array of
-    response tables, ``tables[i][j]`` its table under hidden variable ``j``;
-    ``maps[j]`` is the matching CP map.
-    """
-    d_out, d_in = scenario.trusted_dims
-    total = sum(c.op.data for c in maps)
-    total_choi = ChoiOp((d_in,), (d_out,), Op((d_out, d_in), total))
-    if not verify_cptp(total_choi, BUILD_SLACK).ok:
-        raise ValueError("sum of the CP maps must be a channel")
-    return ChannelAssemblage(scenario, mixture_members(
-        tables, [c.op.data for c in maps], scenario))
 
 
 def verify_asym_ns(l: ChannelAssemblage,

@@ -16,36 +16,51 @@ import numpy as np
 from .core import (
     BUILD_SLACK,
     DEFAULT_TOL,
-    Ket,
-    Op,
-    is_hermitian,
+    _as_finite_complex,
     output_trace,
     psd_deviation,
     psd_deviation_and_spectra,
 )
 
 
+def _held(dims, matrix):
+    """``dims`` as a tuple of ints and ``matrix`` as a read-only complex
+    copy, checked to be finite and square on those subsystems."""
+    dims = tuple(map(int, dims))
+    if not dims or min(dims) < 1:
+        raise ValueError("dims must be a nonempty list of positive integers")
+    matrix = _as_finite_complex(matrix, "operator").copy()
+    side = prod(dims)
+    if matrix.shape != (side, side):
+        raise ValueError(f"matrix shape {matrix.shape} does not match dims {dims}")
+    matrix.flags.writeable = False
+    return dims, matrix
+
+
 @dataclass(frozen=True)
 class State:
-    """Density matrix: Hermitian and PSD within ``abs_tol``, unit trace
-    within ``BUILD_SLACK``."""
+    """Density matrix on the subsystems ``dims``, held as a read-only
+    complex copy: Hermitian and PSD within ``abs_tol``, unit trace within
+    ``BUILD_SLACK``."""
 
-    op: Op
+    dims: tuple
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if psd_deviation(self.op.data[None])[0] > DEFAULT_TOL.abs_tol:
+        dims, matrix = _held(self.dims, self.matrix)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "matrix", matrix)
+        if psd_deviation(matrix[None])[0] > DEFAULT_TOL.abs_tol:
             raise ValueError("state must be Hermitian and PSD")
-        if abs(self.op.trace() - 1) > BUILD_SLACK:
+        if abs(np.trace(matrix) - 1) > BUILD_SLACK:
             raise ValueError("state must have unit trace")
 
-    @property
-    def dims(self):
-        return self.op.dims
 
-
-def pure_state(ket: Ket) -> State:
-    n = ket.norm()
-    return State(Op(ket.dims, np.outer(ket.data, ket.data.conj()) / n**2))
+def pure_state(dims, ket) -> State:
+    """``|ket><ket|`` on the subsystems ``dims``, divided by the squared
+    norm of ``ket``."""
+    ket = np.asarray(ket, dtype=complex).reshape(-1)
+    return State(dims, np.outer(ket, ket.conj()) / np.linalg.norm(ket) ** 2)
 
 
 @dataclass(frozen=True)
@@ -126,23 +141,21 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class ChoiOp:
-    """Choi matrix of a linear map, with factorized input/output dims.
-
-    ``op.dims`` equals ``out_dims + in_dims``.
-    """
+    """Choi matrix of a linear map on ``out_dims + in_dims``, held as a
+    read-only complex copy; Hermitian within ``BUILD_SLACK``."""
 
     in_dims: tuple
     out_dims: tuple
-    op: Op
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         in_dims = tuple(int(d) for d in self.in_dims)
         out_dims = tuple(int(d) for d in self.out_dims)
+        _, matrix = _held(out_dims + in_dims, self.matrix)
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims", out_dims)
-        if self.op.dims != out_dims + in_dims:
-            raise ValueError("Choi operator dims must be out_dims + in_dims")
-        if not is_hermitian(self.op, BUILD_SLACK):
+        object.__setattr__(self, "matrix", matrix)
+        if np.max(np.abs(matrix - matrix.conj().T)) > BUILD_SLACK:
             raise ValueError("Choi matrix must be Hermitian")
 
     @property
@@ -154,22 +167,13 @@ class ChoiOp:
         return prod(self.out_dims)
 
 
-def maximally_entangled(d: int) -> Ket:
-    """Unit-norm ``(1/sqrt(d)) sum_i |ii>`` on dims ``(d, d)``."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1 / np.sqrt(d)
-    return Ket((d, d), v)
-
-
 def choi_of_kraus(k: KrausChannel, in_dims=None, out_dims=None) -> ChoiOp:
     """Choi matrix of a Kraus channel, ``sum_k vec(K_k) vec(K_k)^† / d_in``
     with ``vec`` row-major over ``(out, in)``; unit trace, PSD."""
     v = k.kraus_ops.reshape(len(k.kraus_ops), -1)
     in_dims = tuple(in_dims) if in_dims is not None else (k.in_dim,)
     out_dims = tuple(out_dims) if out_dims is not None else (k.out_dim,)
-    return ChoiOp(in_dims, out_dims, Op(out_dims + in_dims, v.T @ v.conj() / k.in_dim))
+    return ChoiOp(in_dims, out_dims, v.T @ v.conj() / k.in_dim)
 
 
 def choi_of_unitary(u: np.ndarray, in_dims=None, out_dims=None) -> ChoiOp:
@@ -177,15 +181,19 @@ def choi_of_unitary(u: np.ndarray, in_dims=None, out_dims=None) -> ChoiOp:
     return choi_of_kraus(KrausChannel(d, d, u[None]), in_dims, out_dims)
 
 
-def apply_choi(c: ChoiOp, x: Op) -> Op:
-    """Apply the map represented by Choi matrix ``c`` to operator ``x``."""
-    if x.data.shape[0] != c.in_dim:
+def apply_choi(c: ChoiOp, x) -> np.ndarray:
+    """The map whose Choi matrix is ``c``, applied to the ``(d_in, d_in)``
+    array ``x``: ``d_in * sum_mn J[(o, m), (y, n)] x[m, n]``."""
+    x = np.asarray(x)
+    if x.shape != (c.in_dim, c.in_dim):
         raise ValueError("input operator dimension does not match the channel")
-    return apply_channel_on_subsystems(c, Op(c.in_dims, x.data), range(len(c.in_dims)))
+    j = c.matrix.reshape(c.out_dim, c.in_dim, c.out_dim, c.in_dim)
+    return c.in_dim * np.einsum("omyn,mn->oy", j, x)
 
 
 def choi_from_map(fn, in_dims, out_dims) -> ChoiOp:
-    """Assemble a Choi matrix by probing the map on all matrix units."""
+    """Assemble a Choi matrix by probing ``fn``, which maps a ``(d_in, d_in)``
+    array to a ``(d_out, d_out)`` array, on all matrix units."""
     in_dims, out_dims = tuple(in_dims), tuple(out_dims)
     di, do = prod(in_dims), prod(out_dims)
     j = np.zeros((do, di, do, di), dtype=complex)
@@ -193,10 +201,9 @@ def choi_from_map(fn, in_dims, out_dims) -> ChoiOp:
         for n in range(di):
             unit = np.zeros((di, di), dtype=complex)
             unit[m, n] = 1.0
-            j[:, m, :, n] = fn(Op(in_dims, unit)).data / di
+            j[:, m, :, n] = fn(unit) / di
     mat = j.reshape(do * di, do * di)
-    mat = (mat + mat.conj().T) / 2
-    return ChoiOp(in_dims, out_dims, Op(out_dims + in_dims, mat))
+    return ChoiOp(in_dims, out_dims, (mat + mat.conj().T) / 2)
 
 
 @dataclass(frozen=True)
@@ -217,37 +224,12 @@ def verify_cptp(c: ChoiOp, tol: float = DEFAULT_TOL.abs_tol) -> CptpReport:
     Trace preservation: the partial trace of the Choi matrix over the
     output factor must equal ``1/d_in``.
     """
-    deviation, evals = psd_deviation_and_spectra(c.op.data[None])
+    deviation, evals = psd_deviation_and_spectra(c.matrix[None])
     cp = bool(deviation[0] <= tol)
-    reduced = output_trace(c.op.data, c.out_dim, c.in_dim)[0]
+    reduced = output_trace(c.matrix, c.out_dim, c.in_dim)[0]
     dev = float(np.max(np.abs(reduced - np.eye(c.in_dim) / c.in_dim)))
     return CptpReport(cp=cp, tp=dev <= tol,
                       min_eigenvalue=float(evals[0, 0]), tp_deviation=dev)
-
-
-def apply_channel_on_subsystems(c: ChoiOp, rho: Op, targets) -> Op:
-    """Apply ``c`` on the listed subsystems of ``rho``, identity elsewhere.
-
-    The result carries ``c.out_dims`` first, followed by the spectator
-    subsystems in their original relative order.
-    """
-    targets = [int(t) for t in targets]
-    n = len(rho.dims)
-    if sorted(set(targets)) != sorted(targets) or any(t < 0 or t >= n for t in targets):
-        raise IndexError("invalid target subsystem list")
-    if tuple(rho.dims[t] for t in targets) != c.in_dims:
-        raise ValueError("target dims do not match the channel input")
-    spectators = [k for k in range(n) if k not in targets]
-    perm = targets + spectators
-    tensor = rho.data.reshape(rho.dims + rho.dims)
-    tensor = np.transpose(tensor, perm + [n + p for p in perm])
-    di, do = c.in_dim, c.out_dim
-    ds = prod([rho.dims[k] for k in spectators]) if spectators else 1
-    block = tensor.reshape(di, ds, di, ds)
-    j = c.op.data.reshape(do, di, do, di)  # J[o, m, y, n]: row (o, m), column (y, n)
-    out = di * np.einsum("omyn,mrns->orys", j, block)
-    out_dims = c.out_dims + tuple(rho.dims[k] for k in spectators)
-    return Op(out_dims, out.reshape(do * ds, do * ds))
 
 
 def random_kraus_channel(rng: np.random.Generator, in_dim: int, out_dim: int,

@@ -203,7 +203,7 @@ def cmd_security_cert(args, tol: Tolerances, doc: Document):
 def _reproduce_example1(tol: Tolerances) -> dict:
     l = gallery.bell_cnot_assemblage()
     expected = gallery.bell_cnot_expected_members()
-    dev = max(float(np.max(np.abs(l.member(*pos).op.data - mat)))
+    dev = max(float(np.max(np.abs(l.member(*pos) - mat)))
               for pos, mat in expected.items())
     ns = verify_ns_channel(l, tol.abs_tol)
     return {"max_matrix_deviation": dev,
@@ -236,7 +236,7 @@ def _reproduce_appendix(tol: Tolerances) -> dict:
     l = gallery.tilted_cnot_assemblage()
     expected = gallery.tilted_cnot_expected_kets()
     dev = max(
-        float(np.max(np.abs(l.member(*pos).op.data - np.outer(k, k.conj()))))
+        float(np.max(np.abs(l.member(*pos) - np.outer(k, k.conj()))))
         for pos, k in expected.items())
     pure = canonicalize_pure(to_choi_assemblage(l), tol)
     cert = decomposition_analysis(pure, ConstraintMode.ASYM_NS, tol)

@@ -1,15 +1,16 @@
 """Dense complex linear algebra primitives shared by the whole package.
 
-Operators live on tensor products of finite-dimensional subsystems.  The
-basis index of a product vector ``|i1 ... ik>`` is big-endian: the first
-tensor factor is the most significant digit, so ``|i1 i2>`` on dimensions
-``(d1, d2)`` sits at row ``i1 * d2 + i2``.
+Every operator of the package is a complex ndarray on a tensor product of
+finite-dimensional subsystems.  The basis index of a product vector
+``|i1 ... ik>`` is big-endian: the first tensor factor is the most
+significant digit, so ``|i1 i2>`` on dimensions ``(d1, d2)`` sits at row
+``i1 * d2 + i2``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import inf, prod
+from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -53,76 +54,11 @@ def _as_finite_complex(data, shape_kind: str) -> np.ndarray:
     return arr
 
 
-def _as_dims(dims) -> tuple:
-    dims = tuple(map(int, dims))
-    if not dims or min(dims) < 1:
-        raise ValueError("dims must be a nonempty list of positive integers")
-    return dims
-
-
-@dataclass(frozen=True)
-class Op:
-    """A square complex matrix tagged with an ordered subsystem split."""
-
-    dims: tuple
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        dims = _as_dims(self.dims)
-        object.__setattr__(self, "dims", dims)
-        arr = _as_finite_complex(self.data, "operator")
-        side = prod(dims)
-        if arr.shape != (side, side):
-            raise ValueError(
-                f"matrix shape {arr.shape} does not match dims {dims}"
-            )
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def side(self) -> int:
-        return self.data.shape[0]
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.data))
-
-
-@dataclass(frozen=True)
-class Ket:
-    """A complex column vector tagged with an ordered subsystem split."""
-
-    dims: tuple
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        dims = _as_dims(self.dims)
-        object.__setattr__(self, "dims", dims)
-        arr = _as_finite_complex(self.data, "ket").reshape(-1)
-        if arr.shape != (prod(dims),):
-            raise ValueError(f"vector length {arr.size} does not match dims {dims}")
-        object.__setattr__(self, "data", arr)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def outer(self) -> Op:
-        """Rank-one operator |v><v|."""
-        return Op(self.dims, np.outer(self.data, self.data.conj()))
-
-
-def kron(a: Op, b: Op) -> Op:
-    """Tensor product; dims concatenate, big-endian index convention."""
-    return Op(a.dims + b.dims, np.kron(a.data, b.data))
-
-
 def output_trace(stack: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
     """Partial trace over the output factor of every Choi matrix of a
     ``(count, d_out * d_in, d_out * d_in)`` stack: a ``(count, d_in, d_in)``
     array."""
     return np.einsum("nkikj->nij", stack.reshape(-1, d_out, d_in, d_out, d_in))
-
-
-def is_hermitian(a: Op, tol: float = DEFAULT_TOL.abs_tol) -> bool:
-    return bool(np.max(np.abs(a.data - a.data.conj().T)) <= tol)
 
 
 def psd_deviation_and_spectra(stack: np.ndarray):

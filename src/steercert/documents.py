@@ -45,7 +45,6 @@ from math import prod
 import numpy as np
 import orjson
 
-from .core import Op
 from .channels import ChoiOp, KrausChannel, Povm, State, choi_of_kraus
 from .assemblages import Assemblage, Scenario
 from .channel_assemblages import ChannelAssemblage
@@ -332,7 +331,7 @@ def _state_in(obj, path) -> State:
     mat = _matrix_in(obj["matrix"], f"{path}.matrix")
     dims = tuple(obj.get("dims", [mat.shape[0]]))
     try:
-        return State(Op(dims, mat))
+        return State(dims, mat)
     except ValueError as exc:
         raise DocumentError(str(exc), path)
 
@@ -364,7 +363,7 @@ def _channel_in(obj, path) -> ChoiOp:
     if "choi" in obj:
         mat = _matrix_in(obj["choi"], f"{path}.choi")
         try:
-            return ChoiOp(in_dims, out_dims, Op(out_dims + in_dims, mat))
+            return ChoiOp(in_dims, out_dims, mat)
         except ValueError as exc:
             raise DocumentError(str(exc), path)
     if "kraus" in obj:
@@ -382,7 +381,7 @@ def _channel_in(obj, path) -> ChoiOp:
 def _channel_out(c: ChoiOp) -> dict:
     return {"in_dim": c.in_dim, "out_dim": c.out_dim,
             "in_dims": list(c.in_dims), "out_dims": list(c.out_dims),
-            "choi": _matrix_out(c.op.data)}
+            "choi": _matrix_out(c.matrix)}
 
 
 def _assemblage_in(obj, path, as_channel: bool):
@@ -525,7 +524,7 @@ def parse(data) -> Document:
 def serialize(obj) -> dict:
     """Turn a domain object into a document dict."""
     if isinstance(obj, State):
-        payload = {"dims": list(obj.dims), "matrix": _matrix_out(obj.op.data)}
+        payload = {"dims": list(obj.dims), "matrix": _matrix_out(obj.matrix)}
         kind = "state"
     elif isinstance(obj, Povm):
         payload, kind = _povm_out(obj), "povm"
@@ -547,7 +546,7 @@ def serialize(obj) -> dict:
         payload = {
             "scenario": _scenario_out(obj.scenario),
             "state": {"dims": list(obj.state.dims),
-                      "matrix": _matrix_out(obj.state.op.data)},
+                      "matrix": _matrix_out(obj.state.matrix)},
             "povms": [_povm_out(p) for p in obj.povms],
         }
         if obj.channel is not None:

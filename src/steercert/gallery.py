@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Ket, Op
 from .channels import ChoiOp, Povm, State, choi_of_unitary, projective_povm, pure_state
 from .assemblages import Scenario
 from .channel_assemblages import ChannelAssemblage, chanasm_from_realization
@@ -59,9 +58,8 @@ def computational_hadamard_povm() -> Povm:
 
 def bell_cnot_realization():
     """(shared state, per-party POVMs, interaction channel, scenario)."""
-    bell = Ket((2, 2), KET_PHI)
     povm = computational_hadamard_povm()
-    return pure_state(bell), (povm, povm), _cnot_interaction(), bell_cnot_scenario()
+    return pure_state((2, 2), KET_PHI), (povm, povm), _cnot_interaction(), bell_cnot_scenario()
 
 
 def bell_cnot_assemblage() -> ChannelAssemblage:
@@ -99,7 +97,7 @@ def bell_cnot_expected_members() -> dict:
 
 
 def key_input_state() -> State:
-    return State(Op((2,), np.array([[1, 0], [0, 0]], dtype=complex)))
+    return State((2,), np.array([[1, 0], [0, 0]], dtype=complex))
 
 
 def key_measurement() -> Povm:
@@ -116,10 +114,9 @@ KET_TILT_A1 = np.array([_S2, -1], dtype=complex) / np.sqrt(3)
 
 
 def tilted_cnot_realization():
-    bell = Ket((2, 2), KET_PHI)
     povm_a = projective_povm([[KET_TILT_A0, KET_TILT_A1], [KET_PLUS, KET_MINUS]])
     povm_b = projective_povm([[KET_TILT_B0, KET_TILT_B1], [KET_PLUS, KET_MINUS]])
-    return pure_state(bell), (povm_a, povm_b), _cnot_interaction(), bell_cnot_scenario()
+    return pure_state((2, 2), KET_PHI), (povm_a, povm_b), _cnot_interaction(), bell_cnot_scenario()
 
 
 def tilted_cnot_assemblage() -> ChannelAssemblage:
@@ -156,21 +153,6 @@ def tilted_cnot_expected_kets() -> dict:
         ((1, 0), (1, 1)): np.kron(KET_MINUS, KET_MINUS) / 2,
         ((1, 1), (1, 1)): np.kron(KET_PLUS, KET_PLUS) / 2,
     }
-
-
-def tilted_scalar_relations():
-    """Scalar consequences of the relaxed constraints on the tilted
-    pattern, written over per-column coefficients (e, f, g, h) that scale
-    the y=0 and y=1 column members.
-
-    Returns a list of (coeff_e, coeff_f, coeff_g, coeff_h) with implied
-    right-hand side zero.
-    """
-    return [
-        (9 / 5, 6 / 5, -3 / 2, -3 / 2),
-        (4, -4, -5, 5),
-        (1, 1, -1, -1),
-    ]
 
 
 def nonextremal_split_coefficients():

@@ -54,7 +54,7 @@ def correlations(l: ChannelAssemblage, rho: State, charlie: Povm,
     if scen.n_parties != 2:
         raise ValueError("correlations are defined for two untrusted parties")
     d_out, d_in = scen.trusted_dims
-    if rho.op.side != d_in:
+    if rho.matrix.shape[0] != d_in:
         raise ValueError("input state dimension mismatch")
     if charlie.dim != d_out:
         raise ValueError("trusted measurement dimension mismatch")
@@ -63,7 +63,7 @@ def correlations(l: ChannelAssemblage, rho: State, charlie: Povm,
     choi = l.members.reshape(m1, m2, k1, k2, d_out, d_in, d_out, d_in)
     # p(a, b, c | x, y, z) = Tr[E_{c|z} L_{ab|xy}(rho)], where
     # L(rho) = d_in Tr_in[(1 (x) rho^T) J]
-    table = np.einsum("zcqo,xyabomqn,mn->xyzabc", charlie.effects, choi, rho.op.data)
+    table = np.einsum("zcqo,xyabomqn,mn->xyzabc", charlie.effects, choi, rho.matrix)
     return CorrelationTable(d_in * table.real, tol)
 
 

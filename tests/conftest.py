@@ -9,9 +9,11 @@ import pytest
 from hypothesis import strategies as st
 
 from steercert import documents
-from steercert.core import Ket, Op, kron
-from steercert.channels import State, projective_povm, pure_state
-from steercert.assemblages import PureAssemblage, Scenario, assemblage_from_realization
+from steercert.core import BUILD_SLACK
+from steercert.channels import ChoiOp, State, projective_povm, pure_state, verify_cptp
+from steercert.assemblages import (PureAssemblage, Scenario, assemblage_from_realization,
+                                   mixture_members)
+from steercert.channel_assemblages import ChannelAssemblage
 
 # One line per release criterion, echoed after the test summary so the
 # verdicts stay visible even though pytest captures per-test stdout.
@@ -35,29 +37,18 @@ def random_density(rng: np.random.Generator, dims) -> State:
     d = prod(dims)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
-    return State(Op(dims, m / np.trace(m)))
+    return State(dims, m / np.trace(m))
 
 
-def identity(dims) -> Op:
-    dims = tuple(dims)
-    return Op(dims, np.eye(prod(dims), dtype=complex))
-
-
-def kron_all(ops) -> Op:
-    ops = list(ops)
-    out = ops[0]
-    for op in ops[1:]:
-        out = kron(out, op)
-    return out
-
-
-def partial_trace(a: Op, keep) -> Op:
-    """Trace out all subsystems not in ``keep``; kept order is preserved.
+def partial_trace(a: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace the square array ``a`` on subsystems ``dims`` over all those
+    not in ``keep``; kept order is preserved.
 
     ``keep`` may be any iterable of subsystem indices; keeping everything
     returns the input unchanged.
     """
-    n = len(a.dims)
+    dims = tuple(dims)
+    n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise IndexError(f"subsystem index out of range for {n} subsystems")
@@ -69,11 +60,48 @@ def partial_trace(a: Op, keep) -> Op:
     row = list(letters[:n])
     col = [letters[n + k] if k in keep else letters[k] for k in range(n)]
     out = [row[k] for k in keep] + [col[k] for k in keep]
-    tensor = a.data.reshape(a.dims + a.dims)
-    reduced = np.einsum("".join(row + col) + "->" + "".join(out), tensor)
-    kept_dims = tuple(a.dims[k] for k in keep) if keep else (1,)
-    side = prod(kept_dims)
-    return Op(kept_dims, reduced.reshape(side, side))
+    reduced = np.einsum("".join(row + col) + "->" + "".join(out), a.reshape(dims + dims))
+    side = prod(dims[k] for k in keep)
+    return reduced.reshape(side, side)
+
+
+def apply_channel_on_subsystems(c: ChoiOp, rho: np.ndarray, dims, targets) -> np.ndarray:
+    """Apply ``c`` on the listed subsystems of the array ``rho`` on ``dims``,
+    identity elsewhere.
+
+    The result's subsystems are ``c.out_dims`` first, followed by the
+    spectator subsystems in their original relative order.
+    """
+    dims, targets = tuple(dims), [int(t) for t in targets]
+    n = len(dims)
+    if sorted(set(targets)) != sorted(targets) or any(t < 0 or t >= n for t in targets):
+        raise IndexError("invalid target subsystem list")
+    if tuple(dims[t] for t in targets) != c.in_dims:
+        raise ValueError("target dims do not match the channel input")
+    spectators = [k for k in range(n) if k not in targets]
+    perm = targets + spectators
+    tensor = np.transpose(rho.reshape(dims + dims), perm + [n + p for p in perm])
+    di, do = c.in_dim, c.out_dim
+    ds = prod(dims[k] for k in spectators)
+    block = tensor.reshape(di, ds, di, ds)
+    j = c.matrix.reshape(do, di, do, di)  # J[o, m, y, n]: row (o, m), column (y, n)
+    out = di * np.einsum("omyn,mrns->orys", j, block)
+    return out.reshape(do * ds, do * ds)
+
+
+def local_channel_assemblage(tables, maps, scenario: Scenario) -> ChannelAssemblage:
+    """Members ``sum_j prod_i p_j(a_i|x_i) L_j`` from CP maps with CPTP total.
+
+    ``tables[i]`` is party ``i``'s ``(h, settings, outcomes)`` array of
+    response tables, ``tables[i][j]`` its table under hidden variable ``j``;
+    ``maps[j]`` is the matching CP map, a :class:`ChoiOp`.
+    """
+    d_out, d_in = scenario.trusted_dims
+    total = ChoiOp((d_in,), (d_out,), sum(c.matrix for c in maps))
+    if not verify_cptp(total, BUILD_SLACK).ok:
+        raise ValueError("sum of the CP maps must be a channel")
+    return ChannelAssemblage(scenario, mixture_members(
+        tables, [c.matrix for c in maps], scenario))
 
 
 def haar_unitary(rng, dim):
@@ -95,7 +123,7 @@ def pure_realization(rng, n, m, k, d, entangled=True):
                          for u in (haar_unitary(rng, k) for _ in range(m))])
         for _ in range(n))
     scen = Scenario((m,) * n, (k,) * n, (d,))
-    return assemblage_from_realization(pure_state(Ket((k,) * n + (d,), psi)),
+    return assemblage_from_realization(pure_state((k,) * n + (d,), psi),
                                        povms, scen)
 
 
@@ -107,7 +135,7 @@ def product_realization(rng, n, m, k, d) -> documents.Realization:
     povms = tuple(projective_povm([haar_unitary(rng, k).T for _ in range(m)])
                   for _ in range(n))
     return documents.Realization(Scenario((m,) * n, (k,) * n, (d,)),
-                                 pure_state(Ket((k,) * n + (d,), psi)), povms)
+                                 pure_state((k,) * n + (d,), psi), povms)
 
 
 def pure_assemblage(scenario, members: dict):
@@ -154,7 +182,7 @@ def _generated_assemblage() -> dict:
     plus = np.array([1, 1]) / np.sqrt(2)
     minus = np.array([1, -1]) / np.sqrt(2)
     povm = projective_povm([[np.array([1, 0]), np.array([0, 1])], [plus, minus]])
-    s = assemblage_from_realization(pure_state(Ket((2, 2, 2), ket)), (povm, povm), scen)
+    s = assemblage_from_realization(pure_state((2, 2, 2), ket), (povm, povm), scen)
     return documents.serialize(s)
 
 

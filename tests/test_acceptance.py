@@ -7,10 +7,9 @@ explicit bounds below.
 """
 
 import numpy as np
-import pytest
 
 from steercert import gallery
-from steercert.core import Op, Tolerances, nullspace
+from steercert.core import Tolerances, nullspace
 from steercert.channels import (
     ChoiOp,
     apply_choi,
@@ -59,10 +58,10 @@ def test_criterion_1_example_reproduction():
     """Realization produces the frozen Bell-type Choi member table."""
     l = gallery.bell_cnot_assemblage()
     expected = gallery.bell_cnot_expected_members()
-    dev = max(float(np.max(np.abs(l.member(*pos).op.data - mat)))
+    dev = max(float(np.max(np.abs(l.member(*pos) - mat)))
               for pos, mat in expected.items())
     phi = gallery.KET_PHI
-    member = l.member((0, 0), (0, 0)).op.data
+    member = l.member((0, 0), (0, 0))
     dev00 = float(np.max(np.abs(member - 0.5 * np.outer(phi, phi.conj()))))
     ok = dev < MATRIX_TOL and dev00 < MATRIX_TOL
     report(1, ok, f"max member deviation {dev:.2e}")
@@ -124,13 +123,24 @@ def test_criterion_4_relaxed_mode_non_extremality():
     assert cert.nullity == 2
 
 
+# Scalar consequences of the relaxed constraints on the tilted pattern,
+# written over per-column coefficients (e, f, g, h) that scale the y=0 and
+# y=1 column members: rows (coeff_e, coeff_f, coeff_g, coeff_h), each with
+# right-hand side zero.
+TILTED_SCALAR_RELATIONS = [
+    (9 / 5, 6 / 5, -3 / 2, -3 / 2),
+    (4, -4, -5, 5),
+    (1, 1, -1, -1),
+]
+
+
 def test_criterion_5_tilted_reproduction_and_extremality():
     """Tilted-basis assemblage: frozen kets, unique coefficients, and the
     three scalar consequences lie in the reduced constraint row space."""
     l = gallery.tilted_cnot_assemblage()
     expected = gallery.tilted_cnot_expected_kets()
     dev = max(
-        float(np.max(np.abs(l.member(*pos).op.data - np.outer(k, k.conj()))))
+        float(np.max(np.abs(l.member(*pos) - np.outer(k, k.conj()))))
         for pos, k in expected.items())
     pure = canonicalize_pure(to_choi_assemblage(l), TOL)
     cert = decomposition_analysis(pure, ConstraintMode.ASYM_NS, TOL)
@@ -150,7 +160,7 @@ def test_criterion_5_tilted_reproduction_and_extremality():
         reduce_map[j, groups.index((b, y))] = system.reference[j]
     m4 = a_h @ reduce_map
     max_row_residual = 0.0
-    for relation in gallery.tilted_scalar_relations():
+    for relation in TILTED_SCALAR_RELATIONS:
         r = np.asarray(relation, dtype=float)
         coeffs_ls, *_ = np.linalg.lstsq(m4.T, r, rcond=None)
         max_row_residual = max(max_row_residual,
@@ -211,8 +221,7 @@ def test_criterion_7_lhs_decision():
     if isinstance(local_verdict, LhsModel):
         rebuilt = lhs_assemblage(local_verdict, scen)
         roundtrip_dev = max(
-            float(np.max(np.abs(rebuilt.member(*pos).data
-                                - local.member(*pos).data)))
+            float(np.max(np.abs(rebuilt.member(*pos) - local.member(*pos))))
             for pos in scen.positions())
 
     ok = (isinstance(steering_verdict, NoLhs)
@@ -241,18 +250,18 @@ def test_criterion_8_property_suites():
         x = rng.normal(size=(din, din)) + 1j * rng.normal(size=(din, din))
         direct = sum(op @ x @ op.conj().T for op in k.kraus_ops)
         worst = max(worst, float(np.max(np.abs(
-            direct - apply_choi(c, Op((din,), x)).data))))
+            direct - apply_choi(c, x)))))
         if not verify_cptp(c, TOL.abs_tol).ok:
             failures.append("random channel failed CPTP check")
     if worst >= 1e-9:
         failures.append(f"Choi round-trip deviation {worst:.2e}")
 
     # CPTP <=> Choi conditions, including both counterexample directions
-    transpose = choi_from_map(lambda x: Op((2,), x.data.T), (2,), (2,))
+    transpose = choi_from_map(lambda x: x.T, (2,), (2,))
     if verify_cptp(transpose).cp or not verify_cptp(transpose).tp:
         failures.append("transpose map misclassified")
     c = choi_of_kraus(random_kraus_channel(rng, 2, 2))
-    scaled = ChoiOp((2,), (2,), Op((2, 2), 0.9 * c.op.data))
+    scaled = ChoiOp((2,), (2,), 0.9 * c.matrix)
     if not verify_cptp(scaled).cp or verify_cptp(scaled).tp:
         failures.append("scaled channel misclassified")
 

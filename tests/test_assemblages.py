@@ -3,7 +3,7 @@ import pytest
 from conftest import random_density
 from hypothesis import given, settings, strategies as st
 
-from steercert.core import DEFAULT_TOL, Ket, Op
+from steercert.core import DEFAULT_TOL
 from steercert.channels import (
     Povm,
     projective_povm,
@@ -12,7 +12,6 @@ from steercert.channels import (
 )
 from steercert.assemblages import (
     Assemblage,
-    HermitianRealization,
     LhsModel,
     MemberError,
     NoLhs,
@@ -20,8 +19,8 @@ from steercert.assemblages import (
     assemblage_from_realization,
     canonicalize_pure,
     lhs_assemblage,
+    measured_members,
     pure_lhs_decide,
-    verify_hermitian_realization,
     verify_ns,
 )
 from steercert.channel_assemblages import ChannelAssemblage, to_choi_assemblage
@@ -39,8 +38,8 @@ def zx_povm():
 def singlet_assemblage():
     """One untrusted qubit measured in Z and X on half of a Bell pair."""
     scen = Scenario((2,), (2,), (2,))
-    bell = Ket((2, 2), np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-    return assemblage_from_realization(pure_state(bell), (zx_povm(),), scen)
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    return assemblage_from_realization(pure_state((2, 2), bell), (zx_povm(),), scen)
 
 
 def random_realized_assemblage(rng, scen: Scenario) -> Assemblage:
@@ -99,9 +98,8 @@ def test_verify_ns_reports_non_psd_members_and_totals():
 
 def test_singlet_assemblage_members_and_ns():
     s = singlet_assemblage()
-    np.testing.assert_allclose(s.member((0,), (0,)).data,
-                               np.diag([0.5, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(s.member((0,), (1,)).data,
+    np.testing.assert_allclose(s.member((0,), (0,)), np.diag([0.5, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(s.member((0,), (1,)),
                                0.5 * np.outer(PLUS, PLUS), atol=1e-12)
     assert verify_ns(s).ok
 
@@ -118,23 +116,23 @@ def test_quantum_realizations_are_no_signaling(rng):
 def test_verify_ns_detects_signaling():
     scen = Scenario((2,), (2,), (2,))
     members = {
-        ((0,), (0,)): Op((2,), np.diag([0.5, 0.0])),
-        ((1,), (0,)): Op((2,), np.diag([0.0, 0.5])),
-        ((0,), (1,)): Op((2,), np.diag([0.7, 0.0])),
-        ((1,), (1,)): Op((2,), np.diag([0.0, 0.3])),
+        ((0,), (0,)): np.diag([0.5, 0.0]),
+        ((1,), (0,)): np.diag([0.0, 0.5]),
+        ((0,), (1,)): np.diag([0.7, 0.0]),
+        ((1,), (1,)): np.diag([0.0, 0.3]),
     }
-    report = verify_ns(Assemblage(scen, [members[pos].data for pos in scen.positions()]))
+    report = verify_ns(Assemblage(scen, [members[pos] for pos in scen.positions()]))
     assert not report.ok
     assert report.max_violation == pytest.approx(0.2)
 
 
 def test_hermitian_realization_roundtrip():
     s = singlet_assemblage()
-    bell = Ket((2, 2), np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-    h = HermitianRealization(bell.outer(), (zx_povm(),))
-    assert verify_hermitian_realization(h, s)
-    other = HermitianRealization(Op((2, 2), np.eye(4) / 4), (zx_povm(),))
-    assert not verify_hermitian_realization(other, s)
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    w = np.outer(bell, bell)
+    assert np.max(np.abs(measured_members(w, (zx_povm(),), s.scenario) - s.members)) <= 1e-9
+    other = measured_members(np.eye(4) / 4, (zx_povm(),), s.scenario)
+    assert np.max(np.abs(other - s.members)) > 1e-9
 
 
 def test_lhs_assemblage_and_decision_roundtrip():
@@ -149,8 +147,7 @@ def test_lhs_assemblage_and_decision_roundtrip():
     assert isinstance(verdict, LhsModel)
     rebuilt = lhs_assemblage(verdict, scen)
     for pos in scen.positions():
-        np.testing.assert_allclose(rebuilt.member(*pos).data,
-                                   s.member(*pos).data, atol=1e-9)
+        np.testing.assert_allclose(rebuilt.member(*pos), s.member(*pos), atol=1e-9)
 
 
 def _two_variable_model():
@@ -219,9 +216,8 @@ def test_pr_box_like_assemblage_has_no_lhs_model():
     # two untrusted parties steering a trivial trusted system with PR-box
     # statistics: no-signaling but far outside the local polytope
     scen = Scenario((2, 2), (2, 2), (1,))
-    one = Op((1,), np.array([[1.0]]))
-    half = Op((1,), np.array([[0.5]]))
-    zero = Op((1,), np.array([[0.0]]))
+    half = np.array([[0.5]])
+    zero = np.array([[0.0]])
     members = {}
     for x in range(2):
         for y in range(2):
@@ -229,7 +225,7 @@ def test_pr_box_like_assemblage_has_no_lhs_model():
                 for b in range(2):
                     hit = (a ^ b) == (x & y)
                     members[((a, b), (x, y))] = half if hit else zero
-    s = Assemblage(scen, [members[pos].data for pos in scen.positions()])
+    s = Assemblage(scen, [members[pos] for pos in scen.positions()])
     assert verify_ns(s).ok
     verdict = pure_lhs_decide(canonicalize_pure(s))
     assert isinstance(verdict, NoLhs)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
+from conftest import local_channel_assemblage
 
 from steercert import gallery
-from steercert.core import Op
 from steercert.channels import ChoiOp, choi_of_kraus, random_kraus_channel
 from steercert.assemblages import Scenario
 from steercert.channel_assemblages import (
     ChannelAssemblage,
-    local_channel_assemblage,
     to_choi_assemblage,
     verify_asym_ns,
     verify_ns_channel,
@@ -18,7 +17,7 @@ def test_bell_cnot_members_match_frozen_table():
     l = gallery.bell_cnot_assemblage()
     expected = gallery.bell_cnot_expected_members()
     for pos, mat in expected.items():
-        np.testing.assert_allclose(l.member(*pos).op.data, mat, atol=1e-12)
+        np.testing.assert_allclose(l.member(*pos), mat, atol=1e-12)
 
 
 def test_bell_cnot_is_no_signaling():
@@ -48,7 +47,7 @@ def test_verify_ns_channel_reports_setting_dependent_totals():
 def test_local_channel_assemblage_is_ns(rng):
     scen = Scenario((2, 2), (2, 2), (2, 2))
     k1 = choi_of_kraus(random_kraus_channel(rng, 2, 2))
-    half = ChoiOp((2,), (2,), Op((2, 2), 0.5 * k1.op.data))
+    half = ChoiOp((2,), (2,), 0.5 * k1.matrix)
     maps = (half, half)
     # tables[i][j]: party i under hidden variable j (deterministic, mixed)
     tables = (np.array([[[1.0, 0.0], [1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]]),
@@ -61,7 +60,7 @@ def test_local_channel_assemblage_is_ns(rng):
 def test_local_channel_assemblage_needs_cptp_total(rng):
     scen = Scenario((1, 1), (1, 1), (2, 2))
     k1 = choi_of_kraus(random_kraus_channel(rng, 2, 2))
-    bad = ChoiOp((2,), (2,), Op((2, 2), 0.5 * k1.op.data))
+    bad = ChoiOp((2,), (2,), 0.5 * k1.matrix)
     with pytest.raises(ValueError):
         local_channel_assemblage((np.ones((1, 1, 1)), np.ones((1, 1, 1))),
                                  (bad,), scen)
@@ -84,5 +83,5 @@ def test_to_choi_assemblage_shares_matrices():
     l = gallery.bell_cnot_assemblage()
     s = to_choi_assemblage(l)
     pos = ((1, 1), (1, 1))
-    np.testing.assert_allclose(s.member(*pos).data, l.member(*pos).op.data)
+    np.testing.assert_allclose(s.member(*pos), l.member(*pos))
     assert s.scenario == l.scenario

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import apply_channel_on_subsystems, random_density
 
 from steercert import gallery
-from steercert.core import Ket, Op
 from steercert.channels import (
     ChoiOp,
     KrausChannel,
     Povm,
     State,
-    apply_channel_on_subsystems,
     apply_choi,
     choi_from_map,
     choi_of_kraus,
     choi_of_unitary,
-    maximally_entangled,
     projective_povm,
     pure_state,
     random_kraus_channel,
@@ -28,11 +25,21 @@ def kraus_apply(k: KrausChannel, x: np.ndarray) -> np.ndarray:
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        State(Op((2,), np.diag([0.5, -0.5])))
+        State((2,), np.diag([0.5, -0.5]))
     with pytest.raises(ValueError):
-        State(Op((2,), np.diag([0.7, 0.7])))
-    s = pure_state(Ket((2,), [1, 1]))
-    assert s.op.trace() == pytest.approx(1.0)
+        State((2,), np.diag([0.7, 0.7]))
+    s = pure_state((2,), [1, 1])
+    assert np.trace(s.matrix) == pytest.approx(1.0)
+
+
+def test_state_and_choi_matrices_are_read_only_copies():
+    matrix = np.diag([1.0, 0.0]).astype(complex)
+    held = [State((2,), matrix).matrix, ChoiOp((1,), (2,), matrix).matrix]
+    matrix[0, 0] = 0  # not changed through the caller's array
+    for m in held:
+        assert m[0, 0] == 1 and m.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0
 
 
 def test_povm_validation():
@@ -117,7 +124,8 @@ def test_kraus_channel_refuses_a_wrongly_shaped_list(ops):
 def kron_lift_choi(k: KrausChannel) -> np.ndarray:
     """``sum_k (K_k (x) 1) phi (K_k (x) 1)^†``, phi the maximally
     entangled projector on the input and a copy of it."""
-    phi = maximally_entangled(k.in_dim).outer().data
+    v = np.eye(k.in_dim).reshape(-1)  # sum_i |ii>
+    phi = np.outer(v, v) / k.in_dim
     lifts = [np.kron(op, np.eye(k.in_dim)) for op in k.kraus_ops]
     return sum(lift @ phi @ lift.conj().T for lift in lifts)
 
@@ -126,14 +134,14 @@ def kron_lift_choi(k: KrausChannel) -> np.ndarray:
 def test_choi_of_kraus_matches_the_kronecker_lift(rng, in_dim, out_dim):
     for _ in range(10):
         k = random_kraus_channel(rng, in_dim, out_dim)
-        assert np.max(np.abs(choi_of_kraus(k).op.data - kron_lift_choi(k))) <= 1e-15
+        assert np.max(np.abs(choi_of_kraus(k).matrix - kron_lift_choi(k))) <= 1e-15
 
 
 def test_choi_of_a_permutation_unitary_is_exact():
     # the gallery's CNOT interaction: vec(u) has entries 0 and 1, so every
     # Choi entry is exactly 0 or 1/8
     _, _, channel, _ = gallery.bell_cnot_realization()
-    assert np.isin(channel.op.data, [0, 1 / 8]).all()
+    assert np.isin(channel.matrix, [0, 1 / 8]).all()
 
 
 def test_random_kraus_channel_needs_room_for_an_isometry(rng):
@@ -143,15 +151,10 @@ def test_random_kraus_channel_needs_room_for_an_isometry(rng):
     assert verify_cptp(choi_of_kraus(k)).ok
 
 
-def test_maximally_entangled():
-    phi = maximally_entangled(2)
-    np.testing.assert_allclose(phi.data, [1, 0, 0, 1] / np.sqrt(2))
-    assert phi.dims == (2, 2)
-
-
 def test_identity_channel_choi():
     c = choi_of_unitary(np.eye(2))
-    np.testing.assert_allclose(c.op.data, maximally_entangled(2).outer().data)
+    np.testing.assert_allclose(c.matrix, [[0.5, 0, 0, 0.5], [0] * 4, [0] * 4,
+                                          [0.5, 0, 0, 0.5]])
     report = verify_cptp(c)
     assert report.ok and report.cp and report.tp
 
@@ -166,60 +169,58 @@ def test_choi_roundtrip_random_channels(rng):
         assert verify_cptp(c).ok
         x = rng.normal(size=(din, din)) + 1j * rng.normal(size=(din, din))
         direct = kraus_apply(k, x)
-        via_choi = apply_choi(c, Op((din,), x)).data
+        via_choi = apply_choi(c, x)
         assert np.max(np.abs(direct - via_choi)) < 1e-9
 
 
 def test_choi_from_map_matches_kraus(rng):
     k = random_kraus_channel(rng, 3, 2)
     c1 = choi_of_kraus(k)
-    c2 = choi_from_map(lambda x: Op((2,), kraus_apply(k, x.data)), (3,), (2,))
-    np.testing.assert_allclose(c1.op.data, c2.op.data, atol=1e-12)
+    c2 = choi_from_map(lambda x: kraus_apply(k, x), (3,), (2,))
+    np.testing.assert_allclose(c1.matrix, c2.matrix, atol=1e-12)
 
 
 def test_cptp_iff_choi_conditions(rng):
     # transpose map: TP but not CP (Choi has a negative eigenvalue)
-    transpose = choi_from_map(lambda x: Op((2,), x.data.T), (2,), (2,))
+    transpose = choi_from_map(lambda x: x.T, (2,), (2,))
     report = verify_cptp(transpose)
     assert not report.cp and report.tp and report.min_eigenvalue < -1e-3
     # scaled channel: CP but not TP
     k = random_kraus_channel(rng, 2, 2)
     c = choi_of_kraus(k)
-    scaled = ChoiOp((2,), (2,), Op((2, 2), 0.9 * c.op.data))
+    scaled = ChoiOp((2,), (2,), 0.9 * c.matrix)
     report = verify_cptp(scaled)
     assert report.cp and not report.tp
     assert report.tp_deviation == pytest.approx(0.05, abs=1e-9)
 
 
 def test_choi_dims_must_match():
-    with pytest.raises(ValueError):
-        ChoiOp((2,), (2,), Op((2, 3), np.zeros((6, 6))))
-    with pytest.raises(ValueError):
-        ChoiOp((2,), (2,), Op((2, 2), np.triu(np.ones((4, 4)))))
+    with pytest.raises(ValueError, match=r"matrix shape \(6, 6\) does not match dims \(2, 2\)"):
+        ChoiOp((2,), (2,), np.zeros((6, 6)))
+    with pytest.raises(ValueError, match="Choi matrix must be Hermitian"):
+        ChoiOp((2,), (2,), np.triu(np.ones((4, 4))))
 
 
 def test_apply_channel_on_subsystems_matches_global(rng):
     # applying on the first subsystem equals conjugating by U (x) 1
     u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     c = choi_of_unitary(u)
-    rho = random_density(rng, (2, 3)).op
-    out = apply_channel_on_subsystems(c, rho, targets=[0])
+    rho = random_density(rng, (2, 3)).matrix
+    out = apply_channel_on_subsystems(c, rho, (2, 3), targets=[0])
     big = np.kron(u, np.eye(3))
-    np.testing.assert_allclose(out.data, big @ rho.data @ big.conj().T,
-                               atol=1e-10)
+    np.testing.assert_allclose(out, big @ rho @ big.conj().T, atol=1e-10)
 
 
 def test_apply_channel_on_subsystems_permutes(rng):
     # applying on the last subsystem moves its output to the front
     u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     c = choi_of_unitary(u)
-    rho = random_density(rng, (3, 2)).op
-    out = apply_channel_on_subsystems(c, rho, targets=[1])
-    assert out.dims == (2, 3)
+    rho = random_density(rng, (3, 2)).matrix
+    out = apply_channel_on_subsystems(c, rho, (3, 2), targets=[1])
     swap = np.zeros((6, 6))
     for i in range(3):
         for j in range(2):
             swap[j * 3 + i, i * 2 + j] = 1.0
     big = np.kron(np.eye(3), u)
-    expected = swap @ (big @ rho.data @ big.conj().T) @ swap.T
-    np.testing.assert_allclose(out.data, expected, atol=1e-10)
+    expected = swap @ (big @ rho @ big.conj().T) @ swap.T  # on (2, 3)
+    np.testing.assert_allclose(out, expected, atol=1e-10)

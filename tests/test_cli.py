@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import product_realization
+from conftest import local_channel_assemblage, product_realization
 
 from steercert import cli, documents, gallery
-from steercert.core import NnlsDidNotConverge, Op
+from steercert.core import NnlsDidNotConverge
 from steercert.channels import State, choi_of_unitary
 from steercert.assemblages import (
     Assemblage,
@@ -22,7 +22,6 @@ from steercert.assemblages import (
 )
 from steercert.channel_assemblages import (
     ChannelAssemblage,
-    local_channel_assemblage,
     to_choi_assemblage,
 )
 
@@ -84,6 +83,20 @@ def test_verify_cptp_report(capsys, tmp_path, payload, flags, code, cp, tp):
     assert (got, details["mode"], details["cp"], details["tp"]) == (code, "cptp", cp, tp)
     if flags:
         assert details["tp_deviation"] == float(_BOUNDARY_TOL)
+
+
+@pytest.mark.parametrize("choi, error", [
+    ([[[0, 0]] * 3] * 3, "matrix shape (3, 3) does not match dims (2, 2)"),
+    ([[[1 if j >= i else 0, 0] for j in range(4)] for i in range(4)],
+     "Choi matrix must be Hermitian"),
+], ids=["3x3", "not-hermitian"])
+def test_verify_malformed_choi_is_input_error(capsys, tmp_path, choi, error):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"kind": "channel", "version": 1, "payload": {
+        "in_dim": 2, "out_dim": 2, "in_dims": [2], "out_dims": [2], "choi": choi}}))
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"] == f"$.payload: {error}"
 
 
 def test_verify_rejects_mismatched_mode(capsys, tmp_path):
@@ -579,6 +592,10 @@ def _realization_document(defect: str) -> dict:
         raw["payload"]["povms"].pop()
     elif defect == "povm-extra":
         raw["payload"]["povms"].append(raw["payload"]["povms"][0])
+    elif defect == "state-dims-2-3":
+        raw["payload"]["state"]["dims"] = [2, 3]
+    elif defect == "state-dims-empty":
+        raw["payload"]["state"]["dims"] = []
     elif defect in _MALFORMED_ENTRIES:
         raw["payload"]["state"]["matrix"][0][0] = _MALFORMED_ENTRIES[defect][0]
     return raw
@@ -605,6 +622,9 @@ _MALFORMED_ENTRIES = {"one-number-entry": ([0.5], ": [0.5] is too short"),
      "different number of effects (3) than setting 0 (2)"),
     ("povm-missing", "$.payload.povms: expected one POVM per party (2), got 1"),
     ("povm-extra", "$.payload.povms: expected one POVM per party (2), got 3"),
+    ("state-dims-2-3", "$.payload.state: matrix shape (4, 4) does not match dims (2, 3)"),
+    ("state-dims-empty",
+     "$.payload.state: dims must be a nonempty list of positive integers"),
     *((defect, f"$.payload.state.matrix[0][0]{error}")
       for defect, (_, error) in _MALFORMED_ENTRIES.items()),
 ])
@@ -617,7 +637,7 @@ def test_malformed_realization_is_input_error(capsys, tmp_path, command, defect,
 
 
 def _perturbed_key_state():
-    return State(Op((2,), np.diag([1 - 1e-6, 1e-6]).astype(complex)))
+    return State((2,), np.diag([1 - 1e-6, 1e-6]))
 
 
 # Per reproduce target, a gallery function and a replacement that moves
@@ -658,7 +678,7 @@ def test_choi_of_a_channel_document_parses_back(capsys, tmp_path):
     assert code == 0
     doc = documents.parse(out)
     assert doc.kind == "channel"
-    np.testing.assert_array_equal(doc.payload.op.data, channel.op.data)
+    np.testing.assert_array_equal(doc.payload.matrix, channel.matrix)
 
 
 def _noisy_pr_box(tmp_path) -> str:

@@ -25,7 +25,7 @@ def relabel_mutant(s: Assemblage) -> Assemblage:
         src = list(a)
         if x[0] == 1:
             src[1] = (a[1] + 1) % k
-        members.append(s.member(src, x).data)
+        members.append(s.member(src, x))
     return Assemblage(s.scenario, members)
 
 

@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
-from conftest import (identity, kron_all, partial_trace, pure_realization,
-                      shared_ket_local_box)
+from conftest import partial_trace, pure_realization, shared_ket_local_box
 from hypothesis import given, settings, strategies as st
 
 from steercert import assemblages, core
+from steercert.channels import ChoiOp, State
 from steercert.core import (
     DEFAULT_TOL,
-    Ket,
-    NnlsDidNotConverge,
-    Op,
     Tolerances,
-    is_hermitian,
-    kron,
     nnls,
     nullspace,
     nullspace_and_spectrum,
@@ -21,76 +16,56 @@ from steercert.core import (
 
 
 def test_op_validates_shape_and_finiteness():
-    with pytest.raises(ValueError):
-        Op((2,), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        Op((2, 2), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        Op((2,), np.array([[np.nan, 0], [0, 0]]))
-    with pytest.raises(ValueError):
-        Op((), np.zeros((1, 1)))
-
-
-def test_ket_basics():
-    k = Ket((2,), [3, 4])
-    assert k.norm() == pytest.approx(5.0)
-    outer = k.outer()
-    assert outer.dims == (2,)
-    assert outer.trace() == pytest.approx(25.0)
-
-
-def test_kron_is_big_endian():
-    # |1> (x) |0> must land on index 1*2 + 0 = 2
-    k = kron(Ket((2,), [0, 1]).outer(), Ket((2,), [1, 0]).outer())
-    assert k.dims == (2, 2)
-    np.testing.assert_allclose(np.diag(k.data), [0, 0, 1, 0])
-    a = Op((2,), np.diag([1.0, 2.0]))
-    b = Op((3,), np.diag([1.0, 10.0, 100.0]))
-    ab = kron(a, b)
-    assert ab.dims == (2, 3)
-    np.testing.assert_allclose(np.diag(ab.data), [1, 10, 100, 2, 20, 200])
-    assert kron_all([a, b]).dims == (2, 3)
+    # a state and a Choi matrix run the same checks, the Choi matrix on
+    # out_dims + in_dims
+    for dims, matrix, message in [
+        ((2,), np.zeros((2, 3)), r"matrix shape \(2, 3\) does not match dims \(2,\)"),
+        ((2, 2), np.zeros((2, 2)), r"matrix shape \(2, 2\) does not match dims \(2, 2\)"),
+        ((2,), np.array([[np.nan, 0], [0, 0]]), "non-finite entry in operator"),
+        ((), np.zeros((1, 1)), "dims must be a nonempty list of positive integers"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            State(dims, matrix)
+        with pytest.raises(ValueError, match=message):
+            ChoiOp(dims[1:], dims[:1], matrix)
 
 
 def test_partial_trace_single_factor(rng):
-    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    a = Op((2, 3), g)
-    left = partial_trace(a, keep=[0])
-    right = partial_trace(a, keep=[1])
-    assert left.dims == (2,) and right.dims == (3,)
-    assert left.trace() == pytest.approx(a.trace())
-    assert right.trace() == pytest.approx(a.trace())
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    left = partial_trace(a, (2, 3), keep=[0])
+    right = partial_trace(a, (2, 3), keep=[1])
+    assert left.shape == (2, 2) and right.shape == (3, 3)
+    assert np.trace(left) == pytest.approx(np.trace(a))
+    assert np.trace(right) == pytest.approx(np.trace(a))
 
 
 def test_partial_trace_of_product_factorizes(rng):
-    ga = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    gb = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    a, b = Op((2,), ga), Op((3,), gb)
-    ab = kron(a, b)
-    np.testing.assert_allclose(partial_trace(ab, keep=[0]).data,
-                               a.data * np.trace(gb), atol=1e-12)
-    np.testing.assert_allclose(partial_trace(ab, keep=[1]).data,
-                               b.data * np.trace(ga), atol=1e-12)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    ab = np.kron(a, b)
+    np.testing.assert_allclose(partial_trace(ab, (2, 3), keep=[0]), a * np.trace(b),
+                               atol=1e-12)
+    np.testing.assert_allclose(partial_trace(ab, (2, 3), keep=[1]), b * np.trace(a),
+                               atol=1e-12)
 
 
 def test_partial_trace_composes(rng):
-    g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    a = Op((2, 3, 2), g)
-    direct = partial_trace(a, keep=[1])
-    staged = partial_trace(partial_trace(a, keep=[0, 1]), keep=[1])
-    np.testing.assert_allclose(direct.data, staged.data, atol=1e-12)
+    a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    direct = partial_trace(a, (2, 3, 2), keep=[1])
+    staged = partial_trace(partial_trace(a, (2, 3, 2), keep=[0, 1]), (2, 3), keep=[1])
+    np.testing.assert_allclose(direct, staged, atol=1e-12)
 
 
 def test_partial_trace_keep_all_and_bad_index():
-    a = identity((2, 2))
-    assert partial_trace(a, keep=[0, 1]) is a
+    a = np.eye(4, dtype=complex)
+    assert partial_trace(a, (2, 2), keep=[0, 1]) is a
     with pytest.raises(IndexError):
-        partial_trace(a, keep=[2])
+        partial_trace(a, (2, 2), keep=[2])
 
 
 def test_hermitian_and_psd_checks():
-    assert is_hermitian(Op((2,), [[1, 1j], [-1j, 2]]))
-    assert not is_hermitian(Op((2,), [[1, 1], [2, 1]]))
+    assert psd_deviation(np.array([[1, 1j], [-1j, 2]])[None])[0] <= DEFAULT_TOL.abs_tol
+    assert psd_deviation(np.array([[1, 1], [2, 1]])[None])[0] > DEFAULT_TOL.abs_tol
     assert psd_deviation(np.diag([1.0, 0.0])[None])[0] <= DEFAULT_TOL.abs_tol
     assert psd_deviation(np.diag([1.0, -1e-3])[None])[0] > DEFAULT_TOL.abs_tol
 

@@ -7,7 +7,7 @@ import pytest
 from steercert import documents, gallery
 from steercert.channels import KrausChannel, choi_of_kraus
 from steercert.channel_assemblages import to_choi_assemblage, verify_ns_channel
-from steercert.documents import Document, DocumentError, Realization, parse, serialize
+from steercert.documents import DocumentError, Realization, parse, serialize
 
 
 def data_bytes(name: str) -> bytes:
@@ -28,7 +28,7 @@ def test_roundtrip_state_povm_channel():
     assert roundtrip(povms[0]).kind == "povm"
     doc = roundtrip(channel)
     assert doc.kind == "channel"
-    np.testing.assert_allclose(doc.payload.op.data, channel.op.data)
+    np.testing.assert_allclose(doc.payload.matrix, channel.matrix)
 
 
 def test_roundtrip_assemblages():
@@ -50,7 +50,7 @@ def test_zero_members_are_implicit():
     listed = {(tuple(m["a"]), tuple(m["x"])) for m in raw["payload"]["members"]}
     assert ((0, 1), (0, 0)) not in listed and ((1, 0), (0, 0)) not in listed
     parsed = parse(raw).payload
-    zero = parsed.member((0, 1), (0, 0)).op.data
+    zero = parsed.member((0, 1), (0, 0))
     np.testing.assert_allclose(zero, 0)
 
 
@@ -186,7 +186,7 @@ def _kraus_document(**faults) -> dict:
 def test_kraus_document_parses_to_the_choi_of_its_operators():
     doc = parse(_kraus_document())
     k = KrausChannel(2, 2, (np.array([[1, 0], [0, 0.8]]), np.array([[0, 0.6], [0, 0]])))
-    assert doc.payload.op.data.tobytes() == choi_of_kraus(k).op.data.tobytes()
+    assert doc.payload.matrix.tobytes() == choi_of_kraus(k).matrix.tobytes()
 
 
 @pytest.mark.parametrize("op, path, message", [

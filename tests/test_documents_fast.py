@@ -337,11 +337,11 @@ def _arrays(payload) -> list:
     if isinstance(payload, (Assemblage, ChannelAssemblage)):
         return [payload.members]
     if isinstance(payload, (State, ChoiOp)):
-        return [payload.op.data]
+        return [payload.matrix]
     if isinstance(payload, Povm):
         return [payload.effects]
     channel = [] if payload.channel is None else _arrays(payload.channel)
-    return [payload.state.op.data, *(a for p in payload.povms for a in _arrays(p)), *channel]
+    return [payload.state.matrix, *(a for p in payload.povms for a in _arrays(p)), *channel]
 
 
 def _parsed(reader, data):

@@ -1,7 +1,8 @@
 """What the package imports.
 
-Every name a module of the package imports is used in that module.  No
-linter ships with the toolchain, so this scans the syntax trees directly:
+Every name that a module imports is used in that module: the modules of
+the package, the test modules and the demos alike.  No linter ships with
+the toolchain, so this scans the syntax trees directly:
 an imported name counts as used when it appears as a plain name anywhere
 in the module (attribute access starts from one).
 
@@ -27,8 +28,10 @@ from conftest import product_realization
 import steercert
 from steercert import documents
 
-MODULES = sorted(p for p in Path(steercert.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(steercert.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py")))
 
 
 def unused_imports(source: str) -> list:
@@ -49,7 +52,8 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(source) == [(1, "os"), (2, "prod")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name if p.parent == PACKAGE
+                         else f"{p.parent.name}/{p.name}")
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -22,7 +22,7 @@ from conftest import haar_unitary, pure_assemblage, pure_members, shared_ket_loc
 from hypothesis import given, settings, strategies as st
 
 from steercert import assemblages
-from steercert.core import DEFAULT_TOL, Ket, Tolerances, nnls
+from steercert.core import DEFAULT_TOL, Tolerances, nnls
 from steercert.channels import pure_state
 from steercert.assemblages import (
     LhsModel,
@@ -145,8 +145,7 @@ def hidden_variable_model(rng, scen: Scenario, h: int) -> LhsModel:
         for x in range(m):
             table[np.arange(h), x, picks[i][x]] = 1.0
         tables.append(table)
-    states = np.array([pure_state(Ket(scen.trusted_dims,
-                                      haar_ket(rng, scen.trusted_dim))).op.data
+    states = np.array([pure_state(scen.trusted_dims, haar_ket(rng, scen.trusted_dim)).matrix
                        for _ in range(h)])
     return LhsModel(rng.dirichlet(np.ones(h)), states, tuple(tables))
 
@@ -313,7 +312,7 @@ def test_hidden_variable_model_beyond_brute_force_is_recovered():
     assert len(verdict.weights) == 3
     rebuilt = lhs_assemblage(verdict, scen)
     for pos in scen.positions():
-        np.testing.assert_allclose(rebuilt.member(*pos).data, s.member(*pos).data,
+        np.testing.assert_allclose(rebuilt.member(*pos), s.member(*pos),
                                    atol=1e-9)
 
 

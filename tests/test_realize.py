@@ -7,53 +7,40 @@ untrusted parties.  Both compute the same sums in another order, so they
 agree to rounding: 1e-14 on operators of norm at most one.
 """
 
-from functools import partial
+from functools import partial, reduce
 from math import prod
 
 import numpy as np
 import pytest
-from conftest import identity, kron_all, partial_trace, random_density
+from conftest import apply_channel_on_subsystems, partial_trace, random_density
 
 from steercert import gallery
-from steercert.core import Op, kron
-from steercert.channels import (
-    Povm,
-    apply_channel_on_subsystems,
-    choi_of_kraus,
-    maximally_entangled,
-    random_kraus_channel,
-)
-from steercert.assemblages import (
-    Assemblage,
-    HermitianRealization,
-    Scenario,
-    assemblage_from_realization,
-    measured_members,
-    verify_hermitian_realization,
-)
+from steercert.channels import Povm, choi_of_kraus, random_kraus_channel
+from steercert.assemblages import Scenario, assemblage_from_realization, measured_members
 from steercert.channel_assemblages import chanasm_from_realization
 
 TOL = 1e-14
 
 
-def reference_members(w: Op, povms, scenario: Scenario) -> np.ndarray:
+def reference_members(w: np.ndarray, dims, povms, scenario: Scenario) -> np.ndarray:
+    """The members measured on the array ``w`` on subsystems ``dims``."""
     n = scenario.n_parties
-    trusted = identity(scenario.trusted_dims)
+    trusted = np.eye(scenario.trusted_dim)
     members = []
     for a, x in scenario.positions():
-        effect = kron_all([Op((povms[i].dim,), povms[i].effects[x[i], a[i]])
-                           for i in range(n)] + [trusted])
-        big = Op(w.dims, effect.data @ w.data)
-        members.append(partial_trace(big, keep=range(n, len(w.dims))).data)
+        effect = reduce(np.kron, [povms[i].effects[x[i], a[i]] for i in range(n)] + [trusted])
+        members.append(partial_trace(effect @ w, dims, keep=range(n, len(dims))))
     return np.array(members)
 
 
 def reference_channel_members(rho, povms, channel, scenario: Scenario) -> np.ndarray:
     n = scenario.n_parties
     d_out, d_in = scenario.trusted_dims
-    joint = kron(rho.op, maximally_entangled(d_in).outer())
-    out = apply_channel_on_subsystems(channel, joint, targets=list(range(n + 1)))
-    members = reference_members(Op(rho.dims + (d_out, d_in), out.data), povms, scenario)
+    v = np.eye(d_in).reshape(-1)  # sum_i |ii>
+    joint = np.kron(rho.matrix, np.outer(v, v) / d_in)
+    out = apply_channel_on_subsystems(channel, joint, rho.dims + (d_in, d_in),
+                                      targets=list(range(n + 1)))
+    members = reference_members(out, rho.dims + (d_out, d_in), povms, scenario)
     return (members + members.conj().transpose(0, 2, 1)) / 2
 
 
@@ -82,11 +69,11 @@ def test_contraction_matches_the_per_position_loop(rng, scen):
     povms = random_povms(rng, scen, local, extra=1)
     rho = random_density(rng, local + scen.trusted_dims)
     s = assemblage_from_realization(rho, povms, scen)
-    reference = reference_members(rho.op, povms, scen)
+    reference = reference_members(rho.matrix, rho.dims, povms, scen)
     assert s.members.shape == reference.shape
     assert np.max(np.abs(s.members - reference)) <= TOL
     for pos, member in zip(scen.positions(), reference):
-        assert np.max(np.abs(s.member(*pos).data - member)) <= TOL
+        assert np.max(np.abs(s.member(*pos) - member)) <= TOL
 
 
 def test_hermitian_realization_matches_the_per_position_loop(rng):
@@ -95,13 +82,9 @@ def test_hermitian_realization_matches_the_per_position_loop(rng):
     povms = random_povms(rng, scen, local)
     side = 3 * 2 * 2
     g = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-    w = Op(local + scen.trusted_dims, (g + g.conj().T) / (2 * side))  # not PSD
-    reference = reference_members(w, povms, scen)
+    w = (g + g.conj().T) / (2 * side)  # Hermitian, not PSD
+    reference = reference_members(w, local + scen.trusted_dims, povms, scen)
     assert np.max(np.abs(measured_members(w, povms, scen) - reference)) <= TOL
-    h = HermitianRealization(w, povms)
-    assert verify_hermitian_realization(h, Assemblage(scen, reference), tol=TOL)
-    assert not verify_hermitian_realization(h, Assemblage(scen, 1.01 * reference),
-                                            tol=TOL)
 
 
 def random_channel_realization(untrusted: tuple, d_out: int, d_in: int):
