@@ -15,14 +15,13 @@ import numpy as np
 
 from steercert import gallery
 from steercert.assemblages import canonicalize_pure
-from steercert.channel_assemblages import to_choi_assemblage
 from steercert.certificates import (
     ConstraintMode,
     decomposition_analysis,
     inflexibility_structural_check,
 )
 
-pure = canonicalize_pure(to_choi_assemblage(gallery.bell_cnot_assemblage()))
+pure = canonicalize_pure(gallery.bell_cnot_assemblage())
 
 full = decomposition_analysis(pure, ConstraintMode.FULL_NS)
 print("full mode:", full.verdict.value,
@@ -43,7 +42,7 @@ print("average recovers reference:",
 
 # The tilted variant closes the gap: every coordinate is pinned even in
 # the relaxed mode.
-tilted = canonicalize_pure(to_choi_assemblage(gallery.tilted_cnot_assemblage()))
+tilted = canonicalize_pure(gallery.tilted_cnot_assemblage())
 cert = decomposition_analysis(tilted, ConstraintMode.ASYM_NS)
 print("\ntilted variant, relaxed mode:", cert.verdict.value,
       f"(rank {cert.rank}, nullity {cert.nullity})")

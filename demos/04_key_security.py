@@ -10,7 +10,6 @@ agrees there, and no attack biases the key.
 
 from steercert import gallery
 from steercert.assemblages import canonicalize_pure
-from steercert.channel_assemblages import to_choi_assemblage
 from steercert.security import correlations, eavesdropper_pinning, perfect_key_check
 
 l = gallery.bell_cnot_assemblage()
@@ -18,11 +17,11 @@ table = correlations(l, gallery.key_input_state(), gallery.key_measurement())
 
 print("statistics at the key settings (x, y) = (0, 0):")
 for abc in [(0, 0, 0), (1, 1, 1), (0, 1, 0), (1, 0, 1)]:
-    print("  p(%d%d%d|00, z=0) = %.3f" % (*abc, table.prob(*abc, 0, 0, 0)))
+    print("  p(%d%d%d|00, z=0) = %.3f" % (*abc, table[(0, 0, 0, *abc)]))
 print("perfect key at (0, 0):", perfect_key_check(table, 0, 0))
 print("perfect key at (1, 0):", perfect_key_check(table, 1, 0))
 
-pure = canonicalize_pure(to_choi_assemblage(l))
+pure = canonicalize_pure(l)
 for settings in [(0, 0), (1, 0)]:
     cert = eavesdropper_pinning(pure, *settings)
     print("\npinning certificate at", settings)

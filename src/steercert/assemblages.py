@@ -15,7 +15,7 @@ from math import prod
 
 import numpy as np
 
-from .core import (BUILD_SLACK, DEFAULT_TOL, Tolerances, _as_finite_complex, nnls,
+from .core import (BUILD_SLACK, DEFAULT_TOL, Tolerances, checked_copy, nnls,
                    psd_deviation)
 from .channels import State
 from .constraints import (ConstraintMode, NsReport, evaluate, family,
@@ -93,36 +93,24 @@ class Scenario:
                 raise exc
 
 
-def _read_only(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    """A read-only copy of ``arr``, after checking that it has ``shape``."""
-    if arr.shape != shape:
-        raise ValueError(f"{what} have shape {arr.shape}, expected {shape}")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
-def member_array(scenario: Scenario, members) -> np.ndarray:
-    """``members`` as a read-only complex ``(positions, D, D)`` array.
-
-    Checks shape and finiteness only: positivity and the per-setting trace
-    sums are constraints that the verifiers measure against ``abs_tol``.
-    """
-    d = scenario.trusted_dim
-    shape = (prod(scenario.settings) * prod(scenario.outcomes), d, d)
-    return _read_only(_as_finite_complex(members, "members"), shape, "members")
-
-
 @dataclass(frozen=True)
 class Assemblage:
-    """Members as one complex ``(positions, D, D)`` array, in
-    ``scenario.positions()`` order."""
+    """Members as one read-only complex ``(positions, D, D)`` array, in
+    ``scenario.positions()`` order.
+
+    The constructor checks shape and finiteness only: positivity and the
+    per-setting trace sums are constraints that the verifiers measure
+    against ``abs_tol``.
+    """
 
     scenario: Scenario
     members: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "members", member_array(self.scenario, self.members))
+        scen, d = self.scenario, self.scenario.trusted_dim
+        shape = (prod(scen.settings) * prod(scen.outcomes), d, d)
+        members = checked_copy(self.members, complex, "members", shape)
+        object.__setattr__(self, "members", members)
 
     def member(self, a, x) -> np.ndarray:
         """The ``(D, D)`` member at ``(a, x)``, a read-only view."""
@@ -143,7 +131,7 @@ class LhsModel:
     ``tables[i]`` a float ``(h, m_i, k_i)`` array: ``tables[i][j]`` is the
     (settings x outcomes) conditional distribution of party ``i`` under
     hidden variable ``j``.  Each check runs once over the whole array;
-    the arrays are read-only.
+    the arrays are read-only copies, with no non-finite entry.
     """
 
     weights: np.ndarray = field(repr=False)
@@ -151,20 +139,19 @@ class LhsModel:
     tables: tuple = field(repr=False)
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+        weights = checked_copy(self.weights, float, "weights", (len(self.weights),))
         if np.any(weights < -_NEGATIVE_SLACK):
             raise ValueError("weights must be nonnegative")
         if abs(weights.sum() - 1) > BUILD_SLACK:
             raise ValueError("weights must sum to 1")
-        h = len(weights)
-        states = _as_finite_complex(self.states, "states")
-        d = states.shape[-1] if states.ndim else 0
-        states = _read_only(states, (h, d, d), "states")
+        h, shape = len(weights), np.shape(self.states)
+        d = shape[-1] if shape else 0
+        states = checked_copy(self.states, complex, "states", (h, d, d))
         if np.any(psd_deviation(states) > DEFAULT_TOL.abs_tol):
             raise ValueError("state must be Hermitian and PSD")
         if np.any(np.abs(np.trace(states, axis1=1, axis2=2) - 1) > BUILD_SLACK):
             raise ValueError("state must have unit trace")
-        tables = tuple(np.asarray(t, dtype=float) for t in self.tables)
+        tables = tuple(checked_copy(t, float, "tables") for t in self.tables)
         for i, t in enumerate(tables):
             if t.ndim != 3 or len(t) != h:
                 raise ValueError(f"tables[{i}] have shape {t.shape}, expected "
@@ -172,10 +159,9 @@ class LhsModel:
             if np.any(t < -_NEGATIVE_SLACK) or np.any(
                     np.abs(t.sum(axis=2) - 1) > BUILD_SLACK):
                 raise ValueError("response tables must be conditional distributions")
-        object.__setattr__(self, "weights", _read_only(weights, (h,), "weights"))
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "tables", tuple(_read_only(t, t.shape, "tables")
-                                                 for t in tables))
+        object.__setattr__(self, "tables", tables)
 
 
 @dataclass(frozen=True)
@@ -196,11 +182,9 @@ class PureAssemblage:
 
     def __post_init__(self):
         n, d = len(self.support), self.scenario.trusted_dim
-        weights = _as_finite_complex(self.weights, "weights").real
-        kets = _as_finite_complex(self.kets, "kets")
         object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "weights", _read_only(weights, (n,), "weights"))
-        object.__setattr__(self, "kets", _read_only(kets, (n, d), "kets"))
+        object.__setattr__(self, "weights", checked_copy(self.weights, float, "weights", (n,)))
+        object.__setattr__(self, "kets", checked_copy(self.kets, complex, "kets", (n, d)))
 
     def proportional(self, rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Entry ``[i, j]``: whether ``kets[rows[i]]`` and ``kets[j]`` are

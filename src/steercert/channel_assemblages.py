@@ -10,18 +10,13 @@ the maximally mixed input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BUILD_SLACK, DEFAULT_TOL
 from .channels import ChoiOp, State, verify_cptp
-from .assemblages import (
-    Assemblage,
-    Scenario,
-    measured_members,
-    member_array,
-)
+from .assemblages import Assemblage, Scenario, measured_members
 from .constraints import (
     ConstraintMode,
     Family,
@@ -33,30 +28,15 @@ from .constraints import (
 )
 
 
-@dataclass(frozen=True)
-class ChannelAssemblage:
-    """CP maps as Choi matrices on ``(d_out, d_in)``, held as one complex
-    ``(positions, D, D)`` array in ``scenario.positions()`` order."""
-
-    scenario: Scenario  # trusted_dims = (d_out, d_in)
-    members: np.ndarray = field(repr=False)
+class ChannelAssemblage(Assemblage):
+    """An assemblage whose members are the Choi matrices of CP maps, on
+    ``trusted_dims = (d_out, d_in)``: the state assemblage that the
+    Choi-Jamiolkowski isomorphism makes of it."""
 
     def __post_init__(self):
         if len(self.scenario.trusted_dims) != 2:
             raise ValueError("scenario trusted_dims must be (d_out, d_in)")
-        object.__setattr__(self, "members", member_array(self.scenario, self.members))
-
-    @property
-    def d_in(self) -> int:
-        return self.scenario.trusted_dims[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.scenario.trusted_dims[0]
-
-    def member(self, a, x) -> np.ndarray:
-        """The ``(D, D)`` Choi matrix at ``(a, x)``, a read-only view."""
-        return self.members[self.scenario.index(a, x)]
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -100,8 +80,8 @@ def chanasm_from_realization(rho_untrusted: State, povms, channel: ChoiOp,
 
 
 def to_choi_assemblage(l: ChannelAssemblage) -> Assemblage:
-    """Reinterpret the Choi matrices as a state assemblage on out (x) in,
-    with its own copy of the members array."""
+    """The Choi matrices as a plain state assemblage on out (x) in, with
+    its own copy of the members array: what ``steercert choi`` writes."""
     return Assemblage(l.scenario, l.members)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .core import (
     BUILD_SLACK,
     DEFAULT_TOL,
-    _as_finite_complex,
+    checked_copy,
     output_trace,
     psd_deviation,
     psd_deviation_and_spectra,
@@ -29,11 +29,10 @@ def _held(dims, matrix):
     dims = tuple(map(int, dims))
     if not dims or min(dims) < 1:
         raise ValueError("dims must be a nonempty list of positive integers")
-    matrix = _as_finite_complex(matrix, "operator").copy()
+    matrix = checked_copy(matrix, complex, "operator")
     side = prod(dims)
     if matrix.shape != (side, side):
         raise ValueError(f"matrix shape {matrix.shape} does not match dims {dims}")
-    matrix.flags.writeable = False
     return dims, matrix
 
 
@@ -76,11 +75,10 @@ class Povm:
     effects: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        effects = np.array(self.effects, dtype=complex)  # a copy the caller cannot write
+        effects = checked_copy(self.effects, complex, "effects")
         if effects.ndim != 4 or effects.shape[2:] != (self.dim, self.dim):
             raise ValueError(f"effects have shape {effects.shape}, expected "
                              f"(settings, outcomes, {self.dim}, {self.dim})")
-        effects.flags.writeable = False
         object.__setattr__(self, "effects", effects)
         # The faults in the order of a walk over (setting, outcome): the first
         # setting x with an effect that is not PSD is named after the sums of
@@ -94,18 +92,10 @@ class Povm:
         if x < m:
             raise ValueError(f"effect ({x},{np.argmax(not_psd[x])}) is not PSD")
 
-    @property
-    def settings(self) -> int:
-        return self.effects.shape[0]
-
-    @property
-    def outcomes(self) -> int:
-        return self.effects.shape[1]
-
     def covers(self, settings: int, outcomes: int) -> bool:
         """Whether there are at least ``settings`` settings and at least
         ``outcomes`` effects to each."""
-        return self.settings >= settings and self.outcomes >= outcomes
+        return self.effects.shape[0] >= settings and self.effects.shape[1] >= outcomes
 
 
 def projective_povm(bases) -> Povm:
@@ -126,13 +116,13 @@ class KrausChannel:
 
     def __post_init__(self):
         shape = (self.out_dim, self.in_dim)
-        try:  # a copy the caller cannot write; no operators at all are (0, *shape)
+        try:  # no operators at all are (0, *shape)
             ops = np.array(list(self.kraus_ops) or np.empty((0,) + shape), dtype=complex)
         except ValueError:  # a ragged list
             ops = np.empty(0)
         if ops.shape[1:] != shape:
             raise ValueError("Kraus operator has mismatched shape")
-        ops.flags.writeable = False
+        ops = checked_copy(ops, complex, "Kraus operators")
         object.__setattr__(self, "kraus_ops", ops)
         total = np.einsum("koi,koj->ij", ops.conj(), ops)
         if np.max(np.abs(total - np.eye(self.in_dim))) > BUILD_SLACK:

@@ -18,10 +18,12 @@ rejects (:class:`.assemblages.MemberError`) is located at its entry,
 ``$.payload.members[j]``, in an assemblage or a channel assemblage
 document, and at ``$.payload`` in a realization; an assemblage that
 violates the family a certificate is built from
-(:class:`.certificates.UnsatisfiedReference`), and a correlation table
-that ``security-cert`` refuses (it re-raises the refusal with this path),
-at ``$.payload``; a command or mode that does not take the document's
-kind at ``$.kind``.  A closed standard output loses the rest of the
+(:class:`.certificates.UnsatisfiedReference`), a correlation table that
+``security-cert`` refuses and a realization whose dims disagree (both
+re-raised with this path) at ``$.payload``; a scenario that a family or a
+check is not defined for (:class:`.core.ScenarioError`) at
+``$.payload.scenario``; a command or mode that does not take the
+document's kind at ``$.kind``.  A closed standard output loses the rest of the
 output, with no traceback, and keeps the exit code (0 for ``choi``, ``schema``).
 """
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gallery
-from .core import DEFAULT_TOL, NnlsDidNotConverge, Tolerances
+from .core import DEFAULT_TOL, NnlsDidNotConverge, ScenarioError, Tolerances
 from .channels import verify_cptp
 from .assemblages import (
     LhsModel,
@@ -123,20 +125,21 @@ def cmd_choi(args, tol: Tolerances, doc: Document) -> None:
 
 
 def _assemblage(doc: Document):
-    """The (Choi) state assemblage of an assemblage, channel assemblage or
-    realization document."""
+    """The assemblage of an assemblage, channel assemblage or realization
+    document; a realization's faults are located at ``$.payload``."""
     payload = doc.payload
-    if doc.kind == "assemblage":
+    if doc.kind in ("assemblage", "channel_assemblage"):
         return payload
-    if doc.kind == "channel_assemblage":
-        return to_choi_assemblage(payload)
-    if doc.kind == "realization" and payload.channel is None:
-        return assemblage_from_realization(payload.state, payload.povms,
-                                           payload.scenario)
-    if doc.kind == "realization":
-        return to_choi_assemblage(chanasm_from_realization(
-            payload.state, payload.povms, payload.channel, payload.scenario))
-    raise DocumentError(f"kind '{doc.kind}' carries no assemblage", "$.kind")
+    if doc.kind != "realization":
+        raise DocumentError(f"kind '{doc.kind}' carries no assemblage", "$.kind")
+    try:
+        if payload.channel is None:
+            return assemblage_from_realization(payload.state, payload.povms,
+                                               payload.scenario)
+        return chanasm_from_realization(payload.state, payload.povms, payload.channel,
+                                        payload.scenario)
+    except ValueError as exc:
+        raise DocumentError(str(exc), "$.payload") from None
 
 
 def _pure(doc: Document, tol: Tolerances):
@@ -164,11 +167,8 @@ def cmd_extremality(args, tol: Tolerances, doc: Document):
     if args.certificate_out:
         with open(args.certificate_out, "w") as fh:
             json.dump(cert.to_json(), fh, sort_keys=True, indent=2)
-    return PASS, {"verdict": cert.verdict.value, "rank": cert.rank,
-                  "nullity": cert.nullity,
-                  "rank_margin": list(cert.rank_margin),
-                  "pin_margin": list(cert.pin_margin),
-                  "pinned": [[list(a), list(x)] for a, x in cert.pinned]}
+    return PASS, {key: value for key, value in cert.to_json().items()
+                  if key not in ("mode", "witness_pair", "columns")}
 
 
 def cmd_lhs(args, tol: Tolerances, doc: Document):
@@ -212,8 +212,7 @@ def _reproduce_example1(tol: Tolerances) -> dict:
 
 
 def _reproduce_asym(tol: Tolerances) -> dict:
-    pure = canonicalize_pure(to_choi_assemblage(gallery.bell_cnot_assemblage()),
-                             tol)
+    pure = canonicalize_pure(gallery.bell_cnot_assemblage(), tol)
     cert = decomposition_analysis(pure, ConstraintMode.ASYM_NS, tol)
     plus, minus = gallery.nonextremal_split_coefficients()
     cols = cert.system.columns
@@ -238,7 +237,7 @@ def _reproduce_appendix(tol: Tolerances) -> dict:
     dev = max(
         float(np.max(np.abs(l.member(*pos) - np.outer(k, k.conj()))))
         for pos, k in expected.items())
-    pure = canonicalize_pure(to_choi_assemblage(l), tol)
+    pure = canonicalize_pure(l, tol)
     cert = decomposition_analysis(pure, ConstraintMode.ASYM_NS, tol)
     # Recovered per-member coefficients relative to the reference pattern.
     coeffs = cert.system.reference / np.array(
@@ -252,8 +251,8 @@ def _reproduce_appendix(tol: Tolerances) -> dict:
 def _reproduce_key(tol: Tolerances) -> dict:
     l = gallery.bell_cnot_assemblage()
     table = correlations(l, gallery.key_input_state(), gallery.key_measurement())
-    p000 = table.prob(0, 0, 0, 0, 0, 0)
-    p111 = table.prob(1, 1, 1, 0, 0, 0)
+    p000 = float(table[0, 0, 0, 0, 0, 0])
+    p111 = float(table[0, 0, 0, 1, 1, 1])
     ok = abs(p000 - 0.5) < tol.abs_tol and abs(p111 - 0.5) < tol.abs_tol \
         and perfect_key_check(table, 0, 0, tol.abs_tol)
     return {"p000": p000, "p111": p111, "ok": ok}
@@ -346,6 +345,8 @@ def main(argv=None) -> int:
         result = INPUT_ERROR, {"error": _located(exc, doc)}
     except UnsatisfiedReference as exc:  # the document's own assemblage
         result = INPUT_ERROR, {"error": str(DocumentError(str(exc), "$.payload"))}
+    except ScenarioError as exc:
+        result = INPUT_ERROR, {"error": str(DocumentError(str(exc), "$.payload.scenario"))}
     except (OSError, ValueError) as exc:
         result = INPUT_ERROR, {"error": str(exc)}
     code = 0 if result is None else _EXIT[result[0]]  # None: a document was printed

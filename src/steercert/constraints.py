@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import output_trace, psd_deviation
+from .core import ScenarioError, output_trace, psd_deviation
 
 
 class ConstraintMode(enum.Enum):
@@ -391,9 +391,9 @@ def output_trace_condition(scen) -> Constraint:
 def asym_ns(scen) -> Family:
     """The relaxed A|BC family of two-party channel steering."""
     if scen.n_parties != 2:
-        raise ValueError("the relaxed A|BC family is defined for exactly two parties")
+        raise ScenarioError("the relaxed A|BC family is defined for exactly two parties")
     if len(scen.trusted_dims) != 2:
-        raise ValueError("the relaxed A|BC family needs trusted dims (d_out, d_in)")
+        raise ScenarioError("the relaxed A|BC family needs trusted dims (d_out, d_in)")
     (m1, m2), (k1, k2) = scen.settings, scen.outcomes
     constraints = []
     for b in range(k2):

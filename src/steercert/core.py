@@ -19,6 +19,11 @@ class NnlsDidNotConverge(RuntimeError):
     """Raised when the active-set NNLS solver exceeds its iteration cap."""
 
 
+class ScenarioError(ValueError):
+    """Raised when a constraint family or a check is not defined for the
+    scenario it is given: the fault is in the scenario itself."""
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerance budget used across all verification routines.
@@ -47,10 +52,16 @@ DEFAULT_TOL = Tolerances()
 BUILD_SLACK = 1e-8
 
 
-def _as_finite_complex(data, shape_kind: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=complex)
+def checked_copy(data, dtype, what: str, shape: tuple = None) -> np.ndarray:
+    """``data`` as a read-only ``dtype`` copy that the caller cannot write
+    through, checked to be finite and, when ``shape`` is given, to have
+    that shape; ``what`` names the data in the message of a fault."""
+    arr = np.array(data, dtype=dtype)
     if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite entry in %s" % shape_kind)
+        raise ValueError(f"non-finite entry in {what}")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{what} have shape {arr.shape}, expected {shape}")
+    arr.flags.writeable = False
     return arr
 
 

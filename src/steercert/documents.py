@@ -530,7 +530,7 @@ def serialize(obj) -> dict:
         payload, kind = _povm_out(obj), "povm"
     elif isinstance(obj, ChoiOp):
         payload, kind = _channel_out(obj), "channel"
-    elif isinstance(obj, (Assemblage, ChannelAssemblage)):
+    elif isinstance(obj, Assemblage):
         key = "choi" if isinstance(obj, ChannelAssemblage) else "member"
         payload = {
             "scenario": _scenario_out(obj.scenario),

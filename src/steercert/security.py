@@ -10,11 +10,11 @@ there and no attack can bias the key."""
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances
+from .core import DEFAULT_TOL, ScenarioError, Tolerances
 from .channels import Povm, State
 from .assemblages import PureAssemblage
 from .channel_assemblages import ChannelAssemblage
@@ -25,30 +25,11 @@ from .certificates import (
 )
 
 
-@dataclass(frozen=True)
-class CorrelationTable:
-    """p(a, b, c | x, y, z) as an array indexed [x][y][z][a][b][c]; no
-    entry may fall below ``-tol``."""
-
-    table: np.ndarray = field(repr=False)
-    tol: InitVar[float] = DEFAULT_TOL.abs_tol
-
-    def __post_init__(self, tol):
-        arr = np.asarray(self.table, dtype=float)
-        if arr.ndim != 6:
-            raise ValueError("correlation table must be 6-dimensional")
-        if np.any(arr < -tol):
-            raise ValueError("probabilities must be nonnegative")
-        object.__setattr__(self, "table", arr)
-
-    def prob(self, a, b, c, x, y, z) -> float:
-        return float(self.table[x, y, z, a, b, c])
-
-
 def correlations(l: ChannelAssemblage, rho: State, charlie: Povm,
-                 tol: float = DEFAULT_TOL.abs_tol) -> CorrelationTable:
+                 tol: float = DEFAULT_TOL.abs_tol) -> np.ndarray:
     """Measured statistics when the trusted side feeds ``rho`` through each
-    member map and measures the output with ``charlie``, refused if an
+    member map and measures the output with ``charlie``: p(a, b, c | x, y,
+    z) as a float array indexed ``[x, y, z, a, b, c]``, refused if an
     entry falls below ``-tol``."""
     scen = l.scenario
     if scen.n_parties != 2:
@@ -64,22 +45,26 @@ def correlations(l: ChannelAssemblage, rho: State, charlie: Povm,
     # p(a, b, c | x, y, z) = Tr[E_{c|z} L_{ab|xy}(rho)], where
     # L(rho) = d_in Tr_in[(1 (x) rho^T) J]
     table = np.einsum("zcqo,xyabomqn,mn->xyzabc", charlie.effects, choi, rho.matrix)
-    return CorrelationTable(d_in * table.real, tol)
+    table = d_in * table.real
+    if np.any(table < -tol):
+        raise ValueError("probabilities must be nonnegative")
+    return table
 
 
-def perfect_key_check(t: CorrelationTable, x_key: int, y_key: int,
+def perfect_key_check(t: np.ndarray, x_key: int, y_key: int,
                       tol: float = DEFAULT_TOL.abs_tol) -> bool:
     """Whether the statistics at ``(x_key, y_key)`` form a perfect key bit.
 
-    Requires binary outcomes on all three slots: the two agreeing triples
-    (0,0,0) and (1,1,1) each occur with probability one half for every
-    trusted setting, and everything else vanishes.
+    ``t`` is a table of :func:`correlations`.  Requires binary outcomes on
+    all three slots: the two agreeing triples (0,0,0) and (1,1,1) each
+    occur with probability one half for every trusted setting, and
+    everything else vanishes.
     """
-    if t.table.shape[3:] != (2, 2, 2):
-        raise ValueError("perfect key check requires binary outcomes throughout")
+    if t.shape[3:] != (2, 2, 2):
+        raise ScenarioError("perfect key check requires binary outcomes throughout")
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = expected[1, 1, 1] = 0.5
-    return bool(np.all(np.abs(t.table[x_key, y_key] - expected) <= tol))
+    return bool(np.all(np.abs(t[x_key, y_key] - expected) <= tol))
 
 
 @dataclass(frozen=True)
@@ -110,7 +95,7 @@ def eavesdropper_pinning(p: PureAssemblage, x_key: int, y_key: int,
     has identical members at the key settings."""
     scen = p.scenario
     if scen.n_parties != 2:
-        raise ValueError("pinning certificate requires two untrusted parties")
+        raise ScenarioError("pinning certificate requires two untrusted parties")
     for name, key, m in (("x_key", x_key, scen.settings[0]),
                          ("y_key", y_key, scen.settings[1])):
         if not 0 <= key < m:

@@ -27,11 +27,7 @@ from steercert.assemblages import (
     pure_lhs_decide,
     verify_ns,
 )
-from steercert.channel_assemblages import (
-    to_choi_assemblage,
-    verify_asym_ns,
-    verify_ns_channel,
-)
+from steercert.channel_assemblages import verify_asym_ns, verify_ns_channel
 from steercert.certificates import (
     ConstraintMode,
     Verdict,
@@ -81,8 +77,7 @@ def test_criterion_2_no_signaling_verification():
 
 def test_criterion_3_full_mode_extremality():
     """Full-mode analysis certifies uniqueness; structural check agrees."""
-    pure = canonicalize_pure(
-        to_choi_assemblage(gallery.bell_cnot_assemblage()), TOL)
+    pure = canonicalize_pure(gallery.bell_cnot_assemblage(), TOL)
     cert = decomposition_analysis(pure, ConstraintMode.FULL_NS, TOL)
     witness_settings = inflexibility_structural_check(pure, TOL)
     ok = (cert.verdict is Verdict.UNIQUE_EXTREME and cert.nullity == 0
@@ -101,8 +96,7 @@ def test_criterion_4_relaxed_mode_non_extremality():
     reference, the key-setting coordinates must all be pinned, and the
     solution space is expected to be two-dimensional.
     """
-    pure = canonicalize_pure(
-        to_choi_assemblage(gallery.bell_cnot_assemblage()), TOL)
+    pure = canonicalize_pure(gallery.bell_cnot_assemblage(), TOL)
     cert = decomposition_analysis(pure, ConstraintMode.ASYM_NS, TOL)
     plus, minus = gallery.nonextremal_split_coefficients()
     cols = cert.system.columns
@@ -142,7 +136,7 @@ def test_criterion_5_tilted_reproduction_and_extremality():
     dev = max(
         float(np.max(np.abs(l.member(*pos) - np.outer(k, k.conj()))))
         for pos, k in expected.items())
-    pure = canonicalize_pure(to_choi_assemblage(l), TOL)
+    pure = canonicalize_pure(l, TOL)
     cert = decomposition_analysis(pure, ConstraintMode.ASYM_NS, TOL)
     coeffs = cert.system.reference / np.array(
         [np.linalg.norm(expected[pos]) ** 2 for pos in cert.system.columns])
@@ -180,10 +174,10 @@ def test_criterion_6_key_security():
     """Perfect key statistics at (0, 0); pinning certifies (0, 0) only."""
     l = gallery.bell_cnot_assemblage()
     table = correlations(l, gallery.key_input_state(), gallery.key_measurement())
-    p000 = table.prob(0, 0, 0, 0, 0, 0)
-    p111 = table.prob(1, 1, 1, 0, 0, 0)
+    p000 = table[0, 0, 0, 0, 0, 0]
+    p111 = table[0, 0, 0, 1, 1, 1]
     key_ok = perfect_key_check(table, 0, 0, TOL.abs_tol)
-    pure = canonicalize_pure(to_choi_assemblage(l), TOL)
+    pure = canonicalize_pure(l, TOL)
     cert_key = eavesdropper_pinning(pure, 0, 0, TOL)
     cert_other = eavesdropper_pinning(pure, 1, 0, TOL)
     ok = (abs(p000 - 0.5) < 1e-12 and abs(p111 - 0.5) < 1e-12 and key_ok
@@ -201,8 +195,7 @@ def test_criterion_6_key_security():
 def test_criterion_7_lhs_decision():
     """No local model for the steering fixture; constructed local fixture
     round-trips through its recovered model."""
-    pure = canonicalize_pure(
-        to_choi_assemblage(gallery.bell_cnot_assemblage()), TOL)
+    pure = canonicalize_pure(gallery.bell_cnot_assemblage(), TOL)
     steering_verdict = pure_lhs_decide(pure, TOL)
 
     scen = Scenario((2, 2), (2, 2), (2, 2))

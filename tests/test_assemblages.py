@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from steercert.core import DEFAULT_TOL
 from steercert.channels import (
+    KrausChannel,
     Povm,
     projective_povm,
     pure_state,
@@ -15,6 +16,7 @@ from steercert.assemblages import (
     LhsModel,
     MemberError,
     NoLhs,
+    PureAssemblage,
     Scenario,
     assemblage_from_realization,
     canonicalize_pure,
@@ -165,7 +167,8 @@ def test_lhs_model_holds_read_only_arrays():
         model.states[0, 0, 0] = 0
 
 
-@pytest.mark.parametrize("kind", ["Assemblage", "ChannelAssemblage", "LhsModel"])
+@pytest.mark.parametrize("kind", ["Assemblage", "ChannelAssemblage", "LhsModel",
+                                  "PureAssemblage", "Povm", "KrausChannel"])
 def test_checked_containers_own_their_arrays(kind):
     m = np.eye(2, dtype=complex)[None] / 2
     if kind == "Assemblage":
@@ -173,12 +176,23 @@ def test_checked_containers_own_their_arrays(kind):
     elif kind == "ChannelAssemblage":
         l = ChannelAssemblage(Scenario((1,), (1,), (2, 1)), m)
         held = l.members
+        assert isinstance(l, Assemblage)
         assert not np.shares_memory(to_choi_assemblage(l).members, held)
-    else:
+    elif kind == "LhsModel":
         held = LhsModel(np.ones(1), m, (np.ones((1, 1, 1)),)).states
-    m[0, 0, 0] = 7  # neither a write to the caller's array
-    m[0, 1, 1] = np.nan  # nor a non-finite entry gets past the checks
-    assert held[0, 0, 0] == 0.5 and held[0, 1, 1] == 0.5
+    elif kind == "PureAssemblage":  # the first row of m[0] as the one ket
+        held = PureAssemblage(Scenario((1,), (1,), (2,)), (((0,), (0,)),), np.ones(1),
+                              m[0, :1]).kets
+    elif kind == "Povm":  # one setting with one effect, the identity
+        m = 2 * m[None]
+        held = Povm(2, m).effects
+    else:  # one Kraus operator, the identity
+        m = 2 * m
+        held = KrausChannel(2, 2, m).kraus_ops
+    expected = held.copy()
+    m.flat[0] = 7  # neither a write to the caller's array
+    m.flat[-1] = np.nan  # nor a non-finite entry gets past the checks
+    assert np.array_equal(held, expected) and not held.flags.writeable
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -188,6 +202,8 @@ def test_checked_containers_own_their_arrays(kind):
     ("trace off one", "unit trace"),
     ("table row off one", "conditional distributions"),
     ("count mismatch", "states have shape"),
+    ("weight not finite", "non-finite entry in weights"),
+    ("table entry not finite", "non-finite entry in tables"),
 ])
 def test_lhs_model_checks_raise(fault, message):
     weights, states, tables = _two_variable_model()
@@ -201,6 +217,10 @@ def test_lhs_model_checks_raise(fault, message):
         states[1] = 0.5 * states[1]
     elif fault == "table row off one":
         tables[0][1, 0] = [0.5, 0.4]
+    elif fault == "weight not finite":
+        weights = np.array([np.nan, 1.0])
+    elif fault == "table entry not finite":
+        tables[0][1, 0] = [np.nan, 1.0]
     else:
         states = states[:1]
     with pytest.raises(ValueError, match=message):

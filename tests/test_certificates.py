@@ -8,7 +8,6 @@ from conftest import pure_assemblage, pure_members
 from steercert import certificates, gallery
 from steercert.core import DEFAULT_TOL, Tolerances
 from steercert.assemblages import Scenario, canonicalize_pure
-from steercert.channel_assemblages import to_choi_assemblage
 from steercert.certificates import (
     ConstraintMode,
     Verdict,
@@ -20,12 +19,12 @@ from steercert.certificates import (
 
 @pytest.fixture(scope="module")
 def bell_pure():
-    return canonicalize_pure(to_choi_assemblage(gallery.bell_cnot_assemblage()))
+    return canonicalize_pure(gallery.bell_cnot_assemblage())
 
 
 @pytest.fixture(scope="module")
 def tilted_pure():
-    return canonicalize_pure(to_choi_assemblage(gallery.tilted_cnot_assemblage()))
+    return canonicalize_pure(gallery.tilted_cnot_assemblage())
 
 
 def test_reference_satisfies_both_systems(bell_pure):

@@ -4,7 +4,7 @@ from conftest import local_channel_assemblage
 
 from steercert import gallery
 from steercert.channels import ChoiOp, choi_of_kraus, random_kraus_channel
-from steercert.assemblages import Scenario
+from steercert.assemblages import Assemblage, Scenario
 from steercert.channel_assemblages import (
     ChannelAssemblage,
     to_choi_assemblage,
@@ -85,3 +85,5 @@ def test_to_choi_assemblage_shares_matrices():
     pos = ((1, 1), (1, 1))
     np.testing.assert_allclose(s.member(*pos), l.member(*pos))
     assert s.scenario == l.scenario
+    # a channel assemblage is an assemblage; its Choi form is a plain one
+    assert isinstance(l, Assemblage) and type(s) is Assemblage

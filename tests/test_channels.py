@@ -47,8 +47,8 @@ def test_povm_validation():
     with pytest.raises(ValueError):
         Povm(2, [[eye, eye]])  # sums to 2*I
     p = projective_povm([[np.array([1, 0]), np.array([0, 1])]])
-    assert p.settings == 1 and p.outcomes == 2 and p.dim == 2
-    assert p.effects.shape == (1, 2, 2, 2) and p.effects.dtype == complex
+    assert p.dim == 2 and p.effects.shape == (1, 2, 2, 2) and p.effects.dtype == complex
+    assert p.covers(1, 2) and not p.covers(2, 2) and not p.covers(1, 3)
 
 
 def _diagonals(*settings):
@@ -68,6 +68,8 @@ def _diagonals(*settings):
     (_diagonals([[1, 0, 0], [0, 1, 1]]),
      r"effects have shape \(1, 2, 3, 3\), expected \(settings, outcomes, 2, 2\)"),
     (np.eye(2)[None], r"effects have shape \(1, 2, 2\)"),
+    # a NaN passes every bound, since each comparison with it is false
+    (_diagonals([[1, np.nan], [0, 1]]), "non-finite entry in effects"),
 ])
 def test_povm_names_its_first_fault(effects, message):
     with pytest.raises(ValueError, match=message):
@@ -97,6 +99,8 @@ def test_kraus_completeness():
         KrausChannel(2, 2, (0.5 * np.eye(2),))
     with pytest.raises(ValueError, match="completeness"):
         KrausChannel(2, 2, ())
+    with pytest.raises(ValueError, match="non-finite entry in Kraus operators"):
+        KrausChannel(2, 2, (np.diag([1, np.nan]),))
 
 
 def test_kraus_ops_are_one_read_only_copy():

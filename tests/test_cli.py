@@ -711,18 +711,67 @@ def test_lhs_without_nnls_convergence_is_inconclusive(capsys, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("command", ["extremality", "lhs"])
-@pytest.mark.parametrize("key, dims, error", [
-    ("in_dims", [4, 2], "channel input dims must be untrusted dims + (d_in,)"),
-    ("out_dims", [2, 4], "channel output dims must be untrusted dims + (d_out,)"),
+@pytest.mark.parametrize("part, key, dims, error", [
+    ("channel", "in_dims", [4, 2], "channel input dims must be untrusted dims + (d_in,)"),
+    ("channel", "out_dims", [2, 4], "channel output dims must be untrusted dims + (d_out,)"),
+    ("state", "dims", [4], "channel input dims must be untrusted dims + (d_in,)"),
 ])
-def test_realization_channel_dims_must_match(capsys, tmp_path, command, key, dims, error):
+def test_realization_channel_dims_must_match(capsys, tmp_path, command, part, key, dims,
+                                             error):
     raw = _realization_document("")
-    raw["payload"]["channel"][key] = dims  # same product, another split
+    raw["payload"][part][key] = dims  # same product, another split
     path = tmp_path / "channel-dims.json"
     path.write_text(json.dumps(raw))
     code, report = run_json(capsys, command, str(path))
     assert code == 3 and report["status"] == "INPUT_ERROR"
-    assert report["details"]["error"].endswith(error)
+    assert report["details"]["error"] == "$.payload: " + error
+
+
+def test_realization_state_dims_must_match(capsys, tmp_path, rng):
+    raw = documents.serialize(product_realization(rng, 3, 2, 2, 2))
+    raw["payload"]["state"]["dims"] = [4, 2, 2]  # same product, another split
+    path = tmp_path / "state-dims.json"
+    path.write_text(json.dumps(raw))
+    code, report = run_json(capsys, "lhs", str(path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"] == ("$.payload: state dims (4, 2, 2) do not match "
+                                          "scenario dims (2, 2, 2, 2)")
+
+
+def _scenario_fault_document(fault: str) -> str:
+    """An assemblage whose scenario has ``fault``: a channel assemblage
+    with a third party of one setting and one outcome, or with ternary
+    outcomes for party 0, or a plain assemblage on one trusted qubit."""
+    if fault == "three parties":  # the same members, in the same order
+        l = gallery.bell_cnot_assemblage()
+        return documents.dumps(ChannelAssemblage(
+            Scenario((2, 2, 1), (2, 2, 1), (2, 2)), l.members))
+    if fault == "one trusted dim":  # every member |0><0| / 4
+        members = np.diag([0.25, 0.0])[None].repeat(16, axis=0)
+        return documents.dumps(Assemblage(Scenario((2, 2), (2, 2), (2,)), members))
+    scen = Scenario((2, 2), (3, 2), (2, 2))
+    tables = (np.eye(3)[[[0, 0]]], np.eye(2)[[[0, 1]]])  # deterministic responses
+    return documents.dumps(local_channel_assemblage(
+        tables, [choi_of_unitary(np.eye(2))], scen))
+
+
+@pytest.mark.parametrize("fault, argv, error", [
+    ("three parties", ("verify", "--mode", "asym-ns"),
+     "the relaxed A|BC family is defined for exactly two parties"),
+    ("three parties", ("extremality", "--mode", "asym"),
+     "the relaxed A|BC family is defined for exactly two parties"),
+    ("three parties", ("security-cert",), "pinning certificate requires two untrusted parties"),
+    ("ternary outcomes", ("security-cert",),
+     "perfect key check requires binary outcomes throughout"),
+    ("one trusted dim", ("extremality", "--mode", "asym"),
+     "the relaxed A|BC family needs trusted dims (d_out, d_in)"),
+])
+def test_scenario_faults_are_located_at_the_scenario(capsys, tmp_path, fault, argv, error):
+    path = tmp_path / "scenario.json"
+    path.write_text(_scenario_fault_document(fault))
+    code, report = run_json(capsys, argv[0], str(path), *argv[1:])
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"] == "$.payload.scenario: " + error
 
 
 def test_member_without_its_matrix_is_input_error(capsys, tmp_path):

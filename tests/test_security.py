@@ -4,13 +4,8 @@ import pytest
 from steercert import gallery
 from steercert.core import DEFAULT_TOL
 from steercert.assemblages import canonicalize_pure
-from steercert.channel_assemblages import to_choi_assemblage
-from steercert.security import (
-    CorrelationTable,
-    correlations,
-    eavesdropper_pinning,
-    perfect_key_check,
-)
+from steercert.channel_assemblages import ChannelAssemblage
+from steercert.security import correlations, eavesdropper_pinning, perfect_key_check
 
 
 @pytest.fixture(scope="module")
@@ -21,30 +16,34 @@ def bell_table():
 
 @pytest.fixture(scope="module")
 def bell_pure():
-    return canonicalize_pure(to_choi_assemblage(gallery.bell_cnot_assemblage()))
+    return canonicalize_pure(gallery.bell_cnot_assemblage())
 
 
-def test_correlation_table_validation():
-    with pytest.raises(ValueError):
-        CorrelationTable(np.zeros((2, 2, 2, 2, 2)))
-    with pytest.raises(ValueError):
-        CorrelationTable(-np.ones((1, 1, 1, 2, 2, 2)))
-    # entries are judged against the tolerance the table is built with
-    slightly_negative = np.full((1, 1, 1, 2, 2, 2), -1e-7)
+def test_correlations_refuse_a_negative_probability():
+    l = gallery.bell_cnot_assemblage()
+    members = l.members.copy()
+    # p(0, 1, 0 | 0, 0, 0) is d_in = 2 times the (out 0, in 0) diagonal entry
+    # of the member at (0, 1 | 0, 0), which is zero: this takes it to -1e-7
+    members[l.scenario.index((0, 1), (0, 0)), 0, 0] -= 5e-8
+    dipped = ChannelAssemblage(l.scenario, members)
+    rho, charlie = gallery.key_input_state(), gallery.key_measurement()
+    # entries are judged against the tolerance the table is computed with
     with pytest.raises(ValueError, match="probabilities must be nonnegative"):
-        CorrelationTable(slightly_negative)
-    CorrelationTable(slightly_negative, 1e-6)
+        correlations(dipped, rho, charlie, 1e-9)
+    table = correlations(dipped, rho, charlie, 1e-6)
+    assert table[0, 0, 0, 0, 1, 0] == pytest.approx(-1e-7, rel=1e-6)
 
 
 def test_key_setting_statistics(bell_table):
-    assert bell_table.prob(0, 0, 0, 0, 0, 0) == pytest.approx(0.5, abs=1e-12)
-    assert bell_table.prob(1, 1, 1, 0, 0, 0) == pytest.approx(0.5, abs=1e-12)
+    assert bell_table.shape == (2, 2, 1, 2, 2, 2) and bell_table.dtype == float
+    assert bell_table[0, 0, 0, 0, 0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert bell_table[0, 0, 0, 1, 1, 1] == pytest.approx(0.5, abs=1e-12)
     for (a, b, c) in [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1)]:
-        assert bell_table.prob(a, b, c, 0, 0, 0) == pytest.approx(0.0, abs=1e-12)
+        assert bell_table[0, 0, 0, a, b, c] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_normalization_of_all_settings(bell_table):
-    sums = bell_table.table.sum(axis=(3, 4, 5))
+    sums = bell_table.sum(axis=(3, 4, 5))
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
 
@@ -56,15 +55,14 @@ def test_perfect_key_check(bell_table):
 
 
 def test_perfect_key_check_fails_on_nan(bell_table):
-    table = bell_table.table.copy()
+    table = bell_table.copy()
     table[0, 0, 0, 0, 1, 0] = np.nan
-    assert not perfect_key_check(CorrelationTable(table), 0, 0)
+    assert not perfect_key_check(table, 0, 0)
 
 
 def test_perfect_key_requires_binary_outcomes():
-    with pytest.raises(ValueError):
-        perfect_key_check(CorrelationTable(np.full((1, 1, 1, 3, 3, 3), 1 / 27)),
-                          0, 0)
+    with pytest.raises(ValueError, match="requires binary outcomes throughout"):
+        perfect_key_check(np.full((1, 1, 1, 3, 3, 3), 1 / 27), 0, 0)
 
 
 def test_pinning_certifies_key_setting(bell_pure):

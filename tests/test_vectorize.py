@@ -20,7 +20,6 @@ from conftest import pure_assemblage, pure_realization
 from steercert import gallery
 from steercert.core import DEFAULT_TOL, nullspace_and_spectrum
 from steercert.assemblages import Scenario, canonicalize_pure
-from steercert.channel_assemblages import to_choi_assemblage
 from steercert.certificates import build_constraint_system, decomposition_analysis
 from steercert.constraints import (
     ConstraintMode,
@@ -66,7 +65,7 @@ def _bench_case(shape, entangled):
 def _fixture(name):
     assemblage = {"bell": gallery.bell_cnot_assemblage,
                   "tilted": gallery.tilted_cnot_assemblage}[name]()
-    return canonicalize_pure(to_choi_assemblage(assemblage))
+    return canonicalize_pure(assemblage)
 
 
 def _random_pure(scen, zero_share):
