@@ -177,7 +177,7 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
         worst = int(np.argmax(deviations >= largest - tol.abs_tol))
         raise UnsatisfiedReference(
             "reference coefficients do not satisfy the system: "
-            f"'{system.family.constraints[worst].name}' deviates by {deviations[worst]:.3g}")
+            f"'{system.family.names[worst]}' deviates by {deviations[worst]:.3g}")
     k, n = system.kernel(tol.rank_rel_tol)
     projected, s = nullspace_and_spectrum(system.projected(k, n), tol.rank_rel_tol)
     basis = projected @ k.T

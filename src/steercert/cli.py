@@ -58,7 +58,8 @@ from .channel_assemblages import (
 from .certificates import (ConstraintMode, UnsatisfiedReference, Verdict,
                            decomposition_analysis)
 from .documents import Document, DocumentError, SCHEMA, parse, serialize
-from .security import correlations, eavesdropper_pinning, perfect_key_check
+from .security import (correlations, eavesdropper_pinning, key_scenario_check,
+                       perfect_key_check)
 
 PASS, FAIL, INCONCLUSIVE, INPUT_ERROR = "PASS", "FAIL", "INCONCLUSIVE", "INPUT_ERROR"
 _EXIT = {PASS: 0, FAIL: 1, INCONCLUSIVE: 2, INPUT_ERROR: 3}
@@ -189,10 +190,11 @@ def cmd_lhs(args, tol: Tolerances, doc: Document):
 def cmd_security_cert(args, tol: Tolerances, doc: Document):
     if doc.kind != "channel_assemblage":
         raise DocumentError("expected a channel_assemblage document", "$.kind")
+    rho, charlie = gallery.key_input_state(), gallery.key_measurement()
+    key_scenario_check(doc.payload.scenario, rho, charlie)
     pin = eavesdropper_pinning(_pure(doc, tol), args.x_key, args.y_key, tol)
     try:
-        table = correlations(doc.payload, gallery.key_input_state(),
-                             gallery.key_measurement(), tol.abs_tol)
+        table = correlations(doc.payload, rho, charlie, tol.abs_tol)
     except ValueError as exc:
         raise DocumentError(str(exc), "$.payload") from None
     key_ok = perfect_key_check(table, args.x_key, args.y_key, tol.abs_tol)

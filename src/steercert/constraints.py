@@ -14,6 +14,12 @@ to equal a target: zero, a matrix, or ``1`` for a trace.
   outcomes does not depend on B's setting; the total is setting independent
   and output-traces to the maximally mixed input.
 
+The list is born as arrays.  It is cut into parts (:class:`Constraints`),
+each a rectangle of positions, one row per constraint, computed by index
+arithmetic over the scenario, with one sign per column, one reduction and
+one target.  A constraint's name is formatted only when a report or a test
+reads the family's names, once per family.
+
 Two consumers read a family.  :func:`evaluate` measures each constraint,
 and the positivity of each member, on a ``(positions, D, D)`` members array
 and reports the violations (the verifiers);
@@ -32,15 +38,18 @@ of the no-signaling space): each party has an orthogonal integer
 ``I_m (x) H_k`` (zero outcome sum at every setting) and ``H_m (x) 1_k``
 (constant in the outcome, zero sum over the settings), ``H_j`` Helmert's
 basis without its normalization.  Their Kronecker product, permuted to
-``positions()`` order, is an orthogonal integer basis.  Per reduction,
-the certificate keeps the basis rows that the family's own zero-target
-coefficient rows do not annihilate: an exact test on small integers, not
-a decomposition.  Because the basis is orthogonal, the kept rows contain
-the block's row space, and they equal it exactly when that row space is
-spanned by basis rows, as it is for both families here.
+``positions()`` order, is an orthogonal integer basis, never formed.  Per
+reduction, the certificate keeps the basis rows that the family's own
+zero-target coefficient rows do not annihilate: chunks of those rows,
+dense over the positions, are contracted with one party factor at a time,
+an exact test on small integers, not a decomposition (:func:`_touched`).
+Because the basis is orthogonal, the kept rows contain the block's row
+space, and they equal it exactly when that row space is spanned by basis
+rows, as it is for both families here.
 :attr:`Family.certificate_rows` holds the kept rows, normalized, and
 :attr:`Family.certificate_kernel` the rest of the basis for the block
-with no reduction.  Each basis row is written once per Hermitian
+with no reduction, each built from the party factors' rows at its places
+(:func:`_basis_rows`).  Each basis row is written once per Hermitian
 coordinate of the reduced units: ``D**2`` coordinates, the real diagonal
 and the real and imaginary strict upper triangle, or the real trace.
 Constraints with a target (trace one, output trace ``1/d_in``) keep their
@@ -61,7 +70,9 @@ Each family is evaluated through a compiled form, built once per family
   times a diagonal times the kernel is a contraction of the diagonal with
   one small matrix per party, then a gather of the (row, kernel row)
   entries.  At (3,3,3,2) that is about 35 times fewer multiplications
-  than the dense product; only the few targeted rows stay dense.
+  than the dense product; only the few targeted rows stay dense.  It
+  reads the places of the rows, so the dense rows of a zero-target block
+  are built only when :attr:`Family.certificate_rows` is read.
 """
 
 from __future__ import annotations
@@ -70,6 +81,8 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
+from math import prod
+from typing import Callable
 
 import numpy as np
 
@@ -88,14 +101,20 @@ class Reduction(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """``reduction(sum of sign * member[pos] over terms) = target``.
+class Constraints:
+    """Constraints of one form, one per row of ``positions``: constraint
+    ``i`` asks ``reduction(sum of signs[j] * member[positions[i, j]]) =
+    target``.
 
-    ``target`` is ``None`` for zero, a matrix, or ``1.0`` for a trace.
+    ``positions`` is a ``(count, width)`` integer array, numbered by
+    :meth:`Scenario.indices`; ``target`` is ``None`` for zero, a matrix,
+    or ``1.0`` for a trace.  ``names()`` formats the constraints' names, in
+    row order.
     """
 
-    name: str
-    terms: tuple  # ((position, sign), ...)
+    positions: np.ndarray
+    signs: np.ndarray  # (width,)
+    names: Callable
     reduction: Reduction = Reduction.NONE
     target: object = None
 
@@ -126,13 +145,58 @@ def _party_major(scen) -> np.ndarray:
     return np.arange(np.prod(sizes)).reshape(sizes).transpose(order).ravel()
 
 
-def _factor_basis(scen) -> np.ndarray:
-    """The Kronecker product of the party factors, as rows over all
-    positions in ``scen.positions()`` order."""
-    basis = np.ones((1, 1))
-    for m, k in zip(scen.settings, scen.outcomes):
-        basis = np.kron(basis, _party_factor(m, k))
-    return basis[:, _party_major(scen)]
+def _basis_rows(scen, places) -> np.ndarray:
+    """The rows ``places`` of the Kronecker product of the party factors,
+    normalized, over all positions in ``scen.positions()`` order, built
+    from each party's factor rows and read-only.
+
+    A row's squared norm is the product of its factor rows' squared norms,
+    an exact integer, so the rows are those of the formed product divided
+    by their norms, to the last bit."""
+    n, count = scen.n_parties, len(places)
+    factors = [_party_factor(m, k) for m, k in zip(scen.settings, scen.outcomes)]
+    digits = np.unravel_index(places, [len(f) for f in factors])
+    rows, squares = np.ones((count,) + (1,) * 2 * n), np.ones(count)
+    for i, (f, r) in enumerate(zip(factors, digits)):
+        shape = [count] + [1] * 2 * n
+        shape[1 + i], shape[1 + n + i] = scen.settings[i], scen.outcomes[i]
+        rows = rows * f[r].reshape(shape)  # axes (x_1..x_n, a_1..a_n)
+        squares *= (f[r] ** 2).sum(axis=1)
+    rows = rows.reshape(count, -1)
+    rows /= np.sqrt(squares)[:, None]
+    rows.flags.writeable = False  # shared through the family cache
+    return rows
+
+
+# Entries of one chunk of coefficient rows in :func:`_touched`: 128 KiB,
+# which stays in cache while it is contracted; at (4,3,2,2), 512 KiB chunks
+# took twice as long.
+_CHUNK = 1 << 14
+
+
+def _touched(scen, parts) -> np.ndarray:
+    """Which rows of the Kronecker product of the party factors the
+    constraints of ``parts`` do not annihilate, as a mask in Kronecker
+    order.
+
+    Chunks of the coefficient rows, dense over the party-major positions
+    with the chunk axis last, are contracted with each party's integer
+    factor in turn (:func:`_contract`), so neither the basis nor the whole
+    coefficient matrix is formed.  Both sides are small integers, so the
+    test is exact."""
+    place = _party_major(scen)
+    factors = [np.ascontiguousarray(_party_factor(m, k).T)
+               for m, k in zip(scen.settings, scen.outcomes)]
+    size, hit = len(place), np.zeros(len(place), dtype=bool)
+    chunk = max(1, _CHUNK // size)
+    for part in parts:
+        for start in range(0, len(part.positions), chunk):
+            positions = part.positions[start:start + chunk]
+            index = place[positions] * len(positions) + np.arange(len(positions))[:, None]
+            w = np.bincount(index.ravel(), np.broadcast_to(part.signs, positions.shape).ravel(),
+                            size * len(positions))
+            hit |= _contract(w, factors).reshape(len(positions), size).any(axis=0)
+    return hit
 
 
 def _normalized(rows: np.ndarray) -> np.ndarray:
@@ -191,7 +255,8 @@ def no_signaling_factors(scen) -> tuple:
 
 @dataclass(frozen=True)
 class Family:
-    """The constraints of one family on one scenario, in report order.
+    """The constraints of one family on one scenario, in report order: the
+    rows of ``parts``, a tuple of :class:`Constraints`, one after another.
 
     The certificate is derived from the constraints alone.  It is exact
     when, per reduction, the row space of the zero-target coefficient
@@ -202,7 +267,27 @@ class Family:
     """
 
     scenario: object
-    constraints: tuple
+    parts: tuple
+
+    def __len__(self) -> int:
+        return sum(len(part.positions) for part in self.parts)
+
+    @functools.cached_property
+    def names(self) -> tuple:
+        """Every constraint's name, in order, formatted on first read."""
+        return tuple(name for part in self.parts for name in part.names())
+
+    @functools.cached_property
+    def _grouped(self) -> dict:
+        """Per reduction, in first-use order: ``[(first, part), ...]``, each
+        nonempty part with that reduction and the number of its first
+        constraint."""
+        groups, first = {}, 0
+        for part in self.parts:
+            if len(part.positions):
+                groups.setdefault(part.reduction, []).append((first, part))
+            first += len(part.positions)
+        return groups
 
     @functools.cached_property
     def terms(self):
@@ -210,49 +295,46 @@ class Family:
         numbered by :meth:`Scenario.indices`: grouped by reduction in
         first-use order, in constraint order within a group, so that each
         reduction's terms are one slice (:attr:`_segments`)."""
-        flat = [(i, pos, sign)
-                for reduction in dict.fromkeys(c.reduction for c in self.constraints)
-                for i, c in enumerate(self.constraints) if c.reduction is reduction
-                for pos, sign in c.terms]
-        rows, positions, signs = zip(*flat)
-        arrays = (np.array(rows), self.scenario.indices(positions), np.array(signs))
+        parts = [(first, part) for group in self._grouped.values() for first, part in group]
+        arrays = (np.concatenate([np.repeat(first + np.arange(len(part.positions)),
+                                            part.positions.shape[1]) for first, part in parts]),
+                  np.concatenate([part.positions.ravel() for _, part in parts]),
+                  np.concatenate([np.tile(part.signs, len(part.positions)) for _, part in parts]))
         for arr in arrays:
             arr.flags.writeable = False  # shared through the family cache
         return arrays
 
     @functools.cached_property
     def _certificate(self):
-        """``(blocks, kernel, hits, kept)``: :attr:`certificate_rows`,
-        :attr:`certificate_kernel`, and the places in the party-factor
-        basis of each block's rows (``None`` for a targeted block) and of
-        the kernel's rows."""
-        basis = _factor_basis(self.scenario)
-        rows, positions, signs = self.terms
-        coef = np.zeros((len(self.constraints), len(basis)))
-        np.add.at(coef, (rows, positions), signs)
-        blocks, hits, kept = [], [], np.ones(len(basis), dtype=bool)
-        for reduction in dict.fromkeys(c.reduction for c in self.constraints):
-            zero = [i for i, c in enumerate(self.constraints)
-                    if c.reduction is reduction and c.target is None]
-            targeted = [i for i, c in enumerate(self.constraints)
-                        if c.reduction is reduction and c.target is not None]
+        """``(blocks, kept)``: one ``(reduction, hit, coef, targets)`` per
+        block of :attr:`certificate_rows`, and the places in the
+        party-factor basis of :attr:`certificate_kernel`'s rows.  A
+        zero-target block has the places ``hit`` of its rows and ``coef``
+        ``None``; a targeted block has ``hit`` ``None`` and its own
+        coefficient rows ``coef``."""
+        scen = self.scenario
+        size = prod(scen.settings) * prod(scen.outcomes)
+        blocks, kept = [], np.arange(size)
+        for reduction, group in self._grouped.items():
+            zero = [part for _, part in group if part.target is None]
+            targeted = [part for _, part in group if part.target is not None]
             if zero:
-                # small integers on both sides, so the test is exact
-                hit = np.any(coef[zero] @ basis.T != 0, axis=0)
-                blocks.append((reduction, _normalized(basis[hit]), None))
-                hits.append(np.flatnonzero(hit))
+                hit = _touched(scen, zero)
+                blocks.append((reduction, np.flatnonzero(hit), None, None))
                 if reduction is Reduction.NONE:
-                    kept = ~hit
+                    kept = np.flatnonzero(~hit)
             if targeted:
-                blocks.append((reduction, coef[targeted],
-                               tuple(self.constraints[i].target for i in targeted)))
-                hits.append(None)
-        kernel = _normalized(basis[kept])
-        for arr in [arr for _, arr, _ in blocks] + [kernel]:
-            arr.flags.writeable = False  # shared through the family cache
-        return tuple(blocks), kernel, tuple(hits), np.flatnonzero(kept)
+                coef, first = np.zeros((sum(len(part.positions) for part in targeted), size)), 0
+                for part in targeted:
+                    rows = first + np.arange(len(part.positions))[:, None]
+                    np.add.at(coef, (rows, part.positions), part.signs)
+                    first += len(part.positions)
+                coef.flags.writeable = False  # shared through the family cache
+                blocks.append((reduction, None, coef, tuple(
+                    part.target for part in targeted for _ in part.positions)))
+        return tuple(blocks), kept
 
-    @property
+    @functools.cached_property
     def certificate_rows(self):
         """The coefficient rows of the certificate system, as blocks
         ``(reduction, rows, targets)`` over all positions.
@@ -260,17 +342,19 @@ class Family:
         Per reduction, the zero-target constraints give the normalized rows
         of the party-factor basis that their coefficient rows do not
         annihilate, with ``targets`` ``None``; the constraints with a target
-        give their own coefficient rows and their targets.
+        give their own coefficient rows and their targets.  Built on first
+        read: :func:`project` does not read it.
         """
-        return self._certificate[0]
+        return tuple((reduction, _basis_rows(self.scenario, hit) if coef is None else coef,
+                      targets) for reduction, hit, coef, targets in self._certificate[0])
 
-    @property
+    @functools.cached_property
     def certificate_kernel(self):
         """Orthonormal basis, as rows over all positions, of the kernel of
         the zero-target coefficient block with no reduction: the normalized
         rows of the party-factor basis that this block annihilates (all of
         them when the family has no such block)."""
-        return self._certificate[1]
+        return _basis_rows(self.scenario, self._certificate[1])
 
     @functools.cached_property
     def _contractions(self):
@@ -278,12 +362,13 @@ class Family:
         block of :attr:`certificate_rows` the :func:`_contraction` of its
         rows against :attr:`certificate_kernel` (``None`` for a targeted
         block)."""
-        _, _, hits, kept = self._certificate
+        blocks, kept = self._certificate
         scen = self.scenario
         factors = [_normalized(_party_factor(m, k))
                    for m, k in zip(scen.settings, scen.outcomes)]
         return _party_major(scen), tuple(
-            None if hit is None else _contraction(factors, hit, kept) for hit in hits)
+            None if hit is None else _contraction(factors, hit, kept)
+            for _, hit, _, _ in blocks)
 
     @functools.cached_property
     def _segments(self):
@@ -293,20 +378,22 @@ class Family:
         terms, ``starts`` where each constraint's terms begin in it (every
         constraint has terms), and ``targets`` the targets stacked, zero for
         none (``None`` when no constraint has one)."""
-        rows = self.terms[0]
-        reductions = [c.reduction for c in self.constraints]
-        counts = np.bincount(rows, minlength=len(self.constraints))
         segments, end = [], 0
-        for reduction in dict.fromkeys(reductions):
-            chosen = np.flatnonzero([r is reduction for r in reductions])
-            start, end = end, end + int(counts[chosen].sum())
-            starts = np.cumsum(counts[chosen]) - counts[chosen]
-            given = [self.constraints[i].target for i in chosen]
+        for reduction, group in self._grouped.items():
+            chosen = np.concatenate([first + np.arange(len(part.positions))
+                                     for first, part in group])
+            counts = np.concatenate([np.full(len(part.positions), part.positions.shape[1])
+                                     for _, part in group])
+            start, end = end, end + int(counts.sum())
             targets = None
-            if any(t is not None for t in given):
-                shape = np.shape(next(t for t in given if t is not None))
-                targets = np.array([np.zeros(shape) if t is None else t for t in given])
-            segments.append((reduction, chosen, slice(start, end), starts, targets))
+            if any(part.target is not None for _, part in group):
+                shape = np.shape(next(part.target for _, part in group
+                                      if part.target is not None))
+                targets = np.concatenate([np.broadcast_to(
+                    np.zeros(shape) if part.target is None else part.target,
+                    (len(part.positions),) + shape) for _, part in group])
+            segments.append((reduction, chosen, slice(start, end),
+                             np.cumsum(counts) - counts, targets))
         return tuple(segments)
 
 
@@ -326,66 +413,85 @@ class NsReport:
         return not self.violations
 
 
-def _merge(n, inside, v_in, outside, v_out) -> tuple:
-    v = [0] * n
-    for i, vi in zip(inside, v_in):
-        v[i] = vi
-    for i, vi in zip(outside, v_out):
-        v[i] = vi
-    return tuple(v)
-
-
 def _ranges(sizes, parties):
     return itertools.product(*(range(sizes[i]) for i in parties))
 
 
-def _total(scen, x, sign) -> list:
-    """Signed terms of the sum over all outcome vectors at settings ``x``."""
-    return [((a, x), sign) for a in scen.outcome_vectors()]
+def _offsets(sizes, strides) -> np.ndarray:
+    """``sum_i v_i * strides[i]`` for every ``v`` of
+    ``itertools.product(*map(range, sizes))``, in that order."""
+    out = np.zeros(1, dtype=np.int64)
+    for size, stride in zip(sizes, strides):
+        out = (out[:, None] + stride * np.arange(size)).ravel()
+    return out
+
+
+def _strides(scen) -> tuple:
+    """What one more setting, and one more outcome, of each party adds to
+    a position's place in :meth:`Scenario.indices` order."""
+    sizes = scen.settings + scen.outcomes
+    strides = [prod(sizes[j + 1:]) for j in range(len(sizes))]
+    return strides[:scen.n_parties], strides[scen.n_parties:]
+
+
+def _versus(names, fixed, settings, summed, reduction=Reduction.NONE) -> Constraints:
+    """One constraint per offset in ``fixed`` and, within it, per offset
+    ``settings[j]``, ``j >= 1``: the terms at ``fixed + settings[0] +
+    summed``, less those at ``fixed + settings[j] + summed``."""
+    pairs = np.stack(np.broadcast_arrays(settings[0], settings[1:]), axis=1)
+    positions = fixed[:, None, None, None] + pairs[:, :, None] + summed
+    return Constraints(positions.reshape(-1, 2 * len(summed)),
+                       np.repeat([1.0, -1.0], len(summed)), names, reduction)
+
+
+def _marginal_names(scen, inside, outside):
+    outs = list(_ranges(scen.settings, outside))
+    for a_in in _ranges(scen.outcomes, inside):
+        for x_in in _ranges(scen.settings, inside):
+            for x_out in outs[1:]:
+                yield (f"marginal I={inside} a={a_in} x={x_in}: "
+                       f"settings {outs[0]} vs {x_out}")
+
+
+def _total_names(scen):
+    x0, *rest = scen.setting_vectors()
+    for x in rest:
+        yield f"total at x={x0} vs x={x}"
 
 
 def full_ns(scen) -> Family:
     """The full subset-marginal no-signaling family."""
-    n = scen.n_parties
-    constraints = []
+    n, settings, outcomes = scen.n_parties, scen.settings, scen.outcomes
+    x_stride, a_stride = _strides(scen)
+
+    def offsets(parties):
+        return (_offsets([outcomes[i] for i in parties], [a_stride[i] for i in parties]),
+                _offsets([settings[i] for i in parties], [x_stride[i] for i in parties]))
+
+    parts = []
     for size in range(1, n):
         for inside in itertools.combinations(range(n), size):
             outside = tuple(i for i in range(n) if i not in inside)
-            outs = list(_ranges(scen.settings, outside))
-            a_outs = list(_ranges(scen.outcomes, outside))
-            for a_in in _ranges(scen.outcomes, inside):
-                for x_in in _ranges(scen.settings, inside):
-                    summed = []  # positions summed over, per outside settings
-                    for x_out in outs:
-                        x = _merge(n, inside, x_in, outside, x_out)
-                        summed.append([(_merge(n, inside, a_in, outside, a_out), x)
-                                       for a_out in a_outs])
-                    base = [(pos, 1.0) for pos in summed[0]]
-                    for x_out, other in zip(outs[1:], summed[1:]):
-                        constraints.append(Constraint(
-                            f"marginal I={inside} a={a_in} x={x_in}: "
-                            f"settings {outs[0]} vs {x_out}",
-                            tuple(base + [(pos, -1.0) for pos in other])))
-    setting_list = list(scen.setting_vectors())
-    for x in setting_list:
-        constraints.append(Constraint(f"total trace at x={x}",
-                                      tuple(_total(scen, x, 1.0)),
-                                      Reduction.TRACE, 1.0))
-    x0 = setting_list[0]
-    for x in setting_list[1:]:
-        constraints.append(Constraint(
-            f"total at x={x0} vs x={x}",
-            tuple(_total(scen, x0, 1.0) + _total(scen, x, -1.0))))
-    return Family(scen, tuple(constraints))
+            (a_in, x_in), (a_out, x_out) = offsets(inside), offsets(outside)
+            parts.append(_versus(
+                functools.partial(_marginal_names, scen, inside, outside),
+                (a_in[:, None] + x_in).ravel(), x_out, a_out))
+    a_all, x_all = offsets(range(n))
+    parts.append(Constraints(
+        x_all[:, None] + a_all, np.ones(len(a_all)),
+        lambda: (f"total trace at x={x}" for x in scen.setting_vectors()),
+        Reduction.TRACE, 1.0))
+    parts.append(_versus(functools.partial(_total_names, scen),
+                         np.zeros(1, dtype=np.int64), x_all, a_all))
+    return Family(scen, tuple(parts))
 
 
-def output_trace_condition(scen) -> Constraint:
+def output_trace_condition(scen) -> Constraints:
     """The total at the first settings output-traces to ``1/d_in``."""
-    d_in = scen.trusted_dims[1]
-    x0 = next(iter(scen.setting_vectors()))
-    return Constraint("output trace of total vs maximally mixed input",
-                      tuple(_total(scen, x0, 1.0)), Reduction.OUTPUT_TRACE,
-                      np.eye(d_in) / d_in)
+    d_in, outcomes = scen.trusted_dims[1], prod(scen.outcomes)
+    return Constraints(np.arange(outcomes)[None], np.ones(outcomes),
+                       lambda: ("output trace of total vs maximally mixed input",),
+                       Reduction.OUTPUT_TRACE, np.eye(d_in) / d_in)
 
 
 def asym_ns(scen) -> Family:
@@ -395,29 +501,21 @@ def asym_ns(scen) -> Family:
     if len(scen.trusted_dims) != 2:
         raise ScenarioError("the relaxed A|BC family needs trusted dims (d_out, d_in)")
     (m1, m2), (k1, k2) = scen.settings, scen.outcomes
-    constraints = []
-    for b in range(k2):
-        for y in range(m2):
-            for x in range(1, m1):
-                constraints.append(Constraint(
-                    f"sum over a at b={b} y={y}: x=0 vs x={x}",
-                    tuple([(((a, b), (0, y)), 1.0) for a in range(k1)]
-                          + [(((a, b), (x, y)), -1.0) for a in range(k1)])))
-    for a in range(k1):
-        for x in range(m1):
-            for y in range(1, m2):
-                constraints.append(Constraint(
-                    f"traced sum over b at a={a} x={x}: y=0 vs y={y}",
-                    tuple([(((a, b), (x, 0)), 1.0) for b in range(k2)]
-                          + [(((a, b), (x, y)), -1.0) for b in range(k2)]),
-                    Reduction.OUTPUT_TRACE))
-    for xy in itertools.product(range(m1), range(m2)):
-        if xy != (0, 0):
-            constraints.append(Constraint(
-                f"total at (0,0) vs {xy}",
-                tuple(_total(scen, (0, 0), 1.0) + _total(scen, xy, -1.0))))
-    constraints.append(output_trace_condition(scen))
-    return Family(scen, tuple(constraints))
+    (sx, sy), (sa, sb) = _strides(scen)
+    xy = list(itertools.product(range(m1), range(m2)))
+    return Family(scen, (
+        _versus(lambda: (f"sum over a at b={b} y={y}: x=0 vs x={x}"
+                         for b in range(k2) for y in range(m2) for x in range(1, m1)),
+                _offsets((k2, m2), (sb, sy)), sx * np.arange(m1), sa * np.arange(k1)),
+        _versus(lambda: (f"traced sum over b at a={a} x={x}: y=0 vs y={y}"
+                         for a in range(k1) for x in range(m1) for y in range(1, m2)),
+                _offsets((k1, m1), (sa, sx)), sy * np.arange(m2), sb * np.arange(k2),
+                Reduction.OUTPUT_TRACE),
+        _versus(lambda: (f"total at (0,0) vs {v}" for v in xy[1:]),
+                np.zeros(1, dtype=np.int64), _offsets((m1, m2), (sx, sy)),
+                _offsets((k1, k2), (sa, sb))),
+        output_trace_condition(scen),
+    ))
 
 
 @functools.lru_cache(maxsize=16)
@@ -448,7 +546,7 @@ def magnitudes(fam: Family, members: np.ndarray) -> np.ndarray:
     """
     stack = np.asarray(members, dtype=complex)
     _, positions, signs = fam.terms
-    out = np.empty(len(fam.constraints))
+    out = np.empty(len(fam))
     for reduction, chosen, span, starts, targets in fam._segments:
         reduced = _reduce(stack, reduction, fam.scenario.trusted_dims)
         terms = reduced[positions[span]]
@@ -469,7 +567,7 @@ def evaluate(fam: Family, members: np.ndarray, tol: float) -> NsReport:
     violations = [NsViolation(f"member {positions[i][0]}|{positions[i][1]} PSD",
                               float(psd[i])) for i in bad]
     deviation = magnitudes(fam, members)
-    violations += [NsViolation(fam.constraints[i].name, float(deviation[i]))
+    violations += [NsViolation(fam.names[i], float(deviation[i]))
                    for i in np.flatnonzero(deviation > tol)]
     return NsReport(tuple(violations),
                     max((v.magnitude for v in violations), default=0.0))
@@ -538,19 +636,19 @@ def project(fam: Family, at, units: np.ndarray, k: np.ndarray, n) -> np.ndarray:
     """
     party_major, contractions = fam._contractions
     place, w = party_major[at], np.zeros(len(party_major))
-    blocks = [(coef, contraction,
+    blocks = [(len(hit) if coef is None else len(coef), coef, contraction,
                _coordinates(_reduce(units, reduction, fam.scenario.trusted_dims),
-                            reduction is Reduction.NONE and targets is None))
-              for (reduction, coef, targets), contraction
-              in zip(fam.certificate_rows, contractions)]
-    out, end = np.empty((sum(len(coef) * len(vec) for coef, _, vec in blocks),
+                            reduction is Reduction.NONE and coef is None))
+              for (reduction, hit, coef, _), contraction
+              in zip(fam._certificate[0], contractions)]
+    out, end = np.empty((sum(count * len(vec) for count, _, _, vec in blocks),
                          k.shape[1])), 0
-    for coef, contraction, vec in blocks:
+    for count, coef, contraction, vec in blocks:
         if contraction is not None:
             matrices, rows, cols = contraction
             index = rows[:, None] + cols
         for v in vec:
-            start, end = end, end + len(coef)
+            start, end = end, end + count
             if contraction is None:
                 out[start:end] = (coef[:, at] * v) @ k
                 continue

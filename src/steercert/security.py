@@ -51,6 +51,24 @@ def correlations(l: ChannelAssemblage, rho: State, charlie: Povm,
     return table
 
 
+def key_scenario_check(scen, rho: State, charlie: Povm) -> None:
+    """Refuse a scenario that cannot carry the key that ``rho`` and
+    ``charlie`` read, before any certificate is built: it needs two parties
+    with binary outcomes, and trusted dims ``(d_out, d_in)`` equal to the
+    dims that ``charlie`` measures and that ``rho`` lives on."""
+    if scen.n_parties != 2:
+        raise ScenarioError("pinning certificate requires two untrusted parties")
+    if scen.outcomes != (2, 2):
+        raise ScenarioError("perfect key check requires binary outcomes throughout")
+    d_out, d_in = scen.trusted_dims
+    if d_out != charlie.dim:
+        raise ScenarioError(f"trusted output dim {d_out} is not the key measurement's "
+                            f"dim {charlie.dim}")
+    if d_in != rho.matrix.shape[0]:
+        raise ScenarioError(f"trusted input dim {d_in} is not the key input state's "
+                            f"dim {rho.matrix.shape[0]}")
+
+
 def perfect_key_check(t: np.ndarray, x_key: int, y_key: int,
                       tol: float = DEFAULT_TOL.abs_tol) -> bool:
     """Whether the statistics at ``(x_key, y_key)`` form a perfect key bit.

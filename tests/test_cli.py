@@ -11,7 +11,7 @@ from conftest import local_channel_assemblage, product_realization
 
 from steercert import cli, documents, gallery
 from steercert.core import NnlsDidNotConverge
-from steercert.channels import State, choi_of_unitary
+from steercert.channels import KrausChannel, State, choi_of_kraus, choi_of_unitary
 from steercert.assemblages import (
     Assemblage,
     Scenario,
@@ -740,8 +740,9 @@ def test_realization_state_dims_must_match(capsys, tmp_path, rng):
 
 def _scenario_fault_document(fault: str) -> str:
     """An assemblage whose scenario has ``fault``: a channel assemblage
-    with a third party of one setting and one outcome, or with ternary
-    outcomes for party 0, or a plain assemblage on one trusted qubit."""
+    with a third party of one setting and one outcome, with ternary
+    outcomes for party 0, or with a qutrit as the trusted output or
+    input, or a plain assemblage on one trusted qubit."""
     if fault == "three parties":  # the same members, in the same order
         l = gallery.bell_cnot_assemblage()
         return documents.dumps(ChannelAssemblage(
@@ -749,6 +750,16 @@ def _scenario_fault_document(fault: str) -> str:
     if fault == "one trusted dim":  # every member |0><0| / 4
         members = np.diag([0.25, 0.0])[None].repeat(16, axis=0)
         return documents.dumps(Assemblage(Scenario((2, 2), (2, 2), (2,)), members))
+    tables = (np.eye(2)[[[0, 1]]], np.eye(2)[[[0, 1]]])  # deterministic binary responses
+    if fault == "qutrit output":  # a qubit embedded in a qutrit
+        isometry = KrausChannel(2, 3, [np.eye(3)[:, :2]])
+        return documents.dumps(local_channel_assemblage(
+            tables, [choi_of_kraus(isometry)], Scenario((2, 2), (2, 2), (3, 2))))
+    if fault == "qutrit input":  # a qutrit measured, its outcome sent as a qubit
+        measure = KrausChannel(3, 2, [np.outer(np.eye(2)[i % 2], np.eye(3)[i])
+                                      for i in range(3)])
+        return documents.dumps(local_channel_assemblage(
+            tables, [choi_of_kraus(measure)], Scenario((2, 2), (2, 2), (2, 3))))
     scen = Scenario((2, 2), (3, 2), (2, 2))
     tables = (np.eye(3)[[[0, 0]]], np.eye(2)[[[0, 1]]])  # deterministic responses
     return documents.dumps(local_channel_assemblage(
@@ -763,6 +774,9 @@ def _scenario_fault_document(fault: str) -> str:
     ("three parties", ("security-cert",), "pinning certificate requires two untrusted parties"),
     ("ternary outcomes", ("security-cert",),
      "perfect key check requires binary outcomes throughout"),
+    ("qutrit output", ("security-cert",),
+     "trusted output dim 3 is not the key measurement's dim 2"),
+    ("qutrit input", ("security-cert",), "trusted input dim 3 is not the key input state's dim 2"),
     ("one trusted dim", ("extremality", "--mode", "asym"),
      "the relaxed A|BC family needs trusted dims (d_out, d_in)"),
 ])

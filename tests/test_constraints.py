@@ -1,5 +1,7 @@
+import tracemalloc
 from importlib import resources
 
+import compile_oracle as oracle
 import numpy as np
 import pytest
 from conftest import pure_realization
@@ -65,7 +67,7 @@ def test_relaxed_family_needs_two_parties_and_channel_dims():
 
 def test_family_names_follow_report_order():
     fam = full_ns(Scenario((2, 2), (2, 2), (2,)))
-    names = [c.name for c in fam.constraints]
+    names = list(fam.names)
     assert names[0] == "marginal I=(0,) a=(0,) x=(0,): settings (0,) vs (1,)"
     assert names[-4:] == ["total trace at x=(1, 1)", "total at x=(0, 0) vs x=(0, 1)",
                           "total at x=(0, 0) vs x=(1, 0)",
@@ -75,12 +77,14 @@ def test_family_names_follow_report_order():
 
 
 def _coefficients(fam, reduction):
-    """The zero-target coefficient rows with ``reduction``, from ``terms``."""
-    rows, positions, signs = fam.terms
-    coef = np.zeros((len(fam.constraints), len(list(fam.scenario.positions()))))
-    np.add.at(coef, (rows, positions), signs)
-    return coef[[i for i, c in enumerate(fam.constraints)
-                 if c.reduction is reduction and c.target is None]]
+    """The zero-target coefficient rows with ``reduction``, from ``parts``."""
+    rows = []
+    for part in fam.parts:
+        if part.reduction is reduction and part.target is None:
+            for positions in part.positions:
+                rows.append(np.zeros(len(list(fam.scenario.positions()))))
+                np.add.at(rows[-1], positions, part.signs)
+    return np.array(rows)
 
 
 FACTOR_GRID = [  # (settings, outcomes, trusted dims)
@@ -93,24 +97,36 @@ FACTOR_GRID = [  # (settings, outcomes, trusted dims)
 
 
 def _whole_families(settings, outcomes, dims):
-    scen = Scenario(settings, outcomes, dims)
-    return lambda: [full_ns(scen)] + ([asym_ns(scen)] if len(dims) == 2 else [])
+    """Each family defined on the scenario, with the oracle's constraints."""
+    def families():
+        scen = Scenario(settings, outcomes, dims)
+        pairs = [(full_ns(scen), oracle.full_ns(scen))]
+        if len(dims) == 2:
+            pairs.append((asym_ns(scen), oracle.asym_ns(scen)))
+        return pairs
+    return families
 
 
 def _sub_family(make, settings, outcomes, dims, keep):
-    """The constraints of ``make``'s family that ``keep`` accepts."""
+    """The parts of ``make``'s family that ``keep(name, reduction, target)``
+    accepts, judged by their first constraint, with the oracle's
+    constraints that it accepts."""
     def families():
-        fam = make(Scenario(settings, outcomes, dims))
-        return [Family(fam.scenario, tuple(c for c in fam.constraints if keep(c)))]
+        scen = Scenario(settings, outcomes, dims)
+        parts = tuple(part for part in make(scen).parts
+                      if keep(next(iter(part.names())), part.reduction, part.target))
+        want = [c for c in getattr(oracle, make.__name__)(scen)
+                if keep(c.name, c.reduction, c.target)]
+        return [(Family(scen, parts), want)]
     return families
 
 
 def _marginals(inside):
-    return lambda c: c.name.startswith(f"marginal I={inside} ")
+    return lambda name, reduction, target: name.startswith(f"marginal I={inside} ")
 
 
-def _totals(c):
-    return c.name.startswith("total")
+def _totals(name, reduction, target):
+    return name.startswith("total")
 
 
 FACTOR_CASES = [pytest.param(_whole_families(*grid), id="-".join(map(str, grid)))
@@ -123,10 +139,12 @@ FACTOR_CASES = [pytest.param(_whole_families(*grid), id="-".join(map(str, grid))
     pytest.param(_sub_family(full_ns, (2, 2, 3), (2, 3, 2), (2,), _totals),
                  id="full-totals-three-parties"),
     pytest.param(_sub_family(asym_ns, (2, 3), (3, 2), (2, 2),
-                             lambda c: c.target is None or c.reduction is Reduction.NONE),
+                             lambda name, reduction, target:
+                             target is None or reduction is Reduction.NONE),
                  id="asym-without-output-trace-condition"),
     pytest.param(_sub_family(asym_ns, (3, 2), (2, 3), (2, 2),
-                             lambda c: c.reduction is Reduction.OUTPUT_TRACE),
+                             lambda name, reduction, target:
+                             reduction is Reduction.OUTPUT_TRACE),
                  id="asym-output-traced-only"),
 ]
 
@@ -135,13 +153,14 @@ FACTOR_CASES = [pytest.param(_whole_families(*grid), id="-".join(map(str, grid))
 def test_factor_bases_are_the_constraint_list(families):
     # the party-factor rows and kernel against the family's own coefficient
     # blocks, ranked by an SVD here
-    for fam in families():
+    for fam, _ in families():
         k = fam.certificate_kernel
         zero_blocks = [(reduction, rows) for reduction, rows, targets
                        in fam.certificate_rows if targets is None]
-        assert bool(zero_blocks) == any(c.target is None for c in fam.constraints)
-        if not any(c.target is None and c.reduction is Reduction.NONE
-                   for c in fam.constraints):
+        parts = [part for part in fam.parts if len(part.positions)]
+        assert bool(zero_blocks) == any(part.target is None for part in parts)
+        if not any(part.target is None and part.reduction is Reduction.NONE
+                   for part in parts):
             # the whole space
             np.testing.assert_allclose(k.T @ k, np.eye(len(k)), atol=1e-12)
         for reduction, rows in zero_blocks:
@@ -157,6 +176,60 @@ def test_factor_bases_are_the_constraint_list(families):
             if reduction is Reduction.NONE:
                 np.testing.assert_allclose(coef @ k.T, 0, atol=1e-12)
                 np.testing.assert_allclose(k.T @ k, vt[rank:].T @ vt[rank:], atol=1e-12)
+
+
+def _array_equal(got, want):
+    """``np.array_equal``, through tuples and ``None``."""
+    if isinstance(want, tuple):
+        return (isinstance(got, tuple) and len(got) == len(want)
+                and all(_array_equal(g, w) for g, w in zip(got, want)))
+    if want is None or isinstance(want, (Reduction, slice)):
+        return got == want
+    return np.array_equal(got, want)
+
+
+# the six multiparty-certify scenarios, then the two where a one-shot
+# command paid most for the dense compile
+ORACLE_SCENARIOS = [(3, 2, 2, 2), (3, 3, 2, 2), (3, 2, 3, 2), (3, 2, 2, 3), (4, 2, 2, 2),
+                    (3, 3, 3, 2), (4, 3, 2, 2), (3, 3, 4, 2)]
+ORACLE_CASES = FACTOR_CASES + [
+    pytest.param(_whole_families((m,) * n, (k,) * n, (d,)), id=f"{n}{m}{k}{d}")
+    for n, m, k, d in ORACLE_SCENARIOS]
+
+
+@pytest.mark.parametrize("families", ORACLE_CASES)
+def test_compile_matches_the_dense_oracle(families):
+    # the arrays compiled party by party, to the last bit, against the
+    # formed basis and the dense kept-row product
+    for fam, constraints in families():
+        scen = fam.scenario
+        assert list(fam.names) == [c.name for c in constraints]
+        assert len(fam) == len(constraints)
+        assert _array_equal(fam.terms, oracle.terms(scen, constraints))
+        assert _array_equal(fam._segments, oracle.segments(scen, constraints))
+        blocks, kernel, hits, kept = oracle.certificate(scen, constraints)
+        assert _array_equal(tuple(hit for _, hit, _, _ in fam._certificate[0]), hits)
+        assert _array_equal(fam._certificate[1], kept)
+        assert _array_equal(fam._contractions, oracle.contractions(scen, constraints))
+        assert _array_equal(fam.certificate_kernel, kernel)
+        assert _array_equal(fam.certificate_rows, blocks)
+
+
+@pytest.mark.parametrize("shape, bound_mb", [((4, 3, 2, 2), 16), ((3, 3, 3, 2), 5)],
+                         ids=str)
+def test_first_compile_memory_is_bounded(shape, bound_mb):
+    # the dense compile peaked at 143.8 MB and 18.1 MB here: it formed the
+    # basis, square in the positions, and the coefficients over them
+    n, m, k, d = shape
+    scen = Scenario((m,) * n, (k,) * n, (d,))
+    tracemalloc.start()
+    try:
+        fam = full_ns(scen)
+        fam._contractions, fam._segments
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 2**20
 
 
 def test_factor_bases_take_no_svd(monkeypatch):
@@ -197,16 +270,17 @@ def oracle_magnitudes(fam, members):
     scen = fam.scenario
     stack = np.asarray(members, dtype=complex)
     rows, cols, signs = fam.terms
-    out = np.empty(len(fam.constraints))
-    for reduction in {c.reduction for c in fam.constraints}:
-        chosen = np.array([c.reduction is reduction for c in fam.constraints])
+    given = [(part.reduction, part.target) for part in fam.parts for _ in part.positions]
+    out = np.empty(len(given))
+    for reduction in {r for r, _ in given}:
+        chosen = np.array([r is reduction for r, _ in given])
         reduced = _reduce(stack, reduction, scen.trusted_dims)
         sums = np.zeros((len(chosen),) + reduced.shape[1:], dtype=reduced.dtype)
         picked = chosen[rows]
         scale = signs[picked].reshape((-1,) + (1,) * (reduced.ndim - 1))
         np.add.at(sums, rows[picked], scale * reduced[cols[picked]])
         for i in np.flatnonzero(chosen):
-            target = fam.constraints[i].target
+            target = given[i][1]
             if target is not None:
                 sums[i] -= target
         dev = np.abs(sums[chosen]).reshape(int(chosen.sum()), -1)
@@ -218,8 +292,8 @@ def oracle_violations(fam, members, tol):
     """The violation names :func:`evaluate` reported before, in order."""
     psd = zip(fam.scenario.positions(), psd_deviation(members))
     names = [f"member {a}|{x} PSD" for (a, x), v in psd if v > tol]
-    return names + [c.name for c, v in zip(fam.constraints,
-                                           oracle_magnitudes(fam, members)) if v > tol]
+    return names + [name for name, v in zip(fam.names, oracle_magnitudes(fam, members))
+                    if v > tol]
 
 
 def _channel_fixture():

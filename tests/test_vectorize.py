@@ -42,17 +42,19 @@ def _real_rows(reduced: np.ndarray) -> np.ndarray:
 def reference_vectorize(fam, columns, units):
     scen = fam.scenario
     index = {pos: j for j, pos in enumerate(columns)}
+    positions = list(scen.positions())
     rows, rhs = [], []
-    for c in fam.constraints:
-        coef = np.zeros(len(columns))
-        for pos, sign in c.terms:
-            if pos in index:
-                coef[index[pos]] += sign
-        vec = _real_rows(_reduce(units, c.reduction, scen.trusted_dims))
-        rows.append(coef[None, :] * vec)
-        target = np.zeros(len(vec)) if c.target is None else \
-            _real_rows(np.asarray(c.target)[None]).reshape(-1)
-        rhs.append(target)
+    for part in fam.parts:
+        vec = _real_rows(_reduce(units, part.reduction, scen.trusted_dims))
+        for terms in part.positions:
+            coef = np.zeros(len(columns))
+            for place, sign in zip(terms, part.signs):
+                if positions[place] in index:
+                    coef[index[positions[place]]] += sign
+            rows.append(coef[None, :] * vec)
+            target = np.zeros(len(vec)) if part.target is None else \
+                _real_rows(np.asarray(part.target)[None]).reshape(-1)
+            rhs.append(target)
     return np.concatenate(rows), np.concatenate(rhs)
 
 
