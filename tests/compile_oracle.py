@@ -154,9 +154,9 @@ def certificate(scen, constraints) -> tuple:
     return tuple(blocks), _normalized(basis[kept]), tuple(hits), np.flatnonzero(kept)
 
 
-def contractions(scen, constraints) -> tuple:
-    """``(party_major, per_block)`` from the oracle's hits and kept rows."""
-    _, _, hits, kept = certificate(scen, constraints)
+def contractions(scen, hits, kept) -> tuple:
+    """``(party_major, per_block)`` from the :func:`certificate`'s hits and
+    kept rows."""
     factors = [_normalized(_party_factor(m, k))
                for m, k in zip(scen.settings, scen.outcomes)]
     return _party_major(scen), tuple(
