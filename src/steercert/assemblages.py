@@ -257,10 +257,12 @@ def lhs_assemblage(model: LhsModel, scenario: Scenario) -> Assemblage:
 
 
 class MemberError(ValueError):
-    """A member that :func:`canonicalize_pure` rejects, at ``position``."""
+    """A member that :func:`canonicalize_pure` rejects, at ``position``;
+    ``position`` is ``None`` for a fault of the members as a whole."""
 
-    def __init__(self, position: tuple, fault: str):
-        super().__init__(f"member {position[0]}|{position[1]} {fault}")
+    def __init__(self, position, fault: str):
+        super().__init__(fault if position is None
+                         else f"member {position[0]}|{position[1]} {fault}")
         self.position = position
 
 
@@ -269,7 +271,7 @@ def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssem
 
     Raises :class:`MemberError` if any member is not PSD within
     ``abs_tol`` (as :func:`verify_ns` measures it) or has rank two or
-    more, and a ``ValueError`` if no member has trace at least
+    more, and one with no position if no member has trace at least
     ``abs_tol``.  A member's rank is that of its Hermitian part, taken
     from the eigendecomposition that gives its ket: the count of
     ``|lambda|`` above ``rank_rel_tol`` times the largest.
@@ -281,7 +283,7 @@ def canonicalize_pure(s: Assemblage, tol: Tolerances = DEFAULT_TOL) -> PureAssem
     weights = np.trace(s.members, axis1=1, axis2=2).real
     kept = np.flatnonzero(weights >= tol.abs_tol)
     if not len(kept):
-        raise ValueError("no member has trace above abs_tol")
+        raise MemberError(None, "no member has trace above abs_tol")
     stack = s.members[kept]
     evals, vecs = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2)
     mags = np.abs(evals)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Tolerances, nullspace, nullspace_and_spectrum
 from .assemblages import PureAssemblage
-from .constraints import (ConstraintMode, Family, family, magnitudes, project,
-                          vectorize)
+from .constraints import (ConstraintMode, Family, column_order, family, magnitudes,
+                          project, vectorize)
 
 
 @dataclass(frozen=True)
@@ -81,18 +81,21 @@ class LinearSystem:
         solution of ``A c = 0`` has ``B_S c = 0``, and the system's kernel
         is ``K`` times the kernel of ``A K``.  ``K`` is made of the vectors
         of :attr:`.Family.certificate_kernel` that vanish off the columns,
-        with their rows taken in column order.  Off a full support, those
-        are found by ranking the kernel's rows there relative to their
-        largest singular value, as the system is ranked, so that ``K``
-        loses no kernel vector.
+        with their rows taken in column order.  On a full support that is
+        the family's own read-only array: its rows run in sorted ``(a, x)``
+        order, as the columns do.  Off it, those vectors are found by
+        ranking the kernel's rows there, in ``positions()`` order, relative
+        to their largest singular value, as the system is ranked, so that
+        ``K`` loses no kernel vector.
         """
-        full = self.family.certificate_kernel.T
+        full = self.family.certificate_kernel
+        if len(self.columns) == len(full):
+            return full, None
+        row = column_order(self.family.scenario)  # each position's row of full
         off = np.ones(len(full), dtype=bool)
         off[self.at] = False
-        if not off.any():
-            return full[self.at], None
-        n = nullspace(full[off], rel_tol).T
-        return full[self.at] @ n, n
+        n = nullspace(full[row[off]], rel_tol).T
+        return full[row[self.at]] @ n, n
 
     def projected(self, k: np.ndarray, n) -> np.ndarray:
         """``A K`` for ``(K, N)`` from :meth:`kernel`, by

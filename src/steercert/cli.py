@@ -10,13 +10,15 @@ Each ``cmd_*`` takes the parsed arguments, the ``Tolerances`` and the parsed
 return ``None``.  No command prints a report or handles an exception:
 ``main`` alone does.  It maps ``OSError`` (a missing or unreadable document,
 an unwritable ``--certificate-out``) and ``ValueError`` (``DocumentError``,
-a non-positive or non-finite tolerance, a mode or key setting that does not
-apply, a member that is not PSD) to INPUT_ERROR, exit 3, and
-``NnlsDidNotConverge`` to INCONCLUSIVE, exit 2, with the message as
-``details.error``.  A member that :func:`.assemblages.canonicalize_pure`
-rejects (:class:`.assemblages.MemberError`) is located at its entry,
+a non-positive or non-finite tolerance, a ``--rank-tol`` of 1 or more, a
+mode or key setting that does not apply, a member that is not PSD) to
+INPUT_ERROR, exit 3, and ``NnlsDidNotConverge`` to INCONCLUSIVE, exit 2,
+with the message as ``details.error``.  A member that
+:func:`.assemblages.canonicalize_pure` rejects
+(:class:`.assemblages.MemberError`) is located at its entry,
 ``$.payload.members[j]``, in an assemblage or a channel assemblage
-document, and at ``$.payload`` in a realization; an assemblage that
+document (at ``$.payload.members`` when no member has trace above
+``abs_tol``), and at ``$.payload`` in a realization; an assemblage that
 violates the family a certificate is built from
 (:class:`.certificates.UnsatisfiedReference`), a correlation table that
 ``security-cert`` refuses and a realization whose dims disagree (both
@@ -150,12 +152,15 @@ def _pure(doc: Document, tol: Tolerances):
 
 def _located(exc: MemberError, doc: Document) -> str:
     """``exc``'s message, prefixed with the JSON path of the member's entry
-    when ``doc`` is an assemblage or a channel assemblage document, and
-    with ``$.payload`` for a realization, whose members are computed from
-    its state and measurements."""
+    (of the member list, for a fault with no position) when ``doc`` is an
+    assemblage or a channel assemblage document, and with ``$.payload`` for
+    a realization, whose members are computed from its state and
+    measurements."""
     if doc is not None and doc.kind == "realization":
         return str(DocumentError(str(exc), "$.payload"))
     if doc is not None and doc.member_at is not None:
+        if exc.position is None:
+            return str(DocumentError(str(exc), "$.payload.members"))
         j = np.flatnonzero(doc.member_at == doc.payload.scenario.index(*exc.position))
         if j.size:
             return str(DocumentError(str(exc), f"$.payload.members[{j[0]}]"))

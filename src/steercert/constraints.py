@@ -48,7 +48,8 @@ space, and they equal it exactly when that row space is spanned by basis
 rows, as it is for both families here.
 :attr:`Family.certificate_rows` holds the kept rows, normalized, and
 :attr:`Family.certificate_kernel` the rest of the basis for the block
-with no reduction, each built from the party factors' rows at its places
+with no reduction, as columns over the positions in the support's sorted
+``(a, x)`` order, each built from the party factors' rows at its places
 (:func:`_basis_rows`).  Each basis row is written once per Hermitian
 coordinate of the reduced units: ``D**2`` coordinates, the real diagonal
 and the real and imaginary strict upper triangle, or the real trace.
@@ -145,10 +146,20 @@ def _party_major(scen) -> np.ndarray:
     return np.arange(np.prod(sizes)).reshape(sizes).transpose(order).ravel()
 
 
+def column_order(scen) -> np.ndarray:
+    """The place of each position, in ``scen.positions()`` order, in sorted
+    ``(a, x)`` order: the order of a :class:`.PureAssemblage`'s support and
+    of the rows of :attr:`Family.certificate_kernel`."""
+    n = scen.n_parties
+    return np.arange(prod(scen.settings) * prod(scen.outcomes)).reshape(
+        scen.outcomes + scen.settings).transpose(list(range(n, 2 * n)) + list(range(n))).ravel()
+
+
 def _basis_rows(scen, places) -> np.ndarray:
     """The rows ``places`` of the Kronecker product of the party factors,
-    normalized, over all positions in ``scen.positions()`` order, built
-    from each party's factor rows and read-only.
+    normalized, as the columns of a read-only ``(positions, len(places))``
+    array whose rows run in sorted ``(a, x)`` order, built from each
+    party's factor rows.
 
     A row's squared norm is the product of its factor rows' squared norms,
     an exact integer, so the rows are those of the formed product divided
@@ -156,14 +167,15 @@ def _basis_rows(scen, places) -> np.ndarray:
     n, count = scen.n_parties, len(places)
     factors = [_party_factor(m, k) for m, k in zip(scen.settings, scen.outcomes)]
     digits = np.unravel_index(places, [len(f) for f in factors])
-    rows, squares = np.ones((count,) + (1,) * 2 * n), np.ones(count)
-    for i, (f, r) in enumerate(zip(factors, digits)):
-        shape = [count] + [1] * 2 * n
-        shape[1 + i], shape[1 + n + i] = scen.settings[i], scen.outcomes[i]
-        rows = rows * f[r].reshape(shape)  # axes (x_1..x_n, a_1..a_n)
+    rows, squares = np.ones((1,) * 2 * n + (count,)), np.ones(count)
+    for i, (f, r, m, k) in enumerate(zip(factors, digits, scen.settings, scen.outcomes)):
+        shape = [1] * 2 * n + [count]
+        shape[i], shape[n + i] = k, m
+        # axes (a_1..a_n, x_1..x_n, row), C-contiguous
+        rows = rows * np.ascontiguousarray(f[r].reshape(count, m, k).T).reshape(shape)
         squares *= (f[r] ** 2).sum(axis=1)
-    rows = rows.reshape(count, -1)
-    rows /= np.sqrt(squares)[:, None]
+    rows = rows.reshape(-1, count)
+    rows /= np.sqrt(squares)
     rows.flags.writeable = False  # shared through the family cache
     return rows
 
@@ -238,6 +250,17 @@ def _contract(w: np.ndarray, matrices) -> np.ndarray:
     return w.ravel()
 
 
+def _gather(entries: np.ndarray, rows, cols, out: np.ndarray) -> np.ndarray:
+    """``out[i, j] = entries[rows[i] + cols[j]]``, a chunk of rows at a
+    time, so that no chunk's index holds more than :data:`_CHUNK`
+    entries."""
+    step = max(1, _CHUNK // max(1, len(cols)))
+    for first in range(0, len(rows), step):  # in range: "clip" skips a buffered bounds check
+        np.take(entries, rows[first:first + step, None] + cols,
+                out=out[first:first + step], mode="clip")
+    return out
+
+
 @functools.lru_cache(maxsize=16)
 def no_signaling_factors(scen) -> tuple:
     """One orthonormal factor per party, as rows over ``(x, a)`` x-major:
@@ -308,7 +331,7 @@ class Family:
     def _certificate(self):
         """``(blocks, kept)``: one ``(reduction, hit, coef, targets)`` per
         block of :attr:`certificate_rows`, and the places in the
-        party-factor basis of :attr:`certificate_kernel`'s rows.  A
+        party-factor basis of :attr:`certificate_kernel`'s columns.  A
         zero-target block has the places ``hit`` of its rows and ``coef``
         ``None``; a targeted block has ``hit`` ``None`` and its own
         coefficient rows ``coef``."""
@@ -345,23 +368,31 @@ class Family:
         give their own coefficient rows and their targets.  Built on first
         read: :func:`project` does not read it.
         """
-        return tuple((reduction, _basis_rows(self.scenario, hit) if coef is None else coef,
-                      targets) for reduction, hit, coef, targets in self._certificate[0])
+        order, blocks = column_order(self.scenario), []
+        for reduction, hit, coef, targets in self._certificate[0]:
+            if coef is None:
+                coef = _basis_rows(self.scenario, hit)[order].T
+                coef.flags.writeable = False  # shared through the family cache
+            blocks.append((reduction, coef, targets))
+        return tuple(blocks)
 
     @functools.cached_property
     def certificate_kernel(self):
-        """Orthonormal basis, as rows over all positions, of the kernel of
-        the zero-target coefficient block with no reduction: the normalized
-        rows of the party-factor basis that this block annihilates (all of
-        them when the family has no such block)."""
+        """Orthonormal basis of the kernel of the zero-target coefficient
+        block with no reduction, as the columns of a C-contiguous
+        ``(positions, r)`` array whose rows run in sorted ``(a, x)`` order
+        (:func:`column_order`): the normalized rows of the party-factor
+        basis that this block annihilates (all of them when the family has
+        no such block).  On a full support its rows are the columns of the
+        system, in order."""
         return _basis_rows(self.scenario, self._certificate[1])
 
     @functools.cached_property
     def _contractions(self):
         """``(party_major, per_block)``: :func:`_party_major`, and for each
         block of :attr:`certificate_rows` the :func:`_contraction` of its
-        rows against :attr:`certificate_kernel` (``None`` for a targeted
-        block)."""
+        rows against :attr:`certificate_kernel`'s columns (``None`` for a
+        targeted block)."""
         blocks, kept = self._certificate
         scen = self.scenario
         factors = [_normalized(_party_factor(m, k))
@@ -618,8 +649,9 @@ def project(fam: Family, at, units: np.ndarray, k: np.ndarray, n) -> np.ndarray:
     """``A K`` for the ``A`` of :func:`vectorize` and orthonormal columns
     ``k`` spanning the kernel of ``B_S``, the zero-target block with no
     reduction restricted to the positions ``at``; ``A`` is never formed.
-    ``k`` is ``K_fullᵀ[at] n``, ``K_full`` :attr:`Family.certificate_kernel`
-    and ``n`` ``None`` on a full support.
+    ``k`` is ``K_full n`` restricted to the rows of the positions ``at``,
+    ``K_full`` :attr:`Family.certificate_kernel` and ``n`` ``None`` on a
+    full support.
 
     Each block gives ``(coef[:, at] * v) @ k`` per coordinate row ``v`` of
     the reduced units.  In ``B_S``'s block the diagonal coordinates are
@@ -627,12 +659,13 @@ def project(fam: Family, at, units: np.ndarray, k: np.ndarray, n) -> np.ndarray:
     every unit has trace one, so its rows are ``B_S k / sqrt(D)``, which
     vanish.  Neither changes a singular value.
 
-    A zero-target block's rows and ``K_full``'s are rows of one orthonormal
-    Kronecker basis, so with ``w`` equal to ``v`` on ``at`` and zero
-    elsewhere its rows are ``(rows diag(w) K_fullᵀ) n``: ``w`` is contracted
-    with one small matrix per party, one coordinate at a time, and the
-    (row, kernel row) entries are gathered (:func:`_contraction`).  Only the
-    targeted rows (trace and output trace) are dense products.
+    A zero-target block's rows and ``K_full``'s columns are rows of one
+    orthonormal Kronecker basis, so with ``w`` equal to ``v`` on ``at`` and
+    zero elsewhere its rows are ``(rows diag(w) K_full) n``: ``w`` is
+    contracted with one small matrix per party, one coordinate at a time,
+    and the (row, kernel column) entries are gathered (:func:`_contraction`,
+    :func:`_gather`).  Only the targeted rows (trace and output trace) are
+    dense products.
     """
     party_major, contractions = fam._contractions
     place, w = party_major[at], np.zeros(len(party_major))
@@ -644,17 +677,16 @@ def project(fam: Family, at, units: np.ndarray, k: np.ndarray, n) -> np.ndarray:
     out, end = np.empty((sum(count * len(vec) for count, _, _, vec in blocks),
                          k.shape[1])), 0
     for count, coef, contraction, vec in blocks:
-        if contraction is not None:
-            matrices, rows, cols = contraction
-            index = rows[:, None] + cols
         for v in vec:
             start, end = end, end + count
             if contraction is None:
                 out[start:end] = (coef[:, at] * v) @ k
                 continue
+            matrices, rows, cols = contraction
             w[place] = v
-            if n is None:  # in range: "clip" skips a buffered bounds check
-                np.take(_contract(w, matrices), index, out=out[start:end], mode="clip")
+            if n is None:
+                _gather(_contract(w, matrices), rows, cols, out[start:end])
             else:
-                out[start:end] = _contract(w, matrices)[index] @ n
+                out[start:end] = _gather(_contract(w, matrices), rows, cols,
+                                         np.empty((count, len(cols)))) @ n
     return out

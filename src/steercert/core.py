@@ -29,9 +29,10 @@ class Tolerances:
     """Numerical tolerance budget used across all verification routines.
 
     ``rank_rel_tol`` is relative: it multiplies the largest singular value
-    of whatever matrix is being ranked.  ``nnls_residual_tol`` bounds two
-    residuals: that of the LHS weight system, and that of the reference
-    coefficients in an extremality certificate's system.
+    of whatever matrix is being ranked, and lies below one: at one or
+    more, every singular value would count as zero.  ``nnls_residual_tol``
+    bounds two residuals: that of the LHS weight system, and that of the
+    reference coefficients in an extremality certificate's system.
     """
 
     abs_tol: float = 1e-9
@@ -42,6 +43,8 @@ class Tolerances:
         for name in ("abs_tol", "rank_rel_tol", "nnls_residual_tol"):
             if not 0 < getattr(self, name) < inf:
                 raise ValueError(f"{name} must be finite and strictly positive")
+        if self.rank_rel_tol >= 1:
+            raise ValueError("rank_rel_tol must be below 1")
 
 
 DEFAULT_TOL = Tolerances()
@@ -146,10 +149,14 @@ def _certified_spectrum(m: np.ndarray, tol: float):
               + (rows + cols) * info.eps / tol) * trace
              + cols * (rows + 8 * (cols + 2) + 4 * trace) * info.smallest_subnormal
              ) * (1 + 2 * _gamma(rows + cols + 10))
+    # G - c I in G's own storage; its diagonal is put back, exactly
+    diagonal = np.diagonal(g).copy()
+    g.flat[::cols + 1] -= shift
     try:
-        np.linalg.cholesky(g - shift * np.eye(cols))
+        np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         return None
+    g.flat[::cols + 1] = diagonal
     return np.sqrt(np.linalg.eigvalsh(g)[::-1])
 
 
@@ -215,7 +222,8 @@ def nullspace_and_spectrum(m: np.ndarray,
 
     Returns ``(basis, s)``: ``basis`` is as for :func:`nullspace`, ``s``
     holds the singular values in descending order (empty when every entry
-    is zero).  All-zero rows are dropped first.
+    is zero).  All-zero rows are dropped first; ``m`` is copied only when
+    it has one.
 
     A system that still has at least as many rows as columns is first
     tried on the certified path (:func:`_certified_spectrum`): a Cholesky
@@ -243,7 +251,9 @@ def nullspace_and_spectrum(m: np.ndarray,
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     cols = m.shape[1]
-    m = m[np.any(m != 0.0, axis=1)]
+    nonzero = m.any(axis=1)
+    if not nonzero.all():
+        m = m[nonzero]
     if m.shape[0] == 0:
         return np.eye(cols), np.zeros(0)
     tall = m.shape[0] >= cols

@@ -441,6 +441,15 @@ def test_non_finite_tolerance_is_input_error(capsys, flag, key, value):
     assert key in report["details"]["error"]
 
 
+@pytest.mark.parametrize("value", ["1", "2"])
+def test_rank_tolerance_of_one_or_more_is_input_error(capsys, value):
+    # at a relative threshold of 1 every singular value counts as zero
+    code, report = run_json(capsys, "--rank-tol", value, "extremality",
+                            data_path("example1.json"))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"] == "rank_rel_tol must be below 1"
+
+
 def test_relaxed_extremality_needs_channel_dims(capsys, tmp_path):
     choi = to_choi_assemblage(gallery.bell_cnot_assemblage())
     flat = Assemblage(Scenario((2, 2), (2, 2), (4,)), choi.members)
@@ -564,7 +573,7 @@ def _empty_document(tmp_path, kind: str) -> str:
 def test_empty_support_is_input_error(capsys, tmp_path, command, kind):
     code, report = run_json(capsys, command, _empty_document(tmp_path, kind))
     assert code == 3 and report["status"] == "INPUT_ERROR"
-    assert report["details"]["error"] == "no member has trace above abs_tol"
+    assert report["details"]["error"] == "$.payload.members: no member has trace above abs_tol"
 
 
 @pytest.mark.parametrize("kind", ["assemblage", "channel_assemblage"])
@@ -843,6 +852,17 @@ def _kind_documents(tmp_path) -> dict:
         paths[kind] = tmp_path / f"{kind}.json"
         paths[kind].write_text(documents.dumps(payload))
     return {kind: str(path) for kind, path in paths.items()}
+
+
+@pytest.mark.parametrize("kind, path", [("realization", "$.payload"),
+                                        ("assemblage", "$.payload.members"),
+                                        ("channel_assemblage", "$.payload.members")])
+def test_no_member_above_abs_tol_is_located(capsys, tmp_path, kind, path):
+    # every member's trace sits below an absolute tolerance of 1e300
+    code, report = run_json(capsys, "--abs-tol", "1e300", "extremality",
+                            _kind_documents(tmp_path)[kind])
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"] == f"{path}: no member has trace above abs_tol"
 
 
 @pytest.mark.parametrize("argv, kind, error", [

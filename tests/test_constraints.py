@@ -12,7 +12,7 @@ from steercert.channel_assemblages import verify_asym_ns
 from steercert.certificates import (UnsatisfiedReference, build_constraint_system,
                                     decomposition_analysis)
 from steercert.constraints import (ConstraintMode, Family, Reduction, _reduce,
-                                   asym_ns, evaluate, full_ns, magnitudes,
+                                   asym_ns, column_order, evaluate, full_ns, magnitudes,
                                    no_signaling_factors, output_trace_condition)
 from steercert.core import psd_deviation
 from steercert.documents import parse
@@ -154,7 +154,8 @@ def test_factor_bases_are_the_constraint_list(families):
     # the party-factor rows and kernel against the family's own coefficient
     # blocks, ranked by an SVD here
     for fam, _ in families():
-        k = fam.certificate_kernel
+        # the kernel's columns, as rows over positions() order
+        k = fam.certificate_kernel[column_order(fam.scenario)].T
         zero_blocks = [(reduction, rows) for reduction, rows, targets
                        in fam.certificate_rows if targets is None]
         parts = [part for part in fam.parts if len(part.positions)]
@@ -211,7 +212,11 @@ def test_compile_matches_the_dense_oracle(families):
         assert _array_equal(tuple(hit for _, hit, _, _ in fam._certificate[0]), hits)
         assert _array_equal(fam._certificate[1], kept)
         assert _array_equal(fam._contractions, oracle.contractions(scen, hits, kept))
-        assert _array_equal(fam.certificate_kernel, kernel)
+        # the oracle's kernel rows, as columns whose rows run in sorted
+        # (a, x) order, the order of a full support's columns
+        full = fam.certificate_kernel
+        assert _array_equal(full, kernel.T[scen.indices(sorted(scen.positions()))])
+        assert full.flags.c_contiguous and not full.flags.writeable
         assert _array_equal(fam.certificate_rows, blocks)
 
 
@@ -232,6 +237,24 @@ def test_first_compile_memory_is_bounded(shape, bound_mb):
     assert peak <= bound_mb * 2**20
 
 
+def test_warm_certificate_holds_a_k_and_its_gram_factors():
+    # a warm verdict at (3,3,3,2) holds A K (3.1 MB), one party-by-party
+    # contraction (2 MB) and the Gram factors; a copy of the kernel per
+    # verdict, a whole gather index and copies of A K and of the Gram
+    # matrix took the peak to 8.3 MB
+    pure = canonicalize_pure(pure_realization(np.random.default_rng(11), 3, 3, 3, 2))
+    assert len(pure.support) == 729
+    decomposition_analysis(pure, ConstraintMode.FULL_NS)  # compiles the family
+    tracemalloc.start()
+    try:
+        cert = decomposition_analysis(pure, ConstraintMode.FULL_NS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.nullity == 0
+    assert peak <= 6.5 * 2**20
+
+
 def test_factor_bases_take_no_svd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
@@ -239,7 +262,7 @@ def test_factor_bases_take_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", refuse)
     fam = full_ns(Scenario((3,) * 3, (3,) * 3, (2,)))
     assert [len(rows) for _, rows, _ in fam.certificate_rows] == [386, 27]
-    assert fam.certificate_kernel.shape == (343, 729)
+    assert fam.certificate_kernel.shape == (729, 343)
 
 
 @pytest.mark.parametrize("settings, outcomes", [((3, 3, 3), (2, 2, 2)), ((2, 3), (3, 1)),
@@ -250,17 +273,18 @@ def test_no_signaling_factors_span_the_full_family_kernel(settings, outcomes):
     for q, m, k in zip(factors, settings, outcomes):
         assert q.shape == (m * (k - 1) + 1, m * k)
         np.testing.assert_allclose(q @ q.T, np.eye(len(q)), atol=1e-14)
-    # Q over positions: the Kronecker product of each party's factor at (x_i, a_i)
+    # Q over positions in sorted (a, x) order: the Kronecker product of each
+    # party's factor at (x_i, a_i)
     rows = []
-    for a, x in scen.positions():
+    for a, x in sorted(scen.positions()):
         row = np.ones(1)
         for q, k, ai, xi in zip(factors, outcomes, a, x):
             row = np.kron(row, q[:, xi * k + ai])
         rows.append(row)
     q = np.array(rows)
     k = full_ns(scen).certificate_kernel
-    assert q.shape[1] == len(k)
-    np.testing.assert_allclose(q @ q.T, k.T @ k, atol=1e-13)
+    assert q.shape == k.shape
+    np.testing.assert_allclose(q @ q.T, k @ k.T, atol=1e-13)
 
 
 def oracle_magnitudes(fam, members):

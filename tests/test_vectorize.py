@@ -211,13 +211,16 @@ def test_contracted_projection_is_the_dense_block_product(name, make, mode):
 
 def test_kernel_rows_follow_the_support_order():
     # The support is sorted (a, x) and positions() runs x-major, so K's rows
-    # must be taken through scenario.index, not in positions() order.
+    # must follow the support, not positions() order.
     pure = _bench_case((3, 3, 2, 2), False)
     scen = pure.scenario
     assert sorted(pure.support) == sorted(scen.positions())
     assert list(pure.support) != list(scen.positions())
     cert = decomposition_analysis(pure, ConstraintMode.FULL_NS)
-    k, _ = cert.system.kernel(DEFAULT_TOL.rank_rel_tol)
+    k, n = cert.system.kernel(DEFAULT_TOL.rank_rel_tol)
+    # on a full support K is the family's own array, its rows already in
+    # support order: no copy
+    assert n is None and np.shares_memory(k, cert.system.family.certificate_kernel)
     at = [scen.index(a, x) for a, x in pure.support]
     np.testing.assert_allclose(_zero_rows(cert.system.family)[:, at] @ k, 0, atol=1e-12)
     matrix, _ = reference_vectorize(cert.system.family, pure.support, _units(pure))
