@@ -23,7 +23,7 @@ from steercert.certificates import (
 
 pure = canonicalize_pure(gallery.bell_cnot_assemblage())
 
-full = decomposition_analysis(pure, ConstraintMode.FULL_NS)
+full = decomposition_analysis(pure, ConstraintMode.NS_CHANNEL)
 print("full mode:", full.verdict.value,
       f"(rank {full.rank}, nullity {full.nullity})")
 print("structural witness settings:", inflexibility_structural_check(pure))

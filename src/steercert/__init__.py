@@ -10,9 +10,9 @@ Modules:
   scipy).
 - ``channels``: states, POVMs, and channels via Choi matrices, each
   held as a read-only complex array.
-- ``constraints``: the full no-signaling and relaxed A|BC constraint
-  families, defined once; evaluated by the verifiers and vectorized by
-  the certificate builder.
+- ``constraints``: the full no-signaling, no-signaling channel and
+  relaxed A|BC constraint families, each defined once; evaluated by the
+  verifiers and vectorized by the certificate builder.
 - ``assemblages``: state assemblages, no-signaling checks, LHS models.
 - ``channel_assemblages``: channel assemblages, the assemblages of Choi
   matrices that meet the output-trace condition, and their verifiers.

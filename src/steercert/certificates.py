@@ -1,12 +1,13 @@
 """Extremality certification for pure-member assemblages.
 
-The constraint families (full no-signaling, or the relaxed two-party
-variant used for channel steering) become one real linear system over the
-nonnegative coefficients sitting at the non-zero positions of a fixed
-support pattern.  Rank-nullity of that system decides whether the
-reference coefficients are the unique solution: nullity zero certifies an
-extreme point, positive nullity produces an explicit pair of distinct
-feasible decompositions averaging to the reference.
+A constraint family (full no-signaling, no-signaling channels, or the
+relaxed two-party variant used for channel steering) becomes one real
+linear system over the nonnegative coefficients sitting at the non-zero
+positions of a fixed support pattern.  Rank-nullity of that system
+decides whether the reference coefficients are the unique solution:
+nullity zero certifies an extreme point, positive nullity produces an
+explicit pair of distinct feasible decompositions averaging to the
+reference.
 """
 
 from __future__ import annotations

@@ -3,6 +3,9 @@
 Commands: ``verify``, ``choi``, ``extremality``, ``lhs``, ``security-cert``,
 ``reproduce``, ``schema``.  Exit codes: 0 PASS, 1 FAIL, 2 INCONCLUSIVE,
 3 INPUT_ERROR.  Reports are byte-deterministic for fixed inputs and flags.
+``extremality --mode full`` certifies among no-signaling channel
+assemblages (``ns-channel``) for a channel assemblage or a channel
+realization, and among no-signaling assemblages (``full``) otherwise.
 
 Each ``cmd_*`` takes the parsed arguments, the ``Tolerances`` and the parsed
 ``Document`` (``None`` for the commands that read none) and returns
@@ -52,6 +55,7 @@ from .assemblages import (
     verify_ns,
 )
 from .channel_assemblages import (
+    ChannelAssemblage,
     chanasm_from_realization,
     to_choi_assemblage,
     verify_asym_ns,
@@ -145,11 +149,6 @@ def _assemblage(doc: Document):
         raise DocumentError(str(exc), "$.payload") from None
 
 
-def _pure(doc: Document, tol: Tolerances):
-    """The canonical pure assemblage of :func:`_assemblage`."""
-    return canonicalize_pure(_assemblage(doc), tol)
-
-
 def _located(exc: MemberError, doc: Document) -> str:
     """``exc``'s message, prefixed with the JSON path of the member's entry
     (of the member list, for a fault with no position) when ``doc`` is an
@@ -168,8 +167,11 @@ def _located(exc: MemberError, doc: Document) -> str:
 
 
 def cmd_extremality(args, tol: Tolerances, doc: Document):
-    mode = ConstraintMode.FULL_NS if args.mode == "full" else ConstraintMode.ASYM_NS
-    cert = decomposition_analysis(_pure(doc, tol), mode, tol)
+    assemblage = _assemblage(doc)
+    mode = (ConstraintMode.ASYM_NS if args.mode == "asym"
+            else ConstraintMode.NS_CHANNEL if isinstance(assemblage, ChannelAssemblage)
+            else ConstraintMode.FULL_NS)
+    cert = decomposition_analysis(canonicalize_pure(assemblage, tol), mode, tol)
     if args.certificate_out:
         with open(args.certificate_out, "w") as fh:
             json.dump(cert.to_json(), fh, sort_keys=True, indent=2)
@@ -197,7 +199,7 @@ def cmd_security_cert(args, tol: Tolerances, doc: Document):
         raise DocumentError("expected a channel_assemblage document", "$.kind")
     rho, charlie = gallery.key_input_state(), gallery.key_measurement()
     key_scenario_check(doc.payload.scenario, rho, charlie)
-    pin = eavesdropper_pinning(_pure(doc, tol), args.x_key, args.y_key, tol)
+    pin = eavesdropper_pinning(canonicalize_pure(doc.payload, tol), args.x_key, args.y_key, tol)
     try:
         table = correlations(doc.payload, rho, charlie, tol.abs_tol)
     except ValueError as exc:

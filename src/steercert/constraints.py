@@ -1,4 +1,4 @@
-"""The two constraint families, each defined once.
+"""The constraint families, each defined once.
 
 A family is a list of linear constraints over the positions ``(a, x)`` of
 a scenario.  A constraint sums signed members, optionally reduces the sum
@@ -9,6 +9,9 @@ to equal a target: zero, a matrix, or ``1`` for a trace.
   of parties with fixed outcomes and settings, the member summed over the
   other parties' outcomes does not depend on their settings; the total is
   setting independent with unit trace.
+- **No-signaling channels** (:attr:`ConstraintMode.NS_CHANNEL`): the full
+  family on Choi matrices, and the total output-traces to the maximally
+  mixed input (:func:`output_trace_condition`).
 - **Relaxed A|BC** (:func:`asym_ns`), two parties only: the sum over A's
   outcomes does not depend on A's setting; the output-traced sum over B's
   outcomes does not depend on B's setting; the total is setting independent
@@ -45,7 +48,7 @@ dense over the positions, are contracted with one party factor at a time,
 an exact test on small integers, not a decomposition (:func:`_touched`).
 Because the basis is orthogonal, the kept rows contain the block's row
 space, and they equal it exactly when that row space is spanned by basis
-rows, as it is for both families here.
+rows, as it is for every family here.
 :attr:`Family.certificate_rows` holds the kept rows, normalized, and
 :attr:`Family.certificate_kernel` the rest of the basis for the block
 with no reduction, as columns over the positions in the support's sorted
@@ -81,7 +84,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Callable
 
@@ -92,6 +95,7 @@ from .core import ScenarioError, output_trace, psd_deviation
 
 class ConstraintMode(enum.Enum):
     FULL_NS = "full"
+    NS_CHANNEL = "ns-channel"
     ASYM_NS = "asym"
 
 
@@ -283,10 +287,9 @@ class Family:
 
     The certificate is derived from the constraints alone.  It is exact
     when, per reduction, the row space of the zero-target coefficient
-    block is spanned by rows of the party-factor basis, as it is for
-    :func:`full_ns` and :func:`asym_ns`; otherwise the kept rows span
-    more than the block, and the certificate would ask for more than the
-    constraints do.
+    block is spanned by rows of the party-factor basis, as it is for every
+    family of :func:`family`; otherwise the kept rows span more than the
+    block, and the certificate would ask for more than the constraints do.
     """
 
     scenario: object
@@ -438,6 +441,7 @@ class NsViolation:
 class NsReport:
     violations: tuple
     max_violation: float
+    deviations: np.ndarray = field(repr=False, compare=False)  # per constraint
 
     @property
     def ok(self) -> bool:
@@ -519,6 +523,8 @@ def full_ns(scen) -> Family:
 
 def output_trace_condition(scen) -> Constraints:
     """The total at the first settings output-traces to ``1/d_in``."""
+    if len(scen.trusted_dims) != 2:
+        raise ScenarioError("a channel family needs trusted dims (d_out, d_in)")
     d_in, outcomes = scen.trusted_dims[1], prod(scen.outcomes)
     return Constraints(np.arange(outcomes)[None], np.ones(outcomes),
                        lambda: ("output trace of total vs maximally mixed input",),
@@ -529,8 +535,6 @@ def asym_ns(scen) -> Family:
     """The relaxed A|BC family of two-party channel steering."""
     if scen.n_parties != 2:
         raise ScenarioError("the relaxed A|BC family is defined for exactly two parties")
-    if len(scen.trusted_dims) != 2:
-        raise ScenarioError("the relaxed A|BC family needs trusted dims (d_out, d_in)")
     (m1, m2), (k1, k2) = scen.settings, scen.outcomes
     (sx, sy), (sa, sb) = _strides(scen)
     xy = list(itertools.product(range(m1), range(m2)))
@@ -553,7 +557,10 @@ def asym_ns(scen) -> Family:
 def family(scen, mode: ConstraintMode) -> Family:
     """The mode's family on ``scen``.  Cached, so the verifier and the
     certificate builder of one scenario read the same object."""
-    return full_ns(scen) if mode is ConstraintMode.FULL_NS else asym_ns(scen)
+    if mode is ConstraintMode.ASYM_NS:
+        return asym_ns(scen)
+    channel = (output_trace_condition(scen),) if mode is ConstraintMode.NS_CHANNEL else ()
+    return Family(scen, full_ns(scen).parts + channel)
 
 
 def _reduce(stack: np.ndarray, reduction: Reduction, dims) -> np.ndarray:
@@ -601,7 +608,7 @@ def evaluate(fam: Family, members: np.ndarray, tol: float) -> NsReport:
     violations += [NsViolation(fam.names[i], float(deviation[i]))
                    for i in np.flatnonzero(deviation > tol)]
     return NsReport(tuple(violations),
-                    max((v.magnitude for v in violations), default=0.0))
+                    max((v.magnitude for v in violations), default=0.0), deviation)
 
 
 def _coordinates(reduced: np.ndarray, traceless: bool = False) -> np.ndarray:

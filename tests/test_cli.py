@@ -495,6 +495,38 @@ def test_total_trace_off_document_is_not_a_crash(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+def _output_trace_off_document(tmp_path) -> str:
+    """A channel assemblage whose only fault is its output trace: the total
+    is J = |0><0| (x) diag(.7, .3) at every setting, its |00> part spread
+    over the first party's outcome 0 and its |01> part over outcome 1."""
+    scen = Scenario((2, 2), (2, 2), (2, 2))
+    members = [np.diag([0.35, 0, 0, 0]) if a[0] == 0 else np.diag([0, 0.15, 0, 0])
+               for a, _ in scen.positions()]
+    path = tmp_path / "output-trace-off.json"
+    path.write_text(documents.dumps(ChannelAssemblage(scen, members)))
+    return str(path)
+
+
+def test_output_trace_fault_is_a_named_violation(capsys, tmp_path):
+    code, report = run_json(capsys, "verify", _output_trace_off_document(tmp_path))
+    assert code == 1 and report["status"] == "FAIL"
+    details = report["details"]
+    assert [v["constraint"] for v in details["violations"]] == [
+        "output trace of total vs maximally mixed input"]
+    assert details["max_violation"] == details["trace_condition_deviation"] == pytest.approx(0.2)
+
+
+def test_output_trace_fault_has_no_full_certificate(capsys, tmp_path):
+    # the assemblage is no-signaling but no channel assemblage, so it is not
+    # in the set that a full certificate of a channel document ranks
+    code, report = run_json(capsys, "extremality", "--mode", "full",
+                            _output_trace_off_document(tmp_path))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"] == (
+        "$.payload: reference coefficients do not satisfy the system: "
+        "'output trace of total vs maximally mixed input' deviates by 0.2")
+
+
 def _negative_diagonal_document(tmp_path, kind: str, value: float) -> str:
     """The Bell-CNOT Choi members with ``value`` on a zero diagonal entry
     of the member (0, 0)|(0, 0), as an ``assemblage`` or a
@@ -787,7 +819,7 @@ def _scenario_fault_document(fault: str) -> str:
      "trusted output dim 3 is not the key measurement's dim 2"),
     ("qutrit input", ("security-cert",), "trusted input dim 3 is not the key input state's dim 2"),
     ("one trusted dim", ("extremality", "--mode", "asym"),
-     "the relaxed A|BC family needs trusted dims (d_out, d_in)"),
+     "a channel family needs trusted dims (d_out, d_in)"),
 ])
 def test_scenario_faults_are_located_at_the_scenario(capsys, tmp_path, fault, argv, error):
     path = tmp_path / "scenario.json"

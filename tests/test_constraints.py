@@ -12,9 +12,9 @@ from steercert.channel_assemblages import verify_asym_ns
 from steercert.certificates import (UnsatisfiedReference, build_constraint_system,
                                     decomposition_analysis)
 from steercert.constraints import (ConstraintMode, Family, Reduction, _reduce,
-                                   asym_ns, column_order, evaluate, full_ns, magnitudes,
-                                   no_signaling_factors, output_trace_condition)
-from steercert.core import psd_deviation
+                                   asym_ns, column_order, evaluate, family, full_ns,
+                                   magnitudes, no_signaling_factors)
+from steercert.core import ScenarioError, psd_deviation
 from steercert.documents import parse
 
 
@@ -65,6 +65,11 @@ def test_relaxed_family_needs_two_parties_and_channel_dims():
         asym_ns(Scenario((2, 2), (2, 2), (4,)))
 
 
+def test_channel_family_needs_channel_dims():
+    with pytest.raises(ScenarioError, match="d_out, d_in"):
+        family(Scenario((2,), (2,), (2,)), ConstraintMode.NS_CHANNEL)
+
+
 def test_family_names_follow_report_order():
     fam = full_ns(Scenario((2, 2), (2, 2), (2,)))
     names = list(fam.names)
@@ -93,6 +98,7 @@ FACTOR_GRID = [  # (settings, outcomes, trusted dims)
     ((2, 2, 2, 2), (2, 2, 2, 2), (2,)),
     ((2, 2), (2, 2), (2, 2)), ((2, 3), (3, 2), (2, 2)), ((3, 2), (2, 3), (1, 2)),
     ((1, 2), (2, 1), (2, 1)), ((2, 1), (3, 2), (2, 3)),
+    ((2, 1), (2, 2), (2, 2)), ((2, 1, 3), (2, 3, 2), (2, 2)),
 ]
 
 
@@ -102,6 +108,9 @@ def _whole_families(settings, outcomes, dims):
         scen = Scenario(settings, outcomes, dims)
         pairs = [(full_ns(scen), oracle.full_ns(scen))]
         if len(dims) == 2:
+            pairs.append((family(scen, ConstraintMode.NS_CHANNEL),
+                          oracle.full_ns(scen) + [oracle.output_trace_condition(scen)]))
+        if len(dims) == 2 and len(settings) == 2:
             pairs.append((asym_ns(scen), oracle.asym_ns(scen)))
         return pairs
     return families
@@ -349,11 +358,10 @@ def _kernel_cases():
     scen, members = channel.scenario, channel.members
     mutant = relabel_mutant(Assemblage(scen, members)).members
     families = [("full", full_ns(scen)), ("asym", asym_ns(scen)),
-                ("output-trace", Family(scen, (output_trace_condition(scen),)))]
+                ("ns-channel", family(scen, ConstraintMode.NS_CHANNEL))]
     for name, fam in families:
         cases += [(f"channel-{name}", fam, members, False),
-                  # the relabeling keeps every total, and so the output trace
-                  (f"channel-{name}-mutant", fam, mutant, name != "output-trace"),
+                  (f"channel-{name}-mutant", fam, mutant, True),
                   (f"channel-{name}-not-psd", fam, _not_psd(members, rng), True),
                   (f"channel-{name}-scaled", fam, 3 * members, True)]
     return cases
