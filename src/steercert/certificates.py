@@ -30,8 +30,9 @@ class LinearSystem:
     """The reduced real system ``A c = b`` over coefficients at non-zero
     positions, given by the family and the unit members it is built from.
 
-    :func:`decomposition_analysis` ranks :meth:`projected`, which never
-    forms ``A``; ``matrix`` and ``rhs`` are built on first use.
+    :func:`decomposition_analysis` ranks :meth:`projected`, which forms
+    neither ``A`` nor the kernel basis; ``matrix`` and ``rhs`` are built on
+    first use.
     """
 
     columns: tuple  # position (a, x) of each column
@@ -71,6 +72,12 @@ class LinearSystem:
         residual of the reduced rows."""
         return float(self.deviations(c).max())
 
+    @property
+    def full(self) -> bool:
+        """Whether the columns are every position of the scenario."""
+        scen = self.family.scenario
+        return len(self.columns) == prod(scen.settings) * prod(scen.outcomes)
+
     def kernel(self, rel_tol: float) -> tuple:
         """``(K, N)``: orthonormal columns ``K`` spanning the kernel of
         ``B_S``, the zero-target coefficient rows with no reduction
@@ -87,10 +94,12 @@ class LinearSystem:
         order, as the columns do.  Off it, those vectors are found by
         ranking the kernel's rows there, in ``positions()`` order, relative
         to their largest singular value, as the system is ranked, so that
-        ``K`` loses no kernel vector.
+        ``K`` loses no kernel vector.  Either way this forms
+        :attr:`.Family.certificate_kernel`; :func:`decomposition_analysis`
+        calls it only off a full support.
         """
         full = self.family.certificate_kernel
-        if len(self.columns) == len(full):
+        if self.full:
             return full, None
         row = column_order(self.family.scenario)  # each position's row of full
         off = np.ones(len(full), dtype=bool)
@@ -98,11 +107,11 @@ class LinearSystem:
         n = nullspace(full[row[off]], rel_tol).T
         return full[row[self.at]] @ n, n
 
-    def projected(self, k: np.ndarray, n) -> np.ndarray:
-        """``A K`` for ``(K, N)`` from :meth:`kernel`, by
-        :func:`.constraints.project`: the same singular values as
-        ``matrix @ K``, with ``A`` never formed."""
-        return project(self.family, self.at, self.units, k, n)
+    def projected(self, n) -> np.ndarray:
+        """``A K`` for ``N`` from :meth:`kernel`, ``None`` on a full support,
+        by :func:`.constraints.project`: the same singular values as
+        ``matrix @ K``, with neither ``A`` nor ``K`` formed."""
+        return project(self.family, self.at, self.units, n)
 
 
 class UnsatisfiedReference(ValueError):
@@ -170,6 +179,13 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     explicit pair of distinct feasible coefficient vectors averaging to
     the reference is returned; two-sided feasibility is available because
     the reference is strictly positive at every variable position.
+
+    The system is ranked on ``A K`` (:meth:`LinearSystem.projected`), ``K``
+    a basis of the kernel of its coefficient block with no reduction.  On
+    a full support ``A K`` comes from the party factors alone, and ``K``
+    (:attr:`.Family.certificate_kernel`) is formed only when the nullity is
+    positive, to map the kernel back to coefficients; off a full support
+    :meth:`LinearSystem.kernel` forms it to restrict it to the columns.
     """
     system = build_constraint_system(p, mode)
     deviations = system.deviations(system.reference)
@@ -182,12 +198,11 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
         raise UnsatisfiedReference(
             "reference coefficients do not satisfy the system: "
             f"'{system.family.names[worst]}' deviates by {deviations[worst]:.3g}")
-    k, n = system.kernel(tol.rank_rel_tol)
-    projected, s = nullspace_and_spectrum(system.projected(k, n), tol.rank_rel_tol)
-    basis = projected @ k.T
-    nullity = basis.shape[0]
+    k, n = (None, None) if system.full else system.kernel(tol.rank_rel_tol)
+    projected, s = nullspace_and_spectrum(system.projected(n), tol.rank_rel_tol)
+    nullity, width = projected.shape
     rank = len(system.columns) - nullity
-    kept = k.shape[1] - nullity  # the rank of A K; s is its spectrum
+    kept = width - nullity  # the rank of A K; s is its spectrum
     margin = (float(s[kept - 1] / s[0]) if kept else 0.0,
               float(s[kept] / s[0]) if kept < s.size else 0.0)
 
@@ -197,6 +212,7 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
                                       Verdict.UNIQUE_EXTREME, margin, (0.0, 0.0),
                                       None, system)
 
+    basis = projected @ (system.family.certificate_kernel if k is None else k).T
     reach = np.abs(basis).max(axis=0)  # how far each coefficient can move
     fixed = reach < tol.abs_tol
     pinned = tuple(pos for pos, pin in zip(system.columns, fixed) if pin)

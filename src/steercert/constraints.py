@@ -74,9 +74,17 @@ Each family is evaluated through a compiled form, built once per family
   times a diagonal times the kernel is a contraction of the diagonal with
   one small matrix per party, then a gather of the (row, kernel row)
   entries.  At (3,3,3,2) that is about 35 times fewer multiplications
-  than the dense product; only the few targeted rows stay dense.  It
-  reads the places of the rows, so the dense rows of a zero-target block
-  are built only when :attr:`Family.certificate_rows` is read.
+  than the dense product.  The few targeted rows, times the diagonal, are
+  contracted with the orthonormal party factors one party at a time, and
+  the kernel's places are kept.  It reads the places of the rows and of
+  the kernel, so the dense rows of a zero-target block are built only when
+  :attr:`Family.certificate_rows` is read.
+
+The kernel basis itself, :attr:`Family.certificate_kernel` (2.0 MB at
+(3,3,3,2), 13.8 MB at (3,3,4,2)), is formed only when a verdict needs its
+values: to restrict it to a partial support, or to map a non-empty kernel
+of ``A K`` back to coefficients.  A full support with nullity zero, every
+entangled verdict of the bench, never forms it.
 """
 
 from __future__ import annotations
@@ -387,20 +395,26 @@ class Family:
         (:func:`column_order`): the normalized rows of the party-factor
         basis that this block annihilates (all of them when the family has
         no such block).  On a full support its rows are the columns of the
-        system, in order."""
+        system, in order.
+
+        Formed on first read, which :func:`project` never makes: a verdict
+        reads it off a full support (:meth:`.LinearSystem.kernel`) or to map
+        a non-empty kernel back to coefficients, and tests read it as an
+        oracle."""
         return _basis_rows(self.scenario, self._certificate[1])
 
     @functools.cached_property
     def _contractions(self):
-        """``(party_major, per_block)``: :func:`_party_major`, and for each
-        block of :attr:`certificate_rows` the :func:`_contraction` of its
-        rows against :attr:`certificate_kernel`'s columns (``None`` for a
+        """``(party_major, factors, per_block)``: :func:`_party_major`, the
+        orthonormal party factors transposed for :func:`_contract`, and for
+        each block of :attr:`certificate_rows` the :func:`_contraction` of
+        its rows against :attr:`certificate_kernel`'s columns (``None`` for a
         targeted block)."""
         blocks, kept = self._certificate
         scen = self.scenario
         factors = [_normalized(_party_factor(m, k))
                    for m, k in zip(scen.settings, scen.outcomes)]
-        return _party_major(scen), tuple(
+        return _party_major(scen), tuple(p.T for p in factors), tuple(
             None if hit is None else _contraction(factors, hit, kept)
             for _, hit, _, _ in blocks)
 
@@ -652,29 +666,32 @@ def vectorize(fam: Family, at, units: np.ndarray):
     return matrix[kept], rhs[kept]
 
 
-def project(fam: Family, at, units: np.ndarray, k: np.ndarray, n) -> np.ndarray:
+def project(fam: Family, at, units: np.ndarray, n) -> np.ndarray:
     """``A K`` for the ``A`` of :func:`vectorize` and orthonormal columns
-    ``k`` spanning the kernel of ``B_S``, the zero-target block with no
-    reduction restricted to the positions ``at``; ``A`` is never formed.
-    ``k`` is ``K_full n`` restricted to the rows of the positions ``at``,
-    ``K_full`` :attr:`Family.certificate_kernel` and ``n`` ``None`` on a
-    full support.
+    ``K`` spanning the kernel of ``B_S``, the zero-target block with no
+    reduction restricted to the positions ``at``; neither ``A`` nor ``K`` is
+    formed.  ``K`` is ``K_full n`` restricted to the rows of the positions
+    ``at``, ``K_full`` :attr:`Family.certificate_kernel` and ``n`` ``None``
+    on a full support; only ``K_full``'s width is read, never its values.
 
-    Each block gives ``(coef[:, at] * v) @ k`` per coordinate row ``v`` of
+    Each block gives ``(coef[:, at] * v) @ K`` per coordinate row ``v`` of
     the reduced units.  In ``B_S``'s block the diagonal coordinates are
     rotated so that one of them is the trace, and that one is dropped:
-    every unit has trace one, so its rows are ``B_S k / sqrt(D)``, which
+    every unit has trace one, so its rows are ``B_S K / sqrt(D)``, which
     vanish.  Neither changes a singular value.
 
-    A zero-target block's rows and ``K_full``'s columns are rows of one
-    orthonormal Kronecker basis, so with ``w`` equal to ``v`` on ``at`` and
-    zero elsewhere its rows are ``(rows diag(w) K_full) n``: ``w`` is
-    contracted with one small matrix per party, one coordinate at a time,
-    and the (row, kernel column) entries are gathered (:func:`_contraction`,
-    :func:`_gather`).  Only the targeted rows (trace and output trace) are
-    dense products.
+    ``K_full``'s columns are rows of one orthonormal Kronecker basis ``Φ``,
+    so with ``w`` equal to ``v`` on ``at`` and zero elsewhere, a block's
+    rows are ``(coef diag(w) Φ[kept]ᵀ) n``.  A zero-target block's rows are
+    rows of ``Φ`` too: ``w`` is contracted with one small matrix per party,
+    one coordinate at a time, and the (row, kernel column) entries are
+    gathered (:func:`_contraction`, :func:`_gather`).  A targeted block's
+    rows (trace and output trace), times ``w`` on the party-major
+    positions, are contracted with the party factors one party at a time,
+    and the kernel's places are taken (:func:`_contract`).
     """
-    party_major, contractions = fam._contractions
+    party_major, factors, contractions = fam._contractions
+    kept = fam._certificate[1]
     place, w = party_major[at], np.zeros(len(party_major))
     blocks = [(len(hit) if coef is None else len(coef), coef, contraction,
                _coordinates(_reduce(units, reduction, fam.scenario.trusted_dims),
@@ -682,12 +699,16 @@ def project(fam: Family, at, units: np.ndarray, k: np.ndarray, n) -> np.ndarray:
               for (reduction, hit, coef, _), contraction
               in zip(fam._certificate[0], contractions)]
     out, end = np.empty((sum(count * len(vec) for count, _, _, vec in blocks),
-                         k.shape[1])), 0
+                         len(kept) if n is None else n.shape[1])), 0
     for count, coef, contraction, vec in blocks:
         for v in vec:
             start, end = end, end + count
             if contraction is None:
-                out[start:end] = (coef[:, at] * v) @ k
+                # the rows on the party-major positions, the row axis last
+                terms = np.zeros((len(party_major), count))
+                terms[place] = (coef[:, at] * v).T
+                full = _contract(terms, factors).reshape(count, -1)[:, kept]
+                out[start:end] = full if n is None else full @ n
                 continue
             matrices, rows, cols = contraction
             w[place] = v

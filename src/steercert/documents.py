@@ -158,10 +158,20 @@ SCHEMA = {
 _TYPES = {"object": {dict}, "array": {list}, "integer": {int}, "number": {int, float}}
 
 
-def _of(vs, kind) -> list:
-    """The members of ``vs`` of one JSON type (``bool`` is not a number)."""
-    types = _TYPES[kind]
-    return vs if set(map(type, vs)) <= types else [v for v in vs if type(v) in types]
+def _of(vs, kind, types) -> list:
+    """The members of ``vs`` of one JSON type (``bool`` is not a number),
+    given ``types``, the set of their Python types."""
+    wanted = _TYPES[kind]
+    return vs if types <= wanted else [v for v in vs if type(v) in wanted]
+
+
+def _node(vs, schema) -> tuple:
+    """``(types, lengths)`` of a node's instances: the set of their Python
+    types, and the lengths of the arrays among them when ``schema`` bounds
+    them (else ``None``), taken once for every keyword of the node."""
+    types = set(map(type, vs))
+    bounded = "minItems" in schema or "maxItems" in schema
+    return types, list(map(len, _of(vs, "array", types))) if bounded else None
 
 
 def _is(v, kind) -> bool:
@@ -176,23 +186,24 @@ def _equal(v, s) -> bool:  # numbers by value, but a bool never equals a number
 
 
 # Per constraint keyword: whether every one of a list of instances passes,
-# decided at C speed where it can be, and jsonschema's wording of the fault
-# of one that fails.  A keyword on one JSON type passes every other type.
+# given the node's types and lengths (:func:`_node`), decided at C speed
+# where it can be, and jsonschema's wording of the fault of one that fails.
+# A keyword on one JSON type passes every other type.
 _LEAVES = {
-    "type": (lambda vs, s: set(map(type, vs)) <= _TYPES[s] or all(_is(v, s) for v in vs),
+    "type": (lambda vs, s, types, _: types <= _TYPES[s] or all(_is(v, s) for v in vs),
              lambda v, s: f"{v!r} is not of type {s!r}"),
-    "required": (lambda vs, s: all(map(set(s).issubset, _of(vs, "object"))),
+    "required": (lambda vs, s, types, _: all(map(set(s).issubset, _of(vs, "object", types))),
                  lambda v, s: f"{next(p for p in s if p not in v)!r} is a required property"),
-    "minItems": (lambda vs, s: min(map(len, _of(vs, "array")), default=s) >= s,
+    "minItems": (lambda vs, s, _, lengths: min(lengths, default=s) >= s,
                  lambda v, s: f"{v!r} {'should be non-empty' if s == 1 else 'is too short'}"),
-    "maxItems": (lambda vs, s: max(map(len, _of(vs, "array")), default=s) <= s,
+    "maxItems": (lambda vs, s, _, lengths: max(lengths, default=s) <= s,
                  lambda v, s: f"{v!r} is too long"),
-    "minimum": (lambda vs, s: set(map(type, vs)) <= {int} and min(vs) >= s
-                or not any(v < s for v in _of(vs, "number")),
+    "minimum": (lambda vs, s, types, _: types <= {int} and min(vs) >= s
+                or not any(v < s for v in _of(vs, "number", types)),
                 lambda v, s: f"{v!r} is less than the minimum of {s!r}"),
-    "enum": (lambda vs, s: all(any(_equal(v, e) for e in s) for v in vs),
+    "enum": (lambda vs, s, *_: all(any(_equal(v, e) for e in s) for v in vs),
              lambda v, s: f"{v!r} is not one of {s!r}"),
-    "const": (lambda vs, s: all(_equal(v, s) for v in vs), lambda v, s: f"{s!r} was expected"),
+    "const": (lambda vs, s, *_: all(_equal(v, s) for v in vs), lambda v, s: f"{s!r} was expected"),
 }
 
 
@@ -202,16 +213,18 @@ def _walk(instances: list, schema: dict):
     instance's place in ``instances``, and ``expected`` the keyword's value."""
     if not instances:
         return None
+    node = _node(instances, schema)
     for keyword, expected in schema.items():
         if keyword == "properties":
+            objects = _of(instances, "object", node[0])
             for key, sub in expected.items():
-                fault = _walk([v[key] for v in _of(instances, "object") if key in v], sub)
+                fault = _walk([v[key] for v in objects if key in v], sub)
                 if fault is not None:  # the place of the key's owner
                     (j, *below), *rest = fault
                     i = [i for i, v in enumerate(instances) if type(v) is dict and key in v][j]
                     return (i, key, *below), *rest
         elif keyword == "items":
-            fault = _walk(list(chain.from_iterable(_of(instances, "array"))), expected)
+            fault = _walk(list(chain.from_iterable(_of(instances, "array", node[0]))), expected)
             if fault is not None:  # the item's array and its position there
                 (j, *below), *rest = fault
                 i, k = [(i, k) for i, v in enumerate(instances) if type(v) is list
@@ -219,8 +232,9 @@ def _walk(instances: list, schema: dict):
                 return (i, k, *below), *rest
         elif keyword not in ("$schema", "$defs"):  # annotations constrain nothing
             passes = _LEAVES[keyword][0]
-            if not passes(instances, expected):
-                i = next(i for i, v in enumerate(instances) if not passes([v], expected))
+            if not passes(instances, expected, *node):
+                i = next(i for i, v in enumerate(instances)
+                         if not passes([v], expected, *_node([v], schema)))
                 return (i,), keyword, instances[i], expected
     return None
 

@@ -155,11 +155,11 @@ def certificate(scen, constraints) -> tuple:
 
 
 def contractions(scen, hits, kept) -> tuple:
-    """``(party_major, per_block)`` from the :func:`certificate`'s hits and
-    kept rows."""
+    """``(party_major, factors, per_block)`` from the :func:`certificate`'s
+    hits and kept rows."""
     factors = [_normalized(_party_factor(m, k))
                for m, k in zip(scen.settings, scen.outcomes)]
-    return _party_major(scen), tuple(
+    return _party_major(scen), tuple(p.T for p in factors), tuple(
         None if hit is None else _contraction(factors, hit, kept) for hit in hits)
 
 

@@ -264,6 +264,23 @@ def test_warm_certificate_holds_a_k_and_its_gram_factors():
     assert peak <= 6.5 * 2**20
 
 
+def test_cold_full_support_verdict_forms_no_kernel_basis():
+    # a full support with nullity 0 ranks A K straight from the party
+    # factors, so the (729, 343) kernel basis (2.0 MB) is never formed; a
+    # cold verdict that formed it peaked at 7.8 MB here
+    pure = canonicalize_pure(pure_realization(np.random.default_rng(11), 3, 3, 3, 2))
+    family.cache_clear()  # a fresh family, compiled inside the traced call
+    tracemalloc.start()
+    try:
+        cert = decomposition_analysis(pure, ConstraintMode.FULL_NS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.system.columns) == 729 and cert.nullity == 0
+    assert "certificate_kernel" not in cert.system.family.__dict__
+    assert peak <= 7 * 2**20
+
+
 def test_factor_bases_take_no_svd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")

@@ -1,14 +1,17 @@
 """Every NON_UNIQUE witness lies in the set its certificate names.
 
 Seeded realizations of two and three parties, of states and of channels,
-with one to three settings per party (one-setting parties included) and
-two or three outcomes, are certified by ``steercert extremality``, as
-documents.  Each side of a NON_UNIQUE witness pair, written back as a
-document of the kind the realization makes (an assemblage, or a channel
-assemblage), must pass ``steercert verify`` in the certificate's own set:
-``ns`` for a state, ``ns-channel`` for a channel under ``--mode full``,
-``asym-ns`` under ``--mode asym``.  The two sides must average to the
-reference coefficients and differ, at no pinned column.  Every nullity
+with one to three settings per party (one-setting parties included), two
+or three outcomes and a trusted qubit or qutrit, are certified by
+``steercert extremality``, as documents.  In some, the first party's state
+is orthogonal to its first measurement vector at setting 0, so every
+member at that setting and outcome is zero and the certificate is ranked
+on a partial support.  Each side of a NON_UNIQUE witness pair, written
+back as a document of the kind the realization makes (an assemblage, or a
+channel assemblage), must pass ``steercert verify`` in the certificate's
+own set: ``ns`` for a state, ``ns-channel`` for a channel under ``--mode
+full``, ``asym-ns`` under ``--mode asym``.  The two sides must average to
+the reference coefficients and differ, at no pinned column.  Every nullity
 must equal the nullity of the system's matrix
 (:func:`.constraints.vectorize`) ranked by a dense SVD at the same
 relative threshold.
@@ -34,22 +37,34 @@ from steercert.certificates import ConstraintMode, build_constraint_system
 VERIFY_MODE = {"full": "ns", "ns-channel": "ns-channel", "asym": "asym-ns"}
 
 
-def realization(settings, k, channel, seed) -> documents.Realization:
+def realization(settings, k, d, channel, zeroed, seed) -> documents.Realization:
     """Projective measurements in Haar-random bases on a Haar-random pure
     state; for a channel, the parties' state and one half of a maximally
-    entangled qubit pair go through a Haar-random unitary interaction."""
-    rng = np.random.default_rng([seed, k, channel, *settings])
+    entangled pair of ``d``-level systems go through a Haar-random unitary
+    interaction.  ``zeroed``: the first party's factor of the state is
+    projected off its first measurement vector at setting 0, and a channel's
+    interaction leaves that party alone, so each member at that setting and
+    outcome is zero."""
+    rng = np.random.default_rng([seed, k, channel, *settings, d, zeroed])
     n = len(settings)
-    povms = tuple(projective_povm([haar_unitary(rng, k).T for _ in range(m)])
-                  for m in settings)
+    bases = [[haar_unitary(rng, k).T for _ in range(m)] for m in settings]
+    povms = tuple(projective_povm(b) for b in bases)
+    dims = (k,) * n + (d,)
+    if channel:
+        # identity on the first party when zeroed, so its state's zero stays
+        interaction = choi_of_unitary(
+            np.kron(np.eye(k), haar_unitary(rng, k ** (n - 1) * d)) if zeroed
+            else haar_unitary(rng, k ** n * d), dims, dims)
+    psi = haar_unitary(rng, k ** n * (1 if channel else d))[:, 0].reshape(k, -1)
+    if zeroed:
+        u = bases[0][0][0]  # the first party's first ket at setting 0
+        psi = psi - np.outer(u, u.conj() @ psi)
+        psi /= np.linalg.norm(psi)
     if not channel:
-        state = pure_state((k,) * n + (2,), haar_unitary(rng, k ** n * 2)[:, 0])
-        return documents.Realization(Scenario(settings, (k,) * n, (2,)), state, povms)
-    dims = (k,) * n + (2,)
-    interaction = choi_of_unitary(haar_unitary(rng, k ** n * 2), dims, dims)
-    state = pure_state((k,) * n, haar_unitary(rng, k ** n)[:, 0])
-    return documents.Realization(Scenario(settings, (k,) * n, (2, 2)), state, povms,
-                                 interaction)
+        state = pure_state(dims, psi.ravel())
+        return documents.Realization(Scenario(settings, (k,) * n, (d,)), state, povms)
+    return documents.Realization(Scenario(settings, (k,) * n, (d, d)),
+                                 pure_state(dims[:n], psi.ravel()), povms, interaction)
 
 
 def run_json(*argv):
@@ -65,8 +80,11 @@ def cases(draw):
     # a three-party channel at three outcomes has a 2 916-square Choi matrix
     k = 2 if channel and n == 3 else draw(st.sampled_from([2, 3]))
     mode = draw(st.sampled_from(["full", "asym"])) if channel and n == 2 else "full"
-    return (tuple(draw(st.integers(1, 3)) for _ in range(n)), k, channel, mode,
-            draw(st.integers(0, 2)))
+    # a qutrit channel only at two parties and two outcomes: 12-square
+    # Kraus space, where three outcomes would make the Choi matrix 729-square
+    d = draw(st.sampled_from([2, 3])) if not channel or (n, k) == (2, 2) else 2
+    return (tuple(draw(st.integers(1, 3)) for _ in range(n)), k, d, channel, mode,
+            draw(st.booleans()), draw(st.integers(0, 2)))
 
 
 # Two-party channels whose second party has one setting: ranked among all
@@ -74,9 +92,9 @@ def cases(draw):
 # certificates were NON_UNIQUE with witnesses that are not channel
 # assemblages.  And one-setting qutrit channels, NON_UNIQUE in both channel
 # sets.
-EXAMPLES = [(settings, 2, True, "full", seed)
+EXAMPLES = [(settings, 2, 2, True, "full", False, seed)
             for settings in ((2, 1), (1, 1), (3, 1)) for seed in range(3)] + [
-    ((1, 1), 3, True, mode, 0) for mode in ("full", "asym")]
+    ((1, 1), 3, 2, True, mode, False, 0) for mode in ("full", "asym")]
 
 
 def _examples(test):
@@ -90,8 +108,8 @@ def _examples(test):
 @given(case=cases())
 @_examples
 def test_witnesses_lie_in_the_certified_set(tmp_path, case):
-    settings_, k, channel, mode, seed = case
-    real = realization(settings_, k, channel, seed)
+    settings_, k, d, channel, mode, zeroed, seed = case
+    real = realization(settings_, k, d, channel, zeroed, seed)
     path, cert_path = tmp_path / "realization.json", tmp_path / "certificate.json"
     # orjson: a channel realization's Choi matrix has up to 105 000 entries
     path.write_bytes(orjson.dumps(documents.serialize(real)))
@@ -107,6 +125,7 @@ def test_witnesses_lie_in_the_certified_set(tmp_path, case):
                   assemblage_from_realization(real.state, real.povms, real.scenario))
     system = build_constraint_system(canonicalize_pure(assemblage),
                                      ConstraintMode(cert["mode"]))
+    assert system.full is not zeroed
     s = np.linalg.svd(system.matrix, compute_uv=False)
     rank = int(np.count_nonzero(s > DEFAULT_TOL.rank_rel_tol * s[0]))
     assert cert["nullity"] == system.matrix.shape[1] - rank
