@@ -18,7 +18,7 @@ import numpy as np
 from .core import (BUILD_SLACK, DEFAULT_TOL, Tolerances, checked_copy, nnls,
                    psd_deviation)
 from .channels import State
-from .constraints import (ConstraintMode, NsReport, evaluate, family,
+from .constraints import (ConstraintMode, NsReport, _contract, evaluate, family,
                           no_signaling_factors)
 
 
@@ -492,13 +492,8 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
     b = np.zeros([m * k for m, k in zip(scen.settings, scen.outcomes)])
     b[tuple(digits[scen.n_parties + i] * k + digits[i]
             for i, k in enumerate(scen.outcomes))] = p.weights
-    coordinates = b
-    for q in factors:
-        coordinates = coordinates.reshape(q.shape[1], -1).T @ q.T
-    projection = coordinates
-    for q in factors:
-        projection = projection.reshape(len(q), -1).T @ q
-    coordinates = coordinates.ravel()
+    coordinates = _contract(b, [q.T for q in factors])
+    projection = _contract(coordinates, factors)
     outside = np.linalg.norm(b - projection.reshape(b.shape))  # ||b - Q Q^T b||
     x = _per_party_weights(per_party, factors, scen.outcomes, b, coordinates, outside,
                            len(strategies), tol)

@@ -72,46 +72,13 @@ class LinearSystem:
         residual of the reduced rows."""
         return float(self.deviations(c).max())
 
-    @property
-    def full(self) -> bool:
-        """Whether the columns are every position of the scenario."""
-        scen = self.family.scenario
-        return len(self.columns) == prod(scen.settings) * prod(scen.outcomes)
-
-    def kernel(self, rel_tol: float) -> tuple:
-        """``(K, N)``: orthonormal columns ``K`` spanning the kernel of
-        ``B_S``, the zero-target coefficient rows with no reduction
-        restricted to the columns, and their coordinates ``N`` in
-        :attr:`.Family.certificate_kernel` (``None`` on a full support).
-
-        Every unit has trace one, so for each row of ``B`` the rows of the
-        system at the diagonal coordinates sum to that row of ``B_S``: every
-        solution of ``A c = 0`` has ``B_S c = 0``, and the system's kernel
-        is ``K`` times the kernel of ``A K``.  ``K`` is made of the vectors
-        of :attr:`.Family.certificate_kernel` that vanish off the columns,
-        with their rows taken in column order.  On a full support that is
-        the family's own read-only array: its rows run in sorted ``(a, x)``
-        order, as the columns do.  Off it, those vectors are found by
-        ranking the kernel's rows there, in ``positions()`` order, relative
-        to their largest singular value, as the system is ranked, so that
-        ``K`` loses no kernel vector.  Either way this forms
-        :attr:`.Family.certificate_kernel`; :func:`decomposition_analysis`
-        calls it only off a full support.
-        """
-        full = self.family.certificate_kernel
-        if self.full:
-            return full, None
-        row = column_order(self.family.scenario)  # each position's row of full
-        off = np.ones(len(full), dtype=bool)
-        off[self.at] = False
-        n = nullspace(full[row[off]], rel_tol).T
-        return full[row[self.at]] @ n, n
-
-    def projected(self, n) -> np.ndarray:
-        """``A K`` for ``N`` from :meth:`kernel`, ``None`` on a full support,
-        by :func:`.constraints.project`: the same singular values as
-        ``matrix @ K``, with neither ``A`` nor ``K`` formed."""
-        return project(self.family, self.at, self.units, n)
+    def projected(self) -> np.ndarray:
+        """``A K`` for ``K`` the rows of :attr:`.Family.certificate_kernel`
+        at the columns, by :func:`.constraints.project`, with neither formed:
+        the trace rows of the block with no reduction are left out, which
+        vanish on the kernel vectors that :func:`decomposition_analysis`
+        ranks."""
+        return project(self.family, self.at, self.units)
 
 
 class UnsatisfiedReference(ValueError):
@@ -133,7 +100,7 @@ class ExtremalityCertificate:
     pinned: tuple  # positions whose coefficient is fixed across solutions
     verdict: Verdict
     # (smallest singular value kept, largest dropped) of the ranked matrix
-    # A K, each over its s_max; the rank decision is rank_rel_tol between
+    # A K N, each over its s_max; the rank decision is rank_rel_tol between
     # the two.
     rank_margin: tuple
     # (largest |kernel entry| over pinned columns, smallest column-wise
@@ -180,12 +147,18 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     the reference is returned; two-sided feasibility is available because
     the reference is strictly positive at every variable position.
 
-    The system is ranked on ``A K`` (:meth:`LinearSystem.projected`), ``K``
-    a basis of the kernel of its coefficient block with no reduction.  On
-    a full support ``A K`` comes from the party factors alone, and ``K``
-    (:attr:`.Family.certificate_kernel`) is formed only when the nullity is
-    positive, to map the kernel back to coefficients; off a full support
-    :meth:`LinearSystem.kernel` forms it to restrict it to the columns.
+    The system is ranked on ``A K N`` (:meth:`LinearSystem.projected`, then
+    ``N``), the same sequence on every support.  ``K`` is the rows of
+    :attr:`.Family.certificate_kernel` at the columns, and ``N`` a basis of
+    the combinations of its columns that vanish off them, ranked relative
+    to their largest singular value as the system is (``None`` on a full
+    support, where no row is off).  Every unit has trace one, so each row
+    of the zero-target block with no reduction, restricted to the columns,
+    is a sum of rows of ``A``: every solution of ``A c = 0`` is ``K N y``
+    for a solution of ``A K N y = 0``.  ``A K`` comes from the party factors
+    alone; the kernel basis is read for its rows off the support, and for
+    its rows at the columns only when the nullity is positive, to map the
+    kernel back to coefficients.
     """
     system = build_constraint_system(p, mode)
     deviations = system.deviations(system.reference)
@@ -198,11 +171,17 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
         raise UnsatisfiedReference(
             "reference coefficients do not satisfy the system: "
             f"'{system.family.names[worst]}' deviates by {deviations[worst]:.3g}")
-    k, n = (None, None) if system.full else system.kernel(tol.rank_rel_tol)
-    projected, s = nullspace_and_spectrum(system.projected(n), tol.rank_rel_tol)
+    fam = system.family
+    order = column_order(fam.scenario)  # each position's row of the kernel basis
+    off = np.delete(order, system.at)
+    n = nullspace(fam.certificate_kernel[off], tol.rank_rel_tol).T if off.size else None
+    ranked = system.projected()  # A K
+    if n is not None:
+        ranked = ranked @ n  # A K N; A K is dropped before the rank
+    projected, s = nullspace_and_spectrum(ranked, tol.rank_rel_tol)
     nullity, width = projected.shape
     rank = len(system.columns) - nullity
-    kept = width - nullity  # the rank of A K; s is its spectrum
+    kept = width - nullity  # the rank of A K N; s is its spectrum
     margin = (float(s[kept - 1] / s[0]) if kept else 0.0,
               float(s[kept] / s[0]) if kept < s.size else 0.0)
 
@@ -212,7 +191,8 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
                                       Verdict.UNIQUE_EXTREME, margin, (0.0, 0.0),
                                       None, system)
 
-    basis = projected @ (system.family.certificate_kernel if k is None else k).T
+    k = fam.certificate_kernel
+    basis = projected @ (k if n is None else k[order[system.at]] @ n).T
     reach = np.abs(basis).max(axis=0)  # how far each coefficient can move
     fixed = reach < tol.abs_tol
     pinned = tuple(pos for pos, pin in zip(system.columns, fixed) if pin)

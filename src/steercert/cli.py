@@ -13,10 +13,10 @@ Each ``cmd_*`` takes the parsed arguments, the ``Tolerances`` and the parsed
 return ``None``.  No command prints a report or handles an exception:
 ``main`` alone does.  It maps ``OSError`` (a missing or unreadable document,
 an unwritable ``--certificate-out``) and ``ValueError`` (``DocumentError``,
-a non-positive or non-finite tolerance, a ``--rank-tol`` of 1 or more, a
-mode or key setting that does not apply, a member that is not PSD) to
-INPUT_ERROR, exit 3, and ``NnlsDidNotConverge`` to INCONCLUSIVE, exit 2,
-with the message as ``details.error``.  A member that
+a non-positive or non-finite tolerance, a ``--rank-tol`` of 1 or more or
+below the float epsilon, a mode or key setting that does not apply, a
+member that is not PSD) to INPUT_ERROR, exit 3, and ``NnlsDidNotConverge``
+to INCONCLUSIVE, exit 2, with the message as ``details.error``.  A member that
 :func:`.assemblages.canonicalize_pure` rejects
 (:class:`.assemblages.MemberError`) is located at its entry,
 ``$.payload.members[j]``, in an assemblage or a channel assemblage

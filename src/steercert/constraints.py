@@ -28,8 +28,8 @@ and the positivity of each member, on a ``(positions, D, D)`` members array
 and reports the violations (the verifiers);
 :func:`vectorize` turns it into a real linear system over coefficients of
 fixed Hermitian unit members (the extremality certificate), and
-:func:`project` gives that system times a basis of its kernel's
-no-reduction part without forming it.
+:func:`project` gives that system times the kernel basis of its
+no-reduction block, at the support's rows, without forming either.
 
 That system is reduced.  A row of a zero-target constraint is one of the
 constraint's coefficients times one real coordinate of each unit, so the
@@ -80,11 +80,14 @@ Each family is evaluated through a compiled form, built once per family
   the kernel, so the dense rows of a zero-target block are built only when
   :attr:`Family.certificate_rows` is read.
 
-The kernel basis itself, :attr:`Family.certificate_kernel` (2.0 MB at
-(3,3,3,2), 13.8 MB at (3,3,4,2)), is formed only when a verdict needs its
-values: to restrict it to a partial support, or to map a non-empty kernel
-of ``A K`` back to coefficients.  A full support with nullity zero, every
-entangled verdict of the bench, never forms it.
+:func:`project` gives ``A K`` over all the kernel's columns whatever the
+support, with a diagonal that is zero off it.  The kernel basis itself,
+:attr:`Family.certificate_kernel` (2.0 MB at (3,3,3,2), 13.8 MB at
+(3,3,4,2)), is formed only when a verdict needs its values: its rows off a
+partial support, to find the combinations of its columns that vanish
+there, or its rows at the support, to map a non-empty kernel back to
+coefficients.  A full support with nullity zero, every entangled verdict
+of the bench, never forms it.
 """
 
 from __future__ import annotations
@@ -398,9 +401,9 @@ class Family:
         system, in order.
 
         Formed on first read, which :func:`project` never makes: a verdict
-        reads it off a full support (:meth:`.LinearSystem.kernel`) or to map
-        a non-empty kernel back to coefficients, and tests read it as an
-        oracle."""
+        reads its rows off a partial support, to find the combinations of
+        its columns that vanish there, or to map a non-empty kernel back to
+        coefficients, and tests read it as an oracle."""
         return _basis_rows(self.scenario, self._certificate[1])
 
     @functools.cached_property
@@ -666,23 +669,25 @@ def vectorize(fam: Family, at, units: np.ndarray):
     return matrix[kept], rhs[kept]
 
 
-def project(fam: Family, at, units: np.ndarray, n) -> np.ndarray:
-    """``A K`` for the ``A`` of :func:`vectorize` and orthonormal columns
-    ``K`` spanning the kernel of ``B_S``, the zero-target block with no
-    reduction restricted to the positions ``at``; neither ``A`` nor ``K`` is
-    formed.  ``K`` is ``K_full n`` restricted to the rows of the positions
-    ``at``, ``K_full`` :attr:`Family.certificate_kernel` and ``n`` ``None``
-    on a full support; only ``K_full``'s width is read, never its values.
+def project(fam: Family, at, units: np.ndarray) -> np.ndarray:
+    """``A K`` for the ``A`` of :func:`vectorize` and ``K`` the rows of
+    :attr:`Family.certificate_kernel` at the positions ``at``; neither is
+    formed, and only the kernel's width is read, never its values.
 
     Each block gives ``(coef[:, at] * v) @ K`` per coordinate row ``v`` of
-    the reduced units.  In ``B_S``'s block the diagonal coordinates are
-    rotated so that one of them is the trace, and that one is dropped:
-    every unit has trace one, so its rows are ``B_S K / sqrt(D)``, which
-    vanish.  Neither changes a singular value.
+    the reduced units.  In the zero-target block with no reduction, ``B``,
+    the diagonal coordinates are rotated so that one of them is the trace,
+    and that one is dropped.  Every unit has trace one, so the dropped rows
+    are ``B[:, at] K / sqrt(D)``, and they vanish on every combination of
+    the kernel's columns that is zero off ``at``: on all of them on a full
+    support, and on the ``N`` by which
+    :func:`.certificates.decomposition_analysis` restricts the kernel to a
+    partial one.  Neither the rotation nor the drop changes a singular
+    value of ``A K N``.
 
-    ``K_full``'s columns are rows of one orthonormal Kronecker basis ``Φ``,
+    The kernel's columns are rows of one orthonormal Kronecker basis ``Φ``,
     so with ``w`` equal to ``v`` on ``at`` and zero elsewhere, a block's
-    rows are ``(coef diag(w) Φ[kept]ᵀ) n``.  A zero-target block's rows are
+    rows are ``coef diag(w) Φ[kept]ᵀ``.  A zero-target block's rows are
     rows of ``Φ`` too: ``w`` is contracted with one small matrix per party,
     one coordinate at a time, and the (row, kernel column) entries are
     gathered (:func:`_contraction`, :func:`_gather`).  A targeted block's
@@ -698,8 +703,7 @@ def project(fam: Family, at, units: np.ndarray, n) -> np.ndarray:
                             reduction is Reduction.NONE and coef is None))
               for (reduction, hit, coef, _), contraction
               in zip(fam._certificate[0], contractions)]
-    out, end = np.empty((sum(count * len(vec) for count, _, _, vec in blocks),
-                         len(kept) if n is None else n.shape[1])), 0
+    out, end = np.empty((sum(count * len(vec) for count, _, _, vec in blocks), len(kept))), 0
     for count, coef, contraction, vec in blocks:
         for v in vec:
             start, end = end, end + count
@@ -707,14 +711,9 @@ def project(fam: Family, at, units: np.ndarray, n) -> np.ndarray:
                 # the rows on the party-major positions, the row axis last
                 terms = np.zeros((len(party_major), count))
                 terms[place] = (coef[:, at] * v).T
-                full = _contract(terms, factors).reshape(count, -1)[:, kept]
-                out[start:end] = full if n is None else full @ n
+                out[start:end] = _contract(terms, factors).reshape(count, -1)[:, kept]
                 continue
             matrices, rows, cols = contraction
             w[place] = v
-            if n is None:
-                _gather(_contract(w, matrices), rows, cols, out[start:end])
-            else:
-                out[start:end] = _gather(_contract(w, matrices), rows, cols,
-                                         np.empty((count, len(cols)))) @ n
+            _gather(_contract(w, matrices), rows, cols, out[start:end])
     return out

@@ -30,9 +30,11 @@ class Tolerances:
 
     ``rank_rel_tol`` is relative: it multiplies the largest singular value
     of whatever matrix is being ranked, and lies below one: at one or
-    more, every singular value would count as zero.  ``nnls_residual_tol``
-    bounds two residuals: that of the LHS weight system, and that of the
-    reference coefficients in an extremality certificate's system.
+    more, every singular value would count as zero.  It is at least the
+    float epsilon: below it, rounding alone would set the rank.
+    ``nnls_residual_tol`` bounds two residuals: that of the LHS weight
+    system, and that of the reference coefficients in an extremality
+    certificate's system.
     """
 
     abs_tol: float = 1e-9
@@ -45,6 +47,9 @@ class Tolerances:
                 raise ValueError(f"{name} must be finite and strictly positive")
         if self.rank_rel_tol >= 1:
             raise ValueError("rank_rel_tol must be below 1")
+        if self.rank_rel_tol < np.finfo(float).eps:
+            raise ValueError("rank_rel_tol must be at least the float epsilon "
+                             f"{np.finfo(float).eps:.3g}: below it, rounding sets the rank")
 
 
 DEFAULT_TOL = Tolerances()

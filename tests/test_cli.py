@@ -450,6 +450,20 @@ def test_rank_tolerance_of_one_or_more_is_input_error(capsys, value):
     assert report["details"]["error"] == "rank_rel_tol must be below 1"
 
 
+@pytest.mark.parametrize("command", ["extremality", "verify"])
+def test_rank_tolerance_below_float_epsilon_is_input_error(capsys, command):
+    # below epsilon, rounding alone sets a rank: at 1e-17 a rank-one member
+    # of this valid document was blamed for rank 3
+    argv = ("extremality", "--mode", "asym") if command == "extremality" else ("verify",)
+    code, report = run_json(capsys, "--rank-tol", "1e-17", *argv,
+                            data_path("example1_channel_assemblage.json"))
+    assert code == 3 and report["status"] == "INPUT_ERROR"
+    assert report["details"]["error"].startswith("rank_rel_tol must be at least")
+    code, _ = run_json(capsys, "--rank-tol", "5e-16", *argv,
+                       data_path("example1_channel_assemblage.json"))
+    assert code == 0
+
+
 def test_relaxed_extremality_needs_channel_dims(capsys, tmp_path):
     choi = to_choi_assemblage(gallery.bell_cnot_assemblage())
     flat = Assemblage(Scenario((2, 2), (2, 2), (4,)), choi.members)

@@ -144,6 +144,12 @@ def test_tolerances_must_be_positive():
         Tolerances(nnls_residual_tol=-1e-9)
 
 
+def test_rank_tolerance_must_reach_float_epsilon():
+    with pytest.raises(ValueError, match="rank_rel_tol must be at least"):
+        Tolerances(rank_rel_tol=np.finfo(float).eps / 2)
+    assert Tolerances(rank_rel_tol=np.finfo(float).eps).rank_rel_tol == np.finfo(float).eps
+
+
 def test_tolerances_must_be_finite():
     with pytest.raises(ValueError, match="abs_tol must be finite"):
         Tolerances(abs_tol=float("inf"))

@@ -8,7 +8,8 @@ keeps only a basis of each zero-target coefficient block's row space, and
 only the ``D**2`` Hermitian coordinates, so the two systems have the same
 kernel but not the same rows; they are compared through their kernels.
 The certificate ranks the reduced system on the kernel ``K`` of its
-coefficient block with no reduction, and maps the kernel back through ``K``.
+coefficient block with no reduction, restricted to the support
+(:func:`kernel_on_support`), and maps the kernel back through ``K``.
 """
 
 from math import prod
@@ -16,10 +17,12 @@ from math import prod
 import numpy as np
 import pytest
 from conftest import pure_assemblage, pure_realization
+from test_witness_grid import realization
 
 from steercert import gallery
-from steercert.core import DEFAULT_TOL, nullspace_and_spectrum
-from steercert.assemblages import Scenario, canonicalize_pure
+from steercert.core import DEFAULT_TOL, nullspace, nullspace_and_spectrum
+from steercert.assemblages import Scenario, assemblage_from_realization, canonicalize_pure
+from steercert.channel_assemblages import chanasm_from_realization
 from steercert.certificates import build_constraint_system, decomposition_analysis
 from steercert.constraints import (
     ConstraintMode,
@@ -83,6 +86,16 @@ def _random_pure(scen, zero_share):
     return pure_assemblage(scen, members)
 
 
+def _zeroed(settings, k, d, channel):
+    """A realization whose members at the first party's setting 0 and
+    outcome 0 are zero (:func:`test_witness_grid.realization`)."""
+    real = realization(settings, k, d, channel, True, 0)
+    assemblage = (chanasm_from_realization(real.state, real.povms, real.channel,
+                                           real.scenario) if channel else
+                  assemblage_from_realization(real.state, real.povms, real.scenario))
+    return canonicalize_pure(assemblage)
+
+
 BENCH_SHAPES = [(3, 2, 2, 2), (3, 3, 2, 2), (3, 2, 3, 2), (3, 2, 2, 3), (4, 2, 2, 2)]
 CASES = (
     [(f"{''.join(map(str, s))}-{form}", lambda s=s, e=e: _bench_case(s, e),
@@ -97,10 +110,38 @@ CASES = (
        for mode in ConstraintMode]
     + [("partial-3232", lambda: _random_pure(Scenario((2, 2, 2), (3, 3, 3), (2,)), 1 / 3),
         ConstraintMode.FULL_NS)]
+    # partial supports with a certificate: 48 of 64 positions (nullity 1),
+    # 20 of 24 (nullity 2) and 180 of 216 (nullity 0)
+    + [("zeroed-222-state", lambda: _zeroed((2, 2, 2), 2, 2, False), ConstraintMode.FULL_NS),
+       ("zeroed-32-channel", lambda: _zeroed((3, 2), 2, 2, True), ConstraintMode.NS_CHANNEL),
+       ("zeroed-222-qutrit-outcomes", lambda: _zeroed((2, 2, 2), 3, 2, False),
+        ConstraintMode.FULL_NS)]
     # fewer rows than columns: the kernel depends on the imaginary coordinates
     + [("one-party", lambda: _random_pure(Scenario((2,), (4,), (2,)), 0.0),
         ConstraintMode.FULL_NS)]
 )
+
+
+def kernel_on_support(system):
+    """``(K, N)``: the rows of :attr:`.Family.certificate_kernel` at the
+    system's columns times ``N``, a basis of the combinations of its columns
+    that vanish at every other position, found by ranking those rows as the
+    certificate does; on a full support the family's own array and
+    ``None``."""
+    full = system.family.certificate_kernel
+    # the kernel's rows run in sorted (a, x) order
+    row = {pos: j for j, pos in enumerate(sorted(system.family.scenario.positions()))}
+    off = sorted(set(row.values()) - {row[pos] for pos in system.columns})
+    if not off:
+        return full, None
+    n = nullspace(full[off], DEFAULT_TOL.rank_rel_tol).T
+    return full[[row[pos] for pos in system.columns]] @ n, n
+
+
+def ranked(system, n):
+    """What the certificate ranks: ``A K`` from the party factors, times
+    ``N`` off a full support."""
+    return system.projected() if n is None else system.projected() @ n
 
 
 def _units(pure):
@@ -138,7 +179,7 @@ def _zero_rows(fam):
 def test_projected_kernel_is_the_reference_kernel(name, make, mode):
     pure = make()
     system = build_constraint_system(pure, mode)
-    k, _ = system.kernel(DEFAULT_TOL.rank_rel_tol)
+    k, _ = kernel_on_support(system)
     at = [pure.scenario.index(a, x) for a, x in pure.support]
     np.testing.assert_allclose(k.T @ k, np.eye(k.shape[1]), atol=1e-12)
     np.testing.assert_allclose(_zero_rows(system.family)[:, at] @ k, 0, atol=1e-12)
@@ -168,8 +209,8 @@ def test_assembled_projection_has_the_spectrum_of_a_times_k(name, make, mode):
     # no-reduction block dropped, against the product with the formed A
     pure = make()
     system = build_constraint_system(pure, mode)
-    k, n = system.kernel(DEFAULT_TOL.rank_rel_tol)
-    assembled, dense = system.projected(n), system.matrix @ k
+    k, n = kernel_on_support(system)
+    assembled, dense = ranked(system, n), system.matrix @ k
     spectra = np.zeros((2, k.shape[1]))
     for row, m in zip(spectra, (assembled, dense)):
         s = np.linalg.svd(m, compute_uv=False)
@@ -201,10 +242,10 @@ def dense_project(fam, at, units, k):
 def test_contracted_projection_is_the_dense_block_product(name, make, mode):
     pure = make()
     system = build_constraint_system(pure, mode)
-    k, n = system.kernel(DEFAULT_TOL.rank_rel_tol)
+    k, n = kernel_on_support(system)
     assert (n is None) == (len(pure.support) == len(list(pure.scenario.positions())))
     want = dense_project(system.family, system.at, system.units, k)
-    got = system.projected(n)
+    got = ranked(system, n)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
@@ -217,7 +258,7 @@ def test_kernel_rows_follow_the_support_order():
     assert sorted(pure.support) == sorted(scen.positions())
     assert list(pure.support) != list(scen.positions())
     cert = decomposition_analysis(pure, ConstraintMode.FULL_NS)
-    k, n = cert.system.kernel(DEFAULT_TOL.rank_rel_tol)
+    k, n = kernel_on_support(cert.system)
     # on a full support K is the family's own array, its rows already in
     # support order, and the verdict formed it only to map its kernel back
     assert n is None and k is cert.system.family.certificate_kernel

@@ -125,7 +125,7 @@ def test_witnesses_lie_in_the_certified_set(tmp_path, case):
                   assemblage_from_realization(real.state, real.povms, real.scenario))
     system = build_constraint_system(canonicalize_pure(assemblage),
                                      ConstraintMode(cert["mode"]))
-    assert system.full is not zeroed
+    assert (len(system.columns) < len(list(real.scenario.positions()))) is zeroed
     s = np.linalg.svd(system.matrix, compute_uv=False)
     rank = int(np.count_nonzero(s > DEFAULT_TOL.rank_rel_tol * s[0]))
     assert cert["nullity"] == system.matrix.shape[1] - rank
