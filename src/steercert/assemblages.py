@@ -18,8 +18,8 @@ import numpy as np
 from .core import (BUILD_SLACK, DEFAULT_TOL, Tolerances, checked_copy, nnls,
                    psd_deviation)
 from .channels import State
-from .constraints import (ConstraintMode, NsReport, _contract, evaluate, family,
-                          no_signaling_factors)
+from .constraints import (ConstraintMode, NsReport, _contract, _party_major, evaluate,
+                          family, no_signaling_factors)
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,10 @@ def measured_members(w: np.ndarray, povms, scenario: Scenario) -> np.ndarray:
     trusted system.  It may be any Hermitian operator, not only a state,
     so this also measures a Hermitian realization.  One party at a time,
     its effects (stacked over ``(x_i, a_i)``) are contracted against its
-    row and column index of ``w``.
+    row and column index of ``w``, which leaves the positions party-major,
+    ``(x_1, a_1, x_2, a_2, ...)``; :func:`.constraints._party_major` takes
+    them to ``positions()`` order.
     """
-    n = scenario.n_parties
     t = w[None]  # (effects so far, rest, rest)
     for i, (povm, m, k) in enumerate(zip(povms, scenario.settings, scenario.outcomes)):
         if not povm.covers(m, k):
@@ -212,10 +213,7 @@ def measured_members(w: np.ndarray, povms, scenario: Scenario) -> np.ndarray:
         # sum_{r,c} E[c, r] t[:, r, :, c, :]: the partial trace of (E (x) 1) t
         t = np.tensordot(t, povm.effects[:m, :k], axes=([1, 3], [3, 2]))
         t = np.moveaxis(t, (3, 4), (1, 2)).reshape(-1, rest, rest)
-    d = t.shape[-1]
-    t = t.reshape([v for mk in zip(scenario.settings, scenario.outcomes) for v in mk] + [d, d])
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n, 2 * n + 1]
-    return t.transpose(order).reshape(-1, d, d)
+    return t[_party_major(scenario)]
 
 
 def assemblage_from_realization(rho: State, povms, scenario: Scenario) -> Assemblage:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Tolerances, nullspace, nullspace_and_spectrum
 from .assemblages import PureAssemblage
-from .constraints import (ConstraintMode, Family, column_order, family, magnitudes,
-                          project, vectorize)
+from .constraints import ConstraintMode, Family, family, magnitudes, project, vectorize
 
 
 @dataclass(frozen=True)
@@ -30,9 +29,9 @@ class LinearSystem:
     """The reduced real system ``A c = b`` over coefficients at non-zero
     positions, given by the family and the unit members it is built from.
 
-    :func:`decomposition_analysis` ranks :meth:`projected`, which forms
-    neither ``A`` nor the kernel basis; ``matrix`` and ``rhs`` are built on
-    first use.
+    :func:`decomposition_analysis` ranks ``A K`` by
+    :func:`.constraints.project` at :attr:`at`, which forms neither ``A``
+    nor the kernel basis; ``matrix`` and ``rhs`` are built on first use.
     """
 
     columns: tuple  # position (a, x) of each column
@@ -71,14 +70,6 @@ class LinearSystem:
         """The family's largest deviation on ``sum_j c_j units[j]``; not a
         residual of the reduced rows."""
         return float(self.deviations(c).max())
-
-    def projected(self) -> np.ndarray:
-        """``A K`` for ``K`` the rows of :attr:`.Family.certificate_kernel`
-        at the columns, by :func:`.constraints.project`, with neither formed:
-        the trace rows of the block with no reduction are left out, which
-        vanish on the kernel vectors that :func:`decomposition_analysis`
-        ranks."""
-        return project(self.family, self.at, self.units)
 
 
 class UnsatisfiedReference(ValueError):
@@ -147,10 +138,11 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     the reference is returned; two-sided feasibility is available because
     the reference is strictly positive at every variable position.
 
-    The system is ranked on ``A K N`` (:meth:`LinearSystem.projected`, then
+    The system is ranked on ``A K N`` (:func:`.constraints.project`, then
     ``N``), the same sequence on every support.  ``K`` is the rows of
-    :attr:`.Family.certificate_kernel` at the columns, and ``N`` a basis of
-    the combinations of its columns that vanish off them, ranked relative
+    :attr:`.Family.certificate_kernel` at the columns' places,
+    :attr:`LinearSystem.at`, and ``N`` a basis of the combinations of its
+    columns that vanish off them, ranked relative
     to their largest singular value as the system is (``None`` on a full
     support, where no row is off).  Every unit has trace one, so each row
     of the zero-target block with no reduction, restricted to the columns,
@@ -171,11 +163,10 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
         raise UnsatisfiedReference(
             "reference coefficients do not satisfy the system: "
             f"'{system.family.names[worst]}' deviates by {deviations[worst]:.3g}")
-    fam = system.family
-    order = column_order(fam.scenario)  # each position's row of the kernel basis
-    off = np.delete(order, system.at)
+    fam, scen = system.family, p.scenario
+    off = np.delete(np.arange(prod(scen.settings) * prod(scen.outcomes)), system.at)
     n = nullspace(fam.certificate_kernel[off], tol.rank_rel_tol).T if off.size else None
-    ranked = system.projected()  # A K
+    ranked = project(fam, system.at, system.units)  # A K
     if n is not None:
         ranked = ranked @ n  # A K N; A K is dropped before the rank
     projected, s = nullspace_and_spectrum(ranked, tol.rank_rel_tol)
@@ -191,8 +182,8 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
                                       Verdict.UNIQUE_EXTREME, margin, (0.0, 0.0),
                                       None, system)
 
-    k = fam.certificate_kernel
-    basis = projected @ (k if n is None else k[order[system.at]] @ n).T
+    k = fam.certificate_kernel[system.at]
+    basis = projected @ (k if n is None else k @ n).T
     reach = np.abs(basis).max(axis=0)  # how far each coefficient can move
     fixed = reach < tol.abs_tol
     pinned = tuple(pos for pos, pin in zip(system.columns, fixed) if pin)

@@ -2,7 +2,10 @@
 
 Commands: ``verify``, ``choi``, ``extremality``, ``lhs``, ``security-cert``,
 ``reproduce``, ``schema``.  Exit codes: 0 PASS, 1 FAIL, 2 INCONCLUSIVE,
-3 INPUT_ERROR.  Reports are byte-deterministic for fixed inputs and flags.
+3 INPUT_ERROR; a usage error that argparse refuses (an unknown mode or
+target, a flag that is not a number, a missing argument) exits 3 too, with
+argparse's message on standard error and no report.  Reports are
+byte-deterministic for fixed inputs and flags.
 ``extremality --mode full`` certifies among no-signaling channel
 assemblages (``ns-channel``) for a channel assemblage or a channel
 realization, and among no-signaling assemblages (``full``) otherwise.
@@ -334,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return _EXIT[INPUT_ERROR] if exc.code else 0
     given = {"abs_tol": args.abs_tol, "rank_rel_tol": args.rank_tol,
              "nnls_residual_tol": args.nnls_tol}
     # Echoed as given, a non-finite value as a string: JSON has no infinity.

@@ -51,11 +51,12 @@ space, and they equal it exactly when that row space is spanned by basis
 rows, as it is for every family here.
 :attr:`Family.certificate_rows` holds the kept rows, normalized, and
 :attr:`Family.certificate_kernel` the rest of the basis for the block
-with no reduction, as columns over the positions in the support's sorted
-``(a, x)`` order, each built from the party factors' rows at its places
-(:func:`_basis_rows`).  Each basis row is written once per Hermitian
-coordinate of the reduced units: ``D**2`` coordinates, the real diagonal
-and the real and imaginary strict upper triangle, or the real trace.
+with no reduction, as columns over the positions in ``positions()``
+order, the members' order, each built from the party factors' rows at
+its places (:func:`_basis_rows`).  Each basis row is written once per
+Hermitian coordinate of the reduced units: ``D**2`` coordinates, the real
+diagonal and the real and imaginary strict upper triangle, or the real
+trace.
 Constraints with a target (trace one, output trace ``1/d_in``) keep their
 own rows.  The system has ``rank(C_block) * coordinates`` rows plus the
 targeted rows, with the same solutions as the family written out
@@ -161,19 +162,10 @@ def _party_major(scen) -> np.ndarray:
     return np.arange(np.prod(sizes)).reshape(sizes).transpose(order).ravel()
 
 
-def column_order(scen) -> np.ndarray:
-    """The place of each position, in ``scen.positions()`` order, in sorted
-    ``(a, x)`` order: the order of a :class:`.PureAssemblage`'s support and
-    of the rows of :attr:`Family.certificate_kernel`."""
-    n = scen.n_parties
-    return np.arange(prod(scen.settings) * prod(scen.outcomes)).reshape(
-        scen.outcomes + scen.settings).transpose(list(range(n, 2 * n)) + list(range(n))).ravel()
-
-
 def _basis_rows(scen, places) -> np.ndarray:
     """The rows ``places`` of the Kronecker product of the party factors,
     normalized, as the columns of a read-only ``(positions, len(places))``
-    array whose rows run in sorted ``(a, x)`` order, built from each
+    array whose rows run in ``scen.positions()`` order, built from each
     party's factor rows.
 
     A row's squared norm is the product of its factor rows' squared norms,
@@ -185,9 +177,10 @@ def _basis_rows(scen, places) -> np.ndarray:
     rows, squares = np.ones((1,) * 2 * n + (count,)), np.ones(count)
     for i, (f, r, m, k) in enumerate(zip(factors, digits, scen.settings, scen.outcomes)):
         shape = [1] * 2 * n + [count]
-        shape[i], shape[n + i] = k, m
-        # axes (a_1..a_n, x_1..x_n, row), C-contiguous
-        rows = rows * np.ascontiguousarray(f[r].reshape(count, m, k).T).reshape(shape)
+        shape[i], shape[n + i] = m, k
+        # axes (x_1..x_n, a_1..a_n, row), C-contiguous
+        rows = rows * np.ascontiguousarray(
+            f[r].reshape(count, m, k).transpose(1, 2, 0)).reshape(shape)
         squares *= (f[r] ** 2).sum(axis=1)
     rows = rows.reshape(-1, count)
     rows /= np.sqrt(squares)
@@ -382,23 +375,19 @@ class Family:
         give their own coefficient rows and their targets.  Built on first
         read: :func:`project` does not read it.
         """
-        order, blocks = column_order(self.scenario), []
-        for reduction, hit, coef, targets in self._certificate[0]:
-            if coef is None:
-                coef = _basis_rows(self.scenario, hit)[order].T
-                coef.flags.writeable = False  # shared through the family cache
-            blocks.append((reduction, coef, targets))
-        return tuple(blocks)
+        scen = self.scenario
+        return tuple((reduction, _basis_rows(scen, hit).T if coef is None else coef, targets)
+                     for reduction, hit, coef, targets in self._certificate[0])
 
     @functools.cached_property
     def certificate_kernel(self):
         """Orthonormal basis of the kernel of the zero-target coefficient
         block with no reduction, as the columns of a C-contiguous
-        ``(positions, r)`` array whose rows run in sorted ``(a, x)`` order
-        (:func:`column_order`): the normalized rows of the party-factor
+        ``(positions, r)`` array whose rows run in ``positions()`` order,
+        the order of the members: the normalized rows of the party-factor
         basis that this block annihilates (all of them when the family has
-        no such block).  On a full support its rows are the columns of the
-        system, in order.
+        no such block).  The rows at a system's columns are its rows at
+        :attr:`.LinearSystem.at`.
 
         Formed on first read, which :func:`project` never makes: a verdict
         reads its rows off a partial support, to find the combinations of

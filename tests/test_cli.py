@@ -150,6 +150,26 @@ def test_verify_fails_on_signaling_assemblage(capsys, tmp_path):
     assert report["details"]["violations"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--mode", "bogus", data_path("example1_channel_assemblage.json")],
+     "steercert verify: error: argument --mode: invalid choice: 'bogus'"),
+    (["--abs-tol", "abc", "verify", data_path("example1_channel_assemblage.json")],
+     "steercert: error: argument --abs-tol: invalid float value: 'abc'"),
+    (["reproduce"], "steercert reproduce: error: the following arguments are required: target"),
+], ids=["unknown-mode", "tolerance-not-a-number", "no-target"])
+def test_usage_error_is_input_error(capsys, argv, message):
+    # argparse exits 2, which reads as INCONCLUSIVE; its message stays on stderr
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert message in err
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: steercert")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["schema"], 0),
     (["choi", data_path("example1_channel_assemblage.json")], 0),
@@ -651,6 +671,13 @@ def _realization_document(defect: str) -> dict:
         raw["payload"]["state"]["dims"] = [2, 3]
     elif defect == "state-dims-empty":
         raw["payload"]["state"]["dims"] = []
+    elif defect == "scenario-with-one-outcome-count":
+        raw["payload"]["scenario"]["outcomes"].pop()
+    elif defect == "channel-in-dim-4":  # its in_dims still multiply to 8
+        raw["payload"]["channel"]["in_dim"] = 4
+    elif defect == "channel-of-trace-2":  # twice a CPTP channel's Choi matrix
+        raw["payload"]["channel"]["choi"] = [[[2 * re, 2 * im] for re, im in row]
+                                             for row in raw["payload"]["channel"]["choi"]]
     elif defect in _MALFORMED_ENTRIES:
         raw["payload"]["state"]["matrix"][0][0] = _MALFORMED_ENTRIES[defect][0]
     return raw
@@ -665,8 +692,7 @@ _MALFORMED_ENTRIES = {"one-number-entry": ([0.5], ": [0.5] is too short"),
                                         "[0]: False is not of type 'number'")}
 
 
-@pytest.mark.parametrize("command", ["verify", "extremality", "lhs"])
-@pytest.mark.parametrize("defect, error", [
+_REALIZATION_DEFECTS = [
     ("state-without-matrix", "$.payload.state: 'matrix' is a required property"),
     ("oversized-entry", "$.payload.state.matrix[0][0]: entry out of range"),
     ("povm-with-one-setting",
@@ -682,8 +708,20 @@ _MALFORMED_ENTRIES = {"one-number-entry": ([0.5], ": [0.5] is too short"),
      "$.payload.state: dims must be a nonempty list of positive integers"),
     *((defect, f"$.payload.state.matrix[0][0]{error}")
       for defect, (_, error) in _MALFORMED_ENTRIES.items()),
+    ("scenario-with-one-outcome-count",
+     "$.payload.scenario: settings and outcomes must have equal, nonzero length"),
+    ("channel-in-dim-4", "$.payload.channel: dims products disagree with in_dim/out_dim"),
+]
+
+
+@pytest.mark.parametrize("defect, error, command", [
+    *((defect, error, command) for defect, error in _REALIZATION_DEFECTS
+      for command in ("verify", "extremality", "lhs")),
+    # verify refuses a realization at $.kind before it builds the channel
+    *(("channel-of-trace-2", "$.payload: realization channel must be CPTP", command)
+      for command in ("extremality", "lhs")),
 ])
-def test_malformed_realization_is_input_error(capsys, tmp_path, command, defect, error):
+def test_malformed_realization_is_input_error(capsys, tmp_path, defect, error, command):
     path = tmp_path / f"{defect}.json"
     path.write_text(json.dumps(_realization_document(defect)))
     code, report = run_json(capsys, command, str(path))

@@ -11,9 +11,9 @@ from steercert.assemblages import Assemblage, Scenario, canonicalize_pure, verif
 from steercert.channel_assemblages import verify_asym_ns
 from steercert.certificates import (UnsatisfiedReference, build_constraint_system,
                                     decomposition_analysis)
-from steercert.constraints import (ConstraintMode, Family, Reduction, _reduce,
-                                   asym_ns, column_order, evaluate, family, full_ns,
-                                   magnitudes, no_signaling_factors)
+from steercert.constraints import (ConstraintMode, Family, Reduction, _reduce, asym_ns,
+                                   evaluate, family, full_ns, magnitudes,
+                                   no_signaling_factors)
 from steercert.core import ScenarioError, psd_deviation
 from steercert.documents import parse
 
@@ -164,7 +164,7 @@ def test_factor_bases_are_the_constraint_list(families):
     # blocks, ranked by an SVD here
     for fam, _ in families():
         # the kernel's columns, as rows over positions() order
-        k = fam.certificate_kernel[column_order(fam.scenario)].T
+        k = fam.certificate_kernel.T
         zero_blocks = [(reduction, rows) for reduction, rows, targets
                        in fam.certificate_rows if targets is None]
         parts = [part for part in fam.parts if len(part.positions)]
@@ -221,10 +221,9 @@ def test_compile_matches_the_dense_oracle(families):
         assert _array_equal(tuple(hit for _, hit, _, _ in fam._certificate[0]), hits)
         assert _array_equal(fam._certificate[1], kept)
         assert _array_equal(fam._contractions, oracle.contractions(scen, hits, kept))
-        # the oracle's kernel rows, as columns whose rows run in sorted
-        # (a, x) order, the order of a full support's columns
+        # the oracle's kernel rows, over positions() order, as columns
         full = fam.certificate_kernel
-        assert _array_equal(full, kernel.T[scen.indices(sorted(scen.positions()))])
+        assert _array_equal(full, kernel.T)
         assert full.flags.c_contiguous and not full.flags.writeable
         assert _array_equal(fam.certificate_rows, blocks)
 
@@ -299,10 +298,10 @@ def test_no_signaling_factors_span_the_full_family_kernel(settings, outcomes):
     for q, m, k in zip(factors, settings, outcomes):
         assert q.shape == (m * (k - 1) + 1, m * k)
         np.testing.assert_allclose(q @ q.T, np.eye(len(q)), atol=1e-14)
-    # Q over positions in sorted (a, x) order: the Kronecker product of each
+    # Q over positions in positions() order: the Kronecker product of each
     # party's factor at (x_i, a_i)
     rows = []
-    for a, x in sorted(scen.positions()):
+    for a, x in scen.positions():
         row = np.ones(1)
         for q, k, ai, xi in zip(factors, outcomes, a, x):
             row = np.kron(row, q[:, xi * k + ai])

@@ -32,6 +32,7 @@ from steercert.constraints import (
     family,
     full_ns,
     magnitudes,
+    project,
 )
 
 
@@ -124,24 +125,23 @@ CASES = (
 
 def kernel_on_support(system):
     """``(K, N)``: the rows of :attr:`.Family.certificate_kernel` at the
-    system's columns times ``N``, a basis of the combinations of its columns
-    that vanish at every other position, found by ranking those rows as the
-    certificate does; on a full support the family's own array and
-    ``None``."""
+    system's columns, its places in ``positions()`` order, times ``N``, a
+    basis of the combinations of its columns that vanish at every other
+    position, found by ranking those rows as the certificate does; on a
+    full support those rows and ``None``."""
     full = system.family.certificate_kernel
-    # the kernel's rows run in sorted (a, x) order
-    row = {pos: j for j, pos in enumerate(sorted(system.family.scenario.positions()))}
-    off = sorted(set(row.values()) - {row[pos] for pos in system.columns})
-    if not off:
-        return full, None
+    off = np.delete(np.arange(len(full)), system.at)
+    if not off.size:
+        return full[system.at], None
     n = nullspace(full[off], DEFAULT_TOL.rank_rel_tol).T
-    return full[[row[pos] for pos in system.columns]] @ n, n
+    return full[system.at] @ n, n
 
 
 def ranked(system, n):
     """What the certificate ranks: ``A K`` from the party factors, times
     ``N`` off a full support."""
-    return system.projected() if n is None else system.projected() @ n
+    projected = project(system.family, system.at, system.units)
+    return projected if n is None else projected @ n
 
 
 def _units(pure):
@@ -250,20 +250,24 @@ def test_contracted_projection_is_the_dense_block_product(name, make, mode):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
-def test_kernel_rows_follow_the_support_order():
-    # The support is sorted (a, x) and positions() runs x-major, so K's rows
-    # must follow the support, not positions() order.
+def test_kernel_rows_follow_the_positions_order():
+    # The support is sorted (a, x) and positions() runs x-major, so K's rows,
+    # which follow positions() like the members, are taken at each support
+    # position's place in positions(), not in support order.
     pure = _bench_case((3, 3, 2, 2), False)
     scen = pure.scenario
     assert sorted(pure.support) == sorted(scen.positions())
     assert list(pure.support) != list(scen.positions())
     cert = decomposition_analysis(pure, ConstraintMode.FULL_NS)
-    k, n = kernel_on_support(cert.system)
-    # on a full support K is the family's own array, its rows already in
-    # support order, and the verdict formed it only to map its kernel back
-    assert n is None and k is cert.system.family.certificate_kernel
-    at = [scen.index(a, x) for a, x in pure.support]
-    np.testing.assert_allclose(_zero_rows(cert.system.family)[:, at] @ k, 0, atol=1e-12)
+    full = cert.system.family.certificate_kernel
+    # the member traces, no-signaling, lie in K's span over positions()
+    # order, and not over support order
+    traces = np.zeros(len(full))
+    traces[[scen.index(a, x) for a, x in pure.support]] = pure.weights
+    np.testing.assert_allclose(full @ (full.T @ traces), traces, atol=1e-12)
+    assert not np.allclose(full @ (full.T @ pure.weights), pure.weights, atol=1e-6)
+    assert kernel_on_support(cert.system)[1] is None  # a full support: no N
+    np.testing.assert_allclose(_zero_rows(cert.system.family) @ full, 0, atol=1e-12)
     matrix, _ = reference_vectorize(cert.system.family, pure.support, _units(pure))
     want, _ = nullspace_and_spectrum(matrix)
     assert cert.nullity == len(want) > 0
