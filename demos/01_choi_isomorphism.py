@@ -11,11 +11,11 @@ import numpy as np
 
 from steercert.channels import (
     ChoiOp,
+    KrausChannel,
     apply_choi,
     choi_from_map,
     choi_of_kraus,
     choi_of_unitary,
-    random_kraus_channel,
     verify_cptp,
 )
 
@@ -33,8 +33,11 @@ rho = np.array([[1, 0], [0, 0]], dtype=complex)
 print("\nH|0><0|H^dag via the Choi matrix:")
 print(np.round(apply_choi(hadamard, rho).real, 3))
 
-# Random channels round-trip as well.
-k = random_kraus_channel(rng, 3, 2)
+# Random channels round-trip as well: a seeded isometry from C^3 into
+# C^6 (x) C^2, cut into six 2x3 Kraus operators.
+g = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
+isometry, _ = np.linalg.qr(g)
+k = KrausChannel(3, 2, isometry.reshape(6, 2, 3))
 choi = choi_of_kraus(k)
 x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
 direct = sum(op @ x @ op.conj().T for op in k.kraus_ops)

@@ -9,6 +9,7 @@ models, and decides LHS membership exactly for pure-member assemblages.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import prod
@@ -18,8 +19,8 @@ import numpy as np
 from .core import (BUILD_SLACK, DEFAULT_TOL, Tolerances, checked_copy, nnls,
                    psd_deviation)
 from .channels import State
-from .constraints import (ConstraintMode, NsReport, _contract, _party_major, evaluate,
-                          family, no_signaling_factors)
+from .constraints import (ConstraintMode, NsReport, _contract, evaluate, family,
+                          no_signaling_factors)
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,23 @@ class Scenario:
     def trusted_dim(self) -> int:
         return prod(self.trusted_dims)
 
+    @functools.cached_property
+    def size(self) -> int:
+        """The number of positions."""
+        return prod(self.settings) * prod(self.outcomes)
+
+    @functools.cached_property
+    def party_major(self) -> np.ndarray:
+        """The place of each position, in :meth:`positions` order, among the
+        columns of a Kronecker product of per-party factors over ``(x, a)``,
+        which run ``(x_1, a_1, x_2, a_2, ...)``.  Cached, and read-only."""
+        n = self.n_parties
+        sizes = [size for pair in zip(self.settings, self.outcomes) for size in pair]
+        order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+        place = np.arange(self.size).reshape(sizes).transpose(order).ravel()
+        place.flags.writeable = False
+        return place
+
     def setting_vectors(self):
         return itertools.product(*(range(m) for m in self.settings))
 
@@ -77,18 +95,21 @@ class Scenario:
         The first position outside the scenario raises a ``ValueError``
         whose ``place`` is where it sits in ``positions``.
         """
-        positions, sizes = list(positions), self.settings + self.outcomes
+        positions, n = list(positions), self.n_parties
+        sizes = self.settings + self.outcomes
         try:
             digits = np.array([tuple(x) + tuple(a) for a, x in positions],
                               dtype=np.int64).reshape(len(positions), len(sizes))
-            if ((digits >= 0) & (digits < sizes)).all():
+            # 2n digits in all, and n of them outcomes: n settings too
+            if all(len(a) == n for a, _ in positions) and (
+                    (digits >= 0) & (digits < sizes)).all():
                 return np.ravel_multi_index(tuple(digits.T), sizes)
         except (ValueError, OverflowError):  # ragged, or beyond int64
             pass
         for place, (a, x) in enumerate(positions):
-            digits = tuple(x) + tuple(a)
-            if len(digits) != len(sizes) or not all(0 <= v < s for v, s in zip(digits, sizes)):
-                exc = ValueError(f"position {(tuple(a), tuple(x))} outside the scenario")
+            a, x = tuple(a), tuple(x)
+            if len(a) != n or len(x) != n or not all(0 <= v < s for v, s in zip(x + a, sizes)):
+                exc = ValueError(f"position {(a, x)} outside the scenario")
                 exc.place = place
                 raise exc
 
@@ -108,8 +129,7 @@ class Assemblage:
 
     def __post_init__(self):
         scen, d = self.scenario, self.scenario.trusted_dim
-        shape = (prod(scen.settings) * prod(scen.outcomes), d, d)
-        members = checked_copy(self.members, complex, "members", shape)
+        members = checked_copy(self.members, complex, "members", (scen.size, d, d))
         object.__setattr__(self, "members", members)
 
     def member(self, a, x) -> np.ndarray:
@@ -168,11 +188,12 @@ class LhsModel:
 class PureAssemblage:
     """Assemblage whose members are zero or weighted rank-one projectors.
 
-    ``support`` lists the non-zero positions in sorted ``(a, x)`` order.
-    The member at ``support[j]`` is ``weights[j] |k_j><k_j|``, where
-    ``k_j = kets[j]`` is a unit row of the complex ``(len(support), D)``
-    array ``kets``; every other position is exactly zero.  Both arrays are
-    read-only, and the constructor checks only their shapes and finiteness.
+    ``support`` lists the non-zero positions in sorted ``(a, x)`` order,
+    and :attr:`at` their places in ``scenario.positions()``.  The member at
+    ``support[j]`` is ``weights[j] |k_j><k_j|``, where ``k_j = kets[j]`` is
+    a unit row of the complex ``(len(support), D)`` array ``kets``; every
+    other position is exactly zero.  The arrays are read-only, and the
+    constructor checks only their shapes and finiteness.
     """
 
     scenario: Scenario
@@ -185,6 +206,14 @@ class PureAssemblage:
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "weights", checked_copy(self.weights, float, "weights", (n,)))
         object.__setattr__(self, "kets", checked_copy(self.kets, complex, "kets", (n, d)))
+
+    @functools.cached_property
+    def at(self) -> np.ndarray:
+        """The place of each support position in ``scenario.positions()``,
+        in support order.  Cached, and read-only."""
+        at = self.scenario.indices(self.support)
+        at.flags.writeable = False
+        return at
 
     def proportional(self, rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Entry ``[i, j]``: whether ``kets[rows[i]]`` and ``kets[j]`` are
@@ -201,8 +230,8 @@ def measured_members(w: np.ndarray, povms, scenario: Scenario) -> np.ndarray:
     so this also measures a Hermitian realization.  One party at a time,
     its effects (stacked over ``(x_i, a_i)``) are contracted against its
     row and column index of ``w``, which leaves the positions party-major,
-    ``(x_1, a_1, x_2, a_2, ...)``; :func:`.constraints._party_major` takes
-    them to ``positions()`` order.
+    ``(x_1, a_1, x_2, a_2, ...)``; :attr:`Scenario.party_major` takes them
+    to ``positions()`` order.
     """
     t = w[None]  # (effects so far, rest, rest)
     for i, (povm, m, k) in enumerate(zip(povms, scenario.settings, scenario.outcomes)):
@@ -213,7 +242,7 @@ def measured_members(w: np.ndarray, povms, scenario: Scenario) -> np.ndarray:
         # sum_{r,c} E[c, r] t[:, r, :, c, :]: the partial trace of (E (x) 1) t
         t = np.tensordot(t, povm.effects[:m, :k], axes=([1, 3], [3, 2]))
         t = np.moveaxis(t, (3, 4), (1, 2)).reshape(-1, rest, rest)
-    return t[_party_major(scenario)]
+    return t[scenario.party_major]
 
 
 def assemblage_from_realization(rho: State, povms, scenario: Scenario) -> Assemblage:
@@ -302,11 +331,6 @@ class NoLhs:
     residual: float = None
 
 
-def _digits(p: PureAssemblage) -> tuple:
-    """Index arrays ``(a_0, ..., a_{n-1}, x_0, ..., x_{n-1})`` of the support."""
-    return tuple(np.array([a + x for a, x in p.support]).T)
-
-
 def consistent_strategies(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """The deterministic strategies that may carry weight in an LHS model.
 
@@ -324,22 +348,18 @@ def consistent_strategies(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL) -> n
     ``itertools.product`` over the per-party response tables.
     """
     scen = p.scenario
-    n = scen.n_parties
-    shape = scen.outcomes + scen.settings
-    anchors = [j for j, (_, x) in enumerate(p.support) if not any(x)]
-    if not anchors:
+    n, width = scen.n_parties, prod(scen.outcomes)
+    anchors = np.flatnonzero(p.at < width)  # the positions at x=(0,...,0)
+    if not len(anchors):
         return np.zeros((0, sum(scen.settings)), dtype=int)
-    flat = np.ravel_multi_index(_digits(p), shape)
-    allowed = np.zeros((len(anchors), prod(shape)), dtype=bool)
-    allowed[:, flat] = p.proportional(anchors, tol)
-    allowed = allowed.reshape((len(anchors),) + shape)
-    origin = (0,) * n
-    allowed[(slice(None),) * (n + 1) + origin] = False
-    for j, anchor in enumerate(anchors):
-        allowed[(j,) + p.support[anchor][0] + origin] = True
-    alive = allowed.reshape(len(anchors), prod(scen.outcomes), -1).any(axis=1).all(axis=1)
+    allowed = np.zeros((len(anchors), scen.size), dtype=bool)
+    allowed[:, p.at] = p.proportional(anchors, tol)
+    allowed[:, :width] = False
+    allowed[np.arange(len(anchors)), p.at[anchors]] = True
+    alive = allowed.reshape(len(anchors), -1, width).any(axis=2).all(axis=1)
+    allowed = allowed.reshape((len(anchors),) + scen.settings + scen.outcomes)
     # axes: (partial strategy, assigned settings, a_i, x_i, a_{i+1}, x_{i+1}, ...)
-    interleaved = [0] + [1 + axis for i in range(n) for axis in (i, n + i)]
+    interleaved = [0] + [1 + axis for i in range(n) for axis in (n + i, i)]
     allowed = allowed[alive].transpose(interleaved)[:, None]
     strategies = np.zeros((len(allowed), 0), dtype=int)
     for m in scen.settings:
@@ -479,17 +499,16 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
         return NoLhs("no deterministic strategy selects pairwise proportional "
                      "pure states on its support")
 
-    digits = _digits(p)
-    rows = np.full(scen.outcomes + scen.settings, -1)
-    rows[digits] = np.arange(len(p.support))
+    rows = np.full(scen.size, -1)
+    rows[p.at] = np.arange(len(p.support))
     offsets = np.cumsum((0,) + scen.settings[:-1])
     per_party = np.split(strategies, offsets[1:], axis=1)
     factors = no_signaling_factors(scen)
     # b over (x_i, a_i) per party; each contraction takes the first party
     # axis left and appends that party's coordinate axis
-    b = np.zeros([m * k for m, k in zip(scen.settings, scen.outcomes)])
-    b[tuple(digits[scen.n_parties + i] * k + digits[i]
-            for i, k in enumerate(scen.outcomes))] = p.weights
+    b = np.zeros(scen.size)
+    b[scen.party_major[p.at]] = p.weights
+    b = b.reshape([m * k for m, k in zip(scen.settings, scen.outcomes)])
     coordinates = _contract(b, [q.T for q in factors])
     projection = _contract(coordinates, factors)
     outside = np.linalg.norm(b - projection.reshape(b.shape))  # ||b - Q Q^T b||
@@ -511,8 +530,7 @@ def pure_lhs_decide(p: PureAssemblage, tol: Tolerances = DEFAULT_TOL):
     keep = x > 0
     chosen = strategies[keep]
     total = sum(x[keep].tolist())  # left to right, one weight at a time
-    origin = (0,) * scen.n_parties
-    kets = p.kets[rows[tuple(chosen[:, offsets].T) + origin]]
+    kets = p.kets[rows[np.ravel_multi_index(tuple(chosen[:, offsets].T), scen.outcomes)]]
     states = kets[:, :, None] * kets.conj()[:, None, :]
     tables = tuple(np.eye(k)[f] for k, f in
                    zip(scen.outcomes, np.split(chosen, offsets[1:], axis=1)))

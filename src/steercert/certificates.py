@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
@@ -35,14 +34,10 @@ class LinearSystem:
     """
 
     columns: tuple  # position (a, x) of each column
+    at: np.ndarray = field(repr=False)  # their places, :attr:`.PureAssemblage.at`
     reference: np.ndarray  # coefficient vector of the input assemblage
     family: Family = field(repr=False)
     units: np.ndarray = field(repr=False)  # unit member at each column
-
-    @functools.cached_property
-    def at(self) -> np.ndarray:
-        """The place of each column's position in ``positions()`` order."""
-        return self.family.scenario.indices(self.columns)
 
     @functools.cached_property
     def _system(self):
@@ -60,9 +55,8 @@ class LinearSystem:
     def deviations(self, c) -> np.ndarray:
         """Each constraint's deviation (:func:`.constraints.magnitudes`) on
         ``sum_j c_j units[j]``."""
-        scen = self.family.scenario
-        members = np.zeros((prod(scen.settings) * prod(scen.outcomes),)
-                           + self.units.shape[1:], dtype=complex)
+        members = np.zeros((self.family.scenario.size,) + self.units.shape[1:],
+                           dtype=complex)
         members[self.at] = np.asarray(c)[:, None, None] * self.units
         return magnitudes(self.family, members)
 
@@ -125,7 +119,7 @@ def build_constraint_system(p: PureAssemblage, mode: ConstraintMode) -> LinearSy
     member traces) satisfy the system by construction.
     """
     units = p.kets[:, :, None] * p.kets[:, None, :].conj()
-    return LinearSystem(p.support, p.weights, family(p.scenario, mode), units)
+    return LinearSystem(p.support, p.at, p.weights, family(p.scenario, mode), units)
 
 
 def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
@@ -141,7 +135,7 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
     The system is ranked on ``A K N`` (:func:`.constraints.project`, then
     ``N``), the same sequence on every support.  ``K`` is the rows of
     :attr:`.Family.certificate_kernel` at the columns' places,
-    :attr:`LinearSystem.at`, and ``N`` a basis of the combinations of its
+    :attr:`.PureAssemblage.at`, and ``N`` a basis of the combinations of its
     columns that vanish off them, ranked relative
     to their largest singular value as the system is (``None`` on a full
     support, where no row is off).  Every unit has trace one, so each row
@@ -163,8 +157,8 @@ def decomposition_analysis(p: PureAssemblage, mode: ConstraintMode,
         raise UnsatisfiedReference(
             "reference coefficients do not satisfy the system: "
             f"'{system.family.names[worst]}' deviates by {deviations[worst]:.3g}")
-    fam, scen = system.family, p.scenario
-    off = np.delete(np.arange(prod(scen.settings) * prod(scen.outcomes)), system.at)
+    fam = system.family
+    off = np.delete(np.arange(p.scenario.size), system.at)
     n = nullspace(fam.certificate_kernel[off], tol.rank_rel_tol).T if off.size else None
     ranked = project(fam, system.at, system.units)  # A K
     if n is not None:

@@ -221,18 +221,3 @@ def verify_cptp(c: ChoiOp, tol: float = DEFAULT_TOL.abs_tol) -> CptpReport:
     return CptpReport(cp=cp, tp=dev <= tol,
                       min_eigenvalue=float(evals[0, 0]), tp_deviation=dev)
 
-
-def random_kraus_channel(rng: np.random.Generator, in_dim: int, out_dim: int,
-                         n_kraus: int = None) -> KrausChannel:
-    """Haar-ish random channel from a random isometry, for testing."""
-    if n_kraus is None:
-        n_kraus = in_dim * out_dim
-    n_kraus = min(n_kraus, in_dim * out_dim)
-    if out_dim * n_kraus < in_dim:
-        raise ValueError(f"a channel from dimension {in_dim} needs out_dim * n_kraus >= "
-                         f"{in_dim}, got {out_dim} * {n_kraus}")
-    g = rng.normal(size=(out_dim * n_kraus, in_dim)) \
-        + 1j * rng.normal(size=(out_dim * n_kraus, in_dim))
-    q, _ = np.linalg.qr(g)
-    return KrausChannel(in_dim, out_dim, q[:, :in_dim].reshape(n_kraus, out_dim, in_dim))
-

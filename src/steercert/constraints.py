@@ -40,15 +40,16 @@ of the no-signaling space): each party has an orthogonal integer
 ``m k``-square factor over ``(x, a)``, whose rows are the ones vector,
 ``I_m (x) H_k`` (zero outcome sum at every setting) and ``H_m (x) 1_k``
 (constant in the outcome, zero sum over the settings), ``H_j`` Helmert's
-basis without its normalization.  Their Kronecker product, permuted to
-``positions()`` order, is an orthogonal integer basis, never formed.  Per
-reduction, the certificate keeps the basis rows that the family's own
-zero-target coefficient rows do not annihilate: chunks of those rows,
-dense over the positions, are contracted with one party factor at a time,
-an exact test on small integers, not a decomposition (:func:`_touched`).
-Because the basis is orthogonal, the kept rows contain the block's row
-space, and they equal it exactly when that row space is spanned by basis
-rows, as it is for every family here.
+basis without its normalization.  Their Kronecker product, whose columns
+run party-major, ``(x_1, a_1, x_2, a_2, ...)``, taken to ``positions()``
+order by :attr:`.Scenario.party_major`, is an orthogonal integer basis,
+never formed.  Per reduction, the certificate keeps the basis rows that
+the family's own zero-target coefficient rows do not annihilate: chunks
+of those rows, dense over the positions, are contracted with one party
+factor at a time, an exact test on small integers, not a decomposition
+(:func:`_touched`).  Because the basis is orthogonal, the kept rows
+contain the block's row space, and they equal it exactly when that row
+space is spanned by basis rows, as it is for every family here.
 :attr:`Family.certificate_rows` holds the kept rows, normalized, and
 :attr:`Family.certificate_kernel` the rest of the basis for the block
 with no reduction, as columns over the positions in ``positions()``
@@ -65,11 +66,12 @@ constraint by constraint.
 Each family is evaluated through a compiled form, built once per family
 (so once per scenario through :func:`family`) and cached on it:
 
-- **Segments** for :func:`magnitudes`: per reduction, the terms of its
-  constraints in constraint order, where each constraint's terms begin,
-  and the targets stacked.  The members are reduced once per reduction,
-  one gather takes every term, ``np.add.reduceat`` sums each
-  constraint's segment, and the stacked targets are subtracted.
+- **Segments** for :func:`magnitudes`: per reduction, the positions and
+  signs of its constraints' terms in constraint order, where each
+  constraint's terms begin, and the targets stacked.  The members are
+  reduced once per reduction, one gather takes every term,
+  ``np.add.reduceat`` sums each constraint's segment, and the stacked
+  targets are subtracted.
 - **Contractions** for :func:`project`: a zero-target block's rows and
   the kernel's are rows of one orthonormal Kronecker basis, so the block
   times a diagonal times the kernel is a contraction of the diagonal with
@@ -152,16 +154,6 @@ def _party_factor(m: int, k: int) -> np.ndarray:
                            np.kron(_helmert(m).T, np.ones((1, k)))])
 
 
-def _party_major(scen) -> np.ndarray:
-    """The place of each position, in ``scen.positions()`` order, among the
-    columns of a Kronecker product of the party factors, which run
-    ``(x_1, a_1, x_2, a_2, ...)``."""
-    n = scen.n_parties
-    sizes = [size for pair in zip(scen.settings, scen.outcomes) for size in pair]
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return np.arange(np.prod(sizes)).reshape(sizes).transpose(order).ravel()
-
-
 def _basis_rows(scen, places) -> np.ndarray:
     """The rows ``places`` of the Kronecker product of the party factors,
     normalized, as the columns of a read-only ``(positions, len(places))``
@@ -200,11 +192,11 @@ def _touched(scen, parts) -> np.ndarray:
     order.
 
     Chunks of the coefficient rows, dense over the party-major positions
-    with the chunk axis last, are contracted with each party's integer
-    factor in turn (:func:`_contract`), so neither the basis nor the whole
-    coefficient matrix is formed.  Both sides are small integers, so the
-    test is exact."""
-    place = _party_major(scen)
+    (:attr:`.Scenario.party_major`) with the chunk axis last, are contracted
+    with each party's integer factor in turn (:func:`_contract`), so neither
+    the basis nor the whole coefficient matrix is formed.  Both sides are
+    small integers, so the test is exact."""
+    place = scen.party_major
     factors = [np.ascontiguousarray(_party_factor(m, k).T)
                for m, k in zip(scen.settings, scen.outcomes)]
     size, hit = len(place), np.zeros(len(place), dtype=bool)
@@ -320,21 +312,6 @@ class Family:
         return groups
 
     @functools.cached_property
-    def terms(self):
-        """Every term as arrays ``(constraint, position, sign)``, positions
-        numbered by :meth:`Scenario.indices`: grouped by reduction in
-        first-use order, in constraint order within a group, so that each
-        reduction's terms are one slice (:attr:`_segments`)."""
-        parts = [(first, part) for group in self._grouped.values() for first, part in group]
-        arrays = (np.concatenate([np.repeat(first + np.arange(len(part.positions)),
-                                            part.positions.shape[1]) for first, part in parts]),
-                  np.concatenate([part.positions.ravel() for _, part in parts]),
-                  np.concatenate([np.tile(part.signs, len(part.positions)) for _, part in parts]))
-        for arr in arrays:
-            arr.flags.writeable = False  # shared through the family cache
-        return arrays
-
-    @functools.cached_property
     def _certificate(self):
         """``(blocks, kept)``: one ``(reduction, hit, coef, targets)`` per
         block of :attr:`certificate_rows`, and the places in the
@@ -342,8 +319,7 @@ class Family:
         zero-target block has the places ``hit`` of its rows and ``coef``
         ``None``; a targeted block has ``hit`` ``None`` and its own
         coefficient rows ``coef``."""
-        scen = self.scenario
-        size = prod(scen.settings) * prod(scen.outcomes)
+        scen, size = self.scenario, self.scenario.size
         blocks, kept = [], np.arange(size)
         for reduction, group in self._grouped.items():
             zero = [part for _, part in group if part.target is None]
@@ -386,8 +362,8 @@ class Family:
         ``(positions, r)`` array whose rows run in ``positions()`` order,
         the order of the members: the normalized rows of the party-factor
         basis that this block annihilates (all of them when the family has
-        no such block).  The rows at a system's columns are its rows at
-        :attr:`.LinearSystem.at`.
+        no such block).  The rows at a pure assemblage's support are its
+        rows at :attr:`.PureAssemblage.at`.
 
         Formed on first read, which :func:`project` never makes: a verdict
         reads its rows off a partial support, to find the combinations of
@@ -397,34 +373,38 @@ class Family:
 
     @functools.cached_property
     def _contractions(self):
-        """``(party_major, factors, per_block)``: :func:`_party_major`, the
-        orthonormal party factors transposed for :func:`_contract`, and for
-        each block of :attr:`certificate_rows` the :func:`_contraction` of
-        its rows against :attr:`certificate_kernel`'s columns (``None`` for a
-        targeted block)."""
+        """``(factors, per_block)``: the orthonormal party factors transposed
+        for :func:`_contract`, and for each block of :attr:`certificate_rows`
+        the :func:`_contraction` of its rows against
+        :attr:`certificate_kernel`'s columns (``None`` for a targeted
+        block)."""
         blocks, kept = self._certificate
         scen = self.scenario
         factors = [_normalized(_party_factor(m, k))
                    for m, k in zip(scen.settings, scen.outcomes)]
-        return _party_major(scen), tuple(p.T for p in factors), tuple(
+        return tuple(p.T for p in factors), tuple(
             None if hit is None else _contraction(factors, hit, kept)
             for _, hit, _, _ in blocks)
 
     @functools.cached_property
     def _segments(self):
-        """Per reduction, in first-use order: ``(reduction, chosen, span,
-        starts, targets)``.  ``chosen`` are the constraints with that
-        reduction, ``span`` the slice of :attr:`terms` that holds their
-        terms, ``starts`` where each constraint's terms begin in it (every
-        constraint has terms), and ``targets`` the targets stacked, zero for
-        none (``None`` when no constraint has one)."""
-        segments, end = [], 0
+        """Per reduction, in first-use order: ``(reduction, chosen,
+        positions, signs, starts, targets)``.  ``chosen`` are the
+        constraints with that reduction; ``positions`` and ``signs`` their
+        terms, in constraint order, positions numbered by
+        :meth:`.Scenario.indices`; ``starts`` where each constraint's terms
+        begin (every constraint has terms); and ``targets`` the targets
+        stacked, zero for none (``None`` when no constraint has one).
+        ``positions`` and ``signs`` are read-only."""
+        segments = []
         for reduction, group in self._grouped.items():
             chosen = np.concatenate([first + np.arange(len(part.positions))
                                      for first, part in group])
             counts = np.concatenate([np.full(len(part.positions), part.positions.shape[1])
                                      for _, part in group])
-            start, end = end, end + int(counts.sum())
+            positions = np.concatenate([part.positions.ravel() for _, part in group])
+            signs = np.concatenate([np.tile(part.signs, len(part.positions))
+                                    for _, part in group])
             targets = None
             if any(part.target is not None for _, part in group):
                 shape = np.shape(next(part.target for _, part in group
@@ -432,7 +412,9 @@ class Family:
                 targets = np.concatenate([np.broadcast_to(
                     np.zeros(shape) if part.target is None else part.target,
                     (len(part.positions),) + shape) for _, part in group])
-            segments.append((reduction, chosen, slice(start, end),
+            for arr in (positions, signs):
+                arr.flags.writeable = False  # shared through the family cache
+            segments.append((reduction, chosen, positions, signs,
                              np.cumsum(counts) - counts, targets))
         return tuple(segments)
 
@@ -589,12 +571,11 @@ def magnitudes(fam: Family, members: np.ndarray) -> np.ndarray:
     ``np.add.reduceat`` sums each constraint's segment of them.
     """
     stack = np.asarray(members, dtype=complex)
-    _, positions, signs = fam.terms
     out = np.empty(len(fam))
-    for reduction, chosen, span, starts, targets in fam._segments:
+    for reduction, chosen, positions, signs, starts, targets in fam._segments:
         reduced = _reduce(stack, reduction, fam.scenario.trusted_dims)
-        terms = reduced[positions[span]]
-        terms *= signs[span].reshape((-1,) + (1,) * (reduced.ndim - 1))
+        terms = reduced[positions]
+        terms *= signs.reshape((-1,) + (1,) * (reduced.ndim - 1))
         sums = np.add.reduceat(terms, starts, axis=0)
         if targets is not None:
             sums = sums - targets
@@ -684,8 +665,8 @@ def project(fam: Family, at, units: np.ndarray) -> np.ndarray:
     positions, are contracted with the party factors one party at a time,
     and the kernel's places are taken (:func:`_contract`).
     """
-    party_major, factors, contractions = fam._contractions
-    kept = fam._certificate[1]
+    factors, contractions = fam._contractions
+    party_major, kept = fam.scenario.party_major, fam._certificate[1]
     place, w = party_major[at], np.zeros(len(party_major))
     blocks = [(len(hit) if coef is None else len(coef), coef, contraction,
                _coordinates(_reduce(units, reduction, fam.scenario.trusted_dims),

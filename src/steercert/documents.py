@@ -405,7 +405,7 @@ def _assemblage_in(obj, path, as_channel: bool):
                             f"{path}.scenario.trusted_dims")
     key = "choi" if as_channel else "member"
     d = scen.trusted_dim
-    n = prod(scen.settings) * prod(scen.outcomes)
+    n = scen.size
     try:
         members = np.zeros((n, d, d), dtype=complex)
     except (MemoryError, ValueError):  # ValueError: the size overflows

@@ -15,8 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from steercert.constraints import (Reduction, _contraction, _normalized, _party_factor,
-                                   _party_major)
+from steercert.constraints import Reduction, _contraction, _normalized, _party_factor
 
 Constraint = namedtuple("Constraint", "name terms reduction target",
                         defaults=(Reduction.NONE, None))
@@ -106,13 +105,22 @@ def asym_ns(scen) -> list:
     return constraints
 
 
+def party_major(scen) -> np.ndarray:
+    """Each position's place, in ``scen.positions()`` order, among the
+    columns of a Kronecker product of per-party factors over ``(x, a)``:
+    the mixed-radix number ``(x_1, a_1, x_2, a_2, ...)``."""
+    sizes = [size for pair in zip(scen.settings, scen.outcomes) for size in pair]
+    return np.array([np.ravel_multi_index([v for pair in zip(x, a) for v in pair], sizes)
+                     for a, x in scen.positions()], dtype=np.int64)
+
+
 def factor_basis(scen) -> np.ndarray:
     """The Kronecker product of the party factors, as rows over all
     positions in ``scen.positions()`` order."""
     basis = np.ones((1, 1))
     for m, k in zip(scen.settings, scen.outcomes):
         basis = np.kron(basis, _party_factor(m, k))
-    return basis[:, _party_major(scen)]
+    return basis[:, party_major(scen)]
 
 
 def terms(scen, constraints) -> tuple:
@@ -155,18 +163,18 @@ def certificate(scen, constraints) -> tuple:
 
 
 def contractions(scen, hits, kept) -> tuple:
-    """``(party_major, factors, per_block)`` from the :func:`certificate`'s
-    hits and kept rows."""
+    """``(factors, per_block)`` from the :func:`certificate`'s hits and kept
+    rows."""
     factors = [_normalized(_party_factor(m, k))
                for m, k in zip(scen.settings, scen.outcomes)]
-    return _party_major(scen), tuple(p.T for p in factors), tuple(
+    return tuple(p.T for p in factors), tuple(
         None if hit is None else _contraction(factors, hit, kept) for hit in hits)
 
 
 def segments(scen, constraints) -> tuple:
-    """Per reduction, in first-use order: ``(reduction, chosen, span, starts,
-    targets)``."""
-    rows = terms(scen, constraints)[0]
+    """Per reduction, in first-use order: ``(reduction, chosen, positions,
+    signs, starts, targets)``."""
+    rows, positions, signs = terms(scen, constraints)
     reductions = [c.reduction for c in constraints]
     counts = np.bincount(rows, minlength=len(constraints))
     out, end = [], 0
@@ -179,5 +187,6 @@ def segments(scen, constraints) -> tuple:
         if any(t is not None for t in given):
             shape = np.shape(next(t for t in given if t is not None))
             targets = np.array([np.zeros(shape) if t is None else t for t in given])
-        out.append((reduction, chosen, slice(start, end), starts, targets))
+        out.append((reduction, chosen, positions[start:end], signs[start:end], starts,
+                    targets))
     return tuple(out)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from steercert import documents
 from steercert.core import BUILD_SLACK
-from steercert.channels import ChoiOp, State, projective_povm, pure_state, verify_cptp
+from steercert.channels import (ChoiOp, KrausChannel, State, projective_povm, pure_state,
+                                verify_cptp)
 from steercert.assemblages import (PureAssemblage, Scenario, assemblage_from_realization,
                                    mixture_members)
 from steercert.channel_assemblages import ChannelAssemblage
@@ -38,6 +39,21 @@ def random_density(rng: np.random.Generator, dims) -> State:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     return State(dims, m / np.trace(m))
+
+
+def random_kraus_channel(rng: np.random.Generator, in_dim: int, out_dim: int,
+                         n_kraus: int = None) -> KrausChannel:
+    """Haar-ish random channel from a random isometry."""
+    if n_kraus is None:
+        n_kraus = in_dim * out_dim
+    n_kraus = min(n_kraus, in_dim * out_dim)
+    if out_dim * n_kraus < in_dim:
+        raise ValueError(f"a channel from dimension {in_dim} needs out_dim * n_kraus >= "
+                         f"{in_dim}, got {out_dim} * {n_kraus}")
+    g = rng.normal(size=(out_dim * n_kraus, in_dim)) \
+        + 1j * rng.normal(size=(out_dim * n_kraus, in_dim))
+    q, _ = np.linalg.qr(g)
+    return KrausChannel(in_dim, out_dim, q[:, :in_dim].reshape(n_kraus, out_dim, in_dim))
 
 
 def partial_trace(a: np.ndarray, dims, keep) -> np.ndarray:

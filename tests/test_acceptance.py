@@ -7,6 +7,7 @@ explicit bounds below.
 """
 
 import numpy as np
+from conftest import random_kraus_channel
 
 from steercert import gallery
 from steercert.core import Tolerances, nullspace
@@ -15,7 +16,6 @@ from steercert.channels import (
     apply_choi,
     choi_from_map,
     choi_of_kraus,
-    random_kraus_channel,
     verify_cptp,
 )
 from steercert.assemblages import (

@@ -1,6 +1,9 @@
+import dataclasses
+
+import compile_oracle as oracle
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import pure_realization, random_density, random_kraus_channel
 from hypothesis import given, settings, strategies as st
 
 from steercert.core import DEFAULT_TOL
@@ -9,7 +12,6 @@ from steercert.channels import (
     Povm,
     projective_povm,
     pure_state,
-    random_kraus_channel,
 )
 from steercert.assemblages import (
     Assemblage,
@@ -74,11 +76,39 @@ def test_indices_are_index_of_each_position():
     picked = [positions[i] for i in order]
     np.testing.assert_array_equal(scen.indices(picked), order)
     assert scen.indices([]).shape == (0,)
-    outside = [((0, 0, 0), (0, 0, 5)), ((0,), (0, 0, 0)), ((2 ** 70, 0, 0), (0, 0, 0))]
+    outside = [((0, 0, 0), (0, 0, 5)), ((0,), (0, 0, 0)), ((2 ** 70, 0, 0), (0, 0, 0)),
+               ((0,), (0, 0, 0, 0, 0))]
     for bad in outside:
         with pytest.raises(ValueError, match="outside the scenario") as info:
             scen.indices(picked[:3] + [bad] + outside)
         assert info.value.place == 3
+
+
+@pytest.mark.parametrize("settings, outcomes", [((2, 3, 1), (3, 1, 2)), ((3,), (2,)),
+                                                ((3, 3, 3), (3, 3, 3))])
+def test_scenario_caches_its_size_and_party_major_order(settings, outcomes):
+    scen = Scenario(settings, outcomes, (2,))
+    assert scen.size == len(list(scen.positions()))
+    assert scen.size is scen.size
+    place = scen.party_major
+    assert place is scen.party_major and not place.flags.writeable
+    np.testing.assert_array_equal(place, oracle.party_major(scen))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scen.size = 1
+    with pytest.raises(ValueError, match="read-only"):
+        place[0] = 1
+
+
+def test_pure_assemblage_at_is_the_place_of_each_support_position(rng):
+    s = pure_realization(rng, 2, 2, 3, 2)
+    members = np.array(s.members)
+    zeroed = [0, 5, 7, 20, 35]  # some of them at x=(0, 0)
+    members[zeroed] = 0
+    p = canonicalize_pure(Assemblage(s.scenario, members))
+    assert len(p.support) == s.scenario.size - len(zeroed)
+    np.testing.assert_array_equal(p.at, s.scenario.indices(p.support))
+    np.testing.assert_array_equal(np.sort(p.at), np.delete(np.arange(s.scenario.size), zeroed))
+    assert p.at is p.at and not p.at.flags.writeable
 
 
 def test_verify_ns_reports_non_psd_members_and_totals():

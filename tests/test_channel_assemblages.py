@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import local_channel_assemblage
+from conftest import local_channel_assemblage, random_kraus_channel
 
 from steercert import gallery
-from steercert.channels import ChoiOp, choi_of_kraus, random_kraus_channel
+from steercert.channels import ChoiOp, choi_of_kraus
 from steercert.assemblages import Assemblage, Scenario
 from steercert.channel_assemblages import (
     ChannelAssemblage,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import apply_channel_on_subsystems, random_density
+from conftest import apply_channel_on_subsystems, random_density, random_kraus_channel
 
 from steercert import gallery
 from steercert.channels import (
@@ -14,7 +14,6 @@ from steercert.channels import (
     choi_of_unitary,
     projective_povm,
     pure_state,
-    random_kraus_channel,
     verify_cptp,
 )
 

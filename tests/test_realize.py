@@ -12,10 +12,11 @@ from math import prod
 
 import numpy as np
 import pytest
-from conftest import apply_channel_on_subsystems, partial_trace, random_density
+from conftest import (apply_channel_on_subsystems, partial_trace, random_density,
+                      random_kraus_channel)
 
 from steercert import gallery
-from steercert.channels import Povm, choi_of_kraus, random_kraus_channel
+from steercert.channels import Povm, choi_of_kraus
 from steercert.assemblages import Scenario, assemblage_from_realization, measured_members
 from steercert.channel_assemblages import chanasm_from_realization
 
